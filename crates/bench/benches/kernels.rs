@@ -16,6 +16,10 @@
 //!   throughput, one test execution (a "try"), and a guided vs plain
 //!   search on a fixed candidate set. `tables -- bench-json` records the
 //!   same metrics to `BENCH_search.json`.
+//! * `worklist/*` — the lazy CHESS worklist over 700 candidates (a
+//!   suite-sized candidate list, pair pool 512): building it and taking
+//!   the first entry (all a 2-try reproduction pays), the first 1000
+//!   entries, and draining all ~131k.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -24,7 +28,7 @@ use mcr_analysis::ProgramAnalysis;
 use mcr_core::{find_failure, ReproOptions, Reproducer};
 use mcr_dump::{reachable_vars, CoreDump, DumpDiff, DumpReason, TraverseLimits};
 use mcr_index::{reverse_index, Aligner, OnlineIndexer};
-use mcr_search::Algorithm;
+use mcr_search::{Algorithm, Worklist};
 use mcr_slice::{backward_slice, Strategy, TraceCollector};
 use mcr_vm::{run, run_until, DeterministicScheduler, NullObserver, ThreadId, Vm};
 
@@ -311,6 +315,36 @@ fn bench_search_hotpath(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_worklist(c: &mut Criterion) {
+    // Ranked priorities mixed with the two bottom tiers, as the slicer
+    // and the static race ranking produce them.
+    let bottom = mcr_slice::PRIORITY_BOTTOM;
+    let priorities: Vec<u32> = (0..700u32)
+        .map(|i| match i % 7 {
+            0 | 3 => bottom,
+            5 => bottom - 1,
+            _ => 1 + (i * 37) % 23,
+        })
+        .collect();
+    let worklist =
+        |algorithm| Worklist::from_priorities(priorities.iter().copied(), algorithm, 2, 512);
+
+    let mut g = c.benchmark_group("worklist");
+    for (name, algorithm) in [("chessx", Algorithm::ChessX), ("chess", Algorithm::Chess)] {
+        g.bench_function(&format!("{name}_first"), |b| {
+            b.iter(|| black_box(worklist(algorithm).next()));
+        });
+        g.bench_function(&format!("{name}_first_1000"), |b| {
+            b.iter(|| black_box(worklist(algorithm).take(1000).last()));
+        });
+    }
+    g.sample_size(10);
+    g.bench_function("chessx_drain", |b| {
+        b.iter(|| black_box(worklist(Algorithm::ChessX).last()));
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_instrumentation,
@@ -319,6 +353,7 @@ criterion_group!(
     bench_slice,
     bench_search,
     bench_segment_seek,
-    bench_search_hotpath
+    bench_search_hotpath,
+    bench_worklist
 );
 criterion_main!(benches);

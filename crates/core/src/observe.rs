@@ -147,7 +147,8 @@ pub enum PhaseEvent {
     },
     /// A named sub-stage of the phase finished (e.g. the `Diff` phase's
     /// `replay`, `dump-parse` and `diff` stages, the paper's Table 6
-    /// rows).
+    /// rows, or the `Search` phase's `annotate` and `schedule` stages:
+    /// candidate annotation, then the worklist walk with its tries).
     Stage {
         /// The enclosing phase.
         phase: Phase,

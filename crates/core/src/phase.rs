@@ -653,6 +653,11 @@ impl PipelinePhase for SearchPhase {
             // unless the knob is on and the fault plan is empty).
             let (candidates, future) =
                 annotate_with_race(&align.passing_run, &csv_set, &priorities, s.race_verdicts());
+            s.emit(PhaseEvent::Stage {
+                phase: Phase::Search,
+                stage: "annotate",
+                elapsed: t0.elapsed(),
+            });
             let fresh = s.new_vm();
             let budget = Self::budget(s);
             let mut search_config = SearchConfig {
@@ -672,6 +677,7 @@ impl PipelinePhase for SearchPhase {
                     search_config.max_steps = search_config.max_steps.min(steps);
                 }
             }
+            let t1 = Instant::now();
             let result = find_schedule(
                 &fresh,
                 &candidates,
@@ -680,6 +686,11 @@ impl PipelinePhase for SearchPhase {
                 s.options.algorithm,
                 &search_config,
             );
+            s.emit(PhaseEvent::Stage {
+                phase: Phase::Search,
+                stage: "schedule",
+                elapsed: t1.elapsed(),
+            });
             (result, t0.elapsed())
         };
         // A cancelled search still Finishes (with a partial artifact,

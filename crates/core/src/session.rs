@@ -1327,7 +1327,7 @@ mod tests {
             .map(|(phase, _)| *phase)
             .collect();
         assert_eq!(finished, crate::observe::PHASES);
-        // The diff phase's sub-stages were reported too.
+        // The diff and search phases' sub-stages were reported too.
         let stages: Vec<&str> = log
             .lock()
             .unwrap()
@@ -1338,7 +1338,10 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(stages, ["replay", "dump-parse", "diff"]);
+        assert_eq!(
+            stages,
+            ["replay", "dump-parse", "diff", "annotate", "schedule"]
+        );
     }
 
     #[test]

@@ -14,9 +14,10 @@
 
 use crate::candidates::{AnnotatedCandidate, FutureCsvMap};
 use crate::runner::{Budget, CancelToken, Guidance, TestRun};
+use crate::worklist::{Combo, Worklist};
 use mcr_vm::{Failure, Vm};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Which search algorithm to run.
@@ -42,7 +43,7 @@ pub struct SearchConfig {
     pub max_steps: u64,
     /// When the candidate list is enormous, pairs are only formed among
     /// the `pair_pool` best candidates (by priority for ChessX, by
-    /// execution order for CHESS) to bound worklist construction.
+    /// execution order for CHESS) to bound the quadratic pair space.
     pub pair_pool: usize,
     /// Worker threads testing worklist combinations concurrently.
     ///
@@ -139,7 +140,7 @@ pub fn find_schedule(
     let start = Instant::now();
     let deadline = config.time_budget.map(|d| start + d);
 
-    let worklist = build_worklist(candidates, algorithm, config);
+    let worklist = Worklist::new(candidates, algorithm, config);
     let guidance = match algorithm {
         Algorithm::Chess => Guidance::All,
         Algorithm::ChessX => Guidance::CsvOverlap,
@@ -154,7 +155,7 @@ pub fn find_schedule(
     let workers = executor.threads().min(minipool::available_parallelism());
     if workers > 1 && worklist.len() > 1 {
         return find_schedule_parallel(
-            fresh_vm, candidates, future, target, guidance, config, &executor, workers, &worklist,
+            fresh_vm, candidates, future, target, guidance, config, &executor, workers, worklist,
             deadline, start,
         );
     }
@@ -178,16 +179,18 @@ pub fn find_schedule(
             break;
         }
         combinations_tested += 1;
-        let set: Vec<AnnotatedCandidate> = combo.iter().map(|&i| candidates[i].clone()).collect();
-        let run = TestRun {
-            fresh_vm,
-            preemptions: &set,
-            target,
-            guidance,
-            future,
-        };
-        if run.execute(&mut budget) {
-            winning = Some(set);
+        let ok = with_preemptions(candidates, combo, |set| {
+            let run = TestRun {
+                fresh_vm,
+                preemptions: set,
+                target,
+                guidance,
+                future,
+            };
+            run.execute(&mut budget)
+        });
+        if ok {
+            winning = Some(preemptions(candidates, combo));
             reproduced = true;
             break;
         }
@@ -211,8 +214,40 @@ pub fn find_schedule(
     }
 }
 
-/// The parallel worklist driver: `workers` pool tasks claim worklist
-/// indices *in order* from one shared counter; every worker draws from
+/// Runs `f` on `combo`'s candidates as one slice: a single is borrowed
+/// in place, a pair is cloned into a two-element array.
+fn with_preemptions<R>(
+    candidates: &[AnnotatedCandidate],
+    combo: Combo,
+    f: impl FnOnce(&[AnnotatedCandidate]) -> R,
+) -> R {
+    match *combo.indices() {
+        [i] => f(std::slice::from_ref(&candidates[i])),
+        [i, j] => f(&[candidates[i].clone(), candidates[j].clone()]),
+        _ => unreachable!("combinations hold one or two preemptions"),
+    }
+}
+
+/// `combo`'s candidates, owned (the reported winning set).
+fn preemptions(candidates: &[AnnotatedCandidate], combo: Combo) -> Vec<AnnotatedCandidate> {
+    combo
+        .indices()
+        .iter()
+        .map(|&i| candidates[i].clone())
+        .collect()
+}
+
+/// The parallel driver's claim state: the worklist is pulled under one
+/// lock, and each claim's combination and try count are kept by claim
+/// index for serial-identical reporting.
+struct Claims {
+    worklist: Worklist,
+    combos: Vec<Combo>,
+    tries: Vec<u64>,
+}
+
+/// The parallel worklist driver: `workers` pool tasks claim combinations
+/// *in order* from the one shared lazy worklist; every worker draws from
 /// one shared try pool, and the *lowest worklist index* that reproduces
 /// is the winner, so the result matches the serial search whenever the
 /// budget does not cut the search off (see [`SearchConfig::parallelism`]
@@ -240,35 +275,46 @@ fn find_schedule_parallel(
     config: &SearchConfig,
     executor: &minipool::Pool,
     workers: usize,
-    worklist: &[Vec<usize>],
+    worklist: Worklist,
     deadline: Option<Instant>,
     start: Instant,
 ) -> SearchResult {
-    let n = worklist.len();
     // Lowest reproducing worklist index (usize::MAX = none yet).
     let winner = Arc::new(AtomicUsize::new(usize::MAX));
-    // The claim counter: each worker takes the next untested index.
-    let next = AtomicUsize::new(0);
+    // The claim point: each worker takes the next untested combination.
+    let claims = Mutex::new(Claims {
+        worklist,
+        combos: Vec::new(),
+        tries: Vec::new(),
+    });
+    let lock = || claims.lock().expect("worklist claims poisoned");
     // One global try pool, debited as each try completes — the cap
     // bounds *total* work to within one in-flight try per worker, unlike
     // per-worker budget snapshots which could multiply it.
     let pool = crate::runner::SharedTries::new(config.max_tries);
-    // Per-combination tries for deterministic reporting.
-    let per_combo_tries: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let executed: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+    let executed = AtomicU64::new(0);
     // Did cancellation actually stop work? Recorded by the workers that
     // observed it, so a token firing after the search is over cannot
     // relabel a complete result as partial.
-    let cancel_stopped = std::sync::atomic::AtomicBool::new(false);
+    let cancel_stopped = AtomicBool::new(false);
 
     executor.for_each_index(workers, |_| loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        // Claims are monotonic and the winner index only decreases, so
-        // once this claim is past the winner (or the list), every later
-        // claim would be too: this worker is done.
-        if i >= n || i > winner.load(Ordering::Acquire) {
-            break;
-        }
+        let (i, combo) = {
+            let mut claims = lock();
+            let i = claims.combos.len();
+            // Claims are monotonic and the winner index only decreases,
+            // so once the next claim is past the winner (or the list),
+            // every later claim would be too: this worker is done.
+            if i > winner.load(Ordering::Acquire) {
+                break;
+            }
+            let Some(combo) = claims.worklist.next() else {
+                break;
+            };
+            claims.combos.push(combo);
+            claims.tries.push(0);
+            (i, combo)
+        };
         if config.cancel.is_cancelled() {
             cancel_stopped.store(true, Ordering::Relaxed);
             break;
@@ -281,18 +327,18 @@ fn find_schedule_parallel(
             .with_cancel(config.cancel.clone())
             .with_obsolete(Arc::clone(&winner), i);
         budget.deadline = deadline;
-        let set: Vec<AnnotatedCandidate> =
-            worklist[i].iter().map(|&k| candidates[k].clone()).collect();
-        let run = TestRun {
-            fresh_vm,
-            preemptions: &set,
-            target,
-            guidance,
-            future,
-        };
-        executed[i].store(1, Ordering::Relaxed);
-        let ok = run.execute(&mut budget);
-        per_combo_tries[i].store(budget.tries, Ordering::Relaxed);
+        executed.fetch_add(1, Ordering::Relaxed);
+        let ok = with_preemptions(candidates, combo, |set| {
+            let run = TestRun {
+                fresh_vm,
+                preemptions: set,
+                target,
+                guidance,
+                future,
+            };
+            run.execute(&mut budget)
+        });
+        lock().tries[i] = budget.tries;
         if ok {
             winner.fetch_min(i, Ordering::AcqRel);
         } else if budget.cancelled() {
@@ -300,39 +346,30 @@ fn find_schedule_parallel(
         }
     });
 
+    let claims = claims.into_inner().expect("worklist claims poisoned");
     let w = winner.load(Ordering::Acquire);
     if w != usize::MAX {
         // Serial-identical accounting: the tries and combination count
         // the serial loop would have reported — everything up to and
         // including the winner; speculative work beyond it is discarded.
-        let tries: u64 = per_combo_tries[..=w]
-            .iter()
-            .map(|t| t.load(Ordering::Relaxed))
-            .sum();
-        let winning: Vec<AnnotatedCandidate> =
-            worklist[w].iter().map(|&k| candidates[k].clone()).collect();
         SearchResult {
             reproduced: true,
-            tries,
+            tries: claims.tries[..=w].iter().sum(),
             combinations_tested: (w + 1) as u64,
-            winning: Some(winning),
+            winning: Some(preemptions(candidates, claims.combos[w])),
             wall_time: start.elapsed(),
             cut_off: false,
             cancelled: false,
         }
     } else {
         let tries = pool.used();
-        let combinations_tested = executed
-            .iter()
-            .filter(|e| e.load(Ordering::Relaxed) == 1)
-            .count() as u64;
         let cancelled = cancel_stopped.load(Ordering::Relaxed);
         let cut_off =
             cancelled || tries >= config.max_tries || deadline.is_some_and(|d| Instant::now() >= d);
         SearchResult {
             reproduced: false,
             tries,
-            combinations_tested,
+            combinations_tested: executed.load(Ordering::Relaxed),
             winning: None,
             wall_time: start.elapsed(),
             cut_off,
@@ -341,71 +378,11 @@ fn find_schedule_parallel(
     }
 }
 
-/// Builds the ordered worklist of candidate-index combinations.
-fn build_worklist(
-    candidates: &[AnnotatedCandidate],
-    algorithm: Algorithm,
-    config: &SearchConfig,
-) -> Vec<Vec<usize>> {
-    let n = candidates.len();
-    let mut singles: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-
-    // Pair pool: cap quadratic blowup on very long runs.
-    let mut pool: Vec<usize> = (0..n).collect();
-    if n > config.pair_pool {
-        if algorithm == Algorithm::ChessX {
-            pool.sort_by_key(|&i| candidates[i].best_priority);
-        }
-        pool.truncate(config.pair_pool);
-        pool.sort_unstable();
-    }
-    let mut pairs: Vec<Vec<usize>> = Vec::new();
-    if config.preemption_bound >= 2 {
-        for (a, &i) in pool.iter().enumerate() {
-            for &j in pool.iter().skip(a + 1) {
-                pairs.push(vec![i, j]);
-            }
-        }
-    }
-
-    match algorithm {
-        Algorithm::Chess => {
-            // Linear search: single preemptions in execution order, then
-            // pairs in lexicographic execution order.
-            let mut out = singles;
-            out.extend(pairs);
-            out
-        }
-        Algorithm::ChessX => {
-            // Algorithm 2: weight = sum of members' best priorities; sort
-            // the whole worklist ascending.
-            let weight = |combo: &Vec<usize>| -> u64 {
-                combo
-                    .iter()
-                    .map(|&i| candidates[i].best_priority as u64)
-                    .sum()
-            };
-            let mut out: Vec<Vec<usize>> = Vec::with_capacity(singles.len() + pairs.len());
-            out.append(&mut singles);
-            out.append(&mut pairs);
-            out.sort_by_key(|c| (weight(c), c.len(), c.clone()));
-            out
-        }
-    }
-}
-
-/// Convenience: the number of combinations the worklist would hold.
-pub fn worklist_size(n_candidates: usize, bound: usize, pair_pool: usize) -> usize {
-    let n = n_candidates;
-    let pool = n.min(pair_pool);
-    let pairs = if bound >= 2 { pool * (pool - 1) / 2 } else { 0 };
-    n + pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::candidates::{annotate, SyncLogger};
+    use crate::worklist::worklist_size;
     use mcr_slice::PRIORITY_BOTTOM as BOT;
     use mcr_vm::{run, DeterministicScheduler, MemLoc, NullObserver, StressScheduler, ThreadId};
     use std::collections::{HashMap, HashSet};
@@ -435,6 +412,16 @@ mod tests {
             spawn T2();
         }
     "#;
+
+    fn worklist(
+        candidates: &[AnnotatedCandidate],
+        algorithm: Algorithm,
+        config: &SearchConfig,
+    ) -> Vec<Vec<usize>> {
+        Worklist::new(candidates, algorithm, config)
+            .map(|c| c.indices().to_vec())
+            .collect()
+    }
 
     struct Setup {
         program: mcr_lang::Program,
@@ -525,7 +512,7 @@ mod tests {
     fn worklist_order_respects_weights() {
         let s = setup();
         let cfg = SearchConfig::default();
-        let wl = build_worklist(&s.candidates, Algorithm::ChessX, &cfg);
+        let wl = worklist(&s.candidates, Algorithm::ChessX, &cfg);
         // The first combination's weight is minimal.
         let weight = |combo: &Vec<usize>| -> u64 {
             combo
@@ -543,7 +530,7 @@ mod tests {
     fn chess_worklist_is_execution_ordered() {
         let s = setup();
         let cfg = SearchConfig::default();
-        let wl = build_worklist(&s.candidates, Algorithm::Chess, &cfg);
+        let wl = worklist(&s.candidates, Algorithm::Chess, &cfg);
         // Singles first, in candidate order.
         for (i, combo) in wl.iter().take(s.candidates.len()).enumerate() {
             assert_eq!(combo, &vec![i]);
@@ -626,7 +613,7 @@ mod tests {
             (Algorithm::Chess, Guidance::All),
         ] {
             let serial = find_schedule(&fresh, &s.candidates, &s.future, s.failure, alg, &cfg);
-            let worklist = build_worklist(&s.candidates, alg, &cfg);
+            let worklist = Worklist::new(&s.candidates, alg, &cfg);
             let executor = minipool::Pool::new(4);
             let start = Instant::now();
             let par = find_schedule_parallel(
@@ -638,7 +625,7 @@ mod tests {
                 &cfg,
                 &executor,
                 4,
-                &worklist,
+                worklist,
                 None,
                 start,
             );
@@ -725,7 +712,7 @@ mod tests {
             pair_pool: 3,
             ..Default::default()
         };
-        let wl = build_worklist(&s.candidates, Algorithm::ChessX, &cfg);
+        let wl = worklist(&s.candidates, Algorithm::ChessX, &cfg);
         assert_eq!(wl.len(), s.candidates.len() + 3);
     }
 }

@@ -8,7 +8,9 @@
 //! * [`runner`] — `testrun`/`preempt` with checkpointed thread-choice
 //!   exploration (VM clones),
 //! * [`chess`] — the plain CHESS baseline and the enhanced, weighted,
-//!   guided Algorithm 2 ([`Algorithm::ChessX`]).
+//!   guided Algorithm 2 ([`Algorithm::ChessX`]),
+//! * [`worklist`] — the lazy generator of the combinations a search
+//!   tests, in its test order.
 //!
 //! The unit of cost is a *try*: one completed test execution, matching
 //! the "tries" columns of the paper's Table 4.
@@ -18,10 +20,12 @@
 pub mod candidates;
 pub mod chess;
 pub mod runner;
+pub mod worklist;
 
 pub use candidates::{
     annotate, annotate_with_race, coarse, AnnotatedCandidate, CandidateKind, CoarseLoc,
     FutureCsvMap, PassingRunInfo, PreemptionPoint, SharedAccess, SyncLogger,
 };
-pub use chess::{find_schedule, worklist_size, Algorithm, SearchConfig, SearchResult};
+pub use chess::{find_schedule, Algorithm, SearchConfig, SearchResult};
 pub use runner::{Budget, CancelToken, Guidance, TestRun};
+pub use worklist::{worklist_size, Combo, Worklist};
