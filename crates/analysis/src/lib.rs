@@ -57,13 +57,6 @@ impl ProgramAnalysis {
         }
     }
 
-    /// Assembles a program analysis from per-function analyses (one per
-    /// function, in [`FuncId`] order) — the cache-rehydration companion
-    /// of [`FuncAnalysis::from_parts`].
-    pub fn from_funcs(funcs: Vec<FuncAnalysis>) -> ProgramAnalysis {
-        ProgramAnalysis { funcs }
-    }
-
     /// Analysis of one function.
     ///
     /// # Panics
@@ -95,60 +88,5 @@ mod tests {
         let a = ProgramAnalysis::analyze(&p);
         assert_eq!(a.funcs().len(), 2);
         assert_eq!(a.census(&p).total, p.stmt_count());
-    }
-
-    #[test]
-    fn from_parts_reproduces_fresh_analysis() {
-        let p = mcr_lang::compile(
-            "global x: int; fn main() { if (x > 0 && x < 9) { x = 1; } while (x) { x = x - 1; } }",
-        )
-        .unwrap();
-        let fresh = ProgramAnalysis::analyze(&p);
-        let rebuilt = ProgramAnalysis::from_funcs(
-            p.funcs
-                .iter()
-                .zip(fresh.funcs())
-                .map(|(func, fa)| {
-                    let n = fa.cfg().stmt_count();
-                    let cds = (0..n)
-                        .map(|s| fa.raw_cds(mcr_lang::StmtId(s as u32)).to_vec())
-                        .collect();
-                    FuncAnalysis::from_parts(
-                        func,
-                        fa.ipdoms().to_vec(),
-                        cds,
-                        fa.cluster_memberships().to_vec(),
-                    )
-                    .expect("parts fit the function they came from")
-                })
-                .collect(),
-        );
-        for (fa, fb) in fresh.funcs().iter().zip(rebuilt.funcs()) {
-            assert_eq!(fa.ipdoms(), fb.ipdoms());
-            assert_eq!(fa.cluster_memberships(), fb.cluster_memberships());
-            for s in 0..fa.cfg().stmt_count() {
-                assert_eq!(
-                    fa.raw_cds(mcr_lang::StmtId(s as u32)),
-                    fb.raw_cds(mcr_lang::StmtId(s as u32))
-                );
-            }
-        }
-        assert_eq!(fresh.census(&p).total, rebuilt.census(&p).total);
-        // Mismatched parts are rejected, not silently accepted.
-        let other = mcr_lang::compile("fn main() { x0 = 0; }").unwrap_or_else(|_| {
-            mcr_lang::compile("global x0: int; fn main() { x0 = 0; }").unwrap()
-        });
-        let fa = &fresh.funcs()[0];
-        let n = fa.cfg().stmt_count();
-        let cds: Vec<_> = (0..n)
-            .map(|s| fa.raw_cds(mcr_lang::StmtId(s as u32)).to_vec())
-            .collect();
-        assert!(FuncAnalysis::from_parts(
-            &other.funcs[0],
-            fa.ipdoms().to_vec(),
-            cds,
-            fa.cluster_memberships().to_vec(),
-        )
-        .is_none());
     }
 }

@@ -8,14 +8,13 @@
 //! remaining sites are flagged [`RaceVerdict::MayRace`] (with a witness
 //! pair) or [`RaceVerdict::Unknown`] (lock identity untrackable).
 //!
-//! The analysis is split exactly like the compile/analysis caches:
+//! The analysis runs in two steps:
 //!
 //! * [`FuncRaceSummary::of`] computes a **content-local** per-function
 //!   summary — escape-classified access sites, a must-lockset forward
 //!   dataflow on the [`Cfg`], spawn/call/acquire site lists, and
 //!   "may a spawn / call have happened before this statement" facts.
-//!   The summary depends only on the function body, so Merkle-cached
-//!   units are shared across programs and fleets.
+//!   The summary depends only on the function body.
 //! * [`RaceAnalysis::compose`] combines the summaries bottom-up with a
 //!   cheap interprocedural algebra (call-closure of spawn/release
 //!   effects, a decreasing `entry_solo` fixpoint, thread-root
@@ -97,12 +96,11 @@ impl RaceVerdict {
 }
 
 /// Content-local static concurrency summary of one function. Every
-/// field is derivable from the function body alone, so the summary is
-/// cacheable under the function's content fingerprint and composes
-/// bottom-up across programs that share the function.
+/// field is derivable from the function body alone; summaries compose
+/// bottom-up into the program-level [`RaceAnalysis`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuncRaceSummary {
-    /// Number of body statements (rehydration fit check).
+    /// Number of body statements (see [`FuncRaceSummary::fits`]).
     pub stmt_count: u32,
     /// True when the function references a lock id `>= 64`; its
     /// lockset masks are then under-approximate beyond repair and the
@@ -447,8 +445,8 @@ impl FuncRaceSummary {
         }
     }
 
-    /// True when the summary's shape matches `func` (rehydration fit
-    /// check — a content-hash collision or corrupted cache fails it).
+    /// True when the summary's shape matches `func` (the precondition of
+    /// handing it to [`RaceAnalysis::compose`] for that function).
     pub fn fits(&self, func: &Function) -> bool {
         self.stmt_count as usize == func.body.len()
             && self.locksets.len() == func.body.len()
@@ -642,7 +640,7 @@ impl RaceAnalysis {
         RaceAnalysis::compose(program, summaries)
     }
 
-    /// Composes precomputed (possibly cache-rehydrated) summaries.
+    /// Composes precomputed summaries.
     /// `summaries[i]` must correspond to `program.funcs[i]`.
     pub fn compose(program: &Program, summaries: Vec<FuncRaceSummary>) -> RaceAnalysis {
         let nf = summaries.len();

@@ -59,7 +59,7 @@
 //!
 //! [`Fleet`] — the original consume-on-run batch API — survives as a
 //! thin wrapper: [`Fleet::run`] submits every pushed job to a private
-//! `TriageService` (unbounded admission), drains it, and assembles the
+//! `TriageService` (unbounded admission), drains it, and returns the
 //! same [`FleetOutcome`] as before. Reports are pinned bit-identical
 //! between the two APIs by the repository's `tests/batch.rs` and
 //! `tests/triage.rs`.
@@ -419,7 +419,7 @@ impl FleetOutcome {
     }
 
     /// The outcome of the named job, if present — an O(1) map lookup
-    /// (the index is built once when the outcome is assembled).
+    /// (the index is built once when the outcome is put together).
     ///
     /// Job names are not required to be unique; when several jobs share
     /// a name, the **last-submitted** one wins (a triage queue's newest

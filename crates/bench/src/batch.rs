@@ -24,13 +24,13 @@
 //! `BENCH_batch.json` so successive PRs leave a measurable trajectory
 //! alongside `BENCH_search.json`.
 
+use crate::stamp::Stamp;
 use mcr_batch::{AdmissionPolicy, Fleet, FleetConfig, FleetJob, TriageService};
 use mcr_core::{
-    find_failure_par, measured_frame_size, ArtifactStore, CorpusManifest, FuncUnitStats,
-    ManifestStats, MemoryStore, PhaseStats, ReproOptions, ReproReport, ReproSession, Reproducer,
-    SegStore, StoreStats, PHASE_KINDS,
+    find_failure_par, measured_frame_size, ArtifactStore, MemoryStore, PhaseStats, ReproOptions,
+    ReproReport, Reproducer, SegStore, StoreStats, PHASES,
 };
-use mcr_workloads::{all_bugs, bug_by_name, fleet_mix, fleet_recompile, FleetSpec};
+use mcr_workloads::{all_bugs, fleet_mix, FleetSpec};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -69,6 +69,8 @@ struct PreparedJob {
 /// The full batch report serialized to `BENCH_batch.json`.
 #[derive(Debug, Clone)]
 pub struct BatchReport {
+    /// Revision, host and repetition count the report was measured with.
+    pub stamp: Stamp,
     /// Jobs in the corpus.
     pub jobs: usize,
     /// Distinct work units among them (dedup keys).
@@ -100,9 +102,6 @@ pub struct BatchReport {
     /// Store counters at the end of the fleet run (the per-phase
     /// histograms live in [`StoreStats::per_phase`]).
     pub store: StoreStats,
-    /// Function-granular recompile measurement over a revision stream
-    /// (see [`recompile_report`]).
-    pub recompile: RecompileReport,
     /// Streaming-artifacts measurement: peak resident bytes of the
     /// materialized vs. segmented churn replay, segment-level access
     /// counters, and the adaptive-admission shed count (see
@@ -116,7 +115,7 @@ pub struct BatchReport {
     /// [`churn_probe_capacity`]). The per-phase eviction rows show
     /// *which* phase kinds fall out first under memory pressure — the
     /// capacity-planning signal an unbounded hit rate cannot show.
-    pub churn: [PhaseStats; 7],
+    pub churn: [PhaseStats; 5],
 }
 
 /// Everything observable about a report except wall-clock timings.
@@ -269,10 +268,10 @@ pub fn batch_report() -> BatchReport {
         workers,
     );
 
-    let recompile = recompile_report();
-
     let s = outcome.summary;
     BatchReport {
+        // One fleet run and one serial baseline per report.
+        stamp: Stamp::of_this_host(1),
         jobs,
         distinct_jobs,
         workers,
@@ -295,7 +294,6 @@ pub fn batch_report() -> BatchReport {
         identical_results: identical,
         reproduced,
         store: store_stats,
-        recompile,
         streaming,
         churn_capacity,
         churn,
@@ -459,111 +457,6 @@ fn streaming_report(
     }
 }
 
-/// Results of the function-granular recompile measurement: a revision
-/// stream ([`mcr_workloads::fleet_recompile`]) replayed against one
-/// shared store, where each revision edits `edits_per_rev` functions and
-/// leaves the rest byte-identical. A function-granular cache should
-/// serve every unedited function's compile and analysis units from the
-/// store and recompute exactly `2 × edits_per_rev` units per revision.
-#[derive(Debug, Clone, Copy)]
-pub struct RecompileReport {
-    /// Revisions in the stream (including the cold base revision).
-    pub revisions: usize,
-    /// Functions per revision (base program plus helpers).
-    pub functions: usize,
-    /// Functions edited per revision after the base.
-    pub edits_per_rev: usize,
-    /// Per-function unit lookups served from the store across the warm
-    /// revisions (compile + analysis units).
-    pub unit_hits: u64,
-    /// Per-function units recomputed across the warm revisions.
-    pub unit_computed: u64,
-    /// `unit_hits / (unit_hits + unit_computed)` over the warm
-    /// revisions — the acceptance metric (≥ 0.85 on this stream; the
-    /// expected value is `(functions − edits) / functions`).
-    pub function_hit_rate: f64,
-    /// Units recomputed per revision edit (expected: exactly 2 — one
-    /// compile unit and one analysis unit per edited function).
-    pub recomputed_per_edit: f64,
-    /// Whether every store-backed revision report was bit-identical to
-    /// its cold (store-less) counterpart.
-    pub identical_results: bool,
-    /// Cross-program dedup counters from the [`CorpusManifest`] the
-    /// stream was recorded into.
-    pub manifest: ManifestStats,
-}
-
-/// Runs the recompile measurement: stress the base revision once, then
-/// reproduce every revision twice — cold (no store) and against one
-/// shared [`CorpusManifest`]-wrapped store — and account the
-/// function-granular unit traffic of the store-backed leg.
-///
-/// The revision edits touch only uncalled helper functions, so the one
-/// base-revision dump is a valid failure dump for every revision and the
-/// cold reports pin the store-backed ones bit-for-bit.
-pub fn recompile_report() -> RecompileReport {
-    const HELPERS: usize = 8;
-    const REVISIONS: usize = 6;
-    const EDITS_PER_REV: usize = 1;
-
-    let base = bug_by_name("mysql-3").expect("suite bug");
-    let revs = fleet_recompile(HELPERS, REVISIONS, EDITS_PER_REV, 11);
-    let programs: Vec<mcr_lang::Program> = revs
-        .iter()
-        .map(|r| mcr_lang::compile(&r.source).unwrap_or_else(|e| panic!("{}: {e}", r.name)))
-        .collect();
-    let functions = programs[0].funcs.len();
-    let input = base.default_input();
-    let dump = find_failure_par(
-        &programs[0],
-        &input,
-        0..stress_seed_cap(),
-        base.max_steps,
-        minipool::available_parallelism(),
-    )
-    .expect("recompile base: stress found no failure")
-    .dump;
-
-    let store = Arc::new(CorpusManifest::new(Arc::new(MemoryStore::unbounded())));
-    let mut warm = FuncUnitStats::default();
-    let mut identical = true;
-    for (rev, program) in revs.iter().zip(&programs) {
-        store.record_program(program);
-        let cold = ReproSession::new(program, dump.clone(), &input, ReproOptions::default())
-            .and_then(|mut s| s.run_to_end())
-            .unwrap_or_else(|e| panic!("{} cold: {e}", rev.name));
-        let mut session = ReproSession::new(program, dump.clone(), &input, ReproOptions::default())
-            .unwrap_or_else(|e| panic!("{}: {e}", rev.name));
-        session.set_store(Arc::clone(&store) as Arc<dyn ArtifactStore>);
-        let report = session
-            .run_to_end()
-            .unwrap_or_else(|e| panic!("{} cached: {e}", rev.name));
-        if !reports_equal(&report, &cold) {
-            identical = false;
-        }
-        if rev.revision > 0 {
-            warm.absorb(&session.function_unit_stats());
-        }
-    }
-
-    let edits = ((REVISIONS - 1) * EDITS_PER_REV) as f64;
-    RecompileReport {
-        revisions: REVISIONS,
-        functions,
-        edits_per_rev: EDITS_PER_REV,
-        unit_hits: warm.compile_hits + warm.analysis_hits,
-        unit_computed: warm.compile_computed + warm.analysis_computed,
-        function_hit_rate: warm.hit_rate(),
-        recomputed_per_edit: if edits > 0.0 {
-            warm.recomputed() as f64 / edits
-        } else {
-            0.0
-        },
-        identical_results: identical,
-        manifest: store.manifest_stats(),
-    }
-}
-
 impl BatchReport {
     /// Serializes the report as pretty-printed JSON (hand-rolled: the
     /// environment has no serde).
@@ -576,6 +469,7 @@ impl BatchReport {
         let mut s = String::new();
         let _ = writeln!(s, "{{");
         let _ = writeln!(s, "  \"schema\": \"mcr-bench/batch/v1\",");
+        let _ = writeln!(s, "  \"stamp\": {},", self.stamp.to_json());
         let _ = writeln!(s, "  \"jobs\": {},", self.jobs);
         let _ = writeln!(s, "  \"distinct_jobs\": {},", self.distinct_jobs);
         let _ = writeln!(s, "  \"workers\": {},", self.workers);
@@ -606,36 +500,6 @@ impl BatchReport {
         let _ = writeln!(s, "    \"evictions\": {},", self.store.evictions);
         let _ = writeln!(s, "    \"per_phase\": {{");
         write_phase_rows(&mut s, "      ", &self.store.per_phase);
-        let _ = writeln!(s, "    }}");
-        let _ = writeln!(s, "  }},");
-        let r = &self.recompile;
-        let _ = writeln!(s, "  \"recompile\": {{");
-        let _ = writeln!(s, "    \"revisions\": {},", r.revisions);
-        let _ = writeln!(s, "    \"functions\": {},", r.functions);
-        let _ = writeln!(s, "    \"edits_per_rev\": {},", r.edits_per_rev);
-        let _ = writeln!(s, "    \"unit_hits\": {},", r.unit_hits);
-        let _ = writeln!(s, "    \"unit_computed\": {},", r.unit_computed);
-        let _ = writeln!(s, "    \"function_hit_rate\": {:.3},", r.function_hit_rate);
-        let _ = writeln!(
-            s,
-            "    \"recomputed_per_edit\": {:.2},",
-            r.recomputed_per_edit
-        );
-        let _ = writeln!(s, "    \"identical_results\": {},", r.identical_results);
-        let _ = writeln!(s, "    \"manifest\": {{");
-        let _ = writeln!(s, "      \"programs\": {},", r.manifest.programs);
-        let _ = writeln!(s, "      \"function_refs\": {},", r.manifest.function_refs);
-        let _ = writeln!(
-            s,
-            "      \"distinct_functions\": {},",
-            r.manifest.distinct_functions
-        );
-        let _ = writeln!(
-            s,
-            "      \"shared_functions\": {},",
-            r.manifest.shared_functions
-        );
-        let _ = writeln!(s, "      \"dedup_ratio\": {:.3}", r.manifest.dedup_ratio());
         let _ = writeln!(s, "    }}");
         let _ = writeln!(s, "  }},");
         let st = &self.streaming;
@@ -685,12 +549,12 @@ pub fn churn_probe_capacity(entry_sizes: &[usize]) -> usize {
     footprint.saturating_sub(largest).max(largest).max(1)
 }
 
-/// Writes the six phase-kind rows of a [`PhaseStats`] histogram as JSON
-/// object members (the five pipeline phases plus the compile pre-phase).
-fn write_phase_rows(s: &mut String, indent: &str, rows: &[PhaseStats; 7]) {
-    for (i, phase) in PHASE_KINDS.iter().enumerate() {
+/// Writes the five phase rows of a [`PhaseStats`] histogram as JSON
+/// object members.
+fn write_phase_rows(s: &mut String, indent: &str, rows: &[PhaseStats; 5]) {
+    for (i, phase) in PHASES.iter().enumerate() {
         let row = &rows[phase.index()];
-        let comma = if i + 1 < PHASE_KINDS.len() { "," } else { "" };
+        let comma = if i + 1 < PHASES.len() { "," } else { "" };
         let _ = writeln!(
             s,
             "{indent}\"{phase}\": {{\"hits\": {}, \"misses\": {}, \"inserts\": {}, \
@@ -701,20 +565,12 @@ fn write_phase_rows(s: &mut String, indent: &str, rows: &[PhaseStats; 7]) {
 }
 
 /// Keys every `BENCH_batch.json` must carry; `tables -- batch-json`
-/// refuses to write a report that drops one. `"compile"` pins the
-/// compile-pre-phase row of the store histogram — the column that shows
-/// duplicate-program fleet jobs sharing one dispatch plan — and the
-/// `"recompile"` trio pins the function-granular revision-stream
-/// section (see [`RecompileReport`]).
+/// refuses to write a report that drops one.
 pub const BATCH_JSON_REQUIRED: &[&str] = &[
-    "\"compile\"",
     "\"probe_capacity_bytes\"",
     "\"cache_hit_rate\"",
     "\"speedup_vs_serial\"",
     "\"identical_results\"",
-    "\"recompile\"",
-    "\"function_hit_rate\"",
-    "\"recomputed_per_edit\"",
     "\"streaming\"",
     "\"peak_materialized_bytes\"",
     "\"peak_segmented_bytes\"",
@@ -722,6 +578,10 @@ pub const BATCH_JSON_REQUIRED: &[&str] = &[
     "\"frame_bytes\"",
     "\"segment_hit_rate\"",
     "\"shed_jobs\"",
+    "\"stamp\"",
+    "\"rev\"",
+    "\"nproc\"",
+    "\"reps\"",
 ];
 
 /// Validates the serialized batch bench report against
@@ -742,6 +602,7 @@ pub fn check_batch_json_schema(json: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stamp::json_keys;
 
     #[test]
     fn corpus_is_duplicate_heavy() {
@@ -755,9 +616,15 @@ mod tests {
         assert_eq!(distinct.len(), 6);
     }
 
-    #[test]
-    fn report_json_shape() {
-        let report = BatchReport {
+    /// A report with every section filled, as `tables -- batch-json`
+    /// writes one.
+    fn sample_report() -> BatchReport {
+        BatchReport {
+            stamp: Stamp {
+                rev: "0123456789ab".to_string(),
+                nproc: 4,
+                reps: 1,
+            },
             jobs: 9,
             distinct_jobs: 6,
             workers: 4,
@@ -780,22 +647,6 @@ mod tests {
                 bytes: 123_456,
                 ..StoreStats::default()
             },
-            recompile: RecompileReport {
-                revisions: 6,
-                functions: 12,
-                edits_per_rev: 1,
-                unit_hits: 110,
-                unit_computed: 10,
-                function_hit_rate: 110.0 / 120.0,
-                recomputed_per_edit: 2.0,
-                identical_results: true,
-                manifest: ManifestStats {
-                    programs: 6,
-                    function_refs: 72,
-                    distinct_functions: 17,
-                    shared_functions: 12,
-                },
-            },
             streaming: StreamingReport {
                 footprint_bytes: 123_456,
                 capacity_bytes: 61_728,
@@ -811,11 +662,16 @@ mod tests {
                 identical_results: true,
             },
             churn_capacity: 61_728,
-            churn: [PhaseStats::default(); 7],
-        };
-        let json = report.to_json();
+            churn: [PhaseStats::default(); 5],
+        }
+    }
+
+    #[test]
+    fn report_json_shape() {
+        let json = sample_report().to_json();
         for key in [
             "\"schema\": \"mcr-bench/batch/v1\"",
+            "\"stamp\": {\"rev\": \"0123456789ab\", \"nproc\": 4, \"reps\": 1}",
             "\"jobs\": 9",
             "\"distinct_jobs\": 6",
             "\"cache_hits\": 15",
@@ -827,13 +683,8 @@ mod tests {
             "\"per_phase\"",
             "\"index\": {\"hits\": 0",
             "\"search\": {\"hits\": 0",
-            "\"compile\": {\"hits\": 0",
             "\"churn\"",
             "\"probe_capacity_bytes\": 61728",
-            "\"recompile\"",
-            "\"function_hit_rate\": 0.917",
-            "\"recomputed_per_edit\": 2.00",
-            "\"dedup_ratio\": 0.764",
             "\"streaming\"",
             "\"peak_materialized_bytes\": 185184",
             "\"peak_segmented_bytes\": 65824",
@@ -846,6 +697,17 @@ mod tests {
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         check_batch_json_schema(&json).expect("shape report satisfies its own schema");
+    }
+
+    #[test]
+    fn checked_in_report_has_the_current_shape() {
+        let file = include_str!("../../../BENCH_batch.json");
+        check_batch_json_schema(file).expect("BENCH_batch.json passes the schema check");
+        assert_eq!(
+            json_keys(file),
+            json_keys(&sample_report().to_json()),
+            "BENCH_batch.json is stale: regenerate it with `tables -- batch-json`"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   the pre-COW deep clone measured ~57,500 ns on the same fixture),
 //! * **steps_per_sec** — interpreter throughput with the pre-decoded
 //!   dispatch plan attached (the execution path every pipeline phase
-//!   uses since the compile pre-phase landed), next to
+//!   uses), next to
 //!   **steps_per_sec_legacy** for the per-step `match` decoder it
 //!   replaced,
 //! * **tries_per_sec** — completed test executions per second inside a
@@ -21,9 +21,13 @@
 //!   result-equality check (the deterministic lowest-index-wins
 //!   protocol must make both runs identical).
 //!
+//! The microbenchmarks report the median of [`SAMPLES`] timed samples;
+//! the suite legs keep the best of two rounds.
+//!
 //! `tables -- bench-json` serializes a [`BenchReport`] to
 //! `BENCH_search.json` so successive PRs leave a measurable trajectory.
 
+use crate::stamp::Stamp;
 use mcr_core::{find_failure_cfg, find_failure_par, ReproOptions, Reproducer, RunConfig};
 use mcr_search::{find_schedule, worklist_size, Algorithm, SearchConfig, SearchResult};
 use mcr_slice::Strategy;
@@ -96,6 +100,9 @@ pub fn checkpoint_fixture_program() -> mcr_lang::Program {
     mcr_lang::compile(CHECKPOINT_FIXTURE).expect("fixture compiles")
 }
 
+/// Timed samples behind each microbenchmark median.
+pub const SAMPLES: usize = 9;
+
 /// Median-of-samples timing helper.
 fn median_ns(samples: &mut [f64]) -> f64 {
     samples.sort_by(f64::total_cmp);
@@ -138,7 +145,7 @@ pub fn segment_fixture() -> (mcr_dump::SegmentedBytes, Vec<(usize, usize)>) {
 pub fn measure_segment_seek_ns() -> f64 {
     let (seg, ranges) = segment_fixture();
     let mut samples = Vec::new();
-    for _ in 0..9 {
+    for _ in 0..SAMPLES {
         let start = Instant::now();
         for &(off, len) in &ranges {
             std::hint::black_box(seg.read_range(off, len).expect("fixture range"));
@@ -155,7 +162,7 @@ pub fn measure_whole_blob_decode_ns() -> f64 {
     let (seg, _) = segment_fixture();
     let total = seg.total_len() as usize;
     let mut samples = Vec::new();
-    for _ in 0..9 {
+    for _ in 0..SAMPLES {
         let iters = 8u32;
         let start = Instant::now();
         for _ in 0..iters {
@@ -172,7 +179,7 @@ pub fn measure_checkpoint_clone_ns() -> f64 {
     let program = checkpoint_fixture_program();
     let vm = checkpoint_fixture_vm(&program);
     let mut samples = Vec::new();
-    for _ in 0..9 {
+    for _ in 0..SAMPLES {
         let iters = 2_000u32;
         let start = Instant::now();
         for _ in 0..iters {
@@ -205,7 +212,7 @@ fn measure_stepper(threaded: bool) -> f64 {
     );
     let steps_per_run = vm.steps();
     let mut samples = Vec::new();
-    for _ in 0..9 {
+    for _ in 0..SAMPLES {
         let mut total_steps = 0u64;
         let start = Instant::now();
         while start.elapsed() < Duration::from_millis(30) {
@@ -225,7 +232,7 @@ fn measure_stepper(threaded: bool) -> f64 {
 
 /// Measures interpreter throughput (statements per second) on the
 /// threaded-dispatch path — a compiled [`DispatchPlan`] attached, as
-/// every pipeline phase runs since the compile pre-phase landed.
+/// every pipeline phase runs.
 pub fn measure_steps_per_sec() -> f64 {
     measure_stepper(true)
 }
@@ -578,6 +585,8 @@ pub fn measure_static_race() -> StaticRaceCell {
 /// The full `search_hotpath` report serialized to `BENCH_search.json`.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
+    /// Revision, host and repetition count the report was measured with.
+    pub stamp: Stamp,
     /// One checkpoint on the heap-rich fixture, nanoseconds.
     pub checkpoint_clone_ns: f64,
     /// Interpreter throughput with the dispatch plan attached,
@@ -715,6 +724,7 @@ pub fn bench_report() -> BenchReport {
     let parallel = measure_parallel_suite(minipool::available_parallelism().max(2));
     let static_race = measure_static_race();
     BenchReport {
+        stamp: Stamp::of_this_host(SAMPLES),
         checkpoint_clone_ns,
         steps_per_sec,
         steps_per_sec_legacy,
@@ -740,6 +750,7 @@ impl BenchReport {
         let mut s = String::new();
         let _ = writeln!(s, "{{");
         let _ = writeln!(s, "  \"schema\": \"mcr-bench/search_hotpath/v1\",");
+        let _ = writeln!(s, "  \"stamp\": {},", self.stamp.to_json());
         let _ = writeln!(
             s,
             "  \"checkpoint_clone_ns\": {:.1},",
@@ -868,6 +879,10 @@ pub const BENCH_JSON_REQUIRED: &[&str] = &[
     "\"static_race\"",
     "\"candidate_reduction\"",
     "\"identical_winners\"",
+    "\"stamp\"",
+    "\"rev\"",
+    "\"nproc\"",
+    "\"reps\"",
 ];
 
 /// Validates the serialized search bench report against
@@ -888,6 +903,7 @@ pub fn check_bench_json_schema(json: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stamp::json_keys;
 
     #[test]
     fn checkpoint_clone_is_cow_fast() {
@@ -899,9 +915,15 @@ mod tests {
         assert!(ns < 11_500.0, "checkpoint clone too slow: {ns} ns");
     }
 
-    #[test]
-    fn report_json_shape() {
-        let report = BenchReport {
+    /// A report with every section filled, as `tables -- bench-json`
+    /// writes one.
+    fn sample_report() -> BenchReport {
+        BenchReport {
+            stamp: Stamp {
+                rev: "0123456789ab".to_string(),
+                nproc: 8,
+                reps: SAMPLES,
+            },
             checkpoint_clone_ns: 74.0,
             steps_per_sec: 2e7,
             steps_per_sec_legacy: 1e7,
@@ -946,9 +968,14 @@ mod tests {
                 pruned_worklist: 40_000,
                 identical_winners: true,
             },
-        };
-        let json = report.to_json();
+        }
+    }
+
+    #[test]
+    fn report_json_shape() {
+        let json = sample_report().to_json();
         for key in [
+            "\"stamp\": {\"rev\": \"0123456789ab\", \"nproc\": 8, \"reps\": 9}",
             "\"checkpoint_clone_ns\"",
             "\"steps_per_sec\"",
             "\"steps_per_sec_legacy\"",
@@ -970,6 +997,17 @@ mod tests {
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         check_bench_json_schema(&json).expect("full report passes the schema check");
+    }
+
+    #[test]
+    fn checked_in_report_has_the_current_shape() {
+        let file = include_str!("../../../BENCH_search.json");
+        check_bench_json_schema(file).expect("BENCH_search.json passes the schema check");
+        assert_eq!(
+            json_keys(file),
+            json_keys(&sample_report().to_json()),
+            "BENCH_search.json is stale: regenerate it with `tables -- bench-json`"
+        );
     }
 
     #[test]

@@ -25,6 +25,9 @@
 //! cargo run --release -p mcr-bench --bin tables -- batch-json
 //! ```
 //!
+//! Both reports carry a [`stamp::Stamp`]: the git revision, host core
+//! count and repetition count they were measured with.
+//!
 //! [`lint`] is the dump-less surface: the static race/lockset lint over
 //! the whole workload corpus, via:
 //!
@@ -38,3 +41,4 @@ pub mod batch;
 pub mod experiments;
 pub mod hotpath;
 pub mod lint;
+pub mod stamp;

@@ -76,22 +76,19 @@ pub mod store;
 pub mod stress;
 
 pub use artifact::{
-    AlignmentArtifact, CompiledPlanArtifact, DumpDeltaArtifact, FailureIndexArtifact,
-    FuncAnalysisArtifact, FuncRaceArtifact, RankedAccessesArtifact, SearchArtifact,
+    AlignmentArtifact, DumpDeltaArtifact, FailureIndexArtifact, RankedAccessesArtifact,
+    SearchArtifact,
 };
-pub use observe::{
-    NullPhaseObserver, Phase, PhaseEvent, PhaseObserver, TimingLog, PHASES, PHASE_KINDS,
-};
+pub use observe::{NullPhaseObserver, Phase, PhaseEvent, PhaseObserver, TimingLog, PHASES};
 pub use phase::{AlignPhase, DiffPhase, IndexPhase, PipelinePhase, RankPhase, SearchPhase};
 pub use pipeline::{
     has_sync_points, AlignMode, PhaseBudget, PhaseBudgets, ReproError, ReproOptions,
     ReproOptionsBuilder, ReproReport, ReproTimings, Reproducer,
 };
-pub use session::{FuncUnitStats, ReproSession};
+pub use session::ReproSession;
 pub use store::{
-    function_fingerprint, measured_frame_size, program_fingerprint, ArtifactStore, BytesStore,
-    CorpusManifest, ManifestStats, MemoryStore, NullStore, PhaseKey, PhaseStats, SegAccessStats,
-    SegStore, ShardedStore, StoreStats, SEG_STORE_FRAME_SIZE,
+    measured_frame_size, program_fingerprint, ArtifactStore, BytesStore, MemoryStore, NullStore,
+    PhaseKey, PhaseStats, SegAccessStats, SegStore, ShardedStore, StoreStats, SEG_STORE_FRAME_SIZE,
 };
 pub use stress::{
     find_failure, find_failure_cfg, find_failure_par, find_failure_par_cancellable,

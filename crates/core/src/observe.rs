@@ -27,28 +27,9 @@ pub enum Phase {
     Rank,
     /// The directed schedule search (§5).
     Search,
-    /// Pre-phase: compiling the program into a direct-threaded dispatch
-    /// plan (`mcr-vm`'s `DispatchPlan`). Not part of the five-phase
-    /// pipeline — it runs before the first phase that needs a VM, emits
-    /// no [`PhaseEvent`]s, and is keyed by program fingerprint alone so
-    /// near-duplicate fleet jobs share one compiled plan. It surfaces
-    /// only in [`StoreStats::per_phase`](crate::StoreStats::per_phase)
-    /// like any other cached artifact. Declared last so `Ord` matches
-    /// [`Phase::index`].
-    Compile,
-    /// Pre-phase: the static race/lockset analysis
-    /// (`mcr_analysis::race`). Like [`Phase::Compile`] it sits outside
-    /// the five-phase pipeline — per-function summaries are cached
-    /// under `PhaseKey::derive_for_function` and composed per program,
-    /// and the result feeds candidate pruning in the search phase plus
-    /// the dump-less `race-lint` surface. Appended after `Compile` so
-    /// existing wire indices stay stable.
-    StaticRace,
 }
 
-/// The five pipeline phases, in execution order. Deliberately excludes
-/// [`Phase::Compile`]: drivers iterate this to run a session, and the
-/// compile pre-phase is not independently runnable.
+/// The five pipeline phases, in execution order.
 pub const PHASES: [Phase; 5] = [
     Phase::Index,
     Phase::Align,
@@ -57,31 +38,15 @@ pub const PHASES: [Phase; 5] = [
     Phase::Search,
 ];
 
-/// Every phase kind with a wire index, in index order: the five
-/// pipeline phases followed by the [`Phase::Compile`] and
-/// [`Phase::StaticRace`] pre-phases. This is the iteration order of
-/// per-phase store statistics.
-pub const PHASE_KINDS: [Phase; 7] = [
-    Phase::Index,
-    Phase::Align,
-    Phase::Diff,
-    Phase::Rank,
-    Phase::Search,
-    Phase::Compile,
-    Phase::StaticRace,
-];
-
 impl Phase {
-    /// The phase executed immediately after this one, if any. The
-    /// `Compile` pre-phase sits outside the pipeline chain (`None` in
-    /// both directions).
+    /// The phase executed immediately after this one, if any.
     pub fn next(self) -> Option<Phase> {
         match self {
             Phase::Index => Some(Phase::Align),
             Phase::Align => Some(Phase::Diff),
             Phase::Diff => Some(Phase::Rank),
             Phase::Rank => Some(Phase::Search),
-            Phase::Search | Phase::Compile | Phase::StaticRace => None,
+            Phase::Search => None,
         }
     }
 
@@ -89,7 +54,7 @@ impl Phase {
     /// whose artifact this phase consumes).
     pub fn prev(self) -> Option<Phase> {
         match self {
-            Phase::Index | Phase::Compile | Phase::StaticRace => None,
+            Phase::Index => None,
             Phase::Align => Some(Phase::Index),
             Phase::Diff => Some(Phase::Align),
             Phase::Rank => Some(Phase::Diff),
@@ -97,8 +62,7 @@ impl Phase {
         }
     }
 
-    /// Position of the phase in the pipeline (0-based, execution order;
-    /// the `Compile` pre-phase takes the slot after the pipeline).
+    /// Position of the phase in the pipeline (0-based, execution order).
     /// Stable — it doubles as the phase tag of the wire formats.
     pub fn index(self) -> usize {
         match self {
@@ -107,14 +71,12 @@ impl Phase {
             Phase::Diff => 2,
             Phase::Rank => 3,
             Phase::Search => 4,
-            Phase::Compile => 5,
-            Phase::StaticRace => 6,
         }
     }
 
     /// The phase with the given wire index ([`Phase::index`] inverse).
     pub fn from_index(index: usize) -> Option<Phase> {
-        PHASE_KINDS.get(index).copied()
+        PHASES.get(index).copied()
     }
 
     /// A stable lowercase name (used in progress output and errors).
@@ -125,8 +87,6 @@ impl Phase {
             Phase::Diff => "diff",
             Phase::Rank => "rank",
             Phase::Search => "search",
-            Phase::Compile => "compile",
-            Phase::StaticRace => "static-race",
         }
     }
 }
@@ -277,22 +237,15 @@ mod tests {
     }
 
     #[test]
-    fn compile_pre_phase_sits_outside_the_pipeline() {
-        assert_eq!(Phase::Compile.index(), 5);
-        assert_eq!(Phase::Compile.name(), "compile");
-        assert_eq!(Phase::Compile.next(), None);
-        assert_eq!(Phase::Compile.prev(), None);
-        assert!(!PHASES.contains(&Phase::Compile));
-        assert_eq!(Phase::StaticRace.index(), 6);
-        assert_eq!(Phase::StaticRace.name(), "static-race");
-        assert_eq!(Phase::StaticRace.next(), None);
-        assert_eq!(Phase::StaticRace.prev(), None);
-        assert!(!PHASES.contains(&Phase::StaticRace));
-        for (i, p) in PHASE_KINDS.iter().enumerate() {
-            assert_eq!(p.index(), i);
+    fn from_index_inverts_index_for_the_five_phases_only() {
+        for (i, p) in PHASES.iter().enumerate() {
             assert_eq!(Phase::from_index(i), Some(*p));
         }
-        assert_eq!(Phase::from_index(7), None);
+        // Tags 5 and 6 belonged to the retired compile and static-race
+        // cache units; they (and anything beyond) decode to nothing.
+        for tag in 5..8 {
+            assert_eq!(Phase::from_index(tag), None, "tag {tag}");
+        }
     }
 
     #[test]

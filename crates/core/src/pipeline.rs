@@ -104,9 +104,7 @@ pub struct PhaseBudgets {
 }
 
 impl PhaseBudgets {
-    /// The budget configured for `phase`, if any. The `Compile` and
-    /// `StaticRace` pre-phases are never budgeted (plan compilation and
-    /// summary composition are microseconds and infallible).
+    /// The budget configured for `phase`, if any.
     pub fn get(&self, phase: Phase) -> Option<PhaseBudget> {
         match phase {
             Phase::Index => self.index,
@@ -114,12 +112,10 @@ impl PhaseBudgets {
             Phase::Diff => self.diff,
             Phase::Rank => self.rank,
             Phase::Search => self.search,
-            Phase::Compile | Phase::StaticRace => None,
         }
     }
 
-    /// Sets the budget for `phase` (ignored for the unbudgetable
-    /// `Compile` and `StaticRace` pre-phases).
+    /// Sets the budget for `phase`.
     pub fn set(&mut self, phase: Phase, budget: PhaseBudget) {
         match phase {
             Phase::Index => self.index = Some(budget),
@@ -127,7 +123,6 @@ impl PhaseBudgets {
             Phase::Diff => self.diff = Some(budget),
             Phase::Rank => self.rank = Some(budget),
             Phase::Search => self.search = Some(budget),
-            Phase::Compile | Phase::StaticRace => {}
         }
     }
 }
@@ -364,7 +359,7 @@ impl ReproOptionsBuilder {
 
 /// Wall-clock costs of the analysis phases (paper Table 6).
 ///
-/// Assembled from the per-phase durations persisted inside the session
+/// Built from the per-phase durations persisted inside the session
 /// artifacts, so the numbers survive checkpoint/resume; live progress
 /// goes through [`PhaseObserver`](crate::PhaseObserver) instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -46,87 +46,29 @@
 //! set) so a service can still report how far it got.
 
 use crate::artifact::{
-    AlignmentArtifact, CompiledPlanArtifact, DumpDeltaArtifact, FailureIndexArtifact,
-    FuncAnalysisArtifact, FuncRaceArtifact, RankedAccessesArtifact, SearchArtifact,
+    AlignmentArtifact, DumpDeltaArtifact, FailureIndexArtifact, RankedAccessesArtifact,
+    SearchArtifact,
 };
 use crate::observe::{NullPhaseObserver, Phase, PhaseEvent, PhaseObserver};
 use crate::phase::{AlignPhase, DiffPhase, IndexPhase, PipelinePhase, RankPhase, SearchPhase};
 use crate::pipeline::{
     AlignMode, PhaseBudget, PhaseBudgets, ReproError, ReproOptions, ReproReport, ReproTimings,
 };
-use crate::store::{function_fingerprint, program_fingerprint, ArtifactStore, NullStore, PhaseKey};
-use mcr_analysis::{FuncAnalysis, ProgramAnalysis, RaceAnalysis};
+use crate::store::{program_fingerprint, ArtifactStore, NullStore, PhaseKey};
+use mcr_analysis::{ProgramAnalysis, RaceAnalysis};
 use mcr_dump::wire::{ContentHash, ContentHasher, Reader, Writer};
 use mcr_dump::{CoreDump, DecodeError, TraverseLimits};
 use mcr_lang::Program;
 use mcr_search::{Algorithm, CancelToken, SearchConfig};
 use mcr_slice::Strategy;
-use mcr_vm::{DispatchPlan, Failure, FaultKind, FaultSpec, FunctionPlan, MemModel, ThreadId, Vm};
-use std::cell::{Cell, OnceCell, RefCell};
+use mcr_vm::{DispatchPlan, Failure, FaultKind, FaultSpec, MemModel, ThreadId, Vm};
+use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
-use std::time::Instant;
 
 const MAGIC: &[u8; 4] = b"MCRS";
 // v2: options carry the memory model and fault-injection plan.
 // v3: options carry the static-race knob.
 const VERSION: u8 = 3;
-
-/// Function-granular cache counters of one session: how many of the
-/// program's per-function compile/analysis units were rehydrated from
-/// the store versus computed (and written back).
-///
-/// These are the numbers a recompile benchmark measures: after a
-/// k-function edit, a warm session should report exactly `2 k` computed
-/// units (one compile + one analysis unit per edited function) and
-/// hits for everything else. Sessions without a caching store compile
-/// and analyze whole programs directly and leave all counters zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FuncUnitStats {
-    /// Per-function plan units rehydrated from the store.
-    pub compile_hits: u64,
-    /// Per-function plan units compiled (and written back).
-    pub compile_computed: u64,
-    /// Per-function analysis units rehydrated from the store.
-    pub analysis_hits: u64,
-    /// Per-function analysis units computed (and written back).
-    pub analysis_computed: u64,
-    /// Per-function static-race summary units rehydrated from the
-    /// store (only resolved under [`ReproOptions::static_race`]).
-    pub race_hits: u64,
-    /// Per-function static-race summary units computed (and written
-    /// back).
-    pub race_computed: u64,
-}
-
-impl FuncUnitStats {
-    /// Fraction of unit lookups that hit, in `[0, 1]` (0 when no unit
-    /// was resolved).
-    pub fn hit_rate(&self) -> f64 {
-        let hits = self.compile_hits + self.analysis_hits + self.race_hits;
-        let total = hits + self.recomputed();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
-    }
-
-    /// Units that had to be computed (compile + analysis + race).
-    pub fn recomputed(&self) -> u64 {
-        self.compile_computed + self.analysis_computed + self.race_computed
-    }
-
-    /// Adds every counter of `o` into `self` (how a benchmark
-    /// aggregates across the sessions of a revision stream).
-    pub fn absorb(&mut self, o: &FuncUnitStats) {
-        self.compile_hits += o.compile_hits;
-        self.compile_computed += o.compile_computed;
-        self.analysis_hits += o.analysis_hits;
-        self.analysis_computed += o.analysis_computed;
-        self.race_hits += o.race_hits;
-        self.race_computed += o.race_computed;
-    }
-}
 
 /// The artifacts a session has produced so far.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -147,9 +89,8 @@ pub struct ReproSession<'p> {
     pub(crate) program: &'p Program,
     /// The static analysis, resolved lazily on first use: seeded
     /// eagerly by [`Reproducer`](crate::Reproducer) (which analyzes its
-    /// program once for all sessions), otherwise assembled per function
-    /// — rehydrating cached [`FuncAnalysisArtifact`] units when the
-    /// store caches, computing and writing back the rest.
+    /// program once for all sessions), otherwise computed on the first
+    /// phase that needs it.
     analysis: OnceCell<ProgramAnalysis>,
     pub(crate) options: ReproOptions,
     pub(crate) input: Vec<i64>,
@@ -163,33 +104,24 @@ pub struct ReproSession<'p> {
     /// Every phase key chains off this. Computed lazily — a session
     /// whose store never caches ([`NullStore`]) pays nothing for it.
     basis: Cell<Option<ContentHash>>,
-    /// The program's Merkle-root fingerprint, memoized: sessions derive
-    /// keys repeatedly and must not rehash the whole program each time.
+    /// The program fingerprint, memoized: sessions derive keys
+    /// repeatedly and must not rehash the whole program each time.
     program_fp: OnceCell<ContentHash>,
-    /// Per-function fingerprints (the Merkle leaves), memoized for the
-    /// same reason — every function-scoped unit key reuses them.
-    func_fps: OnceCell<Vec<ContentHash>>,
-    /// Function-granular cache counters (see [`FuncUnitStats`]).
-    unit_stats: Cell<FuncUnitStats>,
     pub(crate) artifacts: Artifacts,
     /// Content hash of each produced artifact's encoded bytes, indexed
     /// by [`Phase::index`]; filled lazily (encoding an artifact just to
     /// hash it is wasted work unless keys are actually consulted).
     hashes: [Cell<Option<ContentHash>>; 5],
-    /// The program's direct-threaded [`DispatchPlan`], assembled (per
-    /// function, from cached units where the store has them) on first
-    /// use and shared by every VM the session spawns. A runtime
-    /// attachment like the store itself: excluded from checkpoints — a
-    /// resumed session recompiles or re-fetches it.
-    plan: RefCell<Option<Arc<DispatchPlan>>>,
+    /// The program's direct-threaded [`DispatchPlan`], compiled when the
+    /// session builds its first VM and shared by every VM it spawns (a
+    /// session whose phases all hit the store never compiles). A
+    /// runtime attachment like the store itself: excluded from
+    /// checkpoints — a resumed session compiles its own.
+    plan: OnceCell<Arc<DispatchPlan>>,
     /// The static race analysis, resolved lazily on first use by the
     /// search phase (and only under [`ReproOptions::static_race`] with
-    /// no fault plan — `None` once resolved means disabled). Assembled
-    /// per function against a caching store: unchanged functions'
-    /// [`FuncRaceArtifact`] units rehydrate under
-    /// [`Phase::StaticRace`] keys and only cache-missing functions are
-    /// re-summarized. Like the plan, a runtime attachment excluded from
-    /// checkpoints.
+    /// no fault plan — `None` once resolved means disabled). Like the
+    /// plan, a runtime attachment excluded from checkpoints.
     race: OnceCell<Option<RaceAnalysis>>,
 }
 
@@ -207,9 +139,7 @@ impl std::fmt::Debug for ReproSession<'_> {
 
 impl<'p> ReproSession<'p> {
     /// Opens a session on a failure dump. The static analysis is
-    /// resolved lazily, per function: a session backed by a caching
-    /// store rehydrates unchanged functions' analysis units instead of
-    /// re-analyzing the whole program.
+    /// computed lazily, by the first phase that needs it.
     ///
     /// # Errors
     ///
@@ -225,7 +155,7 @@ impl<'p> ReproSession<'p> {
 
     /// Opens a session with a pre-computed analysis (the
     /// [`Reproducer`](crate::Reproducer) path: one analysis, many
-    /// sessions) — such a session does no analysis store traffic.
+    /// sessions).
     pub(crate) fn from_parts(
         program: &'p Program,
         analysis: ProgramAnalysis,
@@ -258,11 +188,9 @@ impl<'p> ReproSession<'p> {
             store,
             basis: Cell::new(None),
             program_fp: OnceCell::new(),
-            func_fps: OnceCell::new(),
-            unit_stats: Cell::new(FuncUnitStats::default()),
             artifacts: Artifacts::default(),
             hashes: std::array::from_fn(|_| Cell::new(None)),
-            plan: RefCell::new(None),
+            plan: OnceCell::new(),
             race: OnceCell::new(),
         })
     }
@@ -332,140 +260,30 @@ impl<'p> ReproSession<'p> {
         b
     }
 
-    /// The program's Merkle-root fingerprint, memoized per session —
-    /// key derivations reuse it instead of rehashing the program.
+    /// The program fingerprint, memoized per session — key derivations
+    /// reuse it instead of rehashing the program.
     pub fn program_fingerprint(&self) -> ContentHash {
         *self
             .program_fp
             .get_or_init(|| program_fingerprint(self.program))
     }
 
-    /// The per-function fingerprints (the Merkle leaves of
-    /// [`ReproSession::program_fingerprint`]), memoized per session.
-    pub fn function_fingerprints(&self) -> &[ContentHash] {
-        self.func_fps.get_or_init(|| {
-            self.program
-                .funcs
-                .iter()
-                .map(function_fingerprint)
-                .collect()
-        })
-    }
-
-    /// Function-granular cache counters accumulated so far (see
-    /// [`FuncUnitStats`]). Counters move when the session first resolves
-    /// its dispatch plan and static analysis against a caching store.
-    pub fn function_unit_stats(&self) -> FuncUnitStats {
-        self.unit_stats.get()
-    }
-
-    fn bump_units(&self, f: impl FnOnce(&mut FuncUnitStats)) {
-        let mut stats = self.unit_stats.get();
-        f(&mut stats);
-        self.unit_stats.set(stats);
-    }
-
-    /// The session's static analysis, resolved on first use. Seeded by
-    /// the `Reproducer` path; otherwise assembled function by function —
-    /// against a caching store each function's expensive analysis parts
-    /// are fetched by the function-scoped key
-    /// ([`PhaseKey::derive_for_function`] under [`Phase::Index`]) and
-    /// only cache-missing functions are analyzed (and written back).
+    /// The session's static analysis, computed on first use (unless the
+    /// `Reproducer` path seeded it).
     pub(crate) fn analysis(&self) -> &ProgramAnalysis {
-        self.analysis.get_or_init(|| {
-            if !self.store.is_caching() {
-                return ProgramAnalysis::analyze(self.program);
-            }
-            let funcs = self
-                .program
-                .funcs
-                .iter()
-                .enumerate()
-                .map(|(i, func)| {
-                    let key = PhaseKey::derive_for_function(
-                        self.function_fingerprints()[i],
-                        Phase::Index,
-                    );
-                    // Corrupted bytes or parts that don't fit the
-                    // function are a miss, never an error.
-                    let cached = self
-                        .store
-                        .get(&key)
-                        .and_then(|bytes| FuncAnalysisArtifact::from_bytes(&bytes).ok())
-                        .and_then(|artifact| artifact.rehydrate(func));
-                    match cached {
-                        Some(fa) => {
-                            self.bump_units(|u| u.analysis_hits += 1);
-                            fa
-                        }
-                        None => {
-                            let started = Instant::now();
-                            let fa = FuncAnalysis::new(func);
-                            let artifact = FuncAnalysisArtifact::of(&fa, started.elapsed());
-                            self.store.put(&key, &artifact.to_bytes());
-                            self.bump_units(|u| u.analysis_computed += 1);
-                            fa
-                        }
-                    }
-                })
-                .collect();
-            ProgramAnalysis::from_funcs(funcs)
-        })
+        self.analysis
+            .get_or_init(|| ProgramAnalysis::analyze(self.program))
     }
 
     /// The session's static race verdicts, resolved on first use —
     /// `None` unless [`ReproOptions::static_race`] is set and the fault
     /// plan is empty (an injected fault voids the analysis' execution
-    /// model, so faulted sessions never prune). Per-function summaries
-    /// rehydrate from cached [`FuncRaceArtifact`] units where the store
-    /// has them; the whole-program composition is recomputed locally
-    /// (it is cheap and program-global, so it cannot be a
-    /// content-local unit).
+    /// model, so faulted sessions never prune).
     pub fn race_verdicts(&self) -> Option<&mcr_analysis::RaceVerdicts> {
         self.race
             .get_or_init(|| {
-                if !self.options.static_race || !self.options.faults.is_empty() {
-                    return None;
-                }
-                if !self.store.is_caching() {
-                    return Some(RaceAnalysis::analyze(self.program));
-                }
-                let summaries = self
-                    .program
-                    .funcs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, func)| {
-                        let key = PhaseKey::derive_for_function(
-                            self.function_fingerprints()[i],
-                            Phase::StaticRace,
-                        );
-                        // As with analysis units: corrupted bytes or a
-                        // summary that does not fit the function are a
-                        // miss, never an error.
-                        let cached = self
-                            .store
-                            .get(&key)
-                            .and_then(|bytes| FuncRaceArtifact::from_bytes(&bytes).ok())
-                            .and_then(|artifact| artifact.rehydrate(func));
-                        match cached {
-                            Some(summary) => {
-                                self.bump_units(|u| u.race_hits += 1);
-                                summary
-                            }
-                            None => {
-                                let started = Instant::now();
-                                let summary = mcr_analysis::FuncRaceSummary::of(func);
-                                let artifact =
-                                    FuncRaceArtifact::of(summary.clone(), started.elapsed());
-                                self.store.put(&key, &artifact.to_bytes());
-                                self.bump_units(|u| u.race_computed += 1);
-                                summary
-                            }
-                        }
-                    })
-                    .collect();
-                Some(RaceAnalysis::compose(self.program, summaries))
+                (self.options.static_race && self.options.faults.is_empty())
+                    .then(|| RaceAnalysis::analyze(self.program))
             })
             .as_ref()
             .map(RaceAnalysis::verdicts)
@@ -565,78 +383,15 @@ impl<'p> ReproSession<'p> {
         Ok(())
     }
 
-    /// The program's compiled [`DispatchPlan`], memoized on first use
-    /// (the `Compile` pre-phase). With a caching store the plan is
-    /// resolved *per function*: each function's serialized
-    /// [`FunctionPlan`] unit lives under the function-scoped key
-    /// [`PhaseKey::derive_for_function`]`(function_fingerprint,
-    /// Phase::Compile)` — so a one-function edit recompiles exactly one
-    /// unit, and every program (revision or neighbor) containing an
-    /// identical function shares its entry. The rehydrated/compiled
-    /// units are assembled into the flat plan, which is bit-identical
-    /// to a direct whole-program compile (pinned by the
-    /// perf-equivalence suite). The pre-phase emits no [`PhaseEvent`]s:
-    /// it is infallible, micro-seconds cheap, and surfaces in
-    /// [`StoreStats::per_phase`](crate::StoreStats::per_phase) and
-    /// [`FuncUnitStats`].
-    pub(crate) fn ensure_plan(&self) -> Arc<DispatchPlan> {
-        if let Some(plan) = self.plan.borrow().as_ref() {
-            return Arc::clone(plan);
-        }
-        let plan = Arc::new(if self.store.is_caching() {
-            let units: Vec<FunctionPlan> = self
-                .program
-                .funcs
-                .iter()
-                .enumerate()
-                .map(|(i, func)| {
-                    let key = PhaseKey::derive_for_function(
-                        self.function_fingerprints()[i],
-                        Phase::Compile,
-                    );
-                    // A corrupted or layout-incompatible cached unit is
-                    // a miss, not an error; `matches` guards against a
-                    // fingerprint collision handing us a unit shaped
-                    // for a different function.
-                    let cached = self
-                        .store
-                        .get(&key)
-                        .and_then(|bytes| CompiledPlanArtifact::from_bytes(&bytes).ok())
-                        .and_then(|artifact| FunctionPlan::from_bytes(&artifact.plan_bytes))
-                        .filter(|unit| unit.matches(func));
-                    match cached {
-                        Some(unit) => {
-                            self.bump_units(|u| u.compile_hits += 1);
-                            unit
-                        }
-                        None => {
-                            let started = Instant::now();
-                            let unit = FunctionPlan::compile(func);
-                            let artifact = CompiledPlanArtifact {
-                                plan_bytes: unit.to_bytes(),
-                                elapsed: started.elapsed(),
-                            };
-                            self.store.put(&key, &artifact.to_bytes());
-                            self.bump_units(|u| u.compile_computed += 1);
-                            unit
-                        }
-                    }
-                })
-                .collect();
-            DispatchPlan::assemble(&units)
-        } else {
-            DispatchPlan::compile(self.program)
-        });
-        *self.plan.borrow_mut() = Some(Arc::clone(&plan));
-        plan
-    }
-
     /// A fresh [`Vm`] on the session's program and input, with the
     /// session's dispatch plan attached. Every phase that executes the
     /// program builds its VMs here.
     pub(crate) fn new_vm(&self) -> Vm<'p> {
+        let plan = self
+            .plan
+            .get_or_init(|| Arc::new(DispatchPlan::compile(self.program)));
         Vm::new(self.program, &self.input)
-            .with_plan(self.ensure_plan())
+            .with_plan(Arc::clone(plan))
             .with_mem_model(self.options.mem_model)
             .with_faults(&self.options.faults)
     }
@@ -646,11 +401,6 @@ impl<'p> ReproSession<'p> {
     /// session that never consults keys never encodes artifacts just to
     /// hash them.
     pub fn artifact_hash(&self, phase: Phase) -> Option<ContentHash> {
-        if phase == Phase::Compile {
-            // The plan is not a session artifact (it is keyed by
-            // program fingerprint alone, not chained off the basis).
-            return None;
-        }
         let cell = &self.hashes[phase.index()];
         if let Some(h) = cell.get() {
             return Some(h);
@@ -669,7 +419,6 @@ impl<'p> ReproSession<'p> {
             Phase::Diff => self.artifacts.delta.as_ref()?.to_bytes(),
             Phase::Rank => self.artifacts.ranked.as_ref()?.to_bytes(),
             Phase::Search => self.artifacts.search.as_ref()?.to_bytes(),
-            Phase::Compile | Phase::StaticRace => return None,
         })
     }
 
@@ -678,38 +427,11 @@ impl<'p> ReproSession<'p> {
     /// upstream artifact's hash. `None` until the upstream artifact
     /// exists (the key cannot be known before then).
     pub fn phase_key(&self, phase: Phase) -> Option<PhaseKey> {
-        if phase == Phase::Compile {
-            // The compile pre-phase has no single session-level key:
-            // its cache units are per function (see
-            // [`ReproSession::compile_unit_keys`]).
-            return None;
-        }
         let upstream = match phase.prev() {
             None => None,
             Some(p) => Some(self.artifact_hash(p)?),
         };
         Some(PhaseKey::derive(self.basis(), phase, upstream))
-    }
-
-    /// The function-scoped store keys of the program's compile units,
-    /// in [`mcr_lang::FuncId`] order. Deliberately *not* chained off
-    /// the session basis: each unit depends on its function alone, so
-    /// every job — and every program — containing an identical function
-    /// shares one entry.
-    pub fn compile_unit_keys(&self) -> Vec<PhaseKey> {
-        self.function_fingerprints()
-            .iter()
-            .map(|&fp| PhaseKey::derive_for_function(fp, Phase::Compile))
-            .collect()
-    }
-
-    /// The function-scoped store keys of the program's static-analysis
-    /// units, in [`mcr_lang::FuncId`] order.
-    pub fn analysis_unit_keys(&self) -> Vec<PhaseKey> {
-        self.function_fingerprints()
-            .iter()
-            .map(|&fp| PhaseKey::derive_for_function(fp, Phase::Index))
-            .collect()
     }
 
     /// The key of the next phase to execute — what a fleet scheduler
@@ -735,10 +457,6 @@ impl<'p> ReproSession<'p> {
             if P::GUARDED_ENTRY {
                 self.check_entry(P::PHASE)?;
             }
-            // The compile pre-phase: resolve the dispatch plan before
-            // the phase key is consulted, so warm sessions still touch
-            // (and account for) the shared plan entry.
-            self.ensure_plan();
             // Keys and artifact hashes exist only to address the store:
             // with a non-caching store (the default NullStore) the whole
             // machinery is skipped and the phase runs exactly as the
@@ -788,17 +506,6 @@ impl<'p> ReproSession<'p> {
             Phase::Diff => self.run::<DiffPhase>().map(drop),
             Phase::Rank => self.run::<RankPhase>().map(drop),
             Phase::Search => self.run::<SearchPhase>().map(drop),
-            // The pre-phases are not independently runnable: resolving
-            // the plan (or the race summaries) is a side effect of
-            // running a real phase that needs them.
-            Phase::Compile => {
-                self.ensure_plan();
-                Ok(())
-            }
-            Phase::StaticRace => {
-                self.race_verdicts();
-                Ok(())
-            }
         }
     }
 
@@ -873,7 +580,7 @@ impl<'p> ReproSession<'p> {
         Ok(self.report().expect("all phases complete"))
     }
 
-    /// Assembles the [`ReproReport`] once every phase has run (`None`
+    /// Builds the [`ReproReport`] once every phase has run (`None`
     /// before that).
     pub fn report(&self) -> Option<ReproReport> {
         let index = self.artifacts.index.as_ref()?;
@@ -938,8 +645,7 @@ impl<'p> ReproSession<'p> {
 
     /// Restores a session from [`ReproSession::checkpoint`] bytes in a
     /// fresh process: only the compiled program is supplied externally
-    /// (the static analysis is re-resolved lazily — per function, from
-    /// the store when it caches). The restored session
+    /// (the static analysis is recomputed lazily). The restored session
     /// continues from the first phase whose artifact is missing and
     /// produces the same report an uninterrupted run would.
     ///
@@ -1381,25 +1087,7 @@ mod tests {
             ReproSession::new(&p, sf.dump.clone(), &input, ReproOptions::default()).unwrap();
         cold.set_store(Arc::clone(&store));
         let cold_report = cold.run_to_end().unwrap();
-        // 5 phase artifacts + one compile unit and one analysis unit
-        // per function (FIG1 has 4 functions).
-        let funcs = p.funcs.len() as u64;
-        assert_eq!(
-            store.stats().inserts,
-            5 + 2 * funcs,
-            "every phase cached, plus per-function compile/analysis units"
-        );
-        assert_eq!(
-            cold.function_unit_stats(),
-            FuncUnitStats {
-                compile_hits: 0,
-                compile_computed: funcs,
-                analysis_hits: 0,
-                analysis_computed: funcs,
-                race_hits: 0,
-                race_computed: 0,
-            }
-        );
+        assert_eq!(store.stats().inserts, 5, "every phase cached");
 
         let mut warm =
             ReproSession::new(&p, sf.dump.clone(), &input, ReproOptions::default()).unwrap();
@@ -1411,20 +1099,11 @@ mod tests {
         // All five phases were cache hits; nothing Started.
         assert_eq!(log.lock().unwrap().cache_hits(), crate::observe::PHASES);
         assert!(log.lock().unwrap().finished().is_empty());
-        // Every per-function compile unit rehydrated; the analysis was
-        // never even resolved — all phases hit, so nothing needed it.
-        assert_eq!(
-            warm.function_unit_stats(),
-            FuncUnitStats {
-                compile_hits: funcs,
-                compile_computed: 0,
-                analysis_hits: 0,
-                analysis_computed: 0,
-                race_hits: 0,
-                race_computed: 0,
-            }
-        );
-        assert!((warm.function_unit_stats().hit_rate() - 1.0).abs() < 1e-9);
+        // No phase ran, so no VM was built and nothing was analyzed: a
+        // fully-warm session never compiles its plan.
+        assert!(cold.plan.get().is_some(), "the cold session ran VMs");
+        assert!(warm.plan.get().is_none(), "warm session compiled a plan");
+        assert!(warm.analysis.get().is_none(), "warm session analyzed");
         // The rehydrated report is bit-identical, *including* timings
         // (they are part of the cached artifacts).
         assert_eq!(cold_report, warm_report);
@@ -1483,57 +1162,7 @@ mod tests {
         s.cancel_token().cancel();
         let artifact = s.run_search().unwrap();
         assert!(artifact.result.cancelled);
-        // Rank and everything before it (including the per-function
-        // compile/analysis units) were cached; the search was not.
-        assert_eq!(store.stats().inserts, 4 + 2 * p.funcs.len() as u64);
-    }
-
-    #[test]
-    fn one_function_edit_recompiles_exactly_its_units() {
-        let p1 = mcr_lang::compile(FIG1).unwrap();
-        // Edit only `T2`: same statement count and behavior (the dump
-        // stays valid), different body content.
-        let src2 = FIG1.replace("fn T2() { x = 0; }", "fn T2() { x = 0 + 0; }");
-        let p2 = mcr_lang::compile(&src2).unwrap();
-        let input = [0i64, 1];
-        let sf = find_failure(&p1, &input, 0..200_000, 1_000_000).expect("stress exposes");
-        let store: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::unbounded());
-
-        let cold =
-            ReproSession::new(&p1, sf.dump.clone(), &input, ReproOptions::default()).unwrap();
-        let mut cold = cold;
-        cold.set_store(Arc::clone(&store));
-        cold.ensure_plan();
-        cold.analysis();
-
-        let mut warm =
-            ReproSession::new(&p2, sf.dump.clone(), &input, ReproOptions::default()).unwrap();
-        warm.set_store(Arc::clone(&store));
-        warm.ensure_plan();
-        warm.analysis();
-        let funcs = p1.funcs.len() as u64;
-        assert_eq!(
-            warm.function_unit_stats(),
-            FuncUnitStats {
-                compile_hits: funcs - 1,
-                compile_computed: 1,
-                analysis_hits: funcs - 1,
-                analysis_computed: 1,
-                race_hits: 0,
-                race_computed: 0,
-            },
-            "exactly the edited function's units recompute"
-        );
-        // Only the edited function's fingerprints moved.
-        let moved: Vec<usize> = cold
-            .function_fingerprints()
-            .iter()
-            .zip(warm.function_fingerprints())
-            .enumerate()
-            .filter(|(_, (a, b))| a != b)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(moved, vec![2], "T2 is funcs[2]");
-        assert_ne!(cold.program_fingerprint(), warm.program_fingerprint());
+        // Rank and everything before it were cached; the search was not.
+        assert_eq!(store.stats().inserts, 4);
     }
 }

@@ -499,187 +499,3 @@ fn tso_dump_with_frozen_store_buffer_round_trips() {
         dump.threads[0].store_buffer
     );
 }
-
-// ---------------------------------------------------------------------
-// Static race-summary artifact codec (`wire::write_race_summary` /
-// `wire::read_race_summary`): the per-function unit the StaticRace
-// pre-phase caches.
-
-use mcr_analysis::{AccessSite, AccessTarget, FuncRaceSummary};
-use mcr_dump::wire::{read_race_summary, write_race_summary};
-use proptest::TestRng;
-
-/// Expands a seed into a structurally arbitrary summary: every field
-/// populated with independently drawn sizes and contents, including the
-/// corner shapes (empty vectors, top locksets, lock ids at the mask
-/// boundary).
-fn arb_race_summary(seed: u64) -> FuncRaceSummary {
-    let mut rng = TestRng::new(seed);
-    let stmts = (rng.next_u64() % 24) as usize;
-    let draw_sites = |rng: &mut TestRng| {
-        let n = (rng.next_u64() % 8) as usize;
-        (0..n)
-            .map(|_| AccessSite {
-                stmt: StmtId((rng.next_u64() % 24) as u32),
-                target: match rng.next_u64() % 3 {
-                    0 => AccessTarget::Global(GlobalId((rng.next_u64() % 6) as u32)),
-                    1 => AccessTarget::SharedHeap,
-                    _ => AccessTarget::PrivateHeap,
-                },
-                is_write: rng.next_u64() & 1 == 1,
-            })
-            .collect()
-    };
-    FuncRaceSummary {
-        stmt_count: stmts as u32,
-        lock_top: rng.next_u64() & 1 == 1,
-        locksets: (0..stmts).map(|_| rng.next_u64()).collect(),
-        spawn_before: (0..stmts).map(|_| rng.next_u64() & 1 == 1).collect(),
-        callees_before: (0..stmts)
-            .map(|_| {
-                let n = (rng.next_u64() % 4) as usize;
-                (0..n)
-                    .map(|_| FuncId((rng.next_u64() % 8) as u32))
-                    .collect()
-            })
-            .collect(),
-        accesses: draw_sites(&mut rng),
-        releases: rng.next_u64(),
-        call_sites: (0..(rng.next_u64() % 6) as usize)
-            .map(|_| {
-                (
-                    StmtId((rng.next_u64() % 24) as u32),
-                    FuncId((rng.next_u64() % 8) as u32),
-                )
-            })
-            .collect(),
-        spawn_sites: (0..(rng.next_u64() % 6) as usize)
-            .map(|_| {
-                (
-                    StmtId((rng.next_u64() % 24) as u32),
-                    FuncId((rng.next_u64() % 8) as u32),
-                    rng.next_u64() & 1 == 1,
-                )
-            })
-            .collect(),
-        acquire_sites: (0..(rng.next_u64() % 6) as usize)
-            .map(|_| {
-                (
-                    StmtId((rng.next_u64() % 24) as u32),
-                    LockId((rng.next_u64() % 64) as u32),
-                )
-            })
-            .collect(),
-    }
-}
-
-fn encode_race_summary(s: &FuncRaceSummary) -> Vec<u8> {
-    let mut w = Writer::new();
-    write_race_summary(&mut w, s);
-    w.into_bytes()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The summary codec is a lossless, canonical, exactly-consuming
-    /// round trip over structurally arbitrary summaries.
-    #[test]
-    fn race_summary_round_trips(seed in proptest::num::u64::ANY) {
-        let summary = arb_race_summary(seed);
-        let bytes = encode_race_summary(&summary);
-        let mut r = Reader::new(&bytes);
-        let back = read_race_summary(&mut r).expect("canonical bytes decode");
-        r.finish().expect("decode consumes exactly the encoding");
-        prop_assert_eq!(&back, &summary);
-        prop_assert_eq!(encode_race_summary(&back), bytes);
-    }
-
-    /// Every strict prefix of an encoded summary fails closed: a torn
-    /// store write or short read is always an error, never a shorter
-    /// valid summary (length prefixes precede their payloads, so a cut
-    /// can only starve a later field).
-    #[test]
-    fn race_summary_truncations_fail_closed(seed in proptest::num::u64::ANY) {
-        let bytes = encode_race_summary(&arb_race_summary(seed));
-        for cut in 0..bytes.len() {
-            let mut r = Reader::new(&bytes[..cut]);
-            let outcome = read_race_summary(&mut r).and_then(|_| r.finish());
-            prop_assert!(
-                outcome.is_err(),
-                "prefix of {}/{} bytes must not decode",
-                cut,
-                bytes.len()
-            );
-        }
-    }
-
-    /// A single-bit flip anywhere in the encoding never panics or
-    /// over-allocates: the reader either rejects the bytes or decodes
-    /// some summary whose own re-encoding round-trips (the wire layer
-    /// is unchecksummed — end-to-end flip *detection* belongs to the
-    /// segmented shipping container, tested below).
-    #[test]
-    fn race_summary_bit_flips_decode_safely(
-        seed in proptest::num::u64::ANY,
-        byte_frac in 0u64..1000,
-        bit in 0u8..8,
-    ) {
-        let bytes = encode_race_summary(&arb_race_summary(seed));
-        let at = (byte_frac as usize * bytes.len()) / 1000;
-        let mut flipped = bytes;
-        flipped[at] ^= 1 << bit;
-        let mut r = Reader::new(&flipped);
-        if let Ok(decoded) = read_race_summary(&mut r).and_then(|s| {
-            r.finish()?;
-            Ok(s)
-        }) {
-            let reencoded = encode_race_summary(&decoded);
-            let mut r2 = Reader::new(&reencoded);
-            let back = read_race_summary(&mut r2).expect("re-encoding decodes");
-            r2.finish().expect("re-encoding consumes exactly");
-            prop_assert_eq!(back, decoded);
-        }
-    }
-
-    /// Shipped race artifacts ride the checksummed segmented container;
-    /// there a payload bit flip *is* rejected, so a corrupt cache entry
-    /// can never rehydrate as a plausible summary.
-    #[test]
-    fn shipped_race_summary_bit_flips_are_rejected(
-        seed in proptest::num::u64::ANY,
-        bit in 0u8..8,
-    ) {
-        let payload = encode_race_summary(&arb_race_summary(seed));
-        prop_assume!(!payload.is_empty());
-        let seg = SegmentedBytes::from_payload(&payload, 64);
-        let payload_at = seg
-            .as_bytes()
-            .windows(payload.len().min(8))
-            .position(|w| w == &payload[..payload.len().min(8)])
-            .expect("payload bytes present verbatim in the container");
-        let mut flipped = seg.as_bytes().to_vec();
-        flipped[payload_at] ^= 1 << bit;
-        match SegmentedBytes::parse_verified(flipped) {
-            Err(_) => {}
-            Ok(seg) => prop_assert!(
-                seg.read_range(0, payload.len()).is_err(),
-                "checksum must reject the flipped payload"
-            ),
-        }
-    }
-}
-
-/// An implausible length prefix is rejected up front — the reader never
-/// trusts a claimed element count with an allocation.
-#[test]
-fn race_summary_huge_length_claims_are_rejected() {
-    let mut w = Writer::new();
-    w.uvarint(3); // stmt_count
-    w.bool(false); // lock_top
-    w.uvarint(1 << 40); // locksets length: absurd
-    let bytes = w.into_bytes();
-    let mut r = Reader::new(&bytes);
-    let err = read_race_summary(&mut r).expect_err("absurd length must be rejected");
-    assert!(err.msg.contains("implausible"), "{err}");
-}

@@ -1,23 +1,13 @@
-//! Function-granular content fingerprints over the IR.
+//! A stable content fingerprint over the IR.
 //!
 //! The content-addressed caches in `mcr-core` key every artifact on what
-//! the program *is*, not where it came from. Keying on a whole-program
-//! hash defeats fleet-scale caching, though: one edited function changes
-//! the hash and invalidates every artifact of every other function. This
-//! module therefore fingerprints at the unit the caches actually want —
-//! the function:
+//! the program *is*, not where it came from. [`program_fingerprint`]
+//! hashes the complete `#[derive(Hash)]` field stream of a [`Program`]
+//! (globals, locks, every function with its body, loops, condition
+//! groups and line table, and the entry point), so any observable edit
+//! moves the fingerprint and identical programs agree.
 //!
-//! * [`function_fingerprint`] hashes one [`Function`] in isolation. It
-//!   folds in the complete `#[derive(Hash)]` field stream (name, body,
-//!   loops, condition groups, line table), so any observable edit moves
-//!   the fingerprint while *all other functions' fingerprints stay
-//!   bit-identical across program revisions*.
-//! * [`program_fingerprint`] is a Merkle root: the hash of the shared
-//!   state (globals, locks, entry point) plus the ordered list of
-//!   per-function fingerprints. Identical programs agree; a k-function
-//!   edit changes exactly k leaves and the root.
-//!
-//! The digests are 128-bit FNV-1a — the same non-cryptographic family
+//! The digest is 128-bit FNV-1a — the same non-cryptographic family
 //! the `mcr-dump` wire layer uses for [`ContentHash`]-keyed stores; this
 //! crate sits below `mcr-dump` in the dependency order, so it carries
 //! its own copy of the (standard) constants. The raw `u128` returned
@@ -25,7 +15,7 @@
 //!
 //! [`ContentHash`]: https://en.wikipedia.org/wiki/Fowler–Noll–Vo_hash_function
 
-use crate::ir::{Function, Program};
+use crate::ir::Program;
 use std::hash::{Hash, Hasher};
 
 /// FNV-1a 128-bit offset basis.
@@ -33,10 +23,8 @@ const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 /// FNV-1a 128-bit prime.
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
 
-/// Domain tag for a single function's fingerprint.
-const FUNC_DOMAIN: &[u8] = b"MCRFN1";
-/// Domain tag for the program-level Merkle root.
-const PROGRAM_DOMAIN: &[u8] = b"MCRPM1";
+/// Domain tag of the program fingerprint.
+const PROGRAM_DOMAIN: &[u8] = b"MCRPG1";
 
 /// Streaming FNV-1a 128 state that doubles as a [`std::hash::Hasher`],
 /// so `#[derive(Hash)]` IR types feed their canonical field-order byte
@@ -46,24 +34,12 @@ struct Fnv128 {
     state: u128,
 }
 
-impl Fnv128 {
-    fn new() -> Fnv128 {
-        Fnv128 {
-            state: FNV128_OFFSET,
-        }
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
+impl Hasher for Fnv128 {
+    fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= b as u128;
             self.state = self.state.wrapping_mul(FNV128_PRIME);
         }
-    }
-}
-
-impl Hasher for Fnv128 {
-    fn write(&mut self, bytes: &[u8]) {
-        self.update(bytes);
     }
 
     fn finish(&self) -> u64 {
@@ -71,53 +47,23 @@ impl Hasher for Fnv128 {
     }
 }
 
-/// The stable content fingerprint of one function.
-///
-/// Two [`Function`] values hash identically exactly when every
-/// `Hash`-visible field agrees — independent of which program revision
-/// the function appears in, so a cache keyed on this digest is shared by
-/// every program that contains the identical function.
+/// The stable content fingerprint of a whole program.
 ///
 /// # Examples
 ///
 /// ```
 /// let a = mcr_lang::compile("fn helper() { } fn main() { }").unwrap();
-/// let b = mcr_lang::compile("global g: int; fn helper() { } fn main() { g = 1; }").unwrap();
-/// // `helper` is byte-for-byte the same function in both programs.
-/// assert_eq!(
-///     mcr_lang::function_fingerprint(&a.funcs[0]),
-///     mcr_lang::function_fingerprint(&b.funcs[0]),
-/// );
-/// // `main` differs.
-/// assert_ne!(
-///     mcr_lang::function_fingerprint(&a.funcs[1]),
-///     mcr_lang::function_fingerprint(&b.funcs[1]),
-/// );
+/// let b = mcr_lang::compile("fn helper() { } fn main() { }").unwrap();
+/// let c = mcr_lang::compile("global g: int; fn helper() { } fn main() { g = 1; }").unwrap();
+/// assert_eq!(mcr_lang::program_fingerprint(&a), mcr_lang::program_fingerprint(&b));
+/// assert_ne!(mcr_lang::program_fingerprint(&a), mcr_lang::program_fingerprint(&c));
 /// ```
-pub fn function_fingerprint(func: &Function) -> u128 {
-    let mut h = Fnv128::new();
-    h.update(FUNC_DOMAIN);
-    func.hash(&mut h);
-    h.state
-}
-
-/// The program fingerprint: a Merkle root over the shared program state
-/// and the ordered per-function fingerprints.
-///
-/// Editing k functions of an N-function program changes exactly k
-/// leaves (see [`function_fingerprint`]) plus this root; the other
-/// N − k leaves are bit-identical across the two revisions, which is
-/// what lets function-granular caches survive program edits.
 pub fn program_fingerprint(program: &Program) -> u128 {
-    let mut h = Fnv128::new();
-    h.update(PROGRAM_DOMAIN);
-    program.globals.hash(&mut h);
-    program.locks.hash(&mut h);
-    program.main.hash(&mut h);
-    h.update(&(program.funcs.len() as u64).to_le_bytes());
-    for func in &program.funcs {
-        h.update(&function_fingerprint(func).to_le_bytes());
-    }
+    let mut h = Fnv128 {
+        state: FNV128_OFFSET,
+    };
+    h.write(PROGRAM_DOMAIN);
+    program.hash(&mut h);
     h.state
 }
 
@@ -139,51 +85,27 @@ mod tests {
         let p1 = compile(BASE).unwrap();
         let p2 = compile(BASE).unwrap();
         assert_eq!(program_fingerprint(&p1), program_fingerprint(&p2));
-        for (f1, f2) in p1.funcs.iter().zip(&p2.funcs) {
-            assert_eq!(function_fingerprint(f1), function_fingerprint(f2));
-        }
     }
 
     #[test]
-    fn editing_one_function_moves_only_its_leaf() {
+    fn editing_one_function_moves_the_fingerprint() {
         let p1 = compile(BASE).unwrap();
         let p2 = compile(&BASE.replace("x = 2;", "x = 3;")).unwrap();
         assert_ne!(program_fingerprint(&p1), program_fingerprint(&p2));
-        let moved: Vec<usize> = p1
-            .funcs
-            .iter()
-            .zip(&p2.funcs)
-            .enumerate()
-            .filter(|(_, (f1, f2))| function_fingerprint(f1) != function_fingerprint(f2))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(moved, vec![1], "only `b` may change");
     }
 
     #[test]
-    fn shared_state_feeds_the_root_but_not_the_leaves() {
+    fn shared_state_feeds_the_fingerprint() {
         let p1 = compile(BASE).unwrap();
         let p2 = compile(&BASE.replace("global x: int;", "global x: int; global y: int;")).unwrap();
         assert_ne!(program_fingerprint(&p1), program_fingerprint(&p2));
-        // Function bodies are untouched, so every leaf survives.
-        for (f1, f2) in p1.funcs.iter().zip(&p2.funcs) {
-            assert_eq!(function_fingerprint(f1), function_fingerprint(f2));
-        }
     }
 
     #[test]
-    fn function_order_feeds_the_root() {
+    fn function_order_feeds_the_fingerprint() {
         let p = compile(BASE).unwrap();
         let mut swapped = p.clone();
         swapped.funcs.swap(0, 1);
         assert_ne!(program_fingerprint(&p), program_fingerprint(&swapped));
-    }
-
-    #[test]
-    fn leaf_and_root_domains_are_separated() {
-        // A single-function program's root never equals the bare
-        // function fingerprint (domain tags differ).
-        let p = compile("fn main() { }").unwrap();
-        assert_ne!(program_fingerprint(&p), function_fingerprint(&p.funcs[0]));
     }
 }

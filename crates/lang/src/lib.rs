@@ -61,7 +61,7 @@ pub mod lower;
 pub mod parser;
 
 pub use error::LangError;
-pub use fingerprint::{function_fingerprint, program_fingerprint};
+pub use fingerprint::program_fingerprint;
 pub use ir::{
     BinOp, CondGroup, CondGroupId, Expr, FuncId, Function, GlobalDecl, GlobalId, GlobalKind, Inst,
     LocalId, LockId, LoopId, LoopInfo, Pc, Place, Program, StmtId, UnOp,

@@ -50,7 +50,7 @@ pub use memloc::MemLoc;
 pub use memmodel::{
     BufferedStore, FaultKind, FaultSpec, InjectedFault, MemModel, DEFAULT_STORE_BUFFER_CAP,
 };
-pub use plan::{DispatchPlan, FunctionPlan, PlanStats};
+pub use plan::{DispatchPlan, PlanStats};
 pub use rng::SplitMix64;
 pub use sched::{
     run, run_until, DeterministicScheduler, Outcome, Scheduler, StressScheduler, DEFAULT_MAX_STEPS,

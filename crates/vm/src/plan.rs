@@ -16,26 +16,14 @@
 //! run (`Rhs::Expr`) evaluated on a small value stack, so the common
 //! statement executes without touching the IR at all.
 //!
-//! Two invariants bound the design:
-//!
-//! * **Bit-identical runs.** A plan changes how a statement is decoded,
-//!   never what it does: the observable event stream (reads, writes,
-//!   branches, sync), failure kinds, step and instruction counts are
-//!   exactly those of the legacy loop. Fusion therefore never crosses a
-//!   statement boundary — statements are the observable scheduling
-//!   unit — and anything without an exact fast path compiles to
-//!   `Op::Slow`, which falls back to the legacy decoder.
-//! * **Fleet sharing.** Plans serialize ([`DispatchPlan::to_bytes`])
-//!   deterministically, so `mcr-core` can cache them in the artifact
-//!   store and a fleet of near-duplicate jobs compiles each distinct
-//!   program once (the ShareJIT idiom: share compiled code across
-//!   processes through a common cache). Sharing is function-granular:
-//!   a plan is compiled per function ([`FunctionPlan`], serialized
-//!   independently and keyed by the function's own fingerprint) and
-//!   [`DispatchPlan::assemble`] concatenates the units into the flat
-//!   table — bit-identical to compiling the whole program at once, so a
-//!   one-function edit recompiles exactly one unit while every other
-//!   unit rehydrates from cache.
+//! One invariant bounds the design: **bit-identical runs**. A plan
+//! changes how a statement is decoded, never what it does: the
+//! observable event stream (reads, writes, branches, sync), failure
+//! kinds, step and instruction counts are exactly those of the legacy
+//! loop. Fusion therefore never crosses a statement boundary —
+//! statements are the observable scheduling unit — and anything without
+//! an exact fast path compiles to `Op::Slow`, which falls back to the
+//! legacy decoder.
 
 use crate::value::Value;
 use mcr_lang::{
@@ -46,19 +34,6 @@ use mcr_lang::{
 /// deeper than this (never seen in practice — depth grows with
 /// right-leaning nesting only) compile to `Op::Slow`.
 pub(crate) const EXPR_STACK: usize = 16;
-
-/// Number of [`Inst`] kinds the opcode layout was compiled against.
-/// Serialized plans embed this as a layout-version byte: a plan written
-/// by a build with a different instruction set never rehydrates.
-const OPCODE_LAYOUT: u8 = 16;
-
-/// Plan wire magic + version.
-const MAGIC: &[u8; 4] = b"MCRD";
-const VERSION: u8 = 1;
-
-/// Per-function plan-unit wire magic (same version byte as the whole
-/// plan — the formats evolve together).
-const UNIT_MAGIC: &[u8; 4] = b"MCRU";
 
 /// A pre-decoded assignable location (the cheap subset of [`Place`]
 /// that resolves without evaluation, events, or failure).
@@ -196,34 +171,13 @@ pub struct DispatchPlan {
 impl DispatchPlan {
     /// Compiles `program` into a dispatch plan. Infallible: statements
     /// without a fast path compile to `Op::Slow`.
-    ///
-    /// Implemented as [`DispatchPlan::assemble`] over one
-    /// [`FunctionPlan::compile`] per function, so a whole-program
-    /// compile and an assembly of independently cached units are
-    /// byte-identical *by construction*, not by test alone.
     pub fn compile(program: &Program) -> DispatchPlan {
-        let units: Vec<FunctionPlan> = program.funcs.iter().map(FunctionPlan::compile).collect();
-        DispatchPlan::assemble(&units)
-    }
-
-    /// Concatenates per-function plan units into the flat dispatch
-    /// table, rebasing each unit's function-local expression indices
-    /// onto the shared postfix table.
-    ///
-    /// Assembling the units of [`FunctionPlan::compile`] in function
-    /// order reproduces [`DispatchPlan::compile`] exactly — same ops,
-    /// same expression table, same [`DispatchPlan::to_bytes`] bytes —
-    /// because whole-program compilation appends expressions strictly
-    /// in function order too.
-    pub fn assemble(units: &[FunctionPlan]) -> DispatchPlan {
-        let mut ops = Vec::with_capacity(units.iter().map(|u| u.ops.len()).sum());
-        let mut func_base = Vec::with_capacity(units.len() + 1);
-        let mut exprs = Vec::with_capacity(units.iter().map(|u| u.exprs.len()).sum());
-        for unit in units {
+        let mut ops = Vec::with_capacity(program.funcs.iter().map(|f| f.body.len()).sum());
+        let mut func_base = Vec::with_capacity(program.funcs.len() + 1);
+        let mut exprs = Vec::new();
+        for func in &program.funcs {
             func_base.push(ops.len() as u32);
-            let base = exprs.len() as u32;
-            ops.extend(unit.ops.iter().map(|&op| rebase_op(op, base)));
-            exprs.extend(unit.exprs.iter().cloned());
+            ops.extend(func.body.iter().map(|inst| compile_inst(inst, &mut exprs)));
         }
         func_base.push(ops.len() as u32);
         DispatchPlan {
@@ -258,9 +212,8 @@ impl DispatchPlan {
     }
 
     /// Whether this plan's shape matches `program`: same function count
-    /// and per-function statement counts. A rehydrated plan is only
-    /// attached when this holds (the store key — the program
-    /// fingerprint — already guarantees it short of hash collisions).
+    /// and per-function statement counts (a plan compiled for another
+    /// program must never be attached).
     pub fn matches(&self, program: &Program) -> bool {
         self.func_base.len() == program.funcs.len() + 1
             && program
@@ -292,250 +245,6 @@ impl DispatchPlan {
         }
         stats
     }
-
-    /// Serializes the plan. The encoding is deterministic — the same
-    /// program always yields byte-identical plans, which is what lets a
-    /// warm artifact store serve them content-addressed.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Vec::with_capacity(16 + self.ops.len() * 8);
-        w.extend_from_slice(MAGIC);
-        w.push(VERSION);
-        w.push(OPCODE_LAYOUT);
-        put_u32(&mut w, (self.func_base.len() - 1) as u32);
-        for i in 0..self.func_base.len() - 1 {
-            put_u32(&mut w, self.func_base[i + 1] - self.func_base[i]);
-        }
-        put_u32(&mut w, self.exprs.len() as u32);
-        for toks in &self.exprs {
-            put_u32(&mut w, toks.len() as u32);
-            for tok in toks {
-                put_tok(&mut w, *tok);
-            }
-        }
-        for op in &self.ops {
-            put_op(&mut w, op);
-        }
-        w
-    }
-
-    /// Deserializes a plan. Returns `None` for malformed bytes or a
-    /// different wire / opcode-layout version — callers treat that as a
-    /// cache miss and recompile.
-    pub fn from_bytes(bytes: &[u8]) -> Option<DispatchPlan> {
-        let mut r = R { b: bytes, pos: 0 };
-        if r.take(4)? != MAGIC.as_slice() || r.u8()? != VERSION || r.u8()? != OPCODE_LAYOUT {
-            return None;
-        }
-        let nfuncs = r.u32()? as usize;
-        let mut func_base = Vec::with_capacity(nfuncs + 1);
-        let mut total = 0u32;
-        func_base.push(0);
-        for _ in 0..nfuncs {
-            total = total.checked_add(r.u32()?)?;
-            func_base.push(total);
-        }
-        let nexprs = r.u32()? as usize;
-        let mut exprs = Vec::with_capacity(nexprs.min(1024));
-        for _ in 0..nexprs {
-            let len = r.u32()? as usize;
-            let mut toks = Vec::with_capacity(len.min(1024));
-            for _ in 0..len {
-                toks.push(get_tok(&mut r)?);
-            }
-            // Reject token runs the stack evaluator cannot execute
-            // (corrupt bytes must never reach the hot loop).
-            if !tokens_are_well_formed(&toks) {
-                return None;
-            }
-            exprs.push(toks.into_boxed_slice());
-        }
-        let mut ops = Vec::with_capacity(total as usize);
-        for _ in 0..total {
-            let op = get_op(&mut r)?;
-            if expr_ref_of(&op).is_some_and(|idx| idx as usize >= exprs.len()) {
-                return None;
-            }
-            ops.push(op);
-        }
-        if r.pos != bytes.len() {
-            return None;
-        }
-        Some(DispatchPlan {
-            ops,
-            func_base,
-            exprs,
-        })
-    }
-}
-
-/// One function's compiled plan unit: its pre-decoded ops plus its own
-/// (function-local) postfix expression table.
-///
-/// Units are the granularity at which compiled code is cached and
-/// shared: each serializes independently ([`FunctionPlan::to_bytes`]),
-/// so `mcr-core` stores one artifact per function keyed by the
-/// function's fingerprint, and [`DispatchPlan::assemble`] concatenates
-/// rehydrated units back into the flat table a VM executes. Expression
-/// indices inside a unit are 0-based; assembly rebases them onto the
-/// shared table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FunctionPlan {
-    /// Pre-decoded ops, one per statement of the function body.
-    ops: Vec<Op>,
-    /// Function-local postfix token runs referenced by `Rhs::Expr`.
-    exprs: Vec<Box<[Tok]>>,
-}
-
-impl FunctionPlan {
-    /// Compiles one function into a plan unit. Infallible: statements
-    /// without a fast path compile to `Op::Slow`.
-    pub fn compile(func: &mcr_lang::Function) -> FunctionPlan {
-        let mut exprs = Vec::new();
-        let ops = func
-            .body
-            .iter()
-            .map(|inst| compile_inst(inst, &mut exprs))
-            .collect();
-        FunctionPlan { ops, exprs }
-    }
-
-    /// Whether this unit's shape matches `func` (same statement count).
-    /// A rehydrated unit is only assembled when this holds.
-    pub fn matches(&self, func: &mcr_lang::Function) -> bool {
-        self.ops.len() == func.body.len()
-    }
-
-    /// Number of ops (statements) in the unit.
-    pub fn ops_len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Serializes the unit. Deterministic, like
-    /// [`DispatchPlan::to_bytes`]: the same function always yields
-    /// byte-identical units, which is what makes them content-shareable
-    /// across programs.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Vec::with_capacity(16 + self.ops.len() * 8);
-        w.extend_from_slice(UNIT_MAGIC);
-        w.push(VERSION);
-        w.push(OPCODE_LAYOUT);
-        put_u32(&mut w, self.ops.len() as u32);
-        put_u32(&mut w, self.exprs.len() as u32);
-        for toks in &self.exprs {
-            put_u32(&mut w, toks.len() as u32);
-            for tok in toks {
-                put_tok(&mut w, *tok);
-            }
-        }
-        for op in &self.ops {
-            put_op(&mut w, op);
-        }
-        w
-    }
-
-    /// Deserializes a unit. Returns `None` for malformed bytes or a
-    /// different wire / opcode-layout version — callers treat that as a
-    /// cache miss and recompile the function.
-    pub fn from_bytes(bytes: &[u8]) -> Option<FunctionPlan> {
-        let mut r = R { b: bytes, pos: 0 };
-        if r.take(4)? != UNIT_MAGIC.as_slice() || r.u8()? != VERSION || r.u8()? != OPCODE_LAYOUT {
-            return None;
-        }
-        let nops = r.u32()? as usize;
-        let nexprs = r.u32()? as usize;
-        let mut exprs = Vec::with_capacity(nexprs.min(1024));
-        for _ in 0..nexprs {
-            let len = r.u32()? as usize;
-            let mut toks = Vec::with_capacity(len.min(1024));
-            for _ in 0..len {
-                toks.push(get_tok(&mut r)?);
-            }
-            if !tokens_are_well_formed(&toks) {
-                return None;
-            }
-            exprs.push(toks.into_boxed_slice());
-        }
-        let mut ops = Vec::with_capacity(nops.min(65536));
-        for _ in 0..nops {
-            let op = get_op(&mut r)?;
-            if expr_ref_of(&op).is_some_and(|idx| idx as usize >= exprs.len()) {
-                return None;
-            }
-            ops.push(op);
-        }
-        if r.pos != bytes.len() {
-            return None;
-        }
-        Some(FunctionPlan { ops, exprs })
-    }
-}
-
-/// Rebases an op's function-local expression index onto the assembled
-/// plan's shared table.
-fn rebase_op(op: Op, base: u32) -> Op {
-    match op {
-        Op::Assign {
-            dst,
-            src: Rhs::Expr(idx),
-        } => Op::Assign {
-            dst,
-            src: Rhs::Expr(base + idx),
-        },
-        Op::Branch {
-            cond: Rhs::Expr(idx),
-            then_to,
-            else_to,
-        } => Op::Branch {
-            cond: Rhs::Expr(base + idx),
-            then_to,
-            else_to,
-        },
-        other => other,
-    }
-}
-
-/// The expression-table index an op references, if any (decode-time
-/// bounds validation).
-fn expr_ref_of(op: &Op) -> Option<u32> {
-    match op {
-        Op::Assign {
-            src: Rhs::Expr(idx),
-            ..
-        }
-        | Op::Branch {
-            cond: Rhs::Expr(idx),
-            ..
-        } => Some(*idx),
-        _ => None,
-    }
-}
-
-/// Simulates a token run's stack discipline: no underflow, depth within
-/// [`EXPR_STACK`], exactly one result.
-fn tokens_are_well_formed(toks: &[Tok]) -> bool {
-    let mut sp = 0usize;
-    for tok in toks {
-        match tok {
-            Tok::Const(_) | Tok::Local(_) | Tok::Global(_) => {
-                if sp == EXPR_STACK {
-                    return false;
-                }
-                sp += 1;
-            }
-            Tok::Un(_) => {
-                if sp == 0 {
-                    return false;
-                }
-            }
-            Tok::Bin(_) => {
-                if sp < 2 {
-                    return false;
-                }
-                sp -= 1;
-            }
-        }
-    }
-    sp == 1
 }
 
 /// Flattens a scalar expression into postfix tokens, returning the peak
@@ -639,298 +348,6 @@ fn compile_inst(inst: &Inst, exprs: &mut Vec<Box<[Tok]>>) -> Op {
     }
 }
 
-// ---- wire helpers (LE, no deps) ------------------------------------
-
-fn put_u32(w: &mut Vec<u8>, v: u32) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(w: &mut Vec<u8>, v: i64) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-struct R<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> R<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.b.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn i64(&mut self) -> Option<i64> {
-        Some(i64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-}
-
-fn binop_tag(op: BinOp) -> u8 {
-    match op {
-        BinOp::Add => 0,
-        BinOp::Sub => 1,
-        BinOp::Mul => 2,
-        BinOp::Div => 3,
-        BinOp::Mod => 4,
-        BinOp::Eq => 5,
-        BinOp::Ne => 6,
-        BinOp::Lt => 7,
-        BinOp::Le => 8,
-        BinOp::Gt => 9,
-        BinOp::Ge => 10,
-        BinOp::And => 11,
-        BinOp::Or => 12,
-    }
-}
-
-fn binop_from(tag: u8) -> Option<BinOp> {
-    Some(match tag {
-        0 => BinOp::Add,
-        1 => BinOp::Sub,
-        2 => BinOp::Mul,
-        3 => BinOp::Div,
-        4 => BinOp::Mod,
-        5 => BinOp::Eq,
-        6 => BinOp::Ne,
-        7 => BinOp::Lt,
-        8 => BinOp::Le,
-        9 => BinOp::Gt,
-        10 => BinOp::Ge,
-        11 => BinOp::And,
-        12 => BinOp::Or,
-        _ => return None,
-    })
-}
-
-fn put_value(w: &mut Vec<u8>, v: Value) {
-    match v {
-        Value::Int(i) => {
-            w.push(0);
-            put_i64(w, i);
-        }
-        Value::Ptr(None) => w.push(1),
-        // The compiler only emits Int / null immediates; other pointer
-        // constants cannot appear in source.
-        Value::Ptr(Some(_)) => unreachable!("no non-null pointer literals"),
-    }
-}
-
-fn get_value(r: &mut R<'_>) -> Option<Value> {
-    match r.u8()? {
-        0 => Some(Value::Int(r.i64()?)),
-        1 => Some(Value::NULL),
-        _ => None,
-    }
-}
-
-fn put_place(w: &mut Vec<u8>, p: FastPlace) {
-    match p {
-        FastPlace::Local(l) => {
-            w.push(0);
-            put_u32(w, l.0);
-        }
-        FastPlace::Global(g) => {
-            w.push(1);
-            put_u32(w, g.0);
-        }
-    }
-}
-
-fn get_place(r: &mut R<'_>) -> Option<FastPlace> {
-    match r.u8()? {
-        0 => Some(FastPlace::Local(LocalId(r.u32()?))),
-        1 => Some(FastPlace::Global(GlobalId(r.u32()?))),
-        _ => None,
-    }
-}
-
-fn put_rhs(w: &mut Vec<u8>, rhs: Rhs) {
-    match rhs {
-        Rhs::Const(v) => {
-            w.push(0);
-            put_value(w, v);
-        }
-        Rhs::Local(l) => {
-            w.push(1);
-            put_u32(w, l.0);
-        }
-        Rhs::Global(g) => {
-            w.push(2);
-            put_u32(w, g.0);
-        }
-        Rhs::LocalBin(l, op, k) => {
-            w.push(3);
-            put_u32(w, l.0);
-            w.push(binop_tag(op));
-            put_i64(w, k);
-        }
-        Rhs::GlobalBin(g, op, k) => {
-            w.push(4);
-            put_u32(w, g.0);
-            w.push(binop_tag(op));
-            put_i64(w, k);
-        }
-        Rhs::Expr(idx) => {
-            w.push(5);
-            put_u32(w, idx);
-        }
-    }
-}
-
-fn unop_tag(op: UnOp) -> u8 {
-    match op {
-        UnOp::Not => 0,
-        UnOp::Neg => 1,
-    }
-}
-
-fn unop_from(tag: u8) -> Option<UnOp> {
-    Some(match tag {
-        0 => UnOp::Not,
-        1 => UnOp::Neg,
-        _ => return None,
-    })
-}
-
-fn put_tok(w: &mut Vec<u8>, tok: Tok) {
-    match tok {
-        Tok::Const(v) => {
-            w.push(0);
-            put_value(w, v);
-        }
-        Tok::Local(l) => {
-            w.push(1);
-            put_u32(w, l.0);
-        }
-        Tok::Global(g) => {
-            w.push(2);
-            put_u32(w, g.0);
-        }
-        Tok::Un(op) => {
-            w.push(3);
-            w.push(unop_tag(op));
-        }
-        Tok::Bin(op) => {
-            w.push(4);
-            w.push(binop_tag(op));
-        }
-    }
-}
-
-fn get_tok(r: &mut R<'_>) -> Option<Tok> {
-    Some(match r.u8()? {
-        0 => Tok::Const(get_value(r)?),
-        1 => Tok::Local(LocalId(r.u32()?)),
-        2 => Tok::Global(GlobalId(r.u32()?)),
-        3 => Tok::Un(unop_from(r.u8()?)?),
-        4 => Tok::Bin(binop_from(r.u8()?)?),
-        _ => return None,
-    })
-}
-
-fn get_rhs(r: &mut R<'_>) -> Option<Rhs> {
-    match r.u8()? {
-        0 => Some(Rhs::Const(get_value(r)?)),
-        1 => Some(Rhs::Local(LocalId(r.u32()?))),
-        2 => Some(Rhs::Global(GlobalId(r.u32()?))),
-        3 => Some(Rhs::LocalBin(
-            LocalId(r.u32()?),
-            binop_from(r.u8()?)?,
-            r.i64()?,
-        )),
-        4 => Some(Rhs::GlobalBin(
-            GlobalId(r.u32()?),
-            binop_from(r.u8()?)?,
-            r.i64()?,
-        )),
-        5 => Some(Rhs::Expr(r.u32()?)),
-        _ => None,
-    }
-}
-
-fn put_op(w: &mut Vec<u8>, op: &Op) {
-    match *op {
-        Op::Slow => w.push(0),
-        Op::Nop => w.push(1),
-        Op::Jump { to } => {
-            w.push(2);
-            put_u32(w, to.0);
-        }
-        Op::Acquire { lock } => {
-            w.push(3);
-            put_u32(w, lock.0);
-        }
-        Op::Release { lock } => {
-            w.push(4);
-            put_u32(w, lock.0);
-        }
-        Op::LoopEnter { loop_id } => {
-            w.push(5);
-            put_u32(w, loop_id.0);
-        }
-        Op::LoopIter { loop_id } => {
-            w.push(6);
-            put_u32(w, loop_id.0);
-        }
-        Op::Assign { dst, src } => {
-            w.push(7);
-            put_place(w, dst);
-            put_rhs(w, src);
-        }
-        Op::Branch {
-            cond,
-            then_to,
-            else_to,
-        } => {
-            w.push(8);
-            put_rhs(w, cond);
-            put_u32(w, then_to.0);
-            put_u32(w, else_to.0);
-        }
-    }
-}
-
-fn get_op(r: &mut R<'_>) -> Option<Op> {
-    Some(match r.u8()? {
-        0 => Op::Slow,
-        1 => Op::Nop,
-        2 => Op::Jump {
-            to: StmtId(r.u32()?),
-        },
-        3 => Op::Acquire {
-            lock: LockId(r.u32()?),
-        },
-        4 => Op::Release {
-            lock: LockId(r.u32()?),
-        },
-        5 => Op::LoopEnter {
-            loop_id: LoopId(r.u32()?),
-        },
-        6 => Op::LoopIter {
-            loop_id: LoopId(r.u32()?),
-        },
-        7 => Op::Assign {
-            dst: get_place(r)?,
-            src: get_rhs(r)?,
-        },
-        8 => Op::Branch {
-            cond: get_rhs(r)?,
-            then_to: StmtId(r.u32()?),
-            else_to: StmtId(r.u32()?),
-        },
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -972,29 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_is_bit_identical() {
-        let p = mcr_lang::compile(HOT).unwrap();
-        let plan = DispatchPlan::compile(&p);
-        let bytes = plan.to_bytes();
-        assert_eq!(bytes, plan.to_bytes(), "serialization is deterministic");
-        let back = DispatchPlan::from_bytes(&bytes).expect("roundtrip");
-        assert_eq!(back, plan);
-        assert_eq!(back.to_bytes(), bytes);
-        assert!(back.matches(&p));
-    }
-
-    #[test]
-    fn malformed_bytes_are_rejected() {
-        let p = mcr_lang::compile(HOT).unwrap();
-        let bytes = DispatchPlan::compile(&p).to_bytes();
-        assert!(DispatchPlan::from_bytes(&bytes[..bytes.len() - 1]).is_none());
-        let mut wrong_layout = bytes.clone();
-        wrong_layout[5] ^= 1; // opcode-layout version byte
-        assert!(DispatchPlan::from_bytes(&wrong_layout).is_none());
-        assert!(DispatchPlan::from_bytes(b"junk").is_none());
-    }
-
-    #[test]
     fn mismatched_program_is_detected() {
         let p = mcr_lang::compile(HOT).unwrap();
         let other = mcr_lang::compile("fn main() { output(1); }").unwrap();
@@ -1009,70 +403,5 @@ mod tests {
         let plan = DispatchPlan::compile(&p);
         assert_eq!(plan.op(FuncId(7), StmtId(0)), Op::Slow);
         assert_eq!(plan.op(FuncId(0), StmtId(999)), Op::Slow);
-    }
-
-    #[test]
-    fn unit_roundtrip_is_bit_identical() {
-        let p = mcr_lang::compile(HOT).unwrap();
-        for func in &p.funcs {
-            let unit = FunctionPlan::compile(func);
-            let bytes = unit.to_bytes();
-            assert_eq!(
-                bytes,
-                unit.to_bytes(),
-                "unit serialization is deterministic"
-            );
-            let back = FunctionPlan::from_bytes(&bytes).expect("unit roundtrip");
-            assert_eq!(back, unit);
-            assert_eq!(back.to_bytes(), bytes);
-            assert!(back.matches(func));
-        }
-    }
-
-    #[test]
-    fn assembled_units_equal_whole_program_compile() {
-        let p = mcr_lang::compile(HOT).unwrap();
-        // The fleet path: serialize each unit independently, rehydrate,
-        // assemble. The result must be bit-identical to a direct compile.
-        let units: Vec<FunctionPlan> = p
-            .funcs
-            .iter()
-            .map(|f| FunctionPlan::from_bytes(&FunctionPlan::compile(f).to_bytes()).unwrap())
-            .collect();
-        let assembled = DispatchPlan::assemble(&units);
-        let direct = DispatchPlan::compile(&p);
-        assert_eq!(assembled, direct);
-        assert_eq!(assembled.to_bytes(), direct.to_bytes());
-    }
-
-    #[test]
-    fn editing_one_function_changes_only_its_unit() {
-        let p1 = mcr_lang::compile(HOT).unwrap();
-        let p2 = mcr_lang::compile(&HOT.replace("x = x + 1;", "x = x + 2;")).unwrap();
-        let changed: Vec<usize> = p1
-            .funcs
-            .iter()
-            .zip(&p2.funcs)
-            .enumerate()
-            .filter(|(_, (f1, f2))| {
-                FunctionPlan::compile(f1).to_bytes() != FunctionPlan::compile(f2).to_bytes()
-            })
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(changed, vec![0], "only `work` may recompile");
-    }
-
-    #[test]
-    fn malformed_unit_bytes_are_rejected() {
-        let p = mcr_lang::compile(HOT).unwrap();
-        let bytes = FunctionPlan::compile(&p.funcs[0]).to_bytes();
-        assert!(FunctionPlan::from_bytes(&bytes[..bytes.len() - 1]).is_none());
-        let mut wrong_layout = bytes.clone();
-        wrong_layout[5] ^= 1; // opcode-layout version byte
-        assert!(FunctionPlan::from_bytes(&wrong_layout).is_none());
-        // A whole-plan blob is not a unit (magic differs).
-        let whole = DispatchPlan::compile(&p).to_bytes();
-        assert!(FunctionPlan::from_bytes(&whole).is_none());
-        assert!(FunctionPlan::from_bytes(b"junk").is_none());
     }
 }

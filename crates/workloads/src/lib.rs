@@ -23,7 +23,5 @@ pub mod splash;
 pub use bugs::{all_bugs, bug_by_name, BugClass, BugSpec};
 pub use corpora::{generate, paper_profiles, small_profiles, CorpusProfile};
 pub use faults::{fault_bug_by_name, fault_bugs, EnvRequirement, FaultBugSpec};
-pub use fleet::{
-    fleet_corpus, fleet_mix, fleet_recompile, fleet_stream, FleetSpec, FleetStream, RecompileSpec,
-};
+pub use fleet::{fleet_corpus, fleet_mix, fleet_stream, FleetSpec, FleetStream};
 pub use splash::{measure_overhead, overhead_workloads, OverheadResult, OverheadWorkload};

@@ -5,8 +5,8 @@
 
 use mcr_batch::{Fleet, FleetConfig, FleetJob};
 use mcr_core::{
-    program_fingerprint, ArtifactStore, BytesStore, CompiledPlanArtifact, FuncUnitStats,
-    MemoryStore, Phase, PhaseEvent, ReproReport, ReproSession, Reproducer, ShardedStore, PHASES,
+    ArtifactStore, BytesStore, MemoryStore, PhaseEvent, PhaseKey, ReproReport, ReproSession,
+    Reproducer, ShardedStore, StoreStats, PHASES,
 };
 use mcr_search::Algorithm;
 use mcr_slice::Strategy;
@@ -14,6 +14,7 @@ use mcr_testsupport::{
     assert_reports_equivalent as assert_reports_equal, repro_options as options, stress_bug,
 };
 use mcr_workloads::all_bugs;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Bit-identity including timings (valid when `b` was rehydrated from
@@ -133,8 +134,8 @@ fn sharded_store_warm_runs_match_the_single_store_for_every_bug() {
         single.for_each_entry(|key, bytes| sharded.put(key, bytes));
         assert_eq!(
             sharded.stats().entries,
-            PHASES.len() + 2 * program.funcs.len(),
-            "{}: five phase artifacts plus one compile and one analysis unit per function",
+            PHASES.len(),
+            "{}: one artifact per phase",
             bug.name
         );
 
@@ -171,16 +172,9 @@ fn sharded_store_warm_runs_match_the_single_store_for_every_bug() {
             &format!("{} sharded vs single warm", bug.name),
         );
         // Each key routed to exactly one shard; the shards together
-        // served the five phase lookups plus the per-function plan-unit
-        // rehydrations (a fully-warm run never resolves the analysis,
-        // so its units are never fetched).
+        // served the five phase lookups.
         let shard_hits: u64 = sharded.shards().iter().map(|s| s.stats().hits).sum();
-        assert_eq!(
-            shard_hits,
-            (PHASES.len() + program.funcs.len()) as u64,
-            "{}",
-            bug.name
-        );
+        assert_eq!(shard_hits, PHASES.len() as u64, "{}", bug.name);
     }
 }
 
@@ -285,12 +279,8 @@ fn reproducer_with_store_caches_across_calls() {
     let reproducer = Reproducer::new(&program, opts);
     let first = reproducer.reproduce(&sf.dump, &input).unwrap();
     let before = store.stats();
-    let cold_inserts = (5 + program.funcs.len()) as u64;
-    assert_eq!(
-        before.inserts, cold_inserts,
-        "five phases plus one plan unit per function (the reproducer \
-         seeds the analysis, so no analysis units are written)"
-    );
+    let cold_inserts = PHASES.len() as u64;
+    assert_eq!(before.inserts, cold_inserts, "one artifact per phase");
     let second = reproducer.reproduce(&sf.dump, &input).unwrap();
     let after = store.stats();
     assert_eq!(after.inserts, cold_inserts, "second run inserted nothing");
@@ -302,107 +292,61 @@ fn reproducer_with_store_caches_across_calls() {
     assert_reports_identical(&first, &second, "reproducer warm");
 }
 
-/// The dispatch-plan cache (the `Phase::Compile` pre-phase): segmented
-/// into per-function units keyed by function fingerprint, an identical
-/// program rehydrates every unit bit-identically — and the assembled
-/// plan equals a whole-program compile — while mutating one function
-/// moves exactly that function's key and recompiles exactly one unit.
+/// A store that counts every call before delegating to a
+/// [`MemoryStore`] (whose own counters only see new entries).
+#[derive(Debug, Default)]
+struct CountingStore {
+    inner: MemoryStore,
+    gets: AtomicU64,
+    puts: AtomicU64,
+}
+
+impl ArtifactStore for CountingStore {
+    fn get(&self, key: &PhaseKey) -> Option<Vec<u8>> {
+        self.gets.fetch_add(1, Ordering::Relaxed);
+        self.inner.get(key)
+    }
+
+    fn put(&self, key: &PhaseKey, bytes: &[u8]) {
+        self.puts.fetch_add(1, Ordering::Relaxed);
+        self.inner.put(key, bytes);
+    }
+
+    fn stats(&self) -> StoreStats {
+        self.inner.stats()
+    }
+}
+
+/// The store traffic of one job is exactly its five phases: a cold
+/// session inserts one artifact per phase, and a fresh session on the
+/// same job makes one lookup per phase and writes nothing.
 #[test]
-fn dispatch_plan_cache_rehydrates_and_invalidates_by_fingerprint() {
+fn one_job_costs_five_store_entries_cold_and_five_lookups_warm() {
     let (program, sf) = mcr_testsupport::fig1_failure();
     let input = mcr_testsupport::FIG1_INPUT;
     let opts = options(Algorithm::ChessX, Strategy::Temporal);
-    let store: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::unbounded());
-    let funcs = program.funcs.len() as u64;
+    let store = Arc::new(CountingStore::default());
+    let calls = |s: &CountingStore| {
+        (
+            s.gets.swap(0, Ordering::Relaxed),
+            s.puts.swap(0, Ordering::Relaxed),
+        )
+    };
 
-    // Cold: the pre-phase compiles and caches one plan unit per
-    // function.
     let mut cold = ReproSession::new(&program, sf.dump.clone(), &input, opts.clone()).unwrap();
-    cold.set_store(Arc::clone(&store));
-    cold.run_phase(Phase::Compile).unwrap();
-    let keys = cold.compile_unit_keys();
-    assert_eq!(keys.len() as u64, funcs, "one unit key per function");
-    assert_eq!(store.stats().phase(Phase::Compile).inserts, funcs);
-    // The cached units rehydrate and assemble into exactly the bytes a
-    // fresh whole-program compile serializes to.
-    let units: Vec<mcr_vm::FunctionPlan> = keys
-        .iter()
-        .map(|key| {
-            let artifact = CompiledPlanArtifact::from_bytes(&store.get(key).expect("unit cached"))
-                .expect("artifact decodes");
-            mcr_vm::FunctionPlan::from_bytes(&artifact.plan_bytes).expect("unit decodes")
-        })
-        .collect();
+    cold.set_store(Arc::clone(&store) as Arc<dyn ArtifactStore>);
+    let cold_report = cold.run_to_end().unwrap();
+    assert_eq!(store.stats().inserts, PHASES.len() as u64);
     assert_eq!(
-        mcr_vm::DispatchPlan::assemble(&units).to_bytes(),
-        mcr_vm::DispatchPlan::compile(&program).to_bytes(),
-        "assembled units are bit-identical to a whole-program compile"
+        calls(&store),
+        (5, 5),
+        "cold: one miss and one put per phase"
     );
 
-    // Warm: an identical program in a fresh session rehydrates every
-    // unit without recompiling, and the stored bytes are untouched.
-    let mut warm = ReproSession::new(&program, sf.dump.clone(), &input, opts.clone()).unwrap();
-    warm.set_store(Arc::clone(&store));
-    warm.run_phase(Phase::Compile).unwrap();
-    let compile_stats = store.stats().phase(Phase::Compile);
-    assert_eq!(
-        compile_stats.inserts, funcs,
-        "identical program never recompiles"
-    );
-    assert!(
-        compile_stats.hits >= funcs,
-        "warm session rehydrated every unit"
-    );
-    assert_eq!(
-        warm.function_unit_stats(),
-        FuncUnitStats {
-            compile_hits: funcs,
-            ..FuncUnitStats::default()
-        },
-        "the warm session accounted one unit hit per function"
-    );
-
-    // Mutate one function: only its fingerprint (and key) move, so
-    // exactly one unit is recompiled — the rest rehydrate.
-    let mutated_src =
-        mcr_testsupport::FIG1.replace("fn T2() { x = 0; }", "fn T2() { x = 0; x = 0; }");
-    let mutated = mcr_lang::compile(&mutated_src).expect("mutated source compiles");
-    assert_ne!(
-        program_fingerprint(&program),
-        program_fingerprint(&mutated),
-        "one mutated function must change the program fingerprint"
-    );
-    let mut miss = ReproSession::new(&mutated, sf.dump.clone(), &input, opts).unwrap();
-    miss.set_store(Arc::clone(&store));
-    let mutated_keys = miss.compile_unit_keys();
-    let moved: Vec<usize> = keys
-        .iter()
-        .zip(&mutated_keys)
-        .enumerate()
-        .filter(|(_, (a, b))| a != b)
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(moved, vec![2], "only T2's unit key moves");
-    miss.run_phase(Phase::Compile).unwrap();
-    assert_eq!(
-        store.stats().phase(Phase::Compile).inserts,
-        funcs + 1,
-        "the fingerprint miss recompiled exactly one unit"
-    );
-    assert_eq!(
-        miss.function_unit_stats(),
-        FuncUnitStats {
-            compile_hits: funcs - 1,
-            compile_computed: 1,
-            ..FuncUnitStats::default()
-        },
-        "unedited functions rehydrated, the edited one recompiled"
-    );
-    let mutated_artifact =
-        CompiledPlanArtifact::from_bytes(&store.get(&mutated_keys[2]).unwrap()).unwrap();
-    assert_eq!(
-        mcr_vm::FunctionPlan::from_bytes(&mutated_artifact.plan_bytes).unwrap(),
-        mcr_vm::FunctionPlan::compile(&mutated.funcs[2]),
-        "the recompiled unit is the mutated function's own"
-    );
+    let mut warm = ReproSession::new(&program, sf.dump, &input, opts).unwrap();
+    warm.set_store(Arc::clone(&store) as Arc<dyn ArtifactStore>);
+    let warm_report = warm.run_to_end().unwrap();
+    assert_eq!(calls(&store), (5, 0), "warm: one get per phase, no puts");
+    assert_eq!(store.stats().hits, PHASES.len() as u64);
+    assert_reports_identical(&cold_report, &warm_report, "warm vs cold");
 }

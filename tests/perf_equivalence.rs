@@ -235,62 +235,6 @@ proptest! {
     }
 }
 
-/// The segmented dispatch plan is a pure refactoring of the whole-
-/// program compile, for every bug in the suite: compiling each function
-/// to its own `FunctionPlan` unit, round-tripping every unit through its
-/// independent wire encoding, and assembling the rehydrated units yields
-/// a plan whose serialized bytes are bit-identical to
-/// `DispatchPlan::compile` — so a cache may mix rehydrated and freshly
-/// compiled units freely without perturbing execution.
-#[test]
-fn segmented_plans_assemble_bit_identically_for_every_bug() {
-    for bug in all_bugs() {
-        let program = bug.compile();
-        let whole = DispatchPlan::compile(&program).to_bytes();
-
-        let units: Vec<mcr_vm::FunctionPlan> = program
-            .funcs
-            .iter()
-            .map(|func| {
-                let unit = mcr_vm::FunctionPlan::compile(func);
-                let rehydrated = mcr_vm::FunctionPlan::from_bytes(&unit.to_bytes())
-                    .unwrap_or_else(|| panic!("{}: unit decode failed", bug.name));
-                assert_eq!(unit, rehydrated, "{}: unit round-trip", bug.name);
-                rehydrated
-            })
-            .collect();
-        assert_eq!(
-            DispatchPlan::assemble(&units).to_bytes(),
-            whole,
-            "{}: assembled units must be bit-identical to the \
-             whole-program compile",
-            bug.name
-        );
-
-        // A mixed assembly — half fresh, half rehydrated — is the cache's
-        // steady state; it must be indistinguishable too.
-        let mixed: Vec<mcr_vm::FunctionPlan> = program
-            .funcs
-            .iter()
-            .enumerate()
-            .map(|(i, func)| {
-                let unit = mcr_vm::FunctionPlan::compile(func);
-                if i % 2 == 0 {
-                    mcr_vm::FunctionPlan::from_bytes(&unit.to_bytes()).unwrap()
-                } else {
-                    unit
-                }
-            })
-            .collect();
-        assert_eq!(
-            DispatchPlan::assemble(&mixed).to_bytes(),
-            whole,
-            "{}: mixed fresh/rehydrated assembly",
-            bug.name
-        );
-    }
-}
-
 /// Tentpole: the direct-threaded dispatch plan executes bit-identically
 /// to the legacy per-step interpreter for every bug in the suite — same
 /// event stream, step/instruction counts, outputs, failure, and final

@@ -9,7 +9,7 @@
 use mcr_batch::{
     AdmissionPolicy, AdmitError, Fleet, FleetConfig, FleetJob, JobOutcome, TriageService,
 };
-use mcr_core::{find_failure, ArtifactStore, MemoryStore, ReproError, ReproReport};
+use mcr_core::{find_failure, ArtifactStore, MemoryStore, ReproError, ReproReport, PHASES};
 use mcr_search::Algorithm;
 use mcr_slice::Strategy;
 use mcr_testsupport::{
@@ -432,11 +432,10 @@ proptest! {
     }
 }
 
-/// The dispatch-plan pre-phase under a fleet of near-duplicate jobs:
-/// one compile per *distinct function* fleet-wide (duplicates rehydrate
-/// the shared per-function plan units), and a program with one mutated
-/// function is a fingerprint miss for exactly that unit — the other
-/// functions' units are shared with the original program.
+/// Near-duplicate jobs share one pipeline's artifacts (only the job
+/// that computes builds VMs, so the program compiles once), while a
+/// program with one mutated function is a different program: every one
+/// of its five phases misses the store and inserts its own artifact.
 #[test]
 fn fleet_compiles_each_distinct_program_once() {
     let (program, sf) = fig1_failure();
@@ -473,27 +472,18 @@ fn fleet_compiles_each_distinct_program_once() {
     for ticket in tickets {
         assert!(ticket.wait().result.is_ok());
     }
-    let funcs = program.funcs.len() as u64;
-    let compile = store.stats().phase(Phase::Compile);
-    assert_eq!(
-        compile.inserts, funcs,
-        "one plan unit per distinct function"
-    );
-    assert!(
-        compile.hits >= funcs,
-        "duplicate jobs rehydrated the shared plan units"
-    );
+    let before = store.stats();
+    assert_eq!(before.inserts, 5, "duplicates add no entries");
 
     let mutant_ticket = service
         .submit(FleetJob::new("mutant", &mutated, msf.dump, &FIG1_INPUT))
         .expect("unbounded admission");
     service.drain();
     assert!(mutant_ticket.wait().result.is_ok());
-    let compile = store.stats().phase(Phase::Compile);
-    assert_eq!(
-        compile.inserts,
-        funcs + 1,
-        "only the mutated function recompiles — its siblings' units are \
-         shared with the original program"
-    );
+    let after = store.stats();
+    for phase in PHASES {
+        let (b, a) = (before.phase(phase), after.phase(phase));
+        assert_eq!(a.misses, b.misses + 1, "mutant {phase} misses");
+        assert_eq!(a.inserts, b.inserts + 1, "mutant {phase} inserts");
+    }
 }
