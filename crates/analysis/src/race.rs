@@ -15,7 +15,7 @@
 //!   dataflow on the [`Cfg`], spawn/call/acquire site lists, and
 //!   "may a spawn / call have happened before this statement" facts.
 //!   The summary depends only on the function body.
-//! * [`RaceAnalysis::compose`] combines the summaries bottom-up with a
+//! * [`RaceAnalysis::analyze`] composes the summaries bottom-up with a
 //!   cheap interprocedural algebra (call-closure of spawn/release
 //!   effects, a decreasing `entry_solo` fixpoint, thread-root
 //!   reachability) and assigns every access site its verdict.
@@ -100,7 +100,7 @@ impl RaceVerdict {
 /// bottom-up into the program-level [`RaceAnalysis`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuncRaceSummary {
-    /// Number of body statements (see [`FuncRaceSummary::fits`]).
+    /// Number of body statements.
     pub stmt_count: u32,
     /// True when the function references a lock id `>= 64`; its
     /// lockset masks are then under-approximate beyond repair and the
@@ -444,15 +444,6 @@ impl FuncRaceSummary {
             acquire_sites,
         }
     }
-
-    /// True when the summary's shape matches `func` (the precondition of
-    /// handing it to [`RaceAnalysis::compose`] for that function).
-    pub fn fits(&self, func: &Function) -> bool {
-        self.stmt_count as usize == func.body.len()
-            && self.locksets.len() == func.body.len()
-            && self.spawn_before.len() == func.body.len()
-            && self.callees_before.len() == func.body.len()
-    }
 }
 
 /// True when statement `s` can re-execute: it reaches itself in the CFG.
@@ -642,7 +633,7 @@ impl RaceAnalysis {
 
     /// Composes precomputed summaries.
     /// `summaries[i]` must correspond to `program.funcs[i]`.
-    pub fn compose(program: &Program, summaries: Vec<FuncRaceSummary>) -> RaceAnalysis {
+    fn compose(program: &Program, summaries: Vec<FuncRaceSummary>) -> RaceAnalysis {
         let nf = summaries.len();
         let main = program.main.0 as usize;
 
@@ -1247,11 +1238,15 @@ mod tests {
         )
         .unwrap();
         let summaries: Vec<FuncRaceSummary> = p.funcs.iter().map(FuncRaceSummary::of).collect();
+        // Each summary's per-statement rows match its function's shape.
         for (f, s) in p.funcs.iter().zip(&summaries) {
-            assert!(s.fits(f));
+            let n = f.body.len();
+            assert_eq!(s.stmt_count as usize, n);
+            assert_eq!(s.locksets.len(), n);
+            assert_eq!(s.spawn_before.len(), n);
+            assert_eq!(s.callees_before.len(), n);
         }
-        assert!(!summaries[0].fits(&p.funcs[1]) || p.funcs[0].body.len() == p.funcs[1].body.len());
-        let composed = RaceAnalysis::compose(&p, summaries.clone());
+        let composed = RaceAnalysis::compose(&p, summaries);
         let direct = RaceAnalysis::analyze(&p);
         assert_eq!(composed.verdicts, direct.verdicts);
         assert_eq!(composed.stmt_verdicts, direct.stmt_verdicts);

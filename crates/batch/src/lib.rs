@@ -12,12 +12,8 @@
 //! * **back-pressure** — admission is governed by a configurable
 //!   [`AdmissionPolicy`] tied to the shared [`minipool::Limit`] executor
 //!   budget: `submit` can reject with [`AdmitError::Saturated`] (the
-//!   [`SubmitError`] hands the job back, so retries rebuild nothing),
-//!   block until capacity frees up, or — with
-//!   [`AdmissionPolicy::Adaptive`] — close the telemetry loop: consult
-//!   the shared store's live eviction/churn counters and route exactly
-//!   the jobs whose predicted artifact footprint would evict hot
-//!   entries to a cold shard ([`FleetConfig::cold_store`]) instead;
+//!   [`SubmitError`] hands the job back, so retries rebuild nothing)
+//!   or block until capacity frees up;
 //! * **ticket-based retrieval** — [`JobTicket::wait`] blocks for (and
 //!   helps drive) one job's [`JobOutcome`]; [`JobTicket::try_outcome`]
 //!   polls without blocking;
@@ -29,10 +25,9 @@
 //! * **one executor** — every session's schedule search draws from a
 //!   single [`minipool::Limit`]-backed pool handle;
 //! * **one artifact store** — all sessions share a content-addressed
-//!   [`ArtifactStore`] (scale it horizontally with
-//!   [`ShardedStore`](mcr_core::ShardedStore)), so any phase already
-//!   computed for the same *(program, input, dump, options)* anywhere in
-//!   the fleet is rehydrated instead of re-run;
+//!   [`ArtifactStore`], so any phase already computed for the same
+//!   *(program, input, dump, options)* anywhere in the fleet is
+//!   rehydrated instead of re-run;
 //! * **single-flight dedup** — identical phase units scheduled in the
 //!   same wave run once: one leader computes, the duplicates wait and
 //!   rehydrate from the store;
@@ -55,14 +50,10 @@
 //! service is `Sync`: submitting from many threads (e.g. via
 //! `std::thread::scope`) while another drains is the intended shape.
 //!
-//! ## Compatibility facade
-//!
-//! [`Fleet`] — the original consume-on-run batch API — survives as a
-//! thin wrapper: [`Fleet::run`] submits every pushed job to a private
-//! `TriageService` (unbounded admission), drains it, and returns the
-//! same [`FleetOutcome`] as before. Reports are pinned bit-identical
-//! between the two APIs by the repository's `tests/batch.rs` and
-//! `tests/triage.rs`.
+//! A closed job list is the same service used briefly: submit every
+//! job, then [`TriageService::shutdown`] drains them all and returns
+//! the [`FleetSummary`]; each ticket then yields its outcome without
+//! waiting.
 //!
 //! ```no_run
 //! use mcr_batch::{AdmissionPolicy, FleetConfig, FleetJob, TriageService};
@@ -96,7 +87,7 @@ use mcr_core::{
 };
 use mcr_dump::CoreDump;
 use mcr_lang::Program;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -185,8 +176,8 @@ impl<'p> FleetJob<'p> {
 /// for live introspection).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AdmissionPolicy {
-    /// Admit everything immediately (the default; what [`Fleet::run`]
-    /// uses — a closed job list provides its own back-pressure).
+    /// Admit everything immediately (the default — a closed job list
+    /// provides its own back-pressure).
     #[default]
     Unbounded,
     /// Reject with [`AdmitError::Saturated`] while
@@ -203,27 +194,6 @@ pub enum AdmissionPolicy {
     Block {
         /// Saturation threshold, in pending (queued + live) jobs.
         max_pending: usize,
-    },
-    /// Telemetry-driven admission: block like [`AdmissionPolicy::Block`]
-    /// at `max_pending`, and additionally watch the shared store's
-    /// [`StoreStats`] at every admission. While the hot store is
-    /// *churning* — lifetime evictions exceed `churn_permille`‰ of
-    /// lifetime inserts — any job whose predicted artifact footprint
-    /// (the per-phase mean artifact sizes the fleet's telemetry has
-    /// recorded, summed over the phases a fresh job inserts) is at
-    /// least the hot store's average resident entry is *shed*: opened
-    /// against [`FleetConfig::cold_store`] instead, so it cannot evict
-    /// hot entries other jobs are about to rehydrate. Shedding is pure
-    /// cache placement — the shed job's [`ReproReport`] is bit-identical
-    /// to what an [`AdmissionPolicy::Unbounded`] run produces. Without a
-    /// configured cold store the policy degrades to plain blocking
-    /// back-pressure.
-    Adaptive {
-        /// Saturation threshold, in pending (queued + live) jobs.
-        max_pending: usize,
-        /// Eviction-per-insert churn threshold, in per mille (e.g. 250
-        /// sheds once more than a quarter of inserts evicted something).
-        churn_permille: u32,
     },
 }
 
@@ -284,8 +254,7 @@ impl Error for SubmitError<'_> {
     }
 }
 
-/// Fleet-wide configuration (shared by [`TriageService`] and the
-/// [`Fleet`] facade).
+/// Fleet-wide configuration of a [`TriageService`].
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Worker-thread budget shared by *everything* the fleet runs:
@@ -293,8 +262,7 @@ pub struct FleetConfig {
     /// the machine's available cores.
     pub workers: usize,
     /// The shared content-addressed artifact store. Defaults to an
-    /// unbounded [`MemoryStore`]; swap in a
-    /// [`ShardedStore`](mcr_core::ShardedStore) to partition the cache.
+    /// unbounded [`MemoryStore`].
     pub store: Arc<dyn ArtifactStore>,
     /// Fleet-wide cancellation: firing this token propagates to every
     /// live job's session token and marks queued-but-unstarted jobs
@@ -304,13 +272,6 @@ pub struct FleetConfig {
     pub cancel: CancelToken,
     /// Back-pressure applied by [`TriageService::submit`].
     pub admission: AdmissionPolicy,
-    /// Optional cold shard for [`AdmissionPolicy::Adaptive`]: jobs the
-    /// admission telemetry predicts would churn the hot store are opened
-    /// against this store instead. `None` disables shedding (adaptive
-    /// admission then degrades to pure blocking back-pressure). Shedding
-    /// never changes a report — only which store caches the job's
-    /// artifacts.
-    pub cold_store: Option<Arc<dyn ArtifactStore>>,
 }
 
 impl Default for FleetConfig {
@@ -320,7 +281,6 @@ impl Default for FleetConfig {
             store: Arc::new(MemoryStore::unbounded()),
             cancel: CancelToken::new(),
             admission: AdmissionPolicy::Unbounded,
-            cold_store: None,
         }
     }
 }
@@ -377,8 +337,6 @@ pub struct FleetSummary {
     /// Phase units deduplicated while in flight (followers of a
     /// same-key leader in the same wave).
     pub deduped_in_flight: u64,
-    /// Jobs the adaptive admission policy shed to the cold store.
-    pub shed: u64,
     /// Scheduling waves the fleet ran.
     pub waves: u64,
     /// Worker-thread budget the fleet ran with.
@@ -387,47 +345,6 @@ pub struct FleetSummary {
     pub store: StoreStats,
     /// End-to-end wall time.
     pub wall: Duration,
-}
-
-/// The fleet's result: per-job outcomes (in submission order) plus the
-/// summary.
-#[derive(Debug)]
-pub struct FleetOutcome {
-    /// One outcome per submitted job, in submission order.
-    pub jobs: Vec<JobOutcome>,
-    /// Fleet-wide totals.
-    pub summary: FleetSummary,
-    /// Name → index into [`FleetOutcome::jobs`], built once. Duplicate
-    /// names resolve last-wins (see [`FleetOutcome::job`]).
-    by_name: HashMap<String, usize>,
-}
-
-impl FleetOutcome {
-    fn new(jobs: Vec<JobOutcome>, summary: FleetSummary) -> FleetOutcome {
-        // Insertion order makes later submissions overwrite earlier
-        // ones: last-wins, documented on `job`.
-        let by_name = jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| (j.name.clone(), i))
-            .collect();
-        FleetOutcome {
-            jobs,
-            summary,
-            by_name,
-        }
-    }
-
-    /// The outcome of the named job, if present — an O(1) map lookup
-    /// (the index is built once when the outcome is put together).
-    ///
-    /// Job names are not required to be unique; when several jobs share
-    /// a name, the **last-submitted** one wins (a triage queue's newest
-    /// report for a recurring crash is the interesting one). Iterate
-    /// [`FleetOutcome::jobs`] to see every duplicate.
-    pub fn job(&self, name: &str) -> Option<&JobOutcome> {
-        self.by_name.get(name).map(|&i| &self.jobs[i])
-    }
 }
 
 /// Tees each event into the job's collected log and the optional
@@ -465,9 +382,6 @@ struct QueuedJob<'p> {
     input: Vec<i64>,
     options: ReproOptions,
     observer: Option<Box<dyn PhaseObserver + Send + 'p>>,
-    /// Adaptive admission decided at submit time to route this job's
-    /// artifacts to the cold store.
-    shed: bool,
 }
 
 /// One job's lifecycle inside the service.
@@ -516,16 +430,12 @@ struct Shared<'p> {
     computed: u64,
     cache_hits: u64,
     deduped: u64,
-    /// Jobs the adaptive policy shed to the cold store.
-    shed: u64,
 }
 
 /// A long-running, handle-based triage scheduler. See the [crate
-/// docs](crate) for the model; see [`Fleet`] for the closed-list
-/// compatibility facade.
+/// docs](crate) for the model.
 pub struct TriageService<'p> {
     store: Arc<dyn ArtifactStore>,
-    cold_store: Option<Arc<dyn ArtifactStore>>,
     cancel: CancelToken,
     admission: AdmissionPolicy,
     workers: usize,
@@ -576,8 +486,7 @@ impl fmt::Debug for JobTicket<'_, '_> {
 }
 
 impl<'s, 'p> JobTicket<'s, 'p> {
-    /// The job's submission index (also its position in
-    /// [`FleetOutcome::jobs`] under the facade).
+    /// The job's submission index.
     pub fn id(&self) -> usize {
         self.id
     }
@@ -654,17 +563,9 @@ impl<'p> TriageService<'p> {
             AdmissionPolicy::Block { max_pending } => AdmissionPolicy::Block {
                 max_pending: max_pending.max(1),
             },
-            AdmissionPolicy::Adaptive {
-                max_pending,
-                churn_permille,
-            } => AdmissionPolicy::Adaptive {
-                max_pending: max_pending.max(1),
-                churn_permille,
-            },
         };
         TriageService {
             store: config.store,
-            cold_store: config.cold_store,
             cancel: config.cancel,
             admission,
             workers,
@@ -682,7 +583,6 @@ impl<'p> TriageService<'p> {
                 computed: 0,
                 cache_hits: 0,
                 deduped: 0,
-                shed: 0,
             }),
             cv: Condvar::new(),
             sched: Mutex::new(()),
@@ -753,8 +653,7 @@ impl<'p> TriageService<'p> {
                     }
                     break;
                 }
-                AdmissionPolicy::Block { max_pending }
-                | AdmissionPolicy::Adaptive { max_pending, .. } => {
+                AdmissionPolicy::Block { max_pending } => {
                     if shared.pending < max_pending {
                         break;
                     }
@@ -766,13 +665,6 @@ impl<'p> TriageService<'p> {
                 }
             }
         }
-        // The adaptive policy decides cache placement at admission,
-        // from the store telemetry as of *this* submit.
-        let shed = match self.admission {
-            AdmissionPolicy::Adaptive { churn_permille, .. } => self.sheds_to_cold(churn_permille),
-            _ => false,
-        };
-        shared.shed += u64::from(shed);
         let FleetJob {
             name,
             program,
@@ -794,7 +686,6 @@ impl<'p> TriageService<'p> {
                 input,
                 options,
                 observer,
-                shed,
             }))),
         });
         shared.slots.push(Arc::clone(&slot));
@@ -805,37 +696,6 @@ impl<'p> TriageService<'p> {
             slot,
             id: seq,
         })
-    }
-
-    /// Whether the adaptive policy routes the next admitted job's
-    /// artifacts to the cold shard. Two conditions, both read from the
-    /// hot store's live [`StoreStats`]: the store must be churning
-    /// (lifetime evictions above the policy's per-mille threshold of
-    /// lifetime inserts), and the job's predicted footprint — the
-    /// per-phase mean artifact size telemetry has recorded, summed over
-    /// the phase kinds a fresh job inserts — must be at least the hot
-    /// store's average resident entry, i.e. caching it would evict
-    /// something at least as valuable as what it adds.
-    fn sheds_to_cold(&self, churn_permille: u32) -> bool {
-        if self.cold_store.is_none() {
-            return false;
-        }
-        let stats = self.store.stats();
-        if stats.inserts == 0 || stats.entries == 0 {
-            return false;
-        }
-        let churning = stats.evictions.saturating_mul(1000)
-            > stats.inserts.saturating_mul(churn_permille as u64);
-        if !churning {
-            return false;
-        }
-        let predicted: usize = stats
-            .per_phase
-            .iter()
-            .filter(|p| p.inserts > 0 && p.entries > 0)
-            .map(|p| p.bytes / p.entries)
-            .sum();
-        predicted >= stats.bytes / stats.entries
     }
 
     /// Runs at most one scheduling wave on the calling thread (a no-op
@@ -885,7 +745,6 @@ impl<'p> TriageService<'p> {
             computed: shared.computed,
             cache_hits: shared.cache_hits,
             deduped_in_flight: shared.deduped,
-            shed: shared.shed,
             waves: shared.waves,
             workers: self.workers,
             store: self.store.stats(),
@@ -983,12 +842,8 @@ impl<'p> TriageService<'p> {
                         input,
                         mut options,
                         observer,
-                        shed,
                     } = *queued;
-                    options.store = Some(match (&self.cold_store, shed) {
-                        (Some(cold), true) => Arc::clone(cold),
-                        _ => Arc::clone(&self.store),
-                    });
+                    options.store = Some(Arc::clone(&self.store));
                     options.pool = Some(self.pool.clone());
                     match ReproSession::new(program, dump, &input, options) {
                         Ok(mut session) => {
@@ -1217,70 +1072,6 @@ fn finalize(name: &str, priority: u32, live: LiveSlot<'_>) -> (JobOutcome, Final
     )
 }
 
-/// A closed batch of reproduction jobs scheduled over one shared
-/// executor and artifact store — the original `mcr-batch` API, kept as
-/// a thin facade over [`TriageService`]: [`Fleet::run`] submits every
-/// pushed job (unbounded admission), drains the service, and collects
-/// the outcomes in submission order.
-pub struct Fleet<'p> {
-    config: FleetConfig,
-    jobs: Vec<FleetJob<'p>>,
-}
-
-impl<'p> Fleet<'p> {
-    /// An empty fleet.
-    pub fn new(config: FleetConfig) -> Fleet<'p> {
-        Fleet {
-            config,
-            jobs: Vec::new(),
-        }
-    }
-
-    /// Adds a job.
-    pub fn push(&mut self, job: FleetJob<'p>) {
-        self.jobs.push(job);
-    }
-
-    /// Number of submitted jobs.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether no jobs have been submitted.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// A clone of the fleet-wide cancellation token.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.config.cancel.clone()
-    }
-
-    /// Runs every job to completion (or error) and returns the
-    /// outcomes: submit-all + drain on a private [`TriageService`]
-    /// (admission is forced unbounded — a closed job list provides its
-    /// own back-pressure).
-    ///
-    /// Scheduling model: see [`TriageService`]; with every job admitted
-    /// up front the waves are exactly the classic fleet waves — each
-    /// unfinished job's next phase in `(priority, submission)` order,
-    /// deduplicated by content-addressed [`PhaseKey`].
-    pub fn run(self) -> FleetOutcome {
-        let Fleet { config, jobs } = self;
-        let service = TriageService::new(FleetConfig {
-            admission: AdmissionPolicy::Unbounded,
-            ..config
-        });
-        let tickets: Vec<JobTicket<'_, 'p>> = jobs
-            .into_iter()
-            .map(|job| service.submit(job).expect("unbounded admission"))
-            .collect();
-        service.drain();
-        let outcomes: Vec<JobOutcome> = tickets.into_iter().map(JobTicket::wait).collect();
-        FleetOutcome::new(outcomes, service.summary())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1317,6 +1108,18 @@ mod tests {
         (p, sf.dump)
     }
 
+    /// Submits every job, then shuts the service down (which drains
+    /// it): the outcomes in submission order, plus the final summary.
+    fn run_all(config: FleetConfig, jobs: Vec<FleetJob<'_>>) -> (Vec<JobOutcome>, FleetSummary) {
+        let service = TriageService::new(config);
+        let tickets: Vec<_> = jobs
+            .into_iter()
+            .map(|job| service.submit(job).expect("unbounded admission"))
+            .collect();
+        let summary = service.shutdown();
+        (tickets.into_iter().map(JobTicket::wait).collect(), summary)
+    }
+
     #[test]
     fn duplicate_jobs_are_deduplicated_and_agree_with_a_solo_run() {
         let (program, dump) = fig1_failure();
@@ -1324,27 +1127,21 @@ mod tests {
             .reproduce(&dump, &INPUT)
             .unwrap();
 
-        let mut fleet = Fleet::new(FleetConfig::default());
-        for i in 0..3 {
-            fleet.push(FleetJob::new(
-                format!("dup-{i}"),
-                &program,
-                dump.clone(),
-                &INPUT,
-            ));
-        }
-        let outcome = fleet.run();
-        assert_eq!(outcome.summary.jobs, 3);
-        assert_eq!(outcome.summary.completed, 3);
-        assert_eq!(outcome.summary.failed, 0);
+        let jobs = (0..3)
+            .map(|i| FleetJob::new(format!("dup-{i}"), &program, dump.clone(), &INPUT))
+            .collect();
+        let (outcomes, summary) = run_all(FleetConfig::default(), jobs);
+        assert_eq!(summary.jobs, 3);
+        assert_eq!(summary.completed, 3);
+        assert_eq!(summary.failed, 0);
         // 3 jobs x 5 phases scheduled, but only 5 computed: the
         // duplicates were either deduped in flight or store hits.
-        assert_eq!(outcome.summary.phase_units, 15);
-        assert_eq!(outcome.summary.computed, 5);
-        assert_eq!(outcome.summary.cache_hits, 10);
-        assert_eq!(outcome.summary.deduped_in_flight, 10);
-        assert_eq!(outcome.summary.waves, 5);
-        for job in &outcome.jobs {
+        assert_eq!(summary.phase_units, 15);
+        assert_eq!(summary.computed, 5);
+        assert_eq!(summary.cache_hits, 10);
+        assert_eq!(summary.deduped_in_flight, 10);
+        assert_eq!(summary.waves, 5);
+        for job in &outcomes {
             let report = job.result.as_ref().expect("job completed");
             assert_eq!(report.search.reproduced, solo.search.reproduced);
             assert_eq!(report.search.tries, solo.search.tries);
@@ -1353,33 +1150,33 @@ mod tests {
             assert_eq!(report.diffs, solo.diffs);
         }
         // Exactly one job computed; the others only hit.
-        let computed: u32 = outcome.jobs.iter().map(|j| j.computed).sum();
+        let computed: u32 = outcomes.iter().map(|j| j.computed).sum();
         assert_eq!(computed, 5);
     }
 
     #[test]
     fn priorities_order_leaders_and_outcomes_keep_submission_order() {
         let (program, dump) = fig1_failure();
-        let mut fleet = Fleet::new(FleetConfig {
-            workers: 1,
-            ..Default::default()
-        });
-        fleet.push(FleetJob::new("late", &program, dump.clone(), &INPUT).with_priority(9));
         // A *distinct* unit (different options → different keys).
         let opts = ReproOptions::builder().trace_window(1_000_000).build();
-        fleet.push(
+        let jobs = vec![
+            FleetJob::new("late", &program, dump.clone(), &INPUT).with_priority(9),
             FleetJob::new("early", &program, dump.clone(), &INPUT)
                 .with_options(opts)
                 .with_priority(1),
-        );
-        let outcome = fleet.run();
+        ];
+        let config = FleetConfig {
+            workers: 1,
+            ..Default::default()
+        };
+        let (outcomes, summary) = run_all(config, jobs);
         // Outcomes stay in submission order regardless of priority.
-        assert_eq!(outcome.jobs[0].name, "late");
-        assert_eq!(outcome.jobs[1].name, "early");
-        assert_eq!(outcome.summary.completed, 2);
+        assert_eq!(outcomes[0].name, "late");
+        assert_eq!(outcomes[1].name, "early");
+        assert_eq!(summary.completed, 2);
         // Distinct keys: nothing deduped, every unit computed.
-        assert_eq!(outcome.summary.deduped_in_flight, 0);
-        assert_eq!(outcome.summary.computed, 10);
+        assert_eq!(summary.deduped_in_flight, 0);
+        assert_eq!(summary.computed, 10);
     }
 
     #[test]
@@ -1394,12 +1191,11 @@ mod tests {
         );
         let dump =
             mcr_dump::CoreDump::capture(&vm, mcr_vm::ThreadId(0), mcr_dump::DumpReason::Manual);
-        let mut fleet = Fleet::new(FleetConfig::default());
-        fleet.push(FleetJob::new("not-a-failure", &program, dump, &[]));
-        let outcome = fleet.run();
-        assert_eq!(outcome.summary.failed, 1);
+        let jobs = vec![FleetJob::new("not-a-failure", &program, dump, &[])];
+        let (outcomes, summary) = run_all(FleetConfig::default(), jobs);
+        assert_eq!(summary.failed, 1);
         assert!(matches!(
-            outcome.jobs[0].result,
+            outcomes[0].result,
             Err(ReproError::NotAFailureDump)
         ));
     }
@@ -1409,12 +1205,11 @@ mod tests {
         let (program, dump) = fig1_failure();
         let config = FleetConfig::default();
         config.cancel.cancel();
-        let mut fleet = Fleet::new(config);
-        fleet.push(FleetJob::new("job", &program, dump, &INPUT));
-        let outcome = fleet.run();
-        assert_eq!(outcome.summary.failed, 1);
+        let jobs = vec![FleetJob::new("job", &program, dump, &INPUT)];
+        let (outcomes, summary) = run_all(config, jobs);
+        assert_eq!(summary.failed, 1);
         assert!(matches!(
-            outcome.jobs[0].result,
+            outcomes[0].result,
             Err(ReproError::Cancelled(Phase::Index))
         ));
     }
@@ -1427,44 +1222,18 @@ mod tests {
             store: Arc::clone(&store),
             ..Default::default()
         };
-        let mut first = Fleet::new(config.clone());
-        first.push(FleetJob::new("cold", &program, dump.clone(), &INPUT));
-        let first = first.run();
-        assert_eq!(first.summary.computed, 5);
+        let cold_job = vec![FleetJob::new("cold", &program, dump.clone(), &INPUT)];
+        let (first, summary) = run_all(config.clone(), cold_job);
+        assert_eq!(summary.computed, 5);
 
-        let mut second = Fleet::new(config);
-        second.push(FleetJob::new("warm", &program, dump, &INPUT));
-        let second = second.run();
-        assert_eq!(second.summary.computed, 0);
-        assert_eq!(second.summary.cache_hits, 5);
-        let cold = first.jobs[0].result.as_ref().unwrap();
-        let warm = second.jobs[0].result.as_ref().unwrap();
+        let warm_job = vec![FleetJob::new("warm", &program, dump, &INPUT)];
+        let (second, summary) = run_all(config, warm_job);
+        assert_eq!(summary.computed, 0);
+        assert_eq!(summary.cache_hits, 5);
+        let cold = first[0].result.as_ref().unwrap();
+        let warm = second[0].result.as_ref().unwrap();
         // Rehydrated reports are bit-identical, timings included.
         assert_eq!(cold, warm);
-    }
-
-    #[test]
-    fn outcome_lookup_is_indexed_and_duplicate_names_resolve_last_wins() {
-        let (program, dump) = fig1_failure();
-        let store: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::unbounded());
-        let mut fleet = Fleet::new(FleetConfig {
-            store,
-            ..Default::default()
-        });
-        // Two jobs sharing a name, with distinct priorities to tell the
-        // outcomes apart.
-        fleet.push(FleetJob::new("crash", &program, dump.clone(), &INPUT).with_priority(1));
-        fleet.push(FleetJob::new("crash", &program, dump.clone(), &INPUT).with_priority(2));
-        fleet.push(FleetJob::new("other", &program, dump, &INPUT).with_priority(3));
-        let outcome = fleet.run();
-        // Both duplicates are retained in submission order…
-        assert_eq!(outcome.jobs.len(), 3);
-        assert_eq!(outcome.jobs[0].priority, 1);
-        assert_eq!(outcome.jobs[1].priority, 2);
-        // …and the named lookup resolves to the last-submitted one.
-        assert_eq!(outcome.job("crash").unwrap().priority, 2);
-        assert_eq!(outcome.job("other").unwrap().priority, 3);
-        assert!(outcome.job("missing").is_none());
     }
 
     #[test]
@@ -1566,10 +1335,6 @@ mod tests {
         for admission in [
             AdmissionPolicy::Reject { max_pending: 0 },
             AdmissionPolicy::Block { max_pending: 0 },
-            AdmissionPolicy::Adaptive {
-                max_pending: 0,
-                churn_permille: 250,
-            },
         ] {
             let service = TriageService::new(FleetConfig {
                 admission,
@@ -1580,77 +1345,6 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{admission:?} must admit one job: {e}"));
             assert!(ticket.wait().result.is_ok());
         }
-    }
-
-    #[test]
-    fn adaptive_policy_sheds_churny_jobs_to_the_cold_store() {
-        let (program, dump) = fig1_failure();
-        // A hot store far too small for one job's artifacts: every
-        // insert evicts, so the churn telemetry trips immediately.
-        let hot: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::with_capacity(64));
-        let cold: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::unbounded());
-        let service = TriageService::new(FleetConfig {
-            store: Arc::clone(&hot),
-            cold_store: Some(Arc::clone(&cold)),
-            admission: AdmissionPolicy::Adaptive {
-                max_pending: 8,
-                churn_permille: 250,
-            },
-            ..Default::default()
-        });
-        // Cold start: no telemetry yet, so the first job is admitted
-        // hot — and churns the 64-byte store.
-        let first = service
-            .submit(FleetJob::new("churn", &program, dump.clone(), &INPUT))
-            .unwrap()
-            .wait();
-        assert!(hot.stats().evictions > 0, "hot store must churn");
-        // The telemetry loop closes: the next job's predicted footprint
-        // would evict hot entries, so it is shed to the cold shard.
-        let second = service
-            .submit(FleetJob::new("shed", &program, dump.clone(), &INPUT))
-            .unwrap()
-            .wait();
-        let summary = service.shutdown();
-        assert_eq!(summary.shed, 1, "second job shed");
-        assert!(cold.stats().inserts > 0, "shed job cached cold");
-        // Shedding changes cache placement only — both jobs agree on
-        // every observable.
-        let (a, b) = (
-            first.result.as_ref().expect("completed"),
-            second.result.as_ref().expect("completed"),
-        );
-        assert_eq!(a.search.reproduced, b.search.reproduced);
-        assert_eq!(a.search.tries, b.search.tries);
-        assert_eq!(a.search.winning, b.search.winning);
-        assert_eq!(a.csv_paths, b.csv_paths);
-        assert_eq!(a.diffs, b.diffs);
-    }
-
-    #[test]
-    fn adaptive_without_a_cold_store_never_sheds() {
-        let (program, dump) = fig1_failure();
-        let service = TriageService::new(FleetConfig {
-            store: Arc::new(MemoryStore::with_capacity(64)),
-            admission: AdmissionPolicy::Adaptive {
-                max_pending: 8,
-                churn_permille: 250,
-            },
-            ..Default::default()
-        });
-        for i in 0..2 {
-            let outcome = service
-                .submit(FleetJob::new(
-                    format!("job-{i}"),
-                    &program,
-                    dump.clone(),
-                    &INPUT,
-                ))
-                .unwrap()
-                .wait();
-            assert!(outcome.result.is_ok());
-        }
-        assert_eq!(service.shutdown().shed, 0);
     }
 
     #[test]

@@ -7,10 +7,6 @@
 //! * `index/*` — failure-index reverse engineering and alignment.
 //! * `slice/*` — dependence trace + backward slice (Table 6).
 //! * `search/*` — one end-to-end directed search per algorithm (Table 4).
-//! * `segment_seek/*` — segmented-artifact rehydration: a random range
-//!   read from a checksummed `SegmentedBytes` container (the `SegStore`
-//!   cache-miss path) vs decoding the whole blob to serve the same
-//!   range (the materialized baseline).
 //! * `search_hotpath/*` — the search engine's cost model in isolation:
 //!   checkpoint (`Vm::clone`) cost on a heap-rich state, stepping
 //!   throughput, one test execution (a "try"), and a guided vs plain
@@ -264,26 +260,6 @@ fn bench_search(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_segment_seek(c: &mut Criterion) {
-    use mcr_bench::hotpath::segment_fixture;
-
-    let (seg, ranges) = segment_fixture();
-    let total = seg.total_len() as usize;
-    let mut g = c.benchmark_group("segment_seek");
-    g.bench_function("random_range", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let (off, len) = ranges[i % ranges.len()];
-            i += 1;
-            black_box(seg.read_range(off, len).expect("fixture range"))
-        });
-    });
-    g.bench_function("whole_blob", |b| {
-        b.iter(|| black_box(seg.read_range(0, total).expect("whole blob")));
-    });
-    g.finish();
-}
-
 fn bench_search_hotpath(c: &mut Criterion) {
     use mcr_bench::hotpath::{checkpoint_fixture_program, checkpoint_fixture_vm, SearchFixture};
 
@@ -352,7 +328,6 @@ criterion_group!(
     bench_index,
     bench_slice,
     bench_search,
-    bench_segment_seek,
     bench_search_hotpath,
     bench_worklist
 );

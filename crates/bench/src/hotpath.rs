@@ -109,70 +109,6 @@ fn median_ns(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Size of the segment-seek fixture payload (a paper-scale trace/dump
-/// blob: large enough that whole-blob decode visits hundreds of
-/// segments while a range read touches one or two).
-pub const SEGMENT_FIXTURE_BYTES: usize = 1 << 20;
-
-/// Bytes per random range read in the segment-seek measurement (an
-/// artifact-sized slice: one trace frame / one store entry).
-pub const SEGMENT_SEEK_RANGE: usize = 512;
-
-/// Builds the segment-seek fixture: a deterministic 1 MiB payload
-/// sealed into 4 KiB [`SegmentedBytes`](mcr_dump::SegmentedBytes)
-/// frames, plus 256 pseudorandom `(start, len)` ranges to rehydrate.
-pub fn segment_fixture() -> (mcr_dump::SegmentedBytes, Vec<(usize, usize)>) {
-    let mut rng = mcr_vm::SplitMix64::new(0x5365_6753_6565_6B21); // "SegSeek!"
-    let mut payload = vec![0u8; SEGMENT_FIXTURE_BYTES];
-    for chunk in payload.chunks_mut(8) {
-        let v = rng.next_u64().to_le_bytes();
-        let n = chunk.len();
-        chunk.copy_from_slice(&v[..n]);
-    }
-    let seg = mcr_dump::SegmentedBytes::from_payload(&payload, 4096);
-    let ranges: Vec<(usize, usize)> = (0..256)
-        .map(|_| {
-            let start = (rng.next_u64() as usize) % (SEGMENT_FIXTURE_BYTES - SEGMENT_SEEK_RANGE);
-            (start, SEGMENT_SEEK_RANGE)
-        })
-        .collect();
-    (seg, ranges)
-}
-
-/// Measures one random-range rehydration from the segmented container
-/// (checksum-verifying the one or two segments it touches), in
-/// nanoseconds — the `SegStore` cache-miss path.
-pub fn measure_segment_seek_ns() -> f64 {
-    let (seg, ranges) = segment_fixture();
-    let mut samples = Vec::new();
-    for _ in 0..SAMPLES {
-        let start = Instant::now();
-        for &(off, len) in &ranges {
-            std::hint::black_box(seg.read_range(off, len).expect("fixture range"));
-        }
-        samples.push(start.elapsed().as_nanos() as f64 / ranges.len() as f64);
-    }
-    median_ns(&mut samples)
-}
-
-/// Measures decoding the whole blob to serve the same range — the
-/// materialized baseline every range read paid before segmentation —
-/// in nanoseconds.
-pub fn measure_whole_blob_decode_ns() -> f64 {
-    let (seg, _) = segment_fixture();
-    let total = seg.total_len() as usize;
-    let mut samples = Vec::new();
-    for _ in 0..SAMPLES {
-        let iters = 8u32;
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(seg.read_range(0, total).expect("whole blob"));
-        }
-        samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    median_ns(&mut samples)
-}
-
 /// Measures one checkpoint (`Vm::clone`) on the heap-rich fixture, in
 /// nanoseconds.
 pub fn measure_checkpoint_clone_ns() -> f64 {

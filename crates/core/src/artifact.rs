@@ -440,9 +440,8 @@ fn read_search_result(r: &mut Reader<'_>) -> Result<SearchResult, DecodeError> {
     })
 }
 
-// The trace-event byte layout is canonical in `mcr_slice` (the
-// segment-spilling sink seals frames on it); the diff artifact reuses it
-// verbatim so spilled frames and cached artifacts stay bit-identical.
+// The trace-event byte layout lives in `mcr_slice`, next to
+// `TraceEvent`; the diff artifact reuses it verbatim.
 fn write_trace_event(w: &mut Writer, e: &TraceEvent) {
     mcr_slice::write_trace_event(w, e);
 }

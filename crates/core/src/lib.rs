@@ -87,8 +87,8 @@ pub use pipeline::{
 };
 pub use session::ReproSession;
 pub use store::{
-    measured_frame_size, program_fingerprint, ArtifactStore, BytesStore, MemoryStore, NullStore,
-    PhaseKey, PhaseStats, SegAccessStats, SegStore, ShardedStore, StoreStats, SEG_STORE_FRAME_SIZE,
+    program_fingerprint, ArtifactStore, BytesStore, MemoryStore, NullStore, PhaseKey, PhaseStats,
+    StoreStats,
 };
 pub use stress::{
     find_failure, find_failure_cfg, find_failure_par, find_failure_par_cancellable,

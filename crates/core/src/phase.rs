@@ -423,12 +423,7 @@ impl PipelinePhase for DiffPhase {
         // Replay to the aligned point; capture dump + trace.
         let t0 = Instant::now();
         let mut replay = s.new_vm();
-        let mut collector = TraceCollector::with_spill(
-            s.program,
-            s.analysis(),
-            s.options.trace_window,
-            s.effective_trace_spill(),
-        );
+        let mut collector = TraceCollector::new(s.program, s.analysis(), s.options.trace_window);
         {
             let mut sched = DeterministicScheduler::new();
             let stop_after = alignment.step;

@@ -140,22 +140,6 @@ pub struct ReproOptions {
     pub search: SearchConfig,
     /// Dependence-trace window (events).
     pub trace_window: usize,
-    /// Where the dependence trace's retained window lives while it is
-    /// collected: in memory (the historical behavior) or spilled into
-    /// checksummed [`SegmentedBytes`](mcr_dump::SegmentedBytes) frames so
-    /// `trace_window` can exceed RAM. Purely a residency knob — the
-    /// finished [`Trace`](mcr_slice::Trace) is bit-identical either way —
-    /// so it is excluded from phase keys and, like the other runtime
-    /// tuning knobs, not serialized into checkpoints (resumed sessions
-    /// default to [`TraceSpill::InMemory`](mcr_slice::TraceSpill)).
-    ///
-    /// The default segmented granularity
-    /// ([`TraceSpill::segmented()`](mcr_slice::TraceSpill::segmented))
-    /// is adaptive: a session with a warm artifact store re-derives the
-    /// frame size from the store's measured per-phase residency
-    /// histogram (see `ReproSession::effective_trace_spill`). An
-    /// explicit `Segmented { frame_events }` is honored verbatim.
-    pub trace_spill: mcr_slice::TraceSpill,
     /// Step cap for the passing run and replay.
     pub max_steps: u64,
     /// Traversal limits for dump reachability.
@@ -216,7 +200,6 @@ impl Default for ReproOptions {
             algorithm: Algorithm::ChessX,
             search: SearchConfig::default(),
             trace_window: 2_000_000,
-            trace_spill: mcr_slice::TraceSpill::InMemory,
             max_steps: 50_000_000,
             limits: TraverseLimits::default(),
             parallelism: minipool::available_parallelism(),
@@ -286,13 +269,6 @@ impl ReproOptionsBuilder {
     /// Sets the dependence-trace window (events).
     pub fn trace_window(mut self, events: usize) -> Self {
         self.options.trace_window = events;
-        self
-    }
-
-    /// Sets where the dependence-trace window resides during collection
-    /// (in memory, or spilled into checksummed segments).
-    pub fn trace_spill(mut self, spill: mcr_slice::TraceSpill) -> Self {
-        self.options.trace_spill = spill;
         self
     }
 
@@ -673,7 +649,6 @@ mod tests {
                 ..Default::default()
             })
             .trace_window(1234)
-            .trace_spill(mcr_slice::TraceSpill::segmented())
             .max_steps(5678)
             .limits(limits)
             .parallelism(2)
@@ -688,7 +663,6 @@ mod tests {
         assert_eq!(options.algorithm, Algorithm::Chess);
         assert_eq!(options.search.max_tries, 7);
         assert_eq!(options.trace_window, 1234);
-        assert_eq!(options.trace_spill, mcr_slice::TraceSpill::segmented());
         assert_eq!(options.max_steps, 5678);
         assert_eq!(options.limits.max_depth, 3);
         assert_eq!(options.parallelism, 2);

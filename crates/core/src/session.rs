@@ -289,30 +289,6 @@ impl<'p> ReproSession<'p> {
             .map(RaceAnalysis::verdicts)
     }
 
-    /// The spill mode the diff replay should collect its trace with.
-    ///
-    /// [`mcr_slice::TraceSpill::segmented()`] asks for spilling without
-    /// committing to a frame granularity, so for that value (and only
-    /// that value — an explicit `Segmented { frame_events }` is
-    /// honored verbatim, as is `InMemory`) the session re-derives the
-    /// granularity from the attached store's measured per-phase
-    /// residency histogram ([`crate::store::measured_frame_size`]):
-    /// artifacts and spilled trace frames ride the same shipping and
-    /// caching fabric, so the frame size that suits the measured
-    /// artifact mix suits the spill. Residency-only, like the knob
-    /// itself — never part of phase keys or checkpoints.
-    pub fn effective_trace_spill(&self) -> mcr_slice::TraceSpill {
-        let spill = self.options.trace_spill;
-        if spill != mcr_slice::TraceSpill::segmented() || !self.store.is_caching() {
-            return spill;
-        }
-        let stats = self.store.stats();
-        if stats.mean_entry_size().is_none() {
-            return spill;
-        }
-        mcr_slice::TraceSpill::segmented_sized(crate::store::measured_frame_size(&stats))
-    }
-
     /// The latest completed phase, if any.
     pub fn completed(&self) -> Option<Phase> {
         if self.artifacts.search.is_some() {
@@ -838,11 +814,7 @@ fn read_artifact<T>(
 /// Serializes the options' *semantic* knobs (runtime attachments — the
 /// cancel token, artifact store, and executor handle — are
 /// process-local and excluded; they also do not contribute to session
-/// bases, so attaching a store never changes a phase key). The
-/// `trace_spill` residency knob is likewise excluded from both codecs:
-/// it never changes the collected trace, only where the window lives
-/// while it is gathered, so resumed sessions default to
-/// `TraceSpill::InMemory`.
+/// bases, so attaching a store never changes a phase key).
 fn write_options(w: &mut Writer, o: &ReproOptions) {
     write_env(w, o);
     w.bool(o.static_race);
@@ -936,7 +908,6 @@ fn read_options(r: &mut Reader<'_>) -> Result<ReproOptions, DecodeError> {
         algorithm,
         search,
         trace_window,
-        trace_spill: mcr_slice::TraceSpill::InMemory,
         max_steps,
         limits,
         parallelism,

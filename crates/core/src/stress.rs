@@ -57,21 +57,6 @@ impl StressFailure {
     pub fn dump_segmented(&self, frame_size: usize) -> mcr_dump::SegmentedBytes {
         mcr_dump::encode_segmented(&self.dump, frame_size)
     }
-
-    /// [`StressFailure::dump_segmented`] with the frame size derived
-    /// from a store's measured per-phase residency histogram
-    /// ([`crate::store::measured_frame_size`]) instead of the fixed
-    /// `mcr_dump::DUMP_FRAME_SIZE`: a triage fleet that already knows
-    /// its artifact mix sizes shipped dumps to match, so dump frames
-    /// and cache entries tile the same transport the same way. Frame
-    /// size is residency-only — the decoded dump is identical at any
-    /// granularity.
-    pub fn dump_segmented_measured(
-        &self,
-        stats: &crate::store::StoreStats,
-    ) -> mcr_dump::SegmentedBytes {
-        self.dump_segmented(crate::store::measured_frame_size(stats))
-    }
 }
 
 /// Runs the program under random interleavings until it crashes.
@@ -373,36 +358,6 @@ mod tests {
         let seg = f.dump_segmented(mcr_dump::DUMP_FRAME_SIZE);
         // The container survives a byte-level process hop and decodes
         // to the identical dump.
-        let shipped =
-            mcr_dump::SegmentedBytes::parse(seg.as_bytes().to_vec()).expect("framing valid");
-        assert_eq!(
-            mcr_dump::decode_segmented(&shipped).expect("payload decodes"),
-            f.dump
-        );
-    }
-
-    #[test]
-    fn measured_dump_framing_follows_the_store_histogram() {
-        use crate::store::{ArtifactStore, MemoryStore, PhaseKey};
-        use mcr_dump::wire::ContentHash;
-
-        let p = mcr_lang::compile(RACE).unwrap();
-        let f = find_failure(&p, &[], 0..100_000, 100_000).expect("stress exposes");
-
-        // An unmeasured store falls back to the fixed default framing.
-        let store = MemoryStore::unbounded();
-        assert_eq!(
-            f.dump_segmented_measured(&store.stats()).as_bytes(),
-            f.dump_segmented(mcr_dump::DUMP_FRAME_SIZE).as_bytes()
-        );
-
-        // A warm histogram re-frames the container to the measured
-        // size — and the re-framed payload still decodes identically.
-        let key = PhaseKey::derive(ContentHash::of(b"unit"), crate::Phase::Search, None);
-        store.put(&key, &[0u8; 1024]);
-        let measured = crate::store::measured_frame_size(&store.stats());
-        let seg = f.dump_segmented_measured(&store.stats());
-        assert_eq!(seg.as_bytes(), f.dump_segmented(measured).as_bytes());
         let shipped =
             mcr_dump::SegmentedBytes::parse(seg.as_bytes().to_vec()).expect("framing valid");
         assert_eq!(

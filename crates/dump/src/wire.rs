@@ -20,9 +20,9 @@
 //! * [`ContentHash`] identifies wire-encoded content for the
 //!   content-addressed artifact stores built on top,
 //! * [`SegmentedBytes`] packages a byte stream into fixed-size,
-//!   independently checksummed frames with a footer index, so large
-//!   artifacts (spilled traces, store snapshots) can be rehydrated by
-//!   byte range on demand instead of decoded whole.
+//!   independently checksummed frames with a footer index — the
+//!   container a core dump ships in (`crate::encode_segmented`), whose
+//!   byte ranges can be read on demand instead of decoded whole.
 
 use crate::codec::DecodeError;
 use mcr_lang::{FuncId, GlobalId, LocalId, LockId, LoopId, Pc, StmtId};
@@ -953,11 +953,11 @@ impl SegmentWriter {
 /// segment holding logical offset `o` is `o / frame_size` — no scan.
 /// [`SegmentedBytes::parse`] validates only the header, footer, and
 /// trailer; per-segment checksums are verified lazily when a range is
-/// first read ([`SegmentedBytes::read_range`]), which is what lets an
-/// artifact store rehydrate one entry out of a multi-megabyte snapshot
-/// without touching — or verifying — the rest. Truncating the container
-/// anywhere loses the trailer (or leaves a footer whose checksum or
-/// recorded extent no longer matches), so every prefix fails closed.
+/// first read ([`SegmentedBytes::read_range`]), so reading one range
+/// out of a large container neither touches nor verifies the rest.
+/// Truncating the container anywhere loses the trailer (or leaves a
+/// footer whose checksum or recorded extent no longer matches), so
+/// every prefix fails closed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentedBytes {
     bytes: Vec<u8>,
@@ -1148,23 +1148,6 @@ impl SegmentedBytes {
     /// Fails when the range exceeds the payload or a touched segment is
     /// corrupt.
     pub fn read_range(&self, start: usize, len: usize) -> Result<Vec<u8>, DecodeError> {
-        self.read_range_with(start, len, |_| true)
-    }
-
-    /// Like [`SegmentedBytes::read_range`], but asks `needs_verify` per
-    /// touched segment index whether its checksum must still be checked —
-    /// the hook an artifact store uses to verify each segment exactly
-    /// once across many range reads.
-    ///
-    /// # Errors
-    ///
-    /// See [`SegmentedBytes::read_range`].
-    pub fn read_range_with(
-        &self,
-        start: usize,
-        len: usize,
-        mut needs_verify: impl FnMut(usize) -> bool,
-    ) -> Result<Vec<u8>, DecodeError> {
         let end = start.saturating_add(len);
         if end as u64 > self.total_len {
             return Err(DecodeError {
@@ -1182,9 +1165,7 @@ impl SegmentedBytes {
         let last = (end - 1) / self.frame_size;
         let mut out = Vec::with_capacity(len);
         for i in first..=last {
-            if needs_verify(i) {
-                self.verify_segment(i)?;
-            }
+            self.verify_segment(i)?;
             let (payload_off, seg_len) = self.segments[i];
             let logical = i * self.frame_size;
             let from = start.max(logical) - logical;
@@ -1470,21 +1451,9 @@ mod tests {
         let corrupt = SegmentedBytes::parse(bytes).unwrap();
         // Lazy parse succeeds; untouched ranges still read fine...
         assert_eq!(corrupt.read_range(0, 96).unwrap(), payload[..96]);
-        // ...but touching the corrupt segment fails closed,
+        // ...but touching the corrupt segment fails closed.
         let err = corrupt.read_range(96, 32).unwrap_err();
         assert!(err.msg.contains("checksum"), "{err}");
-        // and a caller that claims the segment is already verified gets
-        // the raw (corrupt) bytes — the contract the store's
-        // verified-bitmap optimization rests on.
-        let mut asked = Vec::new();
-        let skipped = corrupt
-            .read_range_with(96, 32, |i| {
-                asked.push(i);
-                false
-            })
-            .unwrap();
-        assert_eq!(asked, vec![3]);
-        assert_ne!(skipped, payload[96..128]);
     }
 
     #[test]

@@ -37,7 +37,4 @@ pub mod trace;
 pub use slicer::{
     backward_slice, rank_csv_accesses, DynamicSlice, RankedAccess, Strategy, PRIORITY_BOTTOM,
 };
-pub use trace::{
-    read_trace_event, write_trace_event, RingSink, SegmentSpillSink, Trace, TraceCollector,
-    TraceEvent, TraceSink, TraceSpill,
-};
+pub use trace::{read_trace_event, write_trace_event, Trace, TraceCollector, TraceEvent};

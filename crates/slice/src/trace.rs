@@ -7,22 +7,14 @@
 //! defined locations, the *dynamic data dependence* (which earlier
 //! statement execution wrote each used value) and the *dynamic control
 //! dependence* (which branch execution / call currently governs it).
-//!
-//! The collector buffers its window through a pluggable [`TraceSink`]:
-//! the default [`RingSink`] keeps the last `window` events decoded in
-//! memory, while [`SegmentSpillSink`] seals older events into
-//! checksummed [`SegmentedBytes`] frames on the wire codec
-//! ([`write_trace_event`]) and drops frames that fall out of the window
-//! — so `window` can exceed what decoded events would fit in RAM, and
-//! [`TraceCollector::finish`] still reproduces the exact ring result.
+//! The collector keeps the last `window` events in an in-memory ring.
 
 use mcr_analysis::ProgramAnalysis;
-use mcr_dump::wire::{Reader, SegmentedBytes, Writer};
+use mcr_dump::wire::{Reader, Writer};
 use mcr_dump::DecodeError;
 use mcr_lang::{FuncId, Pc, Program, StmtId};
 use mcr_vm::{Event, MemLoc, Observer, ThreadId};
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
 
 /// One executed statement in the trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,10 +55,8 @@ impl TraceEvent {
     }
 }
 
-/// Appends one trace event on the wire codec. This is the canonical
-/// trace-event byte layout: `mcr-core`'s diff artifact and the
-/// segment-spilling sink both use it, so a spilled trace and a cached
-/// artifact carry bit-identical event encodings.
+/// Appends one trace event on the wire codec — the trace-event byte
+/// layout `mcr-core`'s diff artifact embeds.
 pub fn write_trace_event(w: &mut Writer, e: &TraceEvent) {
     w.uvarint(e.serial);
     w.uvarint(e.step);
@@ -129,230 +119,6 @@ pub fn read_trace_event(r: &mut Reader<'_>) -> Result<TraceEvent, DecodeError> {
     })
 }
 
-/// How a [`TraceCollector`] buffers its window — a process-local tuning
-/// knob: both modes finalize to the identical [`Trace`], so the choice
-/// never affects phase keys, artifacts, or reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum TraceSpill {
-    /// Keep the whole window decoded in memory (a [`RingSink`]) — the
-    /// classic behavior, fastest when the window fits comfortably.
-    #[default]
-    InMemory,
-    /// Seal events into wire-encoded [`SegmentedBytes`] frames of
-    /// `frame_events` events each (a [`SegmentSpillSink`]), keeping at
-    /// most one frame decoded: resident bytes track the *encoded* window
-    /// (typically 5–10× smaller than decoded `TraceEvent`s), so
-    /// `trace_window` can exceed what decoded events would fit in RAM.
-    Segmented {
-        /// Events per sealed frame (clamped to ≥ 1).
-        frame_events: u32,
-    },
-}
-
-impl TraceSpill {
-    /// Rough wire size of one encoded [`TraceEvent`]
-    /// ([`write_trace_event`]): a handful of small varints plus one or
-    /// two use/def memlocs. Only a planning estimate for converting a
-    /// byte budget into a frame granularity — frames seal on event
-    /// *count*, so a wrong estimate costs a little frame-size skew,
-    /// never correctness.
-    const APPROX_EVENT_BYTES: usize = 16;
-
-    /// Segmented spilling at the default frame granularity.
-    pub fn segmented() -> TraceSpill {
-        TraceSpill::Segmented { frame_events: 1024 }
-    }
-
-    /// Segmented spilling with frames sized to roughly `frame_bytes`
-    /// encoded bytes each (≥ 1 event), for callers that measured a
-    /// working frame size (e.g. from a store's residency histogram)
-    /// rather than picking an event count. Like every [`TraceSpill`]
-    /// value this is residency-only tuning: the finalized [`Trace`] is
-    /// identical at any granularity.
-    pub fn segmented_sized(frame_bytes: usize) -> TraceSpill {
-        TraceSpill::Segmented {
-            frame_events: (frame_bytes / TraceSpill::APPROX_EVENT_BYTES).max(1) as u32,
-        }
-    }
-}
-
-/// Where a [`TraceCollector`] pushes finalized events.
-///
-/// A sink retains (at least) the last `window` events pushed and yields
-/// exactly that suffix from [`TraceSink::finish`] — every implementation
-/// must produce the identical event sequence, so the sink choice is
-/// invisible downstream.
-pub trait TraceSink: Send + fmt::Debug {
-    /// Accepts the next finalized event.
-    fn push(&mut self, event: TraceEvent);
-
-    /// Logical events currently retained.
-    fn len(&self) -> usize;
-
-    /// True when nothing is retained.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drains the sink, yielding the retained window in push order.
-    fn finish(&mut self) -> Vec<TraceEvent>;
-}
-
-/// The in-memory ring sink: the last `window` events, decoded.
-#[derive(Debug)]
-pub struct RingSink {
-    window: usize,
-    events: VecDeque<TraceEvent>,
-}
-
-impl RingSink {
-    /// A ring retaining at most `window` events.
-    pub fn new(window: usize) -> RingSink {
-        RingSink {
-            window,
-            events: VecDeque::new(),
-        }
-    }
-}
-
-impl TraceSink for RingSink {
-    fn push(&mut self, event: TraceEvent) {
-        if self.events.len() == self.window {
-            self.events.pop_front();
-        }
-        self.events.push_back(event);
-    }
-
-    fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    fn finish(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events).into_iter().collect()
-    }
-}
-
-/// Byte frame size of sealed spill containers: small enough that
-/// decoding one frame on finish stays cheap, large enough that the
-/// per-segment header overhead is negligible.
-const SPILL_FRAME_BYTES: usize = 4096;
-
-#[derive(Debug)]
-struct SealedFrame {
-    events: usize,
-    seg: SegmentedBytes,
-}
-
-/// A spilling sink: events beyond a small decoded tail live wire-encoded
-/// in checksummed [`SegmentedBytes`] frames, and frames that fall wholly
-/// outside the window are dropped — resident bytes are bounded by the
-/// *encoded* window size plus one decoded frame.
-#[derive(Debug)]
-pub struct SegmentSpillSink {
-    window: usize,
-    frame_events: usize,
-    tail: Vec<TraceEvent>,
-    frames: VecDeque<SealedFrame>,
-    sealed_events: usize,
-    /// Events dropped past the window (oldest-first), for telemetry.
-    spilled: u64,
-}
-
-impl SegmentSpillSink {
-    /// A sink retaining at most `window` events, sealing frames of
-    /// `frame_events` (clamped to ≥ 1) events each.
-    pub fn new(window: usize, frame_events: usize) -> SegmentSpillSink {
-        SegmentSpillSink {
-            window,
-            frame_events: frame_events.max(1),
-            tail: Vec::new(),
-            frames: VecDeque::new(),
-            sealed_events: 0,
-            spilled: 0,
-        }
-    }
-
-    /// Events dropped because they fell out of the window.
-    pub fn spilled(&self) -> u64 {
-        self.spilled
-    }
-
-    /// Encoded bytes currently resident in sealed frames (what the
-    /// in-memory ring would instead hold as decoded `TraceEvent`s).
-    pub fn sealed_bytes(&self) -> usize {
-        self.frames.iter().map(|f| f.seg.as_bytes().len()).sum()
-    }
-
-    fn seal_tail(&mut self) {
-        let mut w = Writer::new();
-        w.uvarint(self.tail.len() as u64);
-        for e in &self.tail {
-            write_trace_event(&mut w, e);
-        }
-        let seg = SegmentedBytes::from_payload(&w.into_bytes(), SPILL_FRAME_BYTES);
-        self.sealed_events += self.tail.len();
-        self.frames.push_back(SealedFrame {
-            events: self.tail.len(),
-            seg,
-        });
-        self.tail.clear();
-        // Drop frames that no longer intersect the window suffix.
-        while let Some(front) = self.frames.front() {
-            if self.window > 0 && self.sealed_events - front.events >= self.window {
-                self.sealed_events -= front.events;
-                self.spilled += front.events as u64;
-                self.frames.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn decode_frame(frame: &SealedFrame) -> Vec<TraceEvent> {
-        let payload = frame
-            .seg
-            .read_range(0, frame.seg.total_len() as usize)
-            .expect("own spill frame verifies");
-        let mut r = Reader::new(&payload);
-        let n = r.len("spilled trace events").expect("own spill frame");
-        let mut events = Vec::with_capacity(n);
-        for _ in 0..n {
-            events.push(read_trace_event(&mut r).expect("own spill frame decodes"));
-        }
-        r.finish().expect("own spill frame complete");
-        events
-    }
-}
-
-impl TraceSink for SegmentSpillSink {
-    fn push(&mut self, event: TraceEvent) {
-        self.tail.push(event);
-        if self.tail.len() >= self.frame_events {
-            self.seal_tail();
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.sealed_events + self.tail.len()
-    }
-
-    fn finish(&mut self) -> Vec<TraceEvent> {
-        let mut events = Vec::with_capacity(self.len());
-        for frame in &self.frames {
-            events.extend(SegmentSpillSink::decode_frame(frame));
-        }
-        events.append(&mut self.tail);
-        self.frames.clear();
-        self.sealed_events = 0;
-        if self.window > 0 && events.len() > self.window {
-            let excess = events.len() - self.window;
-            self.spilled += excess as u64;
-            events.drain(..excess);
-        }
-        events
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 enum Region {
     /// An open branch region: governing serial, function, pop statement.
@@ -370,7 +136,9 @@ enum Region {
 pub struct TraceCollector<'p> {
     program: &'p Program,
     analysis: &'p ProgramAnalysis,
-    sink: Box<dyn TraceSink>,
+    /// Events retained beyond this many are dropped oldest-first.
+    window: usize,
+    events: VecDeque<TraceEvent>,
     current: Option<TraceEvent>,
     next_serial: u64,
     last_writer: HashMap<MemLoc, u64>,
@@ -378,42 +146,16 @@ pub struct TraceCollector<'p> {
 }
 
 impl<'p> TraceCollector<'p> {
-    /// Creates a collector keeping at most `window` events decoded in
-    /// memory (the paper uses a 20M-instruction window; traces here are
+    /// Creates a collector keeping at most `window` events in memory
+    /// (the paper uses a 20M-instruction window; traces here are
     /// much denser in information per event, so windows of 10⁵–10⁶
     /// suffice).
     pub fn new(program: &'p Program, analysis: &'p ProgramAnalysis, window: usize) -> Self {
-        TraceCollector::with_sink(program, analysis, Box::new(RingSink::new(window)))
-    }
-
-    /// Creates a collector whose window buffering is chosen by `spill`
-    /// (see [`TraceSpill`]); both modes finalize to the identical
-    /// [`Trace`].
-    pub fn with_spill(
-        program: &'p Program,
-        analysis: &'p ProgramAnalysis,
-        window: usize,
-        spill: TraceSpill,
-    ) -> Self {
-        let sink: Box<dyn TraceSink> = match spill {
-            TraceSpill::InMemory => Box::new(RingSink::new(window)),
-            TraceSpill::Segmented { frame_events } => {
-                Box::new(SegmentSpillSink::new(window, frame_events as usize))
-            }
-        };
-        TraceCollector::with_sink(program, analysis, sink)
-    }
-
-    /// Creates a collector over an explicit sink.
-    pub fn with_sink(
-        program: &'p Program,
-        analysis: &'p ProgramAnalysis,
-        sink: Box<dyn TraceSink>,
-    ) -> Self {
         TraceCollector {
             program,
             analysis,
-            sink,
+            window,
+            events: VecDeque::new(),
             current: None,
             next_serial: 0,
             last_writer: HashMap::new(),
@@ -425,13 +167,16 @@ impl<'p> TraceCollector<'p> {
     pub fn finish(mut self) -> Trace {
         self.flush();
         Trace {
-            events: self.sink.finish(),
+            events: self.events.into_iter().collect(),
         }
     }
 
     fn flush(&mut self) {
         if let Some(ev) = self.current.take() {
-            self.sink.push(ev);
+            if self.events.len() == self.window {
+                self.events.pop_front();
+            }
+            self.events.push_back(ev);
         }
     }
 
@@ -645,17 +390,7 @@ mod tests {
         assert!(t.by_serial(first.wrapping_sub(1)).is_none());
     }
 
-    fn collect_with_spill(src: &str, window: usize, spill: TraceSpill) -> Trace {
-        let p = mcr_lang::compile(src).unwrap();
-        let a = ProgramAnalysis::analyze(&p);
-        let mut vm = Vm::new(&p, &[]);
-        let mut s = DeterministicScheduler::new();
-        let mut tc = TraceCollector::with_spill(&p, &a, window, spill);
-        run(&mut vm, &mut s, &mut tc, 1_000_000);
-        tc.finish()
-    }
-
-    const SPILL_SRC: &str = r#"
+    const LOOP_SRC: &str = r#"
         global x: int;
         global a: [int; 8];
         fn main() {
@@ -670,74 +405,10 @@ mod tests {
     "#;
 
     #[test]
-    fn spilling_sink_reproduces_the_ring_exactly() {
-        // Windows straddling frame boundaries, and frames both smaller
-        // and larger than the window.
-        for (window, frame_events) in [(10, 4), (10, 64), (37, 8), (128, 16), (1, 4)] {
-            let ring = collect_with_spill(SPILL_SRC, window, TraceSpill::InMemory);
-            let spilled =
-                collect_with_spill(SPILL_SRC, window, TraceSpill::Segmented { frame_events });
-            assert_eq!(
-                spilled, ring,
-                "window {window} / frame {frame_events} must match the ring"
-            );
-            assert_eq!(ring.len(), window, "fixture must overflow the window");
-        }
-        // A window larger than the run retains everything, both modes.
-        let all_ring = collect_with_spill(SPILL_SRC, 1_000_000, TraceSpill::InMemory);
-        let all_spill = collect_with_spill(SPILL_SRC, 1_000_000, TraceSpill::segmented());
-        assert_eq!(all_spill, all_ring);
-    }
-
-    #[test]
-    fn segmented_sized_maps_a_byte_budget_to_events() {
-        assert_eq!(
-            TraceSpill::segmented_sized(4096),
-            TraceSpill::Segmented { frame_events: 256 }
-        );
-        // Degenerate budgets still seal at least one event per frame.
-        assert_eq!(
-            TraceSpill::segmented_sized(0),
-            TraceSpill::Segmented { frame_events: 1 }
-        );
-        // Granularity is residency-only: a byte-sized spill finalizes
-        // to the identical trace.
-        let ring = collect_with_spill(SPILL_SRC, 37, TraceSpill::InMemory);
-        let sized = collect_with_spill(SPILL_SRC, 37, TraceSpill::segmented_sized(512));
-        assert_eq!(sized, ring);
-    }
-
-    #[test]
-    fn spilling_sink_bounds_decoded_residency() {
-        let p = mcr_lang::compile(SPILL_SRC).unwrap();
-        let a = ProgramAnalysis::analyze(&p);
-        let mut vm = Vm::new(&p, &[]);
-        let mut s = DeterministicScheduler::new();
-        let mut sink = SegmentSpillSink::new(64, 16);
-        {
-            let mut tc = TraceCollector::with_sink(&p, &a, Box::new(SegmentSpillSink::new(64, 16)));
-            run(&mut vm, &mut s, &mut tc, 1_000_000);
-            let t = tc.finish();
-            assert_eq!(t.len(), 64);
-        }
-        // Drive the sink directly to observe its internals.
-        let ring = collect_with_spill(SPILL_SRC, 1_000_000, TraceSpill::InMemory);
-        for e in &ring.events {
-            sink.push(e.clone());
-        }
-        assert!(sink.spilled() > 0, "old frames must have been dropped");
-        // Retention never exceeds window + one frame of slack.
-        assert!(sink.len() <= 64 + 16, "retained {}", sink.len());
-        let out = sink.finish();
-        assert_eq!(out.len(), 64);
-        assert_eq!(out, ring.events[ring.len() - 64..]);
-    }
-
-    #[test]
     fn trace_event_codec_round_trips() {
-        let ring = collect_with_spill(SPILL_SRC, 1_000_000, TraceSpill::InMemory);
-        assert!(ring.events.iter().any(|e| !e.uses.is_empty()));
-        for e in &ring.events {
+        let (_p, t) = collect(LOOP_SRC, &[]);
+        assert!(t.events.iter().any(|e| !e.uses.is_empty()));
+        for e in &t.events {
             let mut w = Writer::new();
             write_trace_event(&mut w, e);
             let bytes = w.into_bytes();

@@ -3,8 +3,10 @@
 //! A triage queue rarely holds unique work: the same bug crashes over
 //! and over, occasionally under a different input. This example builds
 //! such a queue — five duplicate crash reports of the paper's Fig. 1
-//! race plus one genuinely distinct job — and runs it as one fleet with
-//! a shared executor and a shared content-addressed artifact store:
+//! race plus one genuinely distinct job — submits all of it to one
+//! `TriageService` with a shared executor and a shared
+//! content-addressed artifact store, then shuts the service down, which
+//! drains every job:
 //!
 //! * the first Fig. 1 job computes all five pipeline phases;
 //! * the four duplicates are *single-flighted* behind it and rehydrate
@@ -17,7 +19,7 @@
 //! cargo run --release --example fleet_triage
 //! ```
 
-use mcr_batch::{Fleet, FleetConfig, FleetJob};
+use mcr_batch::{FleetConfig, FleetJob, JobTicket, TriageService};
 use mcr_core::find_failure;
 use mcr_testsupport::{FIG1, FIG1_INPUT};
 
@@ -43,31 +45,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let config = FleetConfig::default();
     let store = std::sync::Arc::clone(&config.store);
-    let mut fleet = Fleet::new(config);
+    let service = TriageService::new(config);
+    let mut tickets = Vec::new();
     for i in 0..5 {
-        fleet.push(
-            FleetJob::new(
-                format!("fig1-dup{i}"),
-                &program,
-                dup.dump.clone(),
-                &FIG1_INPUT,
-            )
-            .with_priority(1),
-        );
-    }
-    fleet.push(
-        FleetJob::new(
-            "fig1-variant",
+        let job = FleetJob::new(
+            format!("fig1-dup{i}"),
             &program,
-            distinct.dump.clone(),
-            &other_input,
+            dup.dump.clone(),
+            &FIG1_INPUT,
         )
-        .with_priority(5),
-    );
-    println!("fleet: {} jobs queued\n", fleet.len());
+        .with_priority(1);
+        tickets.push(service.submit(job).expect("unbounded admission"));
+    }
+    let variant = FleetJob::new(
+        "fig1-variant",
+        &program,
+        distinct.dump.clone(),
+        &other_input,
+    )
+    .with_priority(5);
+    tickets.push(service.submit(variant).expect("unbounded admission"));
+    println!("fleet: {} jobs queued\n", tickets.len());
 
-    let outcome = fleet.run();
-    for job in &outcome.jobs {
+    let s = service.shutdown();
+    let outcomes: Vec<_> = tickets.into_iter().map(JobTicket::wait).collect();
+    for job in &outcomes {
         match &job.result {
             Ok(report) => println!(
                 "  {:<14} reproduced={} tries={:<4} computed={} cached={} deduped={}",
@@ -81,7 +83,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Err(e) => println!("  {:<14} FAILED: {e}", job.name),
         }
     }
-    let s = outcome.summary;
     println!(
         "\nfleet summary: {} jobs in {:?} over {} workers ({} waves)",
         s.jobs, s.wall, s.workers, s.waves
@@ -105,8 +106,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(s.cache_hits, 20, "4 duplicates x 5 phases rehydrate");
     assert!(s.deduped_in_flight >= 4, "duplicates single-flighted");
-    let reports: Vec<_> = outcome
-        .jobs
+    let reports: Vec<_> = outcomes
         .iter()
         .filter_map(|j| j.result.as_ref().ok())
         .collect();

@@ -1,26 +1,24 @@
-//! Long-running triage-service walkthrough: streaming job admission
-//! with back-pressure against a 4-shard artifact store.
+//! Long-running triage-service walkthrough: incremental job admission
+//! with back-pressure against one shared artifact store.
 //!
-//! Where `examples/fleet_triage.rs` runs a *closed* job list, this
+//! Where `examples/fleet_triage.rs` submits a *closed* job list, this
 //! example models the production shape the `TriageService` exists for:
 //! crash reports arrive one at a time (a seeded `fleet_stream` arrival
 //! order over a duplicate-heavy `fleet_mix` corpus), the service admits
 //! them *while earlier waves are executing*, a `Reject` admission policy
-//! pushes back once too many jobs are pending, and the shared cache is
-//! a [`ShardedStore`] partitioning the key space across four
-//! [`MemoryStore`] backends by consistent hashing.
+//! pushes back once too many jobs are pending, and every session shares
+//! one unbounded `MemoryStore`.
 //!
-//! The walkthrough then re-runs the whole corpus as a closed-list
-//! `Fleet` (the compatibility facade) against the *same* sharded store:
-//! everything is served from cache and every report comes back
-//! bit-identical.
+//! The walkthrough then submits the whole corpus to a second service
+//! over the *same* store: everything is served from cache and every
+//! report comes back bit-identical.
 //!
 //! ```text
 //! cargo run --release --example triage_service
 //! ```
 
-use mcr_batch::{AdmissionPolicy, AdmitError, Fleet, FleetConfig, FleetJob, TriageService};
-use mcr_core::{find_failure, ArtifactStore, ShardedStore, PHASES};
+use mcr_batch::{AdmissionPolicy, AdmitError, FleetConfig, FleetJob, JobTicket, TriageService};
+use mcr_core::{find_failure, ArtifactStore, MemoryStore, PHASES};
 use mcr_workloads::{all_bugs, fleet_stream, FleetSpec};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -70,15 +68,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let distinct = dump_of.len();
 
-    // The sharded artifact store: one logical cache over four backends,
-    // keys routed by consistent hashing on their content hash.
-    let sharded = Arc::new(ShardedStore::with_memory_shards(4));
-    let config = FleetConfig {
-        store: Arc::clone(&sharded) as Arc<dyn ArtifactStore>,
+    // One artifact store shared by both passes.
+    let store: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::unbounded());
+    let service = TriageService::new(FleetConfig {
+        store: Arc::clone(&store),
         admission: AdmissionPolicy::Reject { max_pending: 4 },
         ..FleetConfig::default()
-    };
-    let service = TriageService::new(config.clone());
+    });
 
     // Stream the corpus in: submit, and when the service pushes back,
     // drive a wave and retry — admission interleaves with execution.
@@ -122,8 +118,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Graceful teardown: close admission, drain everything, summarize.
     let summary = service.shutdown();
     println!();
-    for ticket in tickets {
-        let outcome = ticket.wait(); // drained: returns immediately
+    // Drained: every wait returns immediately.
+    let outcomes: Vec<_> = tickets.into_iter().map(JobTicket::wait).collect();
+    for outcome in &outcomes {
         match &outcome.result {
             Ok(report) => println!(
                 "  {:<16} reproduced={} tries={:<4} computed={} cached={} deduped={}",
@@ -162,8 +159,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             row.bytes
         );
     }
-    let per_shard: Vec<usize> = sharded.shards().iter().map(|s| s.stats().entries).collect();
-    println!("  shard layout (entries per shard): {per_shard:?}");
 
     // The walkthrough doubles as a check CI runs.
     assert_eq!(summary.completed, arrivals.len());
@@ -178,44 +173,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (arrivals.len() - distinct) * PHASES.len(),
         "every duplicate job rehydrates all five phases"
     );
-    assert_eq!(
-        per_shard.iter().sum::<usize>(),
-        summary.store.entries,
-        "shards partition the keyspace"
-    );
-    assert!(
-        per_shard.iter().filter(|&&n| n > 0).count() >= 2,
-        "the keyspace spreads across shards: {per_shard:?}"
-    );
 
-    // Warm pass: the closed-list facade over the same sharded store —
-    // nothing recomputes, and reports are bit-identical rehydrations.
-    let mut fleet = Fleet::new(FleetConfig {
-        store: Arc::clone(&sharded) as Arc<dyn ArtifactStore>,
+    // Warm pass: a second service over the same store, every job
+    // submitted up front — nothing recomputes, and reports are
+    // bit-identical rehydrations.
+    let warm_service = TriageService::new(FleetConfig {
+        store: Arc::clone(&store),
         ..FleetConfig::default()
     });
-    for spec in &arrivals {
-        fleet.push(
-            FleetJob::new(
+    let warm_tickets: Vec<_> = arrivals
+        .iter()
+        .map(|spec| {
+            let job = FleetJob::new(
                 spec.name.clone(),
                 &programs[program_of[spec.bug.name]],
                 dump_of[&spec.dedup_key()].clone(),
                 &spec.input(),
             )
-            .with_priority(spec.priority),
+            .with_priority(spec.priority);
+            warm_service.submit(job).expect("unbounded admission")
+        })
+        .collect();
+    let warm = warm_service.shutdown();
+    assert_eq!(warm.completed, arrivals.len());
+    assert_eq!(warm.computed, 0, "warm pass computes nothing");
+    assert_eq!(warm.cache_hits as usize, arrivals.len() * PHASES.len());
+    for (ticket, cold) in warm_tickets.into_iter().zip(&outcomes) {
+        let warm_outcome = ticket.wait();
+        assert_eq!(
+            warm_outcome.result.as_ref().ok(),
+            cold.result.as_ref().ok(),
+            "{}: warm report must be bit-identical",
+            cold.name
         );
     }
-    let warm = fleet.run();
-    assert_eq!(warm.summary.completed, arrivals.len());
-    assert_eq!(warm.summary.computed, 0, "warm fleet computes nothing");
-    assert_eq!(
-        warm.summary.cache_hits as usize,
-        arrivals.len() * PHASES.len()
-    );
     println!(
-        "\nwarm closed-list pass over the same shards: {} jobs, {} computed, {} cache hits",
-        warm.summary.jobs, warm.summary.computed, warm.summary.cache_hits
+        "\nwarm pass over the same store: {} jobs, {} computed, {} cache hits",
+        warm.jobs, warm.computed, warm.cache_hits
     );
-    println!("streaming admission, back-pressure, and sharded caching OK");
+    println!("incremental admission, back-pressure, and shared caching OK");
     Ok(())
 }

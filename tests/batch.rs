@@ -3,10 +3,10 @@
 //! identical `ReproReport`s; duplicate-heavy fleets show phase cache
 //! hits and single-flight dedup.
 
-use mcr_batch::{Fleet, FleetConfig, FleetJob};
+use mcr_batch::{FleetConfig, FleetJob, FleetSummary, JobOutcome, JobTicket, TriageService};
 use mcr_core::{
     ArtifactStore, BytesStore, MemoryStore, PhaseEvent, PhaseKey, ReproReport, ReproSession,
-    Reproducer, ShardedStore, StoreStats, PHASES,
+    Reproducer, StoreStats, PHASES,
 };
 use mcr_search::Algorithm;
 use mcr_slice::Strategy;
@@ -22,6 +22,18 @@ use std::sync::Arc;
 /// durations, so full `ReproReport` equality holds).
 fn assert_reports_identical(a: &ReproReport, b: &ReproReport, context: &str) {
     assert_eq!(a, b, "{context}: bit-identity");
+}
+
+/// Submits every job to one service, then shuts it down (which drains
+/// it): the outcomes in submission order, plus the final summary.
+fn run_all(config: FleetConfig, jobs: Vec<FleetJob<'_>>) -> (Vec<JobOutcome>, FleetSummary) {
+    let service = TriageService::new(config);
+    let tickets: Vec<_> = jobs
+        .into_iter()
+        .map(|job| service.submit(job).expect("unbounded admission"))
+        .collect();
+    let summary = service.shutdown();
+    (tickets.into_iter().map(JobTicket::wait).collect(), summary)
 }
 
 /// The acceptance bar, per bug: (1) a fleet of three duplicate jobs
@@ -43,9 +55,8 @@ fn cold_warm_and_fleet_reports_agree_for_every_bug() {
         // Fleet: three duplicate jobs sharing one executor and store.
         let config = FleetConfig::default();
         let store = Arc::clone(&config.store);
-        let mut fleet = Fleet::new(config);
-        for i in 0..3 {
-            fleet.push(
+        let jobs = (0..3)
+            .map(|i| {
                 FleetJob::new(
                     format!("{}#{i}", bug.name),
                     &program,
@@ -53,21 +64,20 @@ fn cold_warm_and_fleet_reports_agree_for_every_bug() {
                     &input,
                 )
                 .with_options(opts.clone())
-                .with_priority(i),
-            );
-        }
-        let outcome = fleet.run();
-        assert_eq!(outcome.summary.completed, 3, "{}", bug.name);
+                .with_priority(i)
+            })
+            .collect();
+        let (outcomes, summary) = run_all(config, jobs);
+        assert_eq!(summary.completed, 3, "{}", bug.name);
         assert_eq!(
-            outcome.summary.computed, 5,
+            summary.computed, 5,
             "{}: one pipeline computes, duplicates rehydrate",
             bug.name
         );
-        assert_eq!(outcome.summary.cache_hits, 10, "{}", bug.name);
-        assert_eq!(outcome.summary.deduped_in_flight, 10, "{}", bug.name);
-        assert!(outcome.summary.store.hits >= 10, "{}", bug.name);
-        let fleet_reports: Vec<&ReproReport> = outcome
-            .jobs
+        assert_eq!(summary.cache_hits, 10, "{}", bug.name);
+        assert_eq!(summary.deduped_in_flight, 10, "{}", bug.name);
+        assert!(summary.store.hits >= 10, "{}", bug.name);
+        let fleet_reports: Vec<&ReproReport> = outcomes
             .iter()
             .map(|j| j.result.as_ref().expect("completed"))
             .collect();
@@ -103,78 +113,6 @@ fn cold_warm_and_fleet_reports_agree_for_every_bug() {
             fleet_reports[0],
             &format!("{} warm vs fleet", bug.name),
         );
-    }
-}
-
-/// The sharded-store acceptance bar, per bug: a 4-shard store serves a
-/// warm run entirely from cache, with a report bit-identical to the
-/// single-`MemoryStore` warm run (equivalence, not wall time — CI has
-/// one CPU). The sharded copy is populated by migrating the single
-/// store's entries through the consistent-hash router, pinning that
-/// partitioning never changes what a key returns.
-#[test]
-fn sharded_store_warm_runs_match_the_single_store_for_every_bug() {
-    for bug in all_bugs() {
-        let (program, sf) = stress_bug(&bug);
-        let input = bug.default_input();
-        let opts = options(Algorithm::ChessX, Strategy::Temporal);
-
-        // Cold run populates a single unbounded MemoryStore.
-        let single = Arc::new(MemoryStore::unbounded());
-        let mut cold = ReproSession::new(&program, sf.dump.clone(), &input, opts.clone()).unwrap();
-        cold.set_store(Arc::clone(&single) as Arc<dyn ArtifactStore>);
-        cold.run_to_end()
-            .unwrap_or_else(|e| panic!("{}: cold run failed: {e}", bug.name));
-
-        // Migrate the warm entries into a 4-shard composite (the
-        // re-partitioning path a scaling deployment takes) — streamed
-        // entry by entry via `for_each_entry`, so the migration never
-        // clones the whole store.
-        let sharded = Arc::new(ShardedStore::with_memory_shards(4));
-        single.for_each_entry(|key, bytes| sharded.put(key, bytes));
-        assert_eq!(
-            sharded.stats().entries,
-            PHASES.len(),
-            "{}: one artifact per phase",
-            bug.name
-        );
-
-        // Warm run against the single store…
-        let mut warm_single =
-            ReproSession::new(&program, sf.dump.clone(), &input, opts.clone()).unwrap();
-        warm_single.set_store(Arc::clone(&single) as Arc<dyn ArtifactStore>);
-        let log_single = Arc::new(std::sync::Mutex::new(mcr_core::TimingLog::new()));
-        warm_single.set_observer(Box::new(Arc::clone(&log_single)));
-        let report_single = warm_single.run_to_end().unwrap();
-        assert_eq!(
-            log_single.lock().unwrap().cache_hits(),
-            PHASES,
-            "{}: single-store warm run must be all hits",
-            bug.name
-        );
-
-        // …and against the sharded store: all hits, bit-identical.
-        let mut warm_sharded =
-            ReproSession::new(&program, sf.dump.clone(), &input, opts.clone()).unwrap();
-        warm_sharded.set_store(Arc::clone(&sharded) as Arc<dyn ArtifactStore>);
-        let log_sharded = Arc::new(std::sync::Mutex::new(mcr_core::TimingLog::new()));
-        warm_sharded.set_observer(Box::new(Arc::clone(&log_sharded)));
-        let report_sharded = warm_sharded.run_to_end().unwrap();
-        assert_eq!(
-            log_sharded.lock().unwrap().cache_hits(),
-            PHASES,
-            "{}: sharded warm run must be all hits",
-            bug.name
-        );
-        assert_reports_identical(
-            &report_single,
-            &report_sharded,
-            &format!("{} sharded vs single warm", bug.name),
-        );
-        // Each key routed to exactly one shard; the shards together
-        // served the five phase lookups.
-        let shard_hits: u64 = sharded.shards().iter().map(|s| s.stats().hits).sum();
-        assert_eq!(shard_hits, PHASES.len() as u64, "{}", bug.name);
     }
 }
 
@@ -229,27 +167,27 @@ fn fleet_mixing_distinct_bugs_matches_solo_runs() {
         );
     }
 
-    let config = FleetConfig::default();
-    let mut fleet = Fleet::new(config);
-    for (i, (bug, sf)) in prepared.iter().enumerate() {
-        fleet.push(
+    let jobs = prepared
+        .iter()
+        .enumerate()
+        .map(|(i, (bug, sf))| {
             FleetJob::new(
                 bug.name,
                 &programs[i],
                 sf.dump.clone(),
                 &bug.default_input(),
             )
-            .with_options(opts.clone()),
-        );
-    }
-    let outcome = fleet.run();
-    assert_eq!(outcome.summary.completed, 2);
+            .with_options(opts.clone())
+        })
+        .collect();
+    let (outcomes, summary) = run_all(FleetConfig::default(), jobs);
+    assert_eq!(summary.completed, 2);
     // Nothing shared between distinct bugs: no dedup, no cache hits.
-    assert_eq!(outcome.summary.deduped_in_flight, 0);
-    assert_eq!(outcome.summary.cache_hits, 0);
-    assert_eq!(outcome.summary.computed, 10);
-    for (i, (bug, _)) in prepared.iter().enumerate() {
-        let job = outcome.job(bug.name).expect("job present");
+    assert_eq!(summary.deduped_in_flight, 0);
+    assert_eq!(summary.cache_hits, 0);
+    assert_eq!(summary.computed, 10);
+    for (i, ((bug, _), job)) in prepared.iter().zip(&outcomes).enumerate() {
+        assert_eq!(job.name, bug.name);
         assert_reports_equal(
             job.result.as_ref().unwrap(),
             &solos[i],

@@ -123,61 +123,6 @@ fn pipeline_is_deterministic() {
     );
 }
 
-/// The spilled dependence trace changes residency, never results: a run
-/// whose trace collector spills sealed frames into segmented containers
-/// (an in-memory tail of 64 events against a trace window of millions)
-/// agrees with the all-in-memory run on every observable, and the
-/// artifacts it cached rehydrate an in-memory run bit-identically —
-/// timings included. The smoke tier pins one representative bug; the
-/// full tier sweeps the suite.
-#[test]
-fn spilled_trace_runs_match_in_memory_runs() {
-    use mcr_core::{ArtifactStore, MemoryStore};
-    use std::sync::Arc;
-
-    let bugs = match mcr_testsupport::tier() {
-        mcr_testsupport::Tier::Full => all_bugs(),
-        mcr_testsupport::Tier::Smoke => vec![mcr_workloads::bug_by_name("mysql-3").unwrap()],
-    };
-    for bug in bugs {
-        let (program, sf) = stress_bug(&bug);
-        let input = bug.default_input();
-
-        // The spilling run computes every artifact into a shared store.
-        let store: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::unbounded());
-        let mut spill_opts = options(Algorithm::ChessX, Strategy::Temporal);
-        spill_opts.store = Some(Arc::clone(&store));
-        spill_opts.trace_spill = mcr_slice::TraceSpill::Segmented { frame_events: 64 };
-        let spilled = Reproducer::new(&program, spill_opts)
-            .reproduce(&sf.dump, &input)
-            .unwrap_or_else(|e| panic!("{}: spilled run failed: {e}", bug.name));
-
-        // An all-in-memory cold run agrees on every observable.
-        let in_memory = Reproducer::new(&program, options(Algorithm::ChessX, Strategy::Temporal))
-            .reproduce(&sf.dump, &input)
-            .unwrap_or_else(|e| panic!("{}: in-memory run failed: {e}", bug.name));
-        mcr_testsupport::assert_reports_equivalent(
-            &spilled,
-            &in_memory,
-            &format!("{} spilled vs in-memory", bug.name),
-        );
-
-        // And an in-memory run over the spilled run's store rehydrates
-        // bit-identically: the spilled trace produced byte-identical
-        // downstream artifacts, not merely equivalent ones.
-        let mut warm_opts = options(Algorithm::ChessX, Strategy::Temporal);
-        warm_opts.store = Some(store);
-        let warm = Reproducer::new(&program, warm_opts)
-            .reproduce(&sf.dump, &input)
-            .unwrap_or_else(|e| panic!("{}: warm run failed: {e}", bug.name));
-        assert_eq!(
-            warm, spilled,
-            "{}: rehydrated report must be bit-identical to the spilling run",
-            bug.name
-        );
-    }
-}
-
 /// The failure dump survives its on-disk round trip mid-pipeline: a dump
 /// decoded from bytes drives the reproduction identically.
 #[test]

@@ -1,15 +1,16 @@
 //! The triage-service acceptance bar: a long-running `TriageService`
 //! fed jobs *incrementally* — including submissions while earlier waves
-//! are executing — produces outcomes equal to the closed-list
-//! `Fleet::run` baseline for every bug in the suite; admission edge
+//! are executing — produces outcomes equal to the plain store-free
+//! pipeline (`Reproducer`) for every bug in the suite; admission edge
 //! cases (saturation, shutdown, cancellation of queued tickets) are
 //! typed and lossless; and a proptest interleaves submit/poll/wait
 //! arbitrarily without ever changing a report.
 
-use mcr_batch::{
-    AdmissionPolicy, AdmitError, Fleet, FleetConfig, FleetJob, JobOutcome, TriageService,
+use mcr_batch::{AdmissionPolicy, AdmitError, FleetConfig, FleetJob, JobOutcome, TriageService};
+use mcr_core::{
+    find_failure, ArtifactStore, MemoryStore, ReproError, ReproOptions, ReproReport, Reproducer,
+    PHASES,
 };
-use mcr_core::{find_failure, ArtifactStore, MemoryStore, ReproError, ReproReport, PHASES};
 use mcr_search::Algorithm;
 use mcr_slice::Strategy;
 use mcr_testsupport::{
@@ -52,41 +53,49 @@ fn options() -> mcr_core::ReproOptions {
     repro_options(Algorithm::ChessX, Strategy::Temporal)
 }
 
-/// The closed-list baseline: one `Fleet::run` over every fixture, plus
-/// the (now warm) store it populated. Computed once per process.
-fn baseline() -> &'static (Vec<ReproReport>, Arc<dyn ArtifactStore>) {
-    static BASELINE: OnceLock<(Vec<ReproReport>, Arc<dyn ArtifactStore>)> = OnceLock::new();
+/// The baseline: every fixture reproduced by the plain pipeline, with
+/// no store and no service. Computed once per process.
+fn baseline() -> &'static [ReproReport] {
+    static BASELINE: OnceLock<Vec<ReproReport>> = OnceLock::new();
     BASELINE.get_or_init(|| {
-        let store: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::unbounded());
-        let mut fleet = Fleet::new(FleetConfig {
-            store: Arc::clone(&store),
-            ..FleetConfig::default()
-        });
-        for f in fixtures() {
-            fleet.push(
-                FleetJob::new(f.name, &f.program, f.dump.clone(), &f.input).with_options(options()),
-            );
-        }
-        let outcome = fleet.run();
-        let reports = outcome
-            .jobs
-            .into_iter()
-            .map(|j| {
-                j.result
-                    .unwrap_or_else(|e| panic!("baseline job failed: {e}"))
+        fixtures()
+            .iter()
+            .map(|f| {
+                Reproducer::new(&f.program, options())
+                    .reproduce(&f.dump, &f.input)
+                    .unwrap_or_else(|e| panic!("{}: baseline run failed: {e}", f.name))
             })
-            .collect();
-        (reports, store)
+            .collect()
+    })
+}
+
+/// A store holding every fixture's artifacts, filled once per process
+/// by plain pipeline runs, so the service tests below exercise the
+/// scheduler without recomputing pipelines.
+fn warm_store() -> &'static Arc<dyn ArtifactStore> {
+    static WARM: OnceLock<Arc<dyn ArtifactStore>> = OnceLock::new();
+    WARM.get_or_init(|| {
+        let store: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::unbounded());
+        let opts = ReproOptions {
+            store: Some(Arc::clone(&store)),
+            ..options()
+        };
+        for f in fixtures() {
+            Reproducer::new(&f.program, opts.clone())
+                .reproduce(&f.dump, &f.input)
+                .unwrap_or_else(|e| panic!("{}: warm-up run failed: {e}", f.name));
+        }
+        store
     })
 }
 
 /// The acceptance bar: jobs trickle into a service one at a time, with
 /// a scheduling wave driven between admissions (so later submissions
-/// genuinely land mid-run), on an *independent* store — every outcome
-/// must equal the closed-list `Fleet::run` baseline.
+/// genuinely land mid-run), on a fresh store — every outcome must
+/// equal the plain pipeline's report.
 #[test]
 fn incremental_service_matches_the_closed_list_fleet_for_every_bug() {
-    let (base_reports, _) = baseline();
+    let base_reports = baseline();
     let service = TriageService::new(FleetConfig::default());
     let mut tickets = Vec::new();
     for f in fixtures() {
@@ -126,9 +135,9 @@ fn incremental_service_matches_the_closed_list_fleet_for_every_bug() {
 /// report as the baseline.
 #[test]
 fn concurrent_submission_during_drain_is_admitted_and_correct() {
-    let (base_reports, warm) = baseline();
+    let base_reports = baseline();
     let service = TriageService::new(FleetConfig {
-        store: Arc::clone(warm),
+        store: Arc::clone(warm_store()),
         ..FleetConfig::default()
     });
     let fx = fixtures();
@@ -181,7 +190,7 @@ fn concurrent_submission_during_drain_is_admitted_and_correct() {
 #[test]
 fn admission_saturation_shutdown_and_empty_drain() {
     let (program, sf) = fig1_failure();
-    let (_, warm) = baseline();
+    let warm = warm_store();
 
     // Reject policy: the bound is jobs-pending, tied to the worker
     // budget via `admission_per_worker`.
@@ -243,73 +252,6 @@ fn admission_saturation_shutdown_and_empty_drain() {
     assert_eq!(again.jobs, 1);
 }
 
-/// The telemetry→admission loop end to end: a service whose hot store
-/// churns sheds every later job to the warm cold shard, and each shed
-/// job's report is bit-identical — timings included — to the
-/// closed-list baseline that populated that shard. Shedding changes
-/// cache placement, never results.
-#[test]
-fn adaptive_shed_jobs_rehydrate_bit_identically_from_the_cold_shard() {
-    let (base_reports, warm) = baseline();
-    let fx = fixtures();
-    // A hot store far too small for one job's artifacts: every insert
-    // evicts, so the churn telemetry trips after the first job.
-    let hot: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::with_capacity(64));
-    let service = TriageService::new(FleetConfig {
-        store: Arc::clone(&hot),
-        cold_store: Some(Arc::clone(warm)),
-        admission: AdmissionPolicy::Adaptive {
-            max_pending: fx.len().max(1),
-            churn_permille: 250,
-        },
-        ..FleetConfig::default()
-    });
-
-    // Cold start: no telemetry yet, so the first job computes against
-    // the hot store — and churns it.
-    let first = service
-        .submit(
-            FleetJob::new(fx[0].name, &fx[0].program, fx[0].dump.clone(), &fx[0].input)
-                .with_options(options()),
-        )
-        .expect("within the adaptive bound")
-        .wait();
-    assert_reports_equal(
-        first.result.as_ref().expect("first job completed"),
-        &base_reports[0],
-        &format!("{} hot vs closed", fx[0].name),
-    );
-    assert!(hot.stats().evictions > 0, "hot store must churn");
-
-    // The loop closes: every later admission sheds to the cold shard
-    // and rehydrates its entire pipeline from the baseline's artifacts.
-    for (i, f) in fx.iter().enumerate().skip(1) {
-        let outcome = service
-            .submit(
-                FleetJob::new(f.name, &f.program, f.dump.clone(), &f.input).with_options(options()),
-            )
-            .expect("within the adaptive bound")
-            .wait();
-        let report = outcome
-            .result
-            .as_ref()
-            .unwrap_or_else(|e| panic!("{}: shed job failed: {e}", f.name));
-        assert_eq!(
-            report, &base_reports[i],
-            "{}: shed run must be bit-identical to the baseline",
-            f.name
-        );
-        assert_eq!(outcome.cache_hits, 5, "{}: all phases warm", f.name);
-        assert_eq!(outcome.computed, 0, "{}: nothing recomputed", f.name);
-    }
-    let summary = service.shutdown();
-    assert_eq!(
-        summary.shed as usize,
-        fx.len() - 1,
-        "every job after the churny first one shed"
-    );
-}
-
 /// Cancellation mid-run: a queued-but-unstarted ticket is marked
 /// `Cancelled` (not lost), and the live job is interrupted — every
 /// ticket resolves.
@@ -367,17 +309,16 @@ proptest! {
     /// Interleaving property: any sequence of submit / poll / wait over
     /// the bug suite — submission order shuffled, waits issued against
     /// arbitrary pending tickets mid-stream — yields outcomes equal to
-    /// the serial closed-list `Fleet::run` baseline. Runs against the
-    /// baseline's warm store, so the scheduler paths (admission queue,
-    /// wave formation, helping waiters) are exercised without
-    /// recomputing pipelines every case.
+    /// the plain pipeline's reports. Runs against the warm store, so
+    /// the scheduler paths (admission queue, wave formation, helping
+    /// waiters) are exercised without recomputing pipelines every case.
     #[test]
     fn interleaved_submit_and_wait_match_the_baseline(seed in proptest::num::u64::ANY) {
-        let (base_reports, warm) = baseline();
+        let base_reports = baseline();
         let fx = fixtures();
         let mut rng = SplitMix64::new(seed);
         let service = TriageService::new(FleetConfig {
-            store: Arc::clone(warm),
+            store: Arc::clone(warm_store()),
             ..FleetConfig::default()
         });
 
