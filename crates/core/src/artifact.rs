@@ -557,6 +557,13 @@ impl AlignmentArtifact {
                 is_write: r.bool()?,
             });
         }
+        // The search annotates the run by binary searches, which need
+        // both logs in step order, as the passing run records them.
+        if !candidates.windows(2).all(|w| w[0].step <= w[1].step)
+            || !shared_accesses.windows(2).all(|w| w[0].step <= w[1].step)
+        {
+            return r.err("passing-run log out of step order");
+        }
         let total_steps = r.uvarint()?;
         let elapsed = r.duration()?;
         r.finish()?;
@@ -750,6 +757,35 @@ mod tests {
         let mut bytes = art.to_bytes();
         bytes.push(0);
         assert!(RankedAccessesArtifact::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn passing_run_out_of_step_order_rejected() {
+        let access = |step| SharedAccess {
+            step,
+            tid: ThreadId(1),
+            pc: Pc::new(FuncId(0), StmtId(2)),
+            loc: MemLoc::Global(GlobalId(0)),
+            is_write: false,
+        };
+        let mut art = AlignmentArtifact {
+            alignment: Alignment {
+                signal: AlignSignal::Exact,
+                step: 5,
+                remaining: 0,
+            },
+            deterministic_repro: false,
+            passing_run: PassingRunInfo {
+                candidates: Vec::new(),
+                shared_accesses: vec![access(3), access(3), access(8)],
+                total_steps: 9,
+            },
+            elapsed: Duration::ZERO,
+        };
+        assert_eq!(AlignmentArtifact::from_bytes(&art.to_bytes()).unwrap(), art);
+        art.passing_run.shared_accesses.swap(0, 2);
+        let err = AlignmentArtifact::from_bytes(&art.to_bytes()).unwrap_err();
+        assert!(err.msg.contains("step order"), "{err}");
     }
 
     #[test]

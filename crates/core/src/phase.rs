@@ -635,7 +635,8 @@ impl PipelinePhase for SearchPhase {
             let align = s.artifacts.align.as_ref().expect("align ran");
             let csv_set: HashSet<MemLoc> = delta.csv_locs.iter().copied().collect();
 
-            let mut priorities: HashMap<(u64, MemLoc, bool), u32> = HashMap::new();
+            let mut priorities: HashMap<(u64, MemLoc, bool), u32> =
+                HashMap::with_capacity(ranked.len());
             for r in ranked {
                 let e = priorities
                     .entry((r.step, r.loc, r.is_write))

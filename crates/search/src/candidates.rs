@@ -215,21 +215,27 @@ pub struct AnnotatedCandidate {
 /// passing run (the paper's per-sync-point "CSV set").
 #[derive(Debug, Clone, Default)]
 pub struct FutureCsvMap {
-    map: HashMap<(u32, u32), HashSet<CoarseLoc>>,
-    /// Fallback per thread: all CSVs it ever accesses (used when a test
-    /// run drives a thread past its passing-run sync count).
-    all: HashMap<u32, HashSet<CoarseLoc>>,
+    /// Index into `sets` per `(thread, position)`.
+    map: HashMap<(u32, u32), usize>,
+    /// Fallback per thread, as an index into `sets`: all CSVs it ever
+    /// accesses (used when a test run drives a thread past its
+    /// passing-run sync count).
+    all: HashMap<u32, usize>,
+    /// The distinct sets. A thread's future set changes only when it
+    /// reaches its last access of some CSV, so consecutive positions
+    /// share one.
+    sets: Vec<HashSet<CoarseLoc>>,
 }
 
 impl FutureCsvMap {
     /// CSVs thread `tid` will access from sync position `pos` on.
     pub fn future(&self, tid: ThreadId, pos: u32) -> Option<&HashSet<CoarseLoc>> {
-        self.map.get(&(tid.0, pos))
+        self.map.get(&(tid.0, pos)).map(|&i| &self.sets[i])
     }
 
     /// All CSVs the thread ever accessed in the passing run.
     pub fn any(&self, tid: ThreadId) -> Option<&HashSet<CoarseLoc>> {
-        self.all.get(&tid.0)
+        self.all.get(&tid.0).map(|&i| &self.sets[i])
     }
 }
 
@@ -268,49 +274,87 @@ pub fn annotate(
 ///
 /// The future-CSV map is always built from the *full* candidate list:
 /// sync positions must stay aligned with what a test run replays.
+///
+/// Every log in `info` must be in step order, as [`SyncLogger`] records
+/// it. Each thread's accesses are then sorted too, so a block is two
+/// binary searches into its thread's list and the future sets are
+/// suffix unions built in one backward sweep: the cost is linear in the
+/// logs plus a logarithmic factor per candidate.
 pub fn annotate_with_race(
     info: &PassingRunInfo,
     csv_locs: &HashSet<MemLoc>,
     priorities: &HashMap<(u64, MemLoc, bool), u32>,
     race: Option<&RaceVerdicts>,
 ) -> (Vec<AnnotatedCandidate>, FutureCsvMap) {
-    // Next candidate step per thread, for block boundaries.
-    let mut next_step: HashMap<u32, Vec<(u64, u64)>> = HashMap::new(); // tid -> [(step, next_step)]
-    let mut per_thread: HashMap<u32, Vec<&PreemptionPoint>> = HashMap::new();
-    for c in &info.candidates {
-        per_thread.entry(c.point_tid()).or_default().push(c);
-    }
-    for (tid, list) in &per_thread {
-        let mut spans = Vec::with_capacity(list.len());
-        for (i, c) in list.iter().enumerate() {
-            let end = list.get(i + 1).map_or(u64::MAX, |n| n.step);
-            spans.push((c.step, end));
+    debug_assert!(info.candidates.windows(2).all(|w| w[0].step <= w[1].step));
+    debug_assert!(info
+        .shared_accesses
+        .windows(2)
+        .all(|w| w[0].step <= w[1].step));
+    // One log per thread with a candidate, in thread-id order. Other
+    // threads lead no block and get no future set.
+    let mut tids: Vec<u32> = info.candidates.iter().map(|c| c.tid.0).collect();
+    tids.sort_unstable();
+    tids.dedup();
+    let slot = |tid: ThreadId| tids.binary_search(&tid.0);
+    let mut logs: Vec<ThreadLog<'_>> = tids.iter().map(|_| ThreadLog::default()).collect();
+
+    // Block spans: a candidate's block runs up to its thread's next
+    // candidate. A candidate that shares its step with the thread's
+    // previous one takes the block of the first candidate at that step,
+    // which ends at the second and so is empty.
+    let mut spans: Vec<(u64, u64)> = Vec::with_capacity(info.candidates.len());
+    for (i, c) in info.candidates.iter().enumerate() {
+        let log = &mut logs[slot(c.tid).expect("every candidate's thread has a log")];
+        if let Some(open) = log.open.take() {
+            spans[open].1 = c.step;
         }
-        next_step.insert(*tid, spans);
+        if log.last_step == Some(c.step) {
+            spans.push((c.step, c.step));
+        } else {
+            spans.push((c.step, u64::MAX));
+            log.open = Some(i);
+        }
+        log.last_step = Some(c.step);
+
+        // Position p corresponds to: before executing sync #p. The step
+        // at which the thread reaches position p is the step of its p-th
+        // sync anchor (ThreadStart is position 0's lower bound).
+        match c.kind {
+            CandidateKind::BeforeAcquire
+            | CandidateKind::BeforeJoin
+            | CandidateKind::BeforeFlush => log.positions.push((c.sync_seq, c.step)),
+            CandidateKind::AfterRelease | CandidateKind::AfterSpawn => {
+                log.positions.push((c.sync_seq + 1, c.step));
+            }
+            CandidateKind::ThreadStart => {}
+        }
     }
 
-    // CSV accesses only.
-    let csv_accesses: Vec<&SharedAccess> = info
-        .shared_accesses
-        .iter()
-        .filter(|a| csv_locs.contains(&a.loc))
-        .collect();
+    for a in &info.shared_accesses {
+        let Ok(t) = slot(a.tid) else {
+            continue;
+        };
+        let log = &mut logs[t];
+        if csv_locs.contains(&a.loc) {
+            log.csv.push(a);
+        }
+        if race.is_some() {
+            log.shared.push(a);
+        }
+    }
 
     let mut annotated = Vec::with_capacity(info.candidates.len());
-    for c in &info.candidates {
-        let spans = &next_step[&c.point_tid()];
-        let (start, end) = spans
-            .iter()
-            .find(|&&(s, _)| s == c.step)
-            .copied()
-            .unwrap_or((c.step, u64::MAX));
-        let mut accesses = Vec::new();
+    for (c, &(start, end)) in info.candidates.iter().zip(&spans) {
+        if race.is_some_and(|rv| prunable(c, rv)) {
+            continue;
+        }
+        let log = &logs[slot(c.tid).expect("every candidate's thread has a log")];
+        let block = in_span(&log.csv, start, end);
+        let mut accesses = Vec::with_capacity(block.len());
         let mut access_locs = HashSet::new();
         let mut best = PRIORITY_BOTTOM;
-        for a in &csv_accesses {
-            if a.tid.0 != c.point_tid() || a.step < start || a.step >= end {
-                continue;
-            }
+        for a in block {
             let priority = priorities
                 .get(&(a.step, a.loc, a.is_write))
                 .copied()
@@ -329,13 +373,10 @@ pub fn annotate_with_race(
         }
         if best == PRIORITY_BOTTOM {
             if let Some(rv) = race {
-                let block_may_race = info.shared_accesses.iter().any(|a| {
-                    a.tid.0 == c.point_tid()
-                        && a.step >= start
-                        && a.step < end
-                        && rv.has_may_race(a.pc)
-                });
-                if block_may_race {
+                if in_span(&log.shared, start, end)
+                    .iter()
+                    .any(|a| rv.has_may_race(a.pc))
+                {
                     best = PRIORITY_BOTTOM - 1;
                 }
             }
@@ -348,48 +389,69 @@ pub fn annotate_with_race(
         });
     }
 
-    if let Some(rv) = race {
-        annotated.retain(|a| !prunable(&a.point, rv));
-    }
-
-    // Future CSV sets per (thread, sync position).
+    // Future CSV sets per (thread, sync position), as suffix unions over
+    // positions by descending step. A repeated position keeps the set of
+    // its last occurrence, the first one this backward sweep meets.
     let mut fut = FutureCsvMap::default();
-    for (tid, list) in &per_thread {
-        // Position p corresponds to: before executing sync #p. The step
-        // at which the thread reaches position p is the step of its p-th
-        // sync anchor (ThreadStart is position 0's lower bound).
-        let mut positions: Vec<(u32, u64)> = vec![(0, 0)];
-        for c in list {
-            match c.kind {
-                CandidateKind::BeforeAcquire
-                | CandidateKind::BeforeJoin
-                | CandidateKind::BeforeFlush => {
-                    positions.push((c.sync_seq, c.step));
+    for (&tid, log) in tids.iter().zip(&logs) {
+        let mut suffix = HashSet::new();
+        // Index of `suffix`'s copy in `fut.sets`, while it is current.
+        let mut stored: Option<usize> = None;
+        let mut rest = log.csv.len();
+        for &(pos, from_step) in log.positions.iter().rev() {
+            while rest > 0 && log.csv[rest - 1].step >= from_step {
+                rest -= 1;
+                if suffix.insert(coarse(log.csv[rest].loc)) {
+                    stored = None;
                 }
-                CandidateKind::AfterRelease | CandidateKind::AfterSpawn => {
-                    positions.push((c.sync_seq + 1, c.step));
-                }
-                CandidateKind::ThreadStart => {}
             }
+            let set = *stored.get_or_insert_with(|| {
+                fut.sets.push(suffix.clone());
+                fut.sets.len() - 1
+            });
+            fut.map.entry((tid, pos)).or_insert(set);
         }
-        let thread_accesses: Vec<&&SharedAccess> =
-            csv_accesses.iter().filter(|a| a.tid.0 == *tid).collect();
-        let mut all = HashSet::new();
-        for a in &thread_accesses {
-            all.insert(coarse(a.loc));
-        }
-        fut.all.insert(*tid, all);
-        for (pos, from_step) in positions {
-            let set: HashSet<CoarseLoc> = thread_accesses
-                .iter()
-                .filter(|a| a.step >= from_step)
-                .map(|a| coarse(a.loc))
-                .collect();
-            fut.map.insert((*tid, pos), set);
-        }
+        // The sweep ends at position 0, step 0: the last set stored is
+        // every CSV the thread accesses.
+        fut.all.insert(tid, fut.sets.len() - 1);
     }
 
     (annotated, fut)
+}
+
+/// One thread's share of a [`PassingRunInfo`], each list in step order.
+struct ThreadLog<'a> {
+    /// The thread's CSV accesses.
+    csv: Vec<&'a SharedAccess>,
+    /// All of the thread's shared accesses (filled under `static_race`
+    /// only).
+    shared: Vec<&'a SharedAccess>,
+    /// `(sync position, step the thread reaches it)`.
+    positions: Vec<(u32, u64)>,
+    /// Index of the candidate whose block waits for the thread's next
+    /// candidate to end it.
+    open: Option<usize>,
+    /// Step of the thread's latest candidate.
+    last_step: Option<u64>,
+}
+
+impl Default for ThreadLog<'_> {
+    fn default() -> Self {
+        ThreadLog {
+            csv: Vec::new(),
+            shared: Vec::new(),
+            positions: vec![(0, 0)],
+            open: None,
+            last_step: None,
+        }
+    }
+}
+
+/// The accesses of a step-sorted list with `start <= step < end`.
+fn in_span<'l, 'a>(list: &'l [&'a SharedAccess], start: u64, end: u64) -> &'l [&'a SharedAccess] {
+    let lo = list.partition_point(|a| a.step < start);
+    let hi = lo + list[lo..].partition_point(|a| a.step < end);
+    &list[lo..hi]
 }
 
 /// Whether static race verdicts prove this preemption point is a no-op
@@ -406,16 +468,14 @@ fn prunable(point: &PreemptionPoint, race: &RaceVerdicts) -> bool {
     }
 }
 
-impl PreemptionPoint {
-    fn point_tid(&self) -> u32 {
-        self.tid.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcr_vm::{run, DeterministicScheduler, Vm};
+    use mcr_analysis::RaceAnalysis;
+    use mcr_lang::{FuncId, StmtId};
+    use mcr_vm::{run, DeterministicScheduler, MemModel, Vm};
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     const PROG: &str = r#"
         global x: int;
@@ -510,5 +570,410 @@ mod tests {
         assert_eq!(best, 1);
         // Candidates whose block has no CSV access stay at bottom.
         assert!(ann.iter().any(|a| a.best_priority == PRIORITY_BOTTOM));
+    }
+
+    /// The quadratic annotation the sorted per-thread sweep replaced,
+    /// kept as the reference for its output.
+    fn reference_annotate(
+        info: &PassingRunInfo,
+        csv_locs: &HashSet<MemLoc>,
+        priorities: &HashMap<(u64, MemLoc, bool), u32>,
+        race: Option<&RaceVerdicts>,
+    ) -> (Vec<AnnotatedCandidate>, ReferenceFuture) {
+        // Next candidate step per thread, for block boundaries.
+        let mut next_step: HashMap<u32, Vec<(u64, u64)>> = HashMap::new(); // tid -> [(step, next_step)]
+        let mut per_thread: HashMap<u32, Vec<&PreemptionPoint>> = HashMap::new();
+        for c in &info.candidates {
+            per_thread.entry(c.tid.0).or_default().push(c);
+        }
+        for (tid, list) in &per_thread {
+            let mut spans = Vec::with_capacity(list.len());
+            for (i, c) in list.iter().enumerate() {
+                let end = list.get(i + 1).map_or(u64::MAX, |n| n.step);
+                spans.push((c.step, end));
+            }
+            next_step.insert(*tid, spans);
+        }
+
+        // CSV accesses only.
+        let csv_accesses: Vec<&SharedAccess> = info
+            .shared_accesses
+            .iter()
+            .filter(|a| csv_locs.contains(&a.loc))
+            .collect();
+
+        let mut annotated = Vec::with_capacity(info.candidates.len());
+        for c in &info.candidates {
+            let spans = &next_step[&c.tid.0];
+            let (start, end) = spans
+                .iter()
+                .find(|&&(s, _)| s == c.step)
+                .copied()
+                .unwrap_or((c.step, u64::MAX));
+            let mut accesses = Vec::new();
+            let mut access_locs = HashSet::new();
+            let mut best = PRIORITY_BOTTOM;
+            for a in &csv_accesses {
+                if a.tid.0 != c.tid.0 || a.step < start || a.step >= end {
+                    continue;
+                }
+                let priority = priorities
+                    .get(&(a.step, a.loc, a.is_write))
+                    .copied()
+                    .unwrap_or(PRIORITY_BOTTOM);
+                best = best.min(priority);
+                access_locs.insert(coarse(a.loc));
+                accesses.push(RankedAccess {
+                    serial: a.step,
+                    step: a.step,
+                    tid: a.tid,
+                    pc: a.pc,
+                    loc: a.loc,
+                    is_write: a.is_write,
+                    priority,
+                });
+            }
+            if best == PRIORITY_BOTTOM {
+                if let Some(rv) = race {
+                    let block_may_race = info.shared_accesses.iter().any(|a| {
+                        a.tid.0 == c.tid.0
+                            && a.step >= start
+                            && a.step < end
+                            && rv.has_may_race(a.pc)
+                    });
+                    if block_may_race {
+                        best = PRIORITY_BOTTOM - 1;
+                    }
+                }
+            }
+            annotated.push(AnnotatedCandidate {
+                point: *c,
+                accesses,
+                best_priority: best,
+                access_locs,
+            });
+        }
+
+        if let Some(rv) = race {
+            annotated.retain(|a| !prunable(&a.point, rv));
+        }
+
+        // Future CSV sets per (thread, sync position).
+        let mut fut = ReferenceFuture::default();
+        for (tid, list) in &per_thread {
+            // Position p corresponds to: before executing sync #p. The step
+            // at which the thread reaches position p is the step of its p-th
+            // sync anchor (ThreadStart is position 0's lower bound).
+            let mut positions: Vec<(u32, u64)> = vec![(0, 0)];
+            for c in list {
+                match c.kind {
+                    CandidateKind::BeforeAcquire
+                    | CandidateKind::BeforeJoin
+                    | CandidateKind::BeforeFlush => {
+                        positions.push((c.sync_seq, c.step));
+                    }
+                    CandidateKind::AfterRelease | CandidateKind::AfterSpawn => {
+                        positions.push((c.sync_seq + 1, c.step));
+                    }
+                    CandidateKind::ThreadStart => {}
+                }
+            }
+            let thread_accesses: Vec<&&SharedAccess> =
+                csv_accesses.iter().filter(|a| a.tid.0 == *tid).collect();
+            let mut all = HashSet::new();
+            for a in &thread_accesses {
+                all.insert(coarse(a.loc));
+            }
+            fut.all.insert(*tid, all);
+            for (pos, from_step) in positions {
+                let set: HashSet<CoarseLoc> = thread_accesses
+                    .iter()
+                    .filter(|a| a.step >= from_step)
+                    .map(|a| coarse(a.loc))
+                    .collect();
+                fut.map.insert((*tid, pos), set);
+            }
+        }
+
+        (annotated, fut)
+    }
+
+    /// A future-CSV map with one set per key, as the reference builds it.
+    #[derive(Debug, Default, PartialEq)]
+    struct ReferenceFuture {
+        map: HashMap<(u32, u32), HashSet<CoarseLoc>>,
+        all: HashMap<u32, HashSet<CoarseLoc>>,
+    }
+
+    impl From<&FutureCsvMap> for ReferenceFuture {
+        fn from(f: &FutureCsvMap) -> Self {
+            ReferenceFuture {
+                map: f
+                    .map
+                    .iter()
+                    .map(|(&k, &i)| (k, f.sets[i].clone()))
+                    .collect(),
+                all: f
+                    .all
+                    .iter()
+                    .map(|(&k, &i)| (k, f.sets[i].clone()))
+                    .collect(),
+            }
+        }
+    }
+
+    fn assert_same_as_reference(
+        info: &PassingRunInfo,
+        csvs: &HashSet<MemLoc>,
+        prio: &HashMap<(u64, MemLoc, bool), u32>,
+        race: Option<&RaceVerdicts>,
+    ) -> Result<(), TestCaseError> {
+        let (ann, fut) = annotate_with_race(info, csvs, prio, race);
+        let (ref_ann, ref_fut) = reference_annotate(info, csvs, prio, race);
+        prop_assert_eq!(ann, ref_ann);
+        prop_assert_eq!(ReferenceFuture::from(&fut), ref_fut);
+        Ok(())
+    }
+
+    /// Every statement of a program, and those the race verdicts say
+    /// something about (Solo or May-Race).
+    struct Sites {
+        all: Vec<Pc>,
+        flagged: Vec<Pc>,
+    }
+
+    /// The race verdicts of every seeded bug, with its sites.
+    fn seeded_verdicts() -> &'static [(RaceVerdicts, Sites)] {
+        static VERDICTS: OnceLock<Vec<(RaceVerdicts, Sites)>> = OnceLock::new();
+        VERDICTS.get_or_init(|| {
+            mcr_workloads::all_bugs()
+                .iter()
+                .map(|bug| {
+                    let program = bug.compile();
+                    let verdicts = RaceAnalysis::analyze(&program).verdicts().clone();
+                    let all: Vec<Pc> = program
+                        .funcs
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(f, func)| {
+                            (0..func.body.len()).map(move |s| Pc {
+                                func: FuncId(f as u32),
+                                stmt: StmtId(s as u32),
+                            })
+                        })
+                        .collect();
+                    let flagged = all
+                        .iter()
+                        .copied()
+                        .filter(|&pc| verdicts.is_solo(pc) || verdicts.has_may_race(pc))
+                        .collect();
+                    (verdicts, Sites { all, flagged })
+                })
+                .collect()
+        })
+    }
+
+    /// Locations the generated accesses touch: scalars, array elements
+    /// and heap slots that share containers. The last thread only ever
+    /// touches the last one, which is never a CSV.
+    const LOCS: [MemLoc; 7] = [
+        MemLoc::Global(GlobalId(0)),
+        MemLoc::GlobalElem(GlobalId(1), 0),
+        MemLoc::GlobalElem(GlobalId(1), 2),
+        MemLoc::Heap(ObjId(0), 0),
+        MemLoc::Heap(ObjId(0), 1),
+        MemLoc::Global(GlobalId(2)),
+        MemLoc::Global(GlobalId(7)),
+    ];
+    /// Thread ids of the generated runs, sparse so that no id is its
+    /// thread's index.
+    const TIDS: [u32; 4] = [0, 1, 5, 9];
+
+    /// Decodes random draws into a step-ordered passing run. Each draw
+    /// advances the step by 0–2, so candidates and accesses often share
+    /// a step. A candidate's sync ordinal repeats about half the time,
+    /// which (with the After-anchors' `seq + 1`) repeats sync positions.
+    /// Priorities are drawn for some accesses, a few of them explicitly
+    /// `PRIORITY_BOTTOM`.
+    fn passing_run(
+        draws: &[u64],
+        sites: Option<&Sites>,
+    ) -> (PassingRunInfo, HashMap<(u64, MemLoc, bool), u32>) {
+        let mut info = PassingRunInfo::default();
+        let mut prio = HashMap::new();
+        let mut seq = [0u32; TIDS.len()];
+        let mut step = 0u64;
+        for &d in draws {
+            step += d % 3;
+            let thread = (d >> 4) as usize % TIDS.len();
+            let tid = ThreadId(TIDS[thread]);
+            let pc = match sites {
+                Some(s) if (d >> 16) & 1 == 1 && !s.flagged.is_empty() => {
+                    s.flagged[(d >> 20) as usize % s.flagged.len()]
+                }
+                Some(s) => s.all[(d >> 20) as usize % s.all.len()],
+                None => Pc {
+                    func: FuncId((d >> 20) as u32 % 3),
+                    stmt: StmtId((d >> 24) as u32 % 8),
+                },
+            };
+            if (d >> 2) % 3 == 0 {
+                let kind = match (d >> 8) % 6 {
+                    0 => CandidateKind::ThreadStart,
+                    1 => CandidateKind::BeforeAcquire,
+                    2 => CandidateKind::AfterRelease,
+                    3 => CandidateKind::AfterSpawn,
+                    4 => CandidateKind::BeforeJoin,
+                    _ => CandidateKind::BeforeFlush,
+                };
+                let (sync_seq, pc) = if kind == CandidateKind::ThreadStart {
+                    (0, None)
+                } else {
+                    let s = &mut seq[thread];
+                    *s += ((d >> 12) & 1) as u32;
+                    (*s, Some(pc))
+                };
+                info.candidates.push(PreemptionPoint {
+                    tid,
+                    sync_seq,
+                    kind,
+                    step,
+                    pc,
+                });
+            } else {
+                let loc = if thread == TIDS.len() - 1 {
+                    LOCS[LOCS.len() - 1]
+                } else {
+                    LOCS[(d >> 8) as usize % (LOCS.len() - 1)]
+                };
+                let is_write = (d >> 12) & 1 == 1;
+                match (d >> 28) % 4 {
+                    0 => {
+                        prio.insert((step, loc, is_write), 1 + (d >> 32) as u32 % 5);
+                    }
+                    1 => {
+                        prio.insert((step, loc, is_write), PRIORITY_BOTTOM);
+                    }
+                    _ => {}
+                }
+                info.shared_accesses.push(SharedAccess {
+                    step,
+                    tid,
+                    pc,
+                    loc,
+                    is_write,
+                });
+            }
+        }
+        info.total_steps = step + 1;
+        (info, prio)
+    }
+
+    /// The CSV set a mask selects; never the location the last thread touches.
+    fn csv_set(mask: u32) -> HashSet<MemLoc> {
+        LOCS[..LOCS.len() - 1]
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| mask >> i & 1 == 1)
+            .map(|(_, &loc)| loc)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The sweep gives the reference's candidates, in order, and its
+        /// future sets, over random step-ordered passing runs, with race
+        /// verdicts absent or taken from each seeded bug.
+        #[test]
+        fn annotation_matches_reference(
+            draws in proptest::collection::vec(proptest::num::u64::ANY, 0..160),
+            csv_mask in 0u32..64,
+            bug in 0usize..8,
+        ) {
+            let race = bug.checked_sub(1).map(|b| &seeded_verdicts()[b]);
+            let (info, prio) = passing_run(&draws, race.map(|(_, sites)| sites));
+            assert_same_as_reference(&info, &csv_set(csv_mask), &prio, race.map(|(rv, _)| rv))?;
+        }
+    }
+
+    /// The generator produces the cases the sweep must get right: a
+    /// thread's candidates sharing a step, repeated sync positions, a
+    /// thread with candidates but no CSV access, pruned candidates and
+    /// May-Race blocks moved up a tier.
+    #[test]
+    fn generated_runs_cover_the_edge_cases() {
+        let mut rng = proptest::TestRng::new(17);
+        let (mut same_step, mut repeated_pos, mut no_csv, mut pruned, mut may_race) =
+            (0, 0, 0, 0, 0);
+        for case in 0..64 {
+            let draws: Vec<u64> = (0..160).map(|_| rng.next_u64()).collect();
+            let (rv, sites) = &seeded_verdicts()[case % 7];
+            let (info, prio) = passing_run(&draws, Some(sites));
+            let csvs = csv_set(0b11_1111);
+            let mut positions = HashSet::new();
+            for (i, c) in info.candidates.iter().enumerate() {
+                same_step += info.candidates[..i]
+                    .iter()
+                    .any(|p| p.tid == c.tid && p.step == c.step)
+                    as usize;
+                let pos = match c.kind {
+                    CandidateKind::ThreadStart => continue,
+                    CandidateKind::AfterRelease | CandidateKind::AfterSpawn => c.sync_seq + 1,
+                    _ => c.sync_seq,
+                };
+                repeated_pos += !positions.insert((c.tid, pos)) as usize;
+            }
+            let (_, fut) = annotate(&info, &csvs, &prio);
+            no_csv += fut
+                .any(ThreadId(TIDS[TIDS.len() - 1]))
+                .is_some_and(HashSet::is_empty) as usize;
+            let (kept, _) = annotate_with_race(&info, &csvs, &prio, Some(rv));
+            pruned += info.candidates.len() - kept.len();
+            may_race += kept
+                .iter()
+                .filter(|a| a.best_priority == PRIORITY_BOTTOM - 1)
+                .count();
+        }
+        for (what, n) in [
+            ("same-step candidates", same_step),
+            ("repeated positions", repeated_pos),
+            ("threads without CSV access", no_csv),
+            ("pruned candidates", pruned),
+            ("May-Race blocks", may_race),
+        ] {
+            assert!(n > 0, "no {what} generated");
+        }
+    }
+
+    /// The sweep matches the reference on every seeded bug's real
+    /// passing run, under SC and TSO, with and without race verdicts.
+    #[test]
+    fn seeded_bug_runs_match_reference() {
+        for (bug, (rv, _)) in mcr_workloads::all_bugs().iter().zip(seeded_verdicts()) {
+            let program = bug.compile();
+            for model in [MemModel::Sc, MemModel::tso()] {
+                let mut vm = Vm::new(&program, &bug.default_input()).with_mem_model(model);
+                let mut log = SyncLogger::new();
+                run(
+                    &mut vm,
+                    &mut DeterministicScheduler::new(),
+                    &mut log,
+                    bug.max_steps,
+                );
+                let info = log.finish();
+                let csvs: HashSet<MemLoc> = info.shared_accesses.iter().map(|a| a.loc).collect();
+                let prio = info
+                    .shared_accesses
+                    .iter()
+                    .step_by(3)
+                    .map(|a| ((a.step, a.loc, a.is_write), 1 + (a.step % 7) as u32))
+                    .collect();
+                for race in [None, Some(rv)] {
+                    assert_same_as_reference(&info, &csvs, &prio, race)
+                        .unwrap_or_else(|e| panic!("{} {model:?}: {e:?}", bug.name));
+                }
+            }
+        }
     }
 }
