@@ -423,11 +423,122 @@ impl FuncAnalysis {
 mod tests {
     use super::*;
     use mcr_lang::{compile, Inst};
+    use std::collections::BTreeSet;
 
+    /// Analyzes every function of `src`, checking each against the
+    /// independent control-dependence oracle ([`assert_matches_cytron`]).
     fn analyze(src: &str) -> (mcr_lang::Program, Vec<FuncAnalysis>) {
         let p = compile(src).unwrap();
-        let fa = p.funcs.iter().map(FuncAnalysis::new).collect();
+        let fa: Vec<FuncAnalysis> = p.funcs.iter().map(FuncAnalysis::new).collect();
+        for (f, a) in p.funcs.iter().zip(&fa) {
+            assert_matches_cytron(&f.name, a);
+        }
         (p, fa)
+    }
+
+    /// Cytron et al.'s control dependence ("Efficiently computing static
+    /// single assignment form and the control dependence graph",
+    /// TOPLAS'91, Fig. 10, run on the reverse CFG). `y` is in the
+    /// postdominance frontier of `x` when `x` postdominates a successor
+    /// of `y` but does not strictly postdominate `y`; `x` is then control
+    /// dependent on `y`, with the label of each edge out of `y` whose
+    /// target `x` postdominates. Jumps, fallthroughs and virtual exit
+    /// edges carry no branch outcome, so they yield no `(branch, outcome)`
+    /// dependence. Shares only the post-dominator tree with
+    /// [`FuncAnalysis::new`]'s Ferrante–Ottenstein–Warren walk.
+    fn cytron_cds(fa: &FuncAnalysis) -> Vec<BTreeSet<(StmtId, bool)>> {
+        let cfg = fa.cfg();
+        let exit = cfg.exit();
+        let ipdom = |v: Node| {
+            fa.ipdom_stmt(StmtId(v as u32))
+                .map_or(exit, |s| s.0 as Node)
+        };
+        let mut children = vec![Vec::new(); exit + 1];
+        for v in 0..exit {
+            children[ipdom(v)].push(v);
+        }
+        // A preorder of the post-dominator tree; reversed, every node
+        // comes after all of its children.
+        let mut preorder = Vec::with_capacity(exit + 1);
+        let mut stack = vec![exit];
+        while let Some(v) = stack.pop() {
+            preorder.push(v);
+            stack.extend(&children[v]);
+        }
+        let mut pdf: Vec<BTreeSet<Node>> = vec![BTreeSet::new(); exit + 1];
+        for &x in preorder.iter().rev() {
+            // DF_local: predecessors `x` does not immediately postdominate.
+            let mut frontier: BTreeSet<Node> = cfg
+                .preds(x)
+                .iter()
+                .copied()
+                .filter(|&y| ipdom(y) != x)
+                .collect();
+            // DF_up: inherited from the children of `x` in the tree.
+            for &z in &children[x] {
+                frontier.extend(pdf[z].iter().copied().filter(|&y| ipdom(y) != x));
+            }
+            pdf[x] = frontier;
+        }
+        let postdominates = |x: Node, mut v: Node| loop {
+            if v == x {
+                return true;
+            }
+            if v == exit {
+                return false;
+            }
+            v = ipdom(v);
+        };
+        (0..exit)
+            .map(|x| {
+                let mut cds = BTreeSet::new();
+                for &y in &pdf[x] {
+                    for &(succ, label) in cfg.succs(y) {
+                        if let Some(b) = label {
+                            if postdominates(x, succ) {
+                                cds.insert((StmtId(y as u32), b));
+                            }
+                        }
+                    }
+                }
+                cds
+            })
+            .collect()
+    }
+
+    /// Asserts that [`FuncAnalysis::raw_cds`] equals the Cytron oracle
+    /// edge for edge, outcome included, for every statement of one
+    /// function. Returns the number of edges compared.
+    fn assert_matches_cytron(func: &str, fa: &FuncAnalysis) -> usize {
+        let mut edges = 0;
+        for (s, expected) in cytron_cds(fa).into_iter().enumerate() {
+            let mut raw = fa.raw_cds(StmtId(s as u32)).to_vec();
+            raw.sort_unstable();
+            let expected: Vec<_> = expected.into_iter().collect();
+            assert_eq!(raw, expected, "{func}: control dependences of stmt {s}");
+            edges += raw.len();
+        }
+        edges
+    }
+
+    #[test]
+    fn raw_cds_match_the_postdominance_frontier_oracle_on_every_workload() {
+        let programs = mcr_workloads::all_bugs()
+            .into_iter()
+            .map(|b| (b.name, b.compile()))
+            .chain(
+                mcr_workloads::fault_bugs()
+                    .into_iter()
+                    .map(|b| (b.name, b.compile())),
+            );
+        let mut edges = 0;
+        for (name, p) in programs {
+            for f in &p.funcs {
+                edges +=
+                    assert_matches_cytron(&format!("{name}::{}", f.name), &FuncAnalysis::new(f));
+            }
+        }
+        assert!(edges > 0, "the oracle compared no control dependences");
     }
 
     /// Finds the single statement satisfying a predicate.

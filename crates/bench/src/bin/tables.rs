@@ -120,18 +120,9 @@ fn main() {
             eprintln!("wrote {path}");
         }
         "steps" => {
-            let stats = mcr_bench::hotpath::stepper_plan_stats();
             println!(
-                "dispatch plan: {} ops, {} fused, {} slow",
-                stats.ops, stats.fused, stats.slow
-            );
-            println!(
-                "steps_per_sec (threaded): {:.0}",
+                "steps_per_sec: {:.0}",
                 mcr_bench::hotpath::measure_steps_per_sec()
-            );
-            println!(
-                "steps_per_sec (legacy):   {:.0}",
-                mcr_bench::hotpath::measure_steps_per_sec_legacy()
             );
         }
         "batch-json" => {

@@ -8,11 +8,8 @@
 //! * **checkpoint_clone** — one `Vm::clone` on a heap-rich completed
 //!   state (the copy-on-write fast path this repo's PR 2 introduced;
 //!   the pre-COW deep clone measured ~57,500 ns on the same fixture),
-//! * **steps_per_sec** — interpreter throughput with the pre-decoded
-//!   dispatch plan attached (the execution path every pipeline phase
-//!   uses), next to
-//!   **steps_per_sec_legacy** for the per-step `match` decoder it
-//!   replaced,
+//! * **steps_per_sec** — interpreter throughput of the statement
+//!   decoder every pipeline phase runs on,
 //! * **tries_per_sec** — completed test executions per second inside a
 //!   plain CHESS search,
 //! * **guided vs plain** — tries and wall time of ChessX vs CHESS,
@@ -31,9 +28,7 @@ use crate::stamp::Stamp;
 use mcr_core::{find_failure_cfg, find_failure_par, ReproOptions, Reproducer, RunConfig};
 use mcr_search::{find_schedule, worklist_size, Algorithm, SearchConfig, SearchResult};
 use mcr_slice::Strategy;
-use mcr_vm::{
-    run, DeterministicScheduler, DispatchPlan, MemModel, NullObserver, Outcome, PlanStats, Vm,
-};
+use mcr_vm::{run, DeterministicScheduler, MemModel, NullObserver, Outcome, Vm};
 use mcr_workloads::{all_bugs, fault_bugs, EnvRequirement};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -126,20 +121,12 @@ pub fn measure_checkpoint_clone_ns() -> f64 {
     median_ns(&mut samples)
 }
 
-/// Shared stepper-throughput driver: statements per second with or
-/// without the pre-decoded dispatch plan attached.
-fn measure_stepper(threaded: bool) -> f64 {
+/// Measures interpreter throughput (statements per second) on a
+/// compute-heavy single-thread program.
+pub fn measure_steps_per_sec() -> f64 {
     let program = mcr_lang::compile(STEPPER).expect("stepper compiles");
-    let plan = threaded.then(|| std::sync::Arc::new(DispatchPlan::compile(&program)));
-    let make_vm = || {
-        let vm = Vm::new(&program, &[]);
-        match &plan {
-            Some(plan) => vm.with_plan(std::sync::Arc::clone(plan)),
-            None => vm,
-        }
-    };
     // Warm once to learn the run length.
-    let mut vm = make_vm();
+    let mut vm = Vm::new(&program, &[]);
     run(
         &mut vm,
         &mut DeterministicScheduler::new(),
@@ -152,7 +139,7 @@ fn measure_stepper(threaded: bool) -> f64 {
         let mut total_steps = 0u64;
         let start = Instant::now();
         while start.elapsed() < Duration::from_millis(30) {
-            let mut vm = make_vm();
+            let mut vm = Vm::new(&program, &[]);
             run(
                 &mut vm,
                 &mut DeterministicScheduler::new(),
@@ -164,26 +151,6 @@ fn measure_stepper(threaded: bool) -> f64 {
         samples.push(total_steps as f64 / start.elapsed().as_secs_f64());
     }
     median_ns(&mut samples)
-}
-
-/// Measures interpreter throughput (statements per second) on the
-/// threaded-dispatch path — a compiled [`DispatchPlan`] attached, as
-/// every pipeline phase runs.
-pub fn measure_steps_per_sec() -> f64 {
-    measure_stepper(true)
-}
-
-/// Measures interpreter throughput of the legacy per-step `match`
-/// decoder (no dispatch plan), kept as the comparison baseline.
-pub fn measure_steps_per_sec_legacy() -> f64 {
-    measure_stepper(false)
-}
-
-/// Dispatch-plan shape of the stepper benchmark program (decoded op
-/// count, fused superinstructions, slow-path residue).
-pub fn stepper_plan_stats() -> PlanStats {
-    let program = mcr_lang::compile(STEPPER).expect("stepper compiles");
-    DispatchPlan::compile(&program).stats()
 }
 
 /// A fig1-scale search setup shared by the tries/guided/plain
@@ -525,13 +492,8 @@ pub struct BenchReport {
     pub stamp: Stamp,
     /// One checkpoint on the heap-rich fixture, nanoseconds.
     pub checkpoint_clone_ns: f64,
-    /// Interpreter throughput with the dispatch plan attached,
-    /// statements/second.
+    /// Interpreter throughput, statements/second.
     pub steps_per_sec: f64,
-    /// Legacy per-step `match` decoder throughput, statements/second.
-    pub steps_per_sec_legacy: f64,
-    /// Dispatch-plan shape of the stepper program.
-    pub dispatch: PlanStats,
     /// Completed test executions per second (plain CHESS on the search
     /// fixture).
     pub tries_per_sec: f64,
@@ -643,8 +605,6 @@ pub fn measure_parallel_suite(parallelism: usize) -> ParallelCell {
 pub fn bench_report() -> BenchReport {
     let checkpoint_clone_ns = measure_checkpoint_clone_ns();
     let steps_per_sec = measure_steps_per_sec();
-    let steps_per_sec_legacy = measure_steps_per_sec_legacy();
-    let dispatch = stepper_plan_stats();
     let fixture = SearchFixture::prepare();
     let plain_result = fixture.search(Algorithm::Chess, 1);
     let guided_result = fixture.search(Algorithm::ChessX, 1);
@@ -663,8 +623,6 @@ pub fn bench_report() -> BenchReport {
         stamp: Stamp::of_this_host(SAMPLES),
         checkpoint_clone_ns,
         steps_per_sec,
-        steps_per_sec_legacy,
-        dispatch,
         tries_per_sec,
         guided: algo_cell(&guided_result),
         plain: algo_cell(&plain_result),
@@ -697,16 +655,6 @@ impl BenchReport {
             "  \"checkpoint_fixture\": \"256 heap objects x 64 slots\","
         );
         let _ = writeln!(s, "  \"steps_per_sec\": {:.0},", self.steps_per_sec);
-        let _ = writeln!(
-            s,
-            "  \"steps_per_sec_legacy\": {:.0},",
-            self.steps_per_sec_legacy
-        );
-        let _ = writeln!(
-            s,
-            "  \"dispatch\": {{\"ops\": {}, \"fused\": {}, \"slow\": {}}},",
-            self.dispatch.ops, self.dispatch.fused, self.dispatch.slow
-        );
         let _ = writeln!(s, "  \"tries_per_sec\": {:.1},", self.tries_per_sec);
         let _ = writeln!(
             s,
@@ -805,8 +753,6 @@ impl BenchReport {
 /// tooling never silently loses a column.
 pub const BENCH_JSON_REQUIRED: &[&str] = &[
     "\"steps_per_sec\"",
-    "\"steps_per_sec_legacy\"",
-    "\"dispatch\"",
     "\"memmodel\"",
     "\"tso_worklist\"",
     "\"worklist_growth\"",
@@ -862,12 +808,6 @@ mod tests {
             },
             checkpoint_clone_ns: 74.0,
             steps_per_sec: 2e7,
-            steps_per_sec_legacy: 1e7,
-            dispatch: PlanStats {
-                ops: 40,
-                fused: 6,
-                slow: 2,
-            },
             tries_per_sec: 1e3,
             guided: AlgoCell {
                 tries: 3,
@@ -914,8 +854,6 @@ mod tests {
             "\"stamp\": {\"rev\": \"0123456789ab\", \"nproc\": 8, \"reps\": 9}",
             "\"checkpoint_clone_ns\"",
             "\"steps_per_sec\"",
-            "\"steps_per_sec_legacy\"",
-            "\"dispatch\"",
             "\"tries_per_sec\"",
             "\"guided\"",
             "\"plain\"",

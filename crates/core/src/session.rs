@@ -61,7 +61,7 @@ use mcr_dump::{CoreDump, DecodeError, TraverseLimits};
 use mcr_lang::Program;
 use mcr_search::{Algorithm, CancelToken, SearchConfig};
 use mcr_slice::Strategy;
-use mcr_vm::{DispatchPlan, Failure, FaultKind, FaultSpec, MemModel, ThreadId, Vm};
+use mcr_vm::{Failure, FaultKind, FaultSpec, MemModel, ThreadId, Vm};
 use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
 
@@ -112,16 +112,10 @@ pub struct ReproSession<'p> {
     /// by [`Phase::index`]; filled lazily (encoding an artifact just to
     /// hash it is wasted work unless keys are actually consulted).
     hashes: [Cell<Option<ContentHash>>; 5],
-    /// The program's direct-threaded [`DispatchPlan`], compiled when the
-    /// session builds its first VM and shared by every VM it spawns (a
-    /// session whose phases all hit the store never compiles). A
-    /// runtime attachment like the store itself: excluded from
-    /// checkpoints — a resumed session compiles its own.
-    plan: OnceCell<Arc<DispatchPlan>>,
     /// The static race analysis, resolved lazily on first use by the
     /// search phase (and only under [`ReproOptions::static_race`] with
-    /// no fault plan — `None` once resolved means disabled). Like the
-    /// plan, a runtime attachment excluded from checkpoints.
+    /// no fault plan — `None` once resolved means disabled). A runtime
+    /// attachment like the store itself: excluded from checkpoints.
     race: OnceCell<Option<RaceAnalysis>>,
 }
 
@@ -190,7 +184,6 @@ impl<'p> ReproSession<'p> {
             program_fp: OnceCell::new(),
             artifacts: Artifacts::default(),
             hashes: std::array::from_fn(|_| Cell::new(None)),
-            plan: OnceCell::new(),
             race: OnceCell::new(),
         })
     }
@@ -359,15 +352,11 @@ impl<'p> ReproSession<'p> {
         Ok(())
     }
 
-    /// A fresh [`Vm`] on the session's program and input, with the
-    /// session's dispatch plan attached. Every phase that executes the
-    /// program builds its VMs here.
+    /// A fresh [`Vm`] on the session's program and input, under the
+    /// session's memory model and fault plan. Every phase that executes
+    /// the program builds its VMs here.
     pub(crate) fn new_vm(&self) -> Vm<'p> {
-        let plan = self
-            .plan
-            .get_or_init(|| Arc::new(DispatchPlan::compile(self.program)));
         Vm::new(self.program, &self.input)
-            .with_plan(Arc::clone(plan))
             .with_mem_model(self.options.mem_model)
             .with_faults(&self.options.faults)
     }
@@ -1070,10 +1059,8 @@ mod tests {
         // All five phases were cache hits; nothing Started.
         assert_eq!(log.lock().unwrap().cache_hits(), crate::observe::PHASES);
         assert!(log.lock().unwrap().finished().is_empty());
-        // No phase ran, so no VM was built and nothing was analyzed: a
-        // fully-warm session never compiles its plan.
-        assert!(cold.plan.get().is_some(), "the cold session ran VMs");
-        assert!(warm.plan.get().is_none(), "warm session compiled a plan");
+        // No phase ran, so nothing was analyzed.
+        assert!(cold.analysis.get().is_some(), "the cold session analyzed");
         assert!(warm.analysis.get().is_none(), "warm session analyzed");
         // The rehydrated report is bit-identical, *including* timings
         // (they are part of the cached artifacts).

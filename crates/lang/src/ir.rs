@@ -258,9 +258,7 @@ pub enum Inst {
 impl Inst {
     /// Stable opcode tag of this instruction kind, in declaration order.
     ///
-    /// The dispatch-plan compiler (`mcr-vm`) serializes pre-decoded ops
-    /// against this layout, so the values are part of the plan wire
-    /// format: existing tags must never be renumbered (new kinds append).
+    /// Existing tags must never be renumbered (new kinds append).
     pub fn opcode(&self) -> u8 {
         match self {
             Inst::Assign { .. } => 0,
@@ -792,8 +790,7 @@ mod tests {
 
     #[test]
     fn opcode_tags_are_pinned() {
-        // Wire-format stability: these exact values are baked into
-        // serialized dispatch plans. Renumbering is a breaking change.
+        // Tag stability: renumbering is a breaking change.
         let cases: Vec<(Inst, u8)> = vec![
             (
                 Inst::Assign {

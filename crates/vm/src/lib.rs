@@ -37,7 +37,6 @@ pub mod event;
 pub mod failure;
 pub mod memloc;
 pub mod memmodel;
-pub mod plan;
 pub mod rng;
 pub mod sched;
 pub mod value;
@@ -50,7 +49,6 @@ pub use memloc::MemLoc;
 pub use memmodel::{
     BufferedStore, FaultKind, FaultSpec, InjectedFault, MemModel, DEFAULT_STORE_BUFFER_CAP,
 };
-pub use plan::{DispatchPlan, PlanStats};
 pub use rng::SplitMix64;
 pub use sched::{
     run, run_until, DeterministicScheduler, Outcome, Scheduler, StressScheduler, DEFAULT_MAX_STEPS,

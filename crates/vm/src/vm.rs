@@ -35,7 +35,6 @@ use crate::event::{Event, Observer, SyncKind};
 use crate::failure::{Failure, FailureKind};
 use crate::memloc::MemLoc;
 use crate::memmodel::{BufferedStore, FaultKind, FaultSpec, InjectedFault, MemModel};
-use crate::plan::{DispatchPlan, Op, Rhs};
 use crate::value::{ObjId, ThreadId, Value};
 use mcr_lang::{
     BinOp, Expr, FuncId, GlobalId, GlobalKind, Inst, LocalId, Pc, Place, Program, StmtId, UnOp,
@@ -195,12 +194,6 @@ enum ResolvedPlace {
 #[derive(Debug, Clone)]
 pub struct Vm<'p> {
     program: &'p Program,
-    /// Optional direct-threaded dispatch plan ([`DispatchPlan`]); when
-    /// attached, the statement executor's hot arms read pre-decoded
-    /// operands from the plan table and only fall back to the legacy
-    /// `Expr` walk for [`Op::Slow`] statements. Shared by reference
-    /// between checkpoints (clone = one refcount bump).
-    plan: Option<Arc<DispatchPlan>>,
     /// All global storage behind one COW cell; the first write after a
     /// checkpoint copies the vector (subsequent writes hit the unique
     /// fast path of [`Arc::make_mut`]).
@@ -266,7 +259,6 @@ impl<'p> Vm<'p> {
 
         let mut vm = Vm {
             program,
-            plan: None,
             globals: Arc::new(globals),
             heap: Arc::new(Vec::new()),
             threads: Vec::new(),
@@ -305,33 +297,6 @@ impl<'p> Vm<'p> {
     /// The program being executed.
     pub fn program(&self) -> &'p Program {
         self.program
-    }
-
-    /// Attaches a direct-threaded dispatch plan compiled for this VM's
-    /// program. Execution stays bit-identical to the legacy loop — a
-    /// plan only changes how statements are decoded.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if the plan's shape does not match the
-    /// program.
-    pub fn set_plan(&mut self, plan: Arc<DispatchPlan>) {
-        debug_assert!(
-            plan.matches(self.program),
-            "dispatch plan does not match the program"
-        );
-        self.plan = Some(plan);
-    }
-
-    /// Builder form of [`Vm::set_plan`].
-    pub fn with_plan(mut self, plan: Arc<DispatchPlan>) -> Self {
-        self.set_plan(plan);
-        self
-    }
-
-    /// The attached dispatch plan, if any.
-    pub fn plan(&self) -> Option<&Arc<DispatchPlan>> {
-        self.plan.as_ref()
     }
 
     /// Selects the memory consistency model. Must be called before the
@@ -987,16 +952,7 @@ impl<'p> Vm<'p> {
         let mut reads = std::mem::take(&mut self.reads_buf);
         let mut events = std::mem::take(&mut self.events_buf);
         debug_assert!(reads.is_empty() && events.is_empty());
-        // Direct-threaded dispatch: monomorphize the statement executor
-        // on plan presence. The `PLANNED = false` body is bit-for-bit
-        // the legacy interpreter (every plan consult compiles out); the
-        // `PLANNED = true` body reads pre-decoded operands from the
-        // dispatch table in its hot arms.
-        let result = if self.plan.is_some() {
-            self.exec_inst::<true>(tid, pc, inst, &mut reads, &mut events, step, obs)
-        } else {
-            self.exec_inst::<false>(tid, pc, inst, &mut reads, &mut events, step, obs)
-        };
+        let result = self.exec_inst(tid, pc, inst, &mut reads, &mut events);
         for (loc, value) in reads.drain(..) {
             obs.on_event(
                 step,
@@ -1034,136 +990,16 @@ impl<'p> Vm<'p> {
         true
     }
 
-    /// The pre-decoded op for `pc`, when a dispatch plan is attached.
-    #[inline]
-    fn plan_op(&self, pc: Pc) -> Option<Op> {
-        self.plan.as_ref().map(|plan| plan.op(pc.func, pc.stmt))
-    }
-
-    /// Evaluates a pre-decoded right-hand side, mirroring [`Vm::eval`]
-    /// on the corresponding expression shape exactly (same reads, same
-    /// failure kinds, same semantics via [`Vm::binop`]).
-    fn eval_rhs(
-        &self,
-        thread: &Thread,
-        frame: &Frame,
-        rhs: Rhs,
-        reads: &mut Vec<(MemLoc, Value)>,
-    ) -> Result<Value, FailureKind> {
-        match rhs {
-            Rhs::Const(v) => Ok(v),
-            Rhs::Local(l) => {
-                let v = frame.locals[l.0 as usize];
-                reads.push((
-                    MemLoc::Local {
-                        tid: thread.id,
-                        frame: frame.serial,
-                        local: l,
-                    },
-                    v,
-                ));
-                Ok(v)
-            }
-            Rhs::Global(g) => match &self.globals[g.0 as usize] {
-                GSlot::Scalar(v) => {
-                    let v = Self::snoop(thread, MemLoc::Global(g)).unwrap_or(*v);
-                    reads.push((MemLoc::Global(g), v));
-                    Ok(v)
-                }
-                GSlot::Array(_) => Err(FailureKind::TypeConfusion),
-            },
-            Rhs::LocalBin(l, op, k) => {
-                let v = self.eval_rhs(thread, frame, Rhs::Local(l), reads)?;
-                self.binop(op, v, Value::Int(k))
-            }
-            Rhs::GlobalBin(g, op, k) => {
-                let v = self.eval_rhs(thread, frame, Rhs::Global(g), reads)?;
-                self.binop(op, v, Value::Int(k))
-            }
-            Rhs::Expr(idx) => {
-                let plan = self
-                    .plan
-                    .as_ref()
-                    .expect("Rhs::Expr ops only come from an attached plan");
-                self.eval_tokens(thread, frame, plan.expr(idx), reads)
-            }
-        }
-    }
-
-    /// Evaluates a pre-flattened postfix token run. Tokens execute left
-    /// to right — the exact operand order of the recursive [`Vm::eval`]
-    /// (which is eager for every operator) — so the read-event stream
-    /// and the first failure are identical by construction.
-    fn eval_tokens(
-        &self,
-        thread: &Thread,
-        frame: &Frame,
-        toks: &[crate::plan::Tok],
-        reads: &mut Vec<(MemLoc, Value)>,
-    ) -> Result<Value, FailureKind> {
-        use crate::plan::{Tok, EXPR_STACK};
-        let mut stack = [Value::NULL; EXPR_STACK];
-        let mut sp = 0usize;
-        for tok in toks {
-            match *tok {
-                Tok::Const(v) => {
-                    stack[sp] = v;
-                    sp += 1;
-                }
-                Tok::Local(l) => {
-                    let v = frame.locals[l.0 as usize];
-                    reads.push((
-                        MemLoc::Local {
-                            tid: thread.id,
-                            frame: frame.serial,
-                            local: l,
-                        },
-                        v,
-                    ));
-                    stack[sp] = v;
-                    sp += 1;
-                }
-                Tok::Global(g) => match &self.globals[g.0 as usize] {
-                    GSlot::Scalar(v) => {
-                        let v = Self::snoop(thread, MemLoc::Global(g)).unwrap_or(*v);
-                        reads.push((MemLoc::Global(g), v));
-                        stack[sp] = v;
-                        sp += 1;
-                    }
-                    GSlot::Array(_) => return Err(FailureKind::TypeConfusion),
-                },
-                Tok::Un(op) => {
-                    let v = stack[sp - 1];
-                    stack[sp - 1] = match op {
-                        UnOp::Not => Value::from(!v.truthy()),
-                        UnOp::Neg => {
-                            let v = v.as_int().ok_or(FailureKind::TypeConfusion)?;
-                            Value::Int(v.wrapping_neg())
-                        }
-                    };
-                }
-                Tok::Bin(op) => {
-                    sp -= 1;
-                    stack[sp - 1] = self.binop(op, stack[sp - 1], stack[sp])?;
-                }
-            }
-        }
-        Ok(stack[sp - 1])
-    }
-
     /// Executes the statement body, pushing the detail events to emit
     /// after the reads into `events`. On `Err` the thread crashes at
     /// `pc` (and the caller discards any partial events).
-    #[allow(clippy::too_many_arguments)]
-    fn exec_inst<const PLANNED: bool>(
+    fn exec_inst(
         &mut self,
         tid: ThreadId,
         pc: Pc,
         inst: &Inst,
         reads: &mut Vec<(MemLoc, Value)>,
         events: &mut Vec<Event>,
-        _step: u64,
-        _obs: &mut dyn Observer,
     ) -> Result<(), FailureKind> {
         macro_rules! cur_frame {
             () => {
@@ -1188,15 +1024,7 @@ impl<'p> Vm<'p> {
                 let (v, rp) = {
                     let thread = &self.threads[tid.0 as usize];
                     let frame = thread.frames.last().expect("live thread");
-                    // Direct-threaded fast path: the dispatch plan holds
-                    // the statement's pre-decoded source operand, so the
-                    // boxed `Expr` tree is never walked. Reads, failure
-                    // kinds, and semantics are identical by construction
-                    // (`eval_rhs` mirrors `eval` shape by shape).
-                    let v = match if PLANNED { self.plan_op(pc) } else { None } {
-                        Some(Op::Assign { src, .. }) => self.eval_rhs(thread, frame, src, reads)?,
-                        _ => self.eval(thread, frame, src, reads)?,
-                    };
+                    let v = self.eval(thread, frame, src, reads)?;
                     let rp = self.resolve_place(thread, frame, dst, reads)?;
                     (v, rp)
                 };
@@ -1214,14 +1042,7 @@ impl<'p> Vm<'p> {
                 let outcome = {
                     let thread = &self.threads[tid.0 as usize];
                     let frame = thread.frames.last().expect("live thread");
-                    // Fused load+compare+branch superinstruction (or any
-                    // pre-decoded condition) from the dispatch plan.
-                    match if PLANNED { self.plan_op(pc) } else { None } {
-                        Some(Op::Branch { cond, .. }) => {
-                            self.eval_rhs(thread, frame, cond, reads)?.truthy()
-                        }
-                        _ => self.eval(thread, frame, cond, reads)?.truthy(),
-                    }
+                    self.eval(thread, frame, cond, reads)?.truthy()
                 };
                 events.push(Event::Branch { tid, pc, outcome });
                 let target = if outcome { *then_to } else { *else_to };
@@ -1552,6 +1373,31 @@ mod tests {
         }
     }
 
+    /// Runs a program whose first statement of `main` crashes with
+    /// `kind`, and checks the VM froze exactly there: the thread is
+    /// `Crashed` with its pc still at the faulting statement, and the
+    /// crash is the last event observed.
+    fn assert_crashes_at_first_stmt(src: &str, kind: FailureKind) {
+        let p = mcr_lang::compile(src).unwrap();
+        let mut vm = vm_for(&p, &[]);
+        let mut rec = Recorder::default();
+        run_main(&mut vm, &mut rec);
+        let failure = vm.failure().expect("program crashes");
+        let at = Pc::new(p.main, StmtId(0));
+        assert_eq!(failure.kind, kind, "{src}");
+        assert_eq!(failure.pc, at, "{src}");
+        assert_eq!(failure.thread, ThreadId(0), "{src}");
+        let t0 = vm.thread(ThreadId(0));
+        assert_eq!(t0.state, ThreadState::Crashed, "{src}");
+        assert_eq!(t0.pc(), Some(at), "{src}");
+        assert_eq!(vm.steps(), 1, "{src}");
+        assert_eq!(
+            rec.events.last().map(|(_, e)| e),
+            Some(&Event::Crash { failure }),
+            "{src}"
+        );
+    }
+
     #[test]
     fn arithmetic_and_globals() {
         let p = mcr_lang::compile("global x: int; fn main() { x = 2 * 3 + 4; }").unwrap();
@@ -1654,10 +1500,12 @@ mod tests {
 
     #[test]
     fn div_by_zero() {
-        let p = mcr_lang::compile("global x: int; fn main() { x = 1 / (x - x); }").unwrap();
-        let mut vm = vm_for(&p, &[]);
-        run_main(&mut vm, &mut NullObserver);
-        assert_eq!(vm.failure().unwrap().kind, FailureKind::DivByZero);
+        for src in [
+            "global x: int; fn main() { x = 1 / (x - x); }",
+            "global x: int; fn main() { x = x / 0; }",
+        ] {
+            assert_crashes_at_first_stmt(src, FailureKind::DivByZero);
+        }
     }
 
     #[test]
@@ -1760,10 +1608,7 @@ mod tests {
 
     #[test]
     fn release_without_hold_fails() {
-        let p = mcr_lang::compile("lock l; fn main() { release l; }").unwrap();
-        let mut vm = vm_for(&p, &[]);
-        run_main(&mut vm, &mut NullObserver);
-        assert_eq!(vm.failure().unwrap().kind, FailureKind::LockMisuse);
+        assert_crashes_at_first_stmt("lock l; fn main() { release l; }", FailureKind::LockMisuse);
     }
 
     #[test]
@@ -1835,119 +1680,6 @@ mod tests {
             e,
             Event::Write { loc: MemLoc::Global(gg), .. } if *gg == g
         )));
-    }
-
-    #[test]
-    fn dispatch_plan_runs_bit_identical_to_legacy() {
-        use crate::plan::DispatchPlan;
-        use crate::sched::{run, DeterministicScheduler, StressScheduler};
-
-        // Exercises every fast-path op plus slow-path fallbacks
-        // (call/return/spawn/join/alloc/output) under contention.
-        let src = r#"
-            global x: int;
-            global a: [int; 4];
-            global head: ptr;
-            lock l;
-            fn bump(d) {
-                acquire l;
-                x = x + d;
-                release l;
-                return x;
-            }
-            fn worker(k) {
-                var i; var p;
-                while (i < 6) {
-                    i = i + 1;
-                    a[(k + i) % 4] = bump(i);
-                    if (i == 3) {
-                        p = alloc(2);
-                        p[0] = i;
-                        head = p;
-                    }
-                }
-                output(x);
-            }
-            fn main() {
-                var t; var u;
-                t = spawn worker(1);
-                u = spawn worker(2);
-                worker(0);
-                join t;
-                join u;
-            }
-        "#;
-        let p = mcr_lang::compile(src).unwrap();
-        let plan = Arc::new(DispatchPlan::compile(&p));
-        assert!(plan.stats().fused > 0, "the loop must compile to fused ops");
-
-        let mut schedules: Vec<Box<dyn FnMut() -> Box<dyn crate::sched::Scheduler>>> =
-            vec![Box::new(|| Box::new(DeterministicScheduler::new()))];
-        for seed in [1u64, 7, 42, 1337] {
-            schedules.push(Box::new(move || Box::new(StressScheduler::new(seed))));
-        }
-        for make in &mut schedules {
-            let mut legacy_vm = Vm::new(&p, &[]);
-            let mut legacy_rec = Recorder::default();
-            run(&mut legacy_vm, &mut *make(), &mut legacy_rec, 1_000_000);
-
-            let mut fast_vm = Vm::new(&p, &[]).with_plan(Arc::clone(&plan));
-            let mut fast_rec = Recorder::default();
-            run(&mut fast_vm, &mut *make(), &mut fast_rec, 1_000_000);
-
-            assert_eq!(legacy_rec.events, fast_rec.events);
-            assert_eq!(legacy_vm.steps(), fast_vm.steps());
-            assert_eq!(legacy_vm.instrs(), fast_vm.instrs());
-            assert_eq!(legacy_vm.outputs(), fast_vm.outputs());
-            assert_eq!(legacy_vm.failure(), fast_vm.failure());
-            assert_eq!(legacy_vm.globals(), fast_vm.globals());
-        }
-    }
-
-    #[test]
-    fn dispatch_plan_crashes_identically() {
-        use crate::plan::DispatchPlan;
-
-        // Fast-path failures: release without hold (Op::Release) and a
-        // fused div-by-zero (Rhs::GlobalBin) freeze exactly like legacy.
-        for src in [
-            "lock l; fn main() { release l; }",
-            "global x: int; fn main() { x = x / 0; }",
-        ] {
-            let p = mcr_lang::compile(src).unwrap();
-            let plan = Arc::new(DispatchPlan::compile(&p));
-
-            let mut legacy_vm = vm_for(&p, &[]);
-            let mut legacy_rec = Recorder::default();
-            run_main(&mut legacy_vm, &mut legacy_rec);
-
-            let mut fast_vm = Vm::new(&p, &[]).with_plan(plan);
-            let mut fast_rec = Recorder::default();
-            run_main(&mut fast_vm, &mut fast_rec);
-
-            assert_eq!(legacy_rec.events, fast_rec.events, "{src}");
-            assert_eq!(legacy_vm.failure(), fast_vm.failure(), "{src}");
-            let (lt, ft) = (legacy_vm.thread(ThreadId(0)), fast_vm.thread(ThreadId(0)));
-            assert_eq!(lt.state, ft.state, "{src}");
-            assert_eq!(lt.pc(), ft.pc(), "{src}");
-        }
-    }
-
-    #[test]
-    fn plan_survives_checkpoint_clones() {
-        use crate::plan::DispatchPlan;
-        let p = mcr_lang::compile("global x: int; fn main() { x = 1; x = 2; x = 3; }").unwrap();
-        let plan = Arc::new(DispatchPlan::compile(&p));
-        let mut vm = Vm::new(&p, &[]).with_plan(plan);
-        vm.step(ThreadId(0), &mut NullObserver);
-        let mut checkpoint = vm.clone();
-        assert!(checkpoint.plan().is_some(), "clones keep the plan");
-        run_main(&mut checkpoint, &mut NullObserver);
-        let g = p.global_by_name("x").unwrap();
-        assert_eq!(
-            checkpoint.globals()[g.0 as usize],
-            GSlot::Scalar(Value::Int(3))
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use mcr_dump::{CoreDump, DumpReason};
 use mcr_search::{Algorithm, Budget, Guidance, SearchConfig, SearchResult, TestRun};
 use mcr_slice::Strategy;
 use mcr_testsupport::{search_max_tries, stress_bug};
-use mcr_vm::{run_until, DispatchPlan, Recorder, StressScheduler, ThreadId, Vm};
+use mcr_vm::{run_until, StressScheduler, ThreadId, Vm};
 use mcr_workloads::all_bugs;
 use proptest::prelude::*;
 
@@ -231,64 +231,6 @@ proptest! {
         // mutations were not no-ops), unless it immediately finished.
         if forked.steps() > split {
             prop_assert_ne!(&snapshot(&forked), &checkpoint_snap);
-        }
-    }
-}
-
-/// Tentpole: the direct-threaded dispatch plan executes bit-identically
-/// to the legacy per-step interpreter for every bug in the suite — same
-/// event stream, step/instruction counts, outputs, failure, and final
-/// globals — under the canonical deterministic schedule and a spread of
-/// stress schedules.
-#[test]
-fn threaded_dispatch_matches_legacy_interpreter_for_every_bug() {
-    for bug in all_bugs() {
-        let program = bug.compile();
-        let input = bug.default_input();
-        let plan = std::sync::Arc::new(DispatchPlan::compile(&program));
-        let stats = plan.stats();
-        assert!(stats.ops > 0, "{}: empty plan", bug.name);
-
-        let mut schedules: Vec<Box<dyn FnMut() -> Box<dyn mcr_vm::Scheduler>>> =
-            vec![Box::new(|| {
-                Box::new(mcr_vm::DeterministicScheduler::new()) as Box<dyn mcr_vm::Scheduler>
-            })];
-        for seed in mcr_testsupport::seeds(bug.name, 4) {
-            schedules.push(Box::new(move || {
-                Box::new(StressScheduler::new(seed)) as Box<dyn mcr_vm::Scheduler>
-            }));
-        }
-
-        for (si, make_sched) in schedules.iter_mut().enumerate() {
-            let mut legacy = Vm::new(&program, &input);
-            let mut legacy_rec = Recorder::default();
-            let legacy_out = mcr_vm::run(
-                &mut legacy,
-                &mut *make_sched(),
-                &mut legacy_rec,
-                bug.max_steps,
-            );
-
-            let mut threaded = Vm::new(&program, &input).with_plan(std::sync::Arc::clone(&plan));
-            let mut threaded_rec = Recorder::default();
-            let threaded_out = mcr_vm::run(
-                &mut threaded,
-                &mut *make_sched(),
-                &mut threaded_rec,
-                bug.max_steps,
-            );
-
-            let ctx = format!("{} schedule #{si}", bug.name);
-            assert_eq!(legacy_out, threaded_out, "{ctx}: outcome diverged");
-            assert_eq!(
-                legacy_rec.events, threaded_rec.events,
-                "{ctx}: event stream diverged"
-            );
-            assert_eq!(legacy.steps(), threaded.steps(), "{ctx}: step count");
-            assert_eq!(legacy.instrs(), threaded.instrs(), "{ctx}: instr count");
-            assert_eq!(legacy.failure(), threaded.failure(), "{ctx}: failure");
-            assert_eq!(legacy.outputs(), threaded.outputs(), "{ctx}: outputs");
-            assert_eq!(legacy.globals(), threaded.globals(), "{ctx}: final globals");
         }
     }
 }
