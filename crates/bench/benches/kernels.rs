@@ -5,7 +5,8 @@
 //!   paper's 1.6% vs 42% motivation).
 //! * `dump/*` — encode/decode/traverse/diff (Tables 3 and 6).
 //! * `index/*` — failure-index reverse engineering and alignment.
-//! * `slice/*` — dependence trace + backward slice (Table 6).
+//! * `slice/*` — dependence trace, backward slice, and the projection
+//!   onto CSV accesses plus their ranking (Table 6).
 //! * `search/*` — one end-to-end directed search per algorithm (Table 4).
 //! * `search_hotpath/*` — the search engine's cost model in isolation:
 //!   checkpoint (`Vm::clone`) cost on a heap-rich state, stepping
@@ -24,9 +25,10 @@ use mcr_analysis::ProgramAnalysis;
 use mcr_core::{find_failure, ReproOptions, Reproducer};
 use mcr_dump::{reachable_vars, CoreDump, DumpDiff, DumpReason, TraverseLimits};
 use mcr_index::{reverse_index, Aligner, OnlineIndexer};
+use mcr_lang::GlobalId;
 use mcr_search::{Algorithm, Worklist};
-use mcr_slice::{backward_slice, Strategy, TraceCollector};
-use mcr_vm::{run, run_until, DeterministicScheduler, NullObserver, ThreadId, Vm};
+use mcr_slice::{backward_slice, csv_accesses, rank_accesses, Strategy, TraceCollector};
+use mcr_vm::{run, run_until, DeterministicScheduler, MemLoc, NullObserver, ThreadId, Vm};
 
 const LOOPY: &str = r#"
     global n: int;
@@ -197,7 +199,7 @@ fn bench_slice(c: &mut Criterion) {
     let program = mcr_lang::compile(LOOPY).unwrap();
     let analysis = ProgramAnalysis::analyze(&program);
     let mut vm = Vm::new(&program, &[]);
-    let mut collector = TraceCollector::new(&program, &analysis, 1_000_000);
+    let mut collector = TraceCollector::new(&analysis, 1_000_000);
     run(
         &mut vm,
         &mut DeterministicScheduler::new(),
@@ -211,7 +213,7 @@ fn bench_slice(c: &mut Criterion) {
     g.bench_function("collect_trace", |b| {
         b.iter(|| {
             let mut vm = Vm::new(&program, &[]);
-            let mut tc = TraceCollector::new(&program, &analysis, 1_000_000);
+            let mut tc = TraceCollector::new(&analysis, 1_000_000);
             run(
                 &mut vm,
                 &mut DeterministicScheduler::new(),
@@ -223,6 +225,16 @@ fn bench_slice(c: &mut Criterion) {
     });
     g.bench_function("backward_slice", |b| {
         b.iter(|| black_box(backward_slice(&trace, &[criterion]).len()));
+    });
+    // What the diff and rank phases do with the trace under the
+    // dependence strategy: slice, project onto the CSV (`acc`), rank.
+    let csvs = [MemLoc::Global(GlobalId(1))];
+    g.bench_function("project_and_rank", |b| {
+        b.iter(|| {
+            let slice = backward_slice(&trace, &[criterion]);
+            let accesses = csv_accesses(&trace, criterion, &csvs, Some(&slice));
+            black_box(rank_accesses(&accesses, criterion, Strategy::Dependence).len())
+        });
     });
     g.finish();
 }

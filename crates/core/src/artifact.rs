@@ -23,13 +23,15 @@ use mcr_search::{
     AnnotatedCandidate, CandidateKind, CoarseLoc, PassingRunInfo, PreemptionPoint, SearchResult,
     SharedAccess,
 };
-use mcr_slice::{RankedAccess, Trace, TraceEvent};
+use mcr_slice::{CsvAccess, RankedAccess};
 use mcr_vm::{MemLoc, ObjId, ThreadId};
 use std::collections::HashSet;
 use std::time::Duration;
 
 const MAGIC: &[u8; 4] = b"MCRA";
-const VERSION: u8 = 1;
+// v2: the delta artifact holds the CSV-access projection of the
+// dependence trace instead of the whole trace.
+const VERSION: u8 = 2;
 
 /// The artifact kind tags of the `MCRA` framing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +93,8 @@ pub struct AlignmentArtifact {
 }
 
 /// Phase 3 output: the dump comparison — critical shared variables plus
-/// the dependence trace captured at the aligned point.
+/// the replay's accesses to them, projected out of the dependence trace
+/// captured up to the aligned point. The trace itself is dropped.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DumpDeltaArtifact {
     /// Encoded size of the failure dump in bytes.
@@ -108,14 +111,23 @@ pub struct DumpDeltaArtifact {
     pub csv_paths: Vec<RefPath>,
     /// CSV locations resolved in the passing run.
     pub csv_locs: Vec<MemLoc>,
-    /// The dependence trace of the replay (feeds the rank phase).
-    pub trace: Trace,
+    /// Serial of the last trace event: the aligned point (0 when the
+    /// replay traced nothing).
+    pub aligned_serial: u64,
+    /// The replay's accesses to the CSV locations, in trace order (feeds
+    /// the rank phase). Under
+    /// [`Strategy::Dependence`](mcr_slice::Strategy::Dependence) each
+    /// carries its backward-slice distance from the aligned point.
+    pub csv_accesses: Vec<CsvAccess>,
     /// Wall-clock time of the replay to the aligned point.
     pub replay_elapsed: Duration,
     /// Wall-clock time encoding, decoding, and traversing both dumps.
     pub parse_elapsed: Duration,
     /// Wall-clock time comparing the two variable maps.
     pub diff_elapsed: Duration,
+    /// Wall-clock time of the backward slice (dependence strategy only)
+    /// and the projection onto the CSV accesses.
+    pub slice_elapsed: Duration,
 }
 
 /// Phase 4 output: the prioritized CSV accesses.
@@ -137,48 +149,10 @@ pub struct SearchArtifact {
 }
 
 // ---------------------------------------------------------------------
-// Shared component codecs. (Program counters go through the public
-// `wire` pc codec — `Writer::pc` / `Reader::pc` — shared with the dump
-// format; only artifact-specific composites live here.)
-
-fn write_memloc(w: &mut Writer, loc: MemLoc) {
-    match loc {
-        MemLoc::Global(g) => {
-            w.u8(0);
-            w.uvarint(g.0 as u64);
-        }
-        MemLoc::GlobalElem(g, i) => {
-            w.u8(1);
-            w.uvarint(g.0 as u64);
-            w.uvarint(i as u64);
-        }
-        MemLoc::Heap(o, i) => {
-            w.u8(2);
-            w.uvarint(o.0 as u64);
-            w.uvarint(i as u64);
-        }
-        MemLoc::Local { tid, frame, local } => {
-            w.u8(3);
-            w.uvarint(tid.0 as u64);
-            w.uvarint(frame);
-            w.uvarint(local.0 as u64);
-        }
-    }
-}
-
-fn read_memloc(r: &mut Reader<'_>) -> Result<MemLoc, DecodeError> {
-    Ok(match r.u8()? {
-        0 => MemLoc::Global(GlobalId(r.uvarint()? as u32)),
-        1 => MemLoc::GlobalElem(GlobalId(r.uvarint()? as u32), r.uvarint()? as u32),
-        2 => MemLoc::Heap(ObjId(r.uvarint()? as u32), r.uvarint()? as u32),
-        3 => MemLoc::Local {
-            tid: ThreadId(r.uvarint()? as u32),
-            frame: r.uvarint()?,
-            local: LocalId(r.uvarint()? as u32),
-        },
-        t => return r.err(format!("bad memloc tag {t}")),
-    })
-}
+// Shared component codecs. (Program counters and memory locations go
+// through the public `wire` codecs — `Writer::pc` / `Reader::pc` and
+// `Writer::memloc` / `Reader::memloc` — shared with the dump format;
+// only artifact-specific composites live here.)
 
 fn write_coarse(w: &mut Writer, loc: CoarseLoc) {
     match loc {
@@ -342,7 +316,7 @@ fn write_ranked(w: &mut Writer, a: &RankedAccess) {
     w.uvarint(a.step);
     w.uvarint(a.tid.0 as u64);
     w.pc(a.pc);
-    write_memloc(w, a.loc);
+    w.memloc(a.loc);
     w.bool(a.is_write);
     w.uvarint(a.priority as u64);
 }
@@ -353,7 +327,7 @@ fn read_ranked(r: &mut Reader<'_>) -> Result<RankedAccess, DecodeError> {
         step: r.uvarint()?,
         tid: ThreadId(r.uvarint()? as u32),
         pc: r.pc()?,
-        loc: read_memloc(r)?,
+        loc: r.memloc()?,
         is_write: r.bool()?,
         priority: r.uvarint()? as u32,
     })
@@ -440,14 +414,26 @@ fn read_search_result(r: &mut Reader<'_>) -> Result<SearchResult, DecodeError> {
     })
 }
 
-// The trace-event byte layout lives in `mcr_slice`, next to
-// `TraceEvent`; the diff artifact reuses it verbatim.
-fn write_trace_event(w: &mut Writer, e: &TraceEvent) {
-    mcr_slice::write_trace_event(w, e);
+fn write_csv_access(w: &mut Writer, a: &CsvAccess) {
+    w.uvarint(a.serial);
+    w.uvarint(a.step);
+    w.uvarint(a.tid.0 as u64);
+    w.pc(a.pc);
+    w.memloc(a.loc);
+    w.bool(a.is_write);
+    w.opt_uvarint(a.distance.map(u64::from));
 }
 
-fn read_trace_event(r: &mut Reader<'_>) -> Result<TraceEvent, DecodeError> {
-    mcr_slice::read_trace_event(r)
+fn read_csv_access(r: &mut Reader<'_>) -> Result<CsvAccess, DecodeError> {
+    Ok(CsvAccess {
+        serial: r.uvarint()?,
+        step: r.uvarint()?,
+        tid: ThreadId(r.uvarint()? as u32),
+        pc: r.pc()?,
+        loc: r.memloc()?,
+        is_write: r.bool()?,
+        distance: r.opt_uvarint()?.map(|d| d as u32),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -515,7 +501,7 @@ impl AlignmentArtifact {
                 w.uvarint(a.step);
                 w.uvarint(a.tid.0 as u64);
                 w.pc(a.pc);
-                write_memloc(w, a.loc);
+                w.memloc(a.loc);
                 w.bool(a.is_write);
             }
             w.uvarint(info.total_steps);
@@ -553,7 +539,7 @@ impl AlignmentArtifact {
                 step: r.uvarint()?,
                 tid: ThreadId(r.uvarint()? as u32),
                 pc: r.pc()?,
-                loc: read_memloc(&mut r)?,
+                loc: r.memloc()?,
                 is_write: r.bool()?,
             });
         }
@@ -595,15 +581,17 @@ impl DumpDeltaArtifact {
             }
             w.uvarint(self.csv_locs.len() as u64);
             for &l in &self.csv_locs {
-                write_memloc(w, l);
+                w.memloc(l);
             }
-            w.uvarint(self.trace.events.len() as u64);
-            for e in &self.trace.events {
-                write_trace_event(w, e);
+            w.uvarint(self.aligned_serial);
+            w.uvarint(self.csv_accesses.len() as u64);
+            for a in &self.csv_accesses {
+                write_csv_access(w, a);
             }
             w.duration(self.replay_elapsed);
             w.duration(self.parse_elapsed);
             w.duration(self.diff_elapsed);
+            w.duration(self.slice_elapsed);
         })
     }
 
@@ -627,16 +615,28 @@ impl DumpDeltaArtifact {
         let n = r.len("csv locs")?;
         let mut csv_locs = Vec::with_capacity(n.min(65536));
         for _ in 0..n {
-            csv_locs.push(read_memloc(&mut r)?);
+            csv_locs.push(r.memloc()?);
         }
-        let n = r.len("trace events")?;
-        let mut events = Vec::with_capacity(n.min(65536));
+        let aligned_serial = r.uvarint()?;
+        let n = r.len("csv accesses")?;
+        let mut csv_accesses = Vec::with_capacity(n.min(65536));
         for _ in 0..n {
-            events.push(read_trace_event(&mut r)?);
+            csv_accesses.push(read_csv_access(&mut r)?);
+        }
+        // The rank phase measures temporal distance back from the
+        // aligned point, so the projection must be in trace order and
+        // end there.
+        if !csv_accesses.windows(2).all(|w| w[0].serial <= w[1].serial)
+            || csv_accesses
+                .last()
+                .is_some_and(|a| a.serial > aligned_serial)
+        {
+            return r.err("csv accesses out of trace order");
         }
         let replay_elapsed = r.duration()?;
         let parse_elapsed = r.duration()?;
         let diff_elapsed = r.duration()?;
+        let slice_elapsed = r.duration()?;
         r.finish()?;
         Ok(DumpDeltaArtifact {
             failure_dump_bytes,
@@ -646,10 +646,12 @@ impl DumpDeltaArtifact {
             shared,
             csv_paths,
             csv_locs,
-            trace: Trace { events },
+            aligned_serial,
+            csv_accesses,
             replay_elapsed,
             parse_elapsed,
             diff_elapsed,
+            slice_elapsed,
         })
     }
 }
@@ -705,6 +707,40 @@ impl SearchArtifact {
         r.finish()?;
         Ok(SearchArtifact { result, elapsed })
     }
+}
+
+/// A delta artifact in the version-1 layout, which embedded the whole
+/// dependence trace (here one event that reads and writes global 0).
+#[cfg(test)]
+pub(crate) fn v1_delta_bytes() -> Vec<u8> {
+    let x = MemLoc::Global(GlobalId(0));
+    let mut w = Writer::new();
+    w.raw(MAGIC);
+    w.u8(1);
+    w.u8(Kind::Delta as u8);
+    // Dump sizes, vars, diffs, shared; no CSV paths; one CSV location.
+    for n in [120, 118, 3, 1, 2, 0, 1] {
+        w.uvarint(n);
+    }
+    w.memloc(x);
+    // One trace event: serial, step, tid, pc, uses, defs, control
+    // dependence and branch outcome.
+    w.uvarint(1);
+    w.uvarint(0);
+    w.uvarint(5);
+    w.uvarint(1);
+    w.pc(mcr_lang::Pc::new(FuncId(1), StmtId(2)));
+    w.uvarint(1);
+    w.memloc(x);
+    w.opt_uvarint(None);
+    w.uvarint(1);
+    w.memloc(x);
+    w.opt_uvarint(None);
+    w.u8(0);
+    for _ in 0..3 {
+        w.duration(Duration::from_micros(7));
+    }
+    w.into_bytes()
 }
 
 #[cfg(test)]
@@ -826,5 +862,108 @@ mod tests {
         };
         let back = SearchArtifact::from_bytes(&art.to_bytes()).unwrap();
         assert_eq!(art, back);
+    }
+
+    /// A delta artifact exercising every field: all CSV path roots, all
+    /// memory-location kinds, reads and writes, on- and off-slice
+    /// accesses.
+    fn sample_delta() -> DumpDeltaArtifact {
+        let access = |serial, loc, is_write, distance| CsvAccess {
+            serial,
+            step: serial * 3 + 1,
+            tid: ThreadId((serial % 3) as u32),
+            pc: Pc::new(FuncId(2), StmtId(serial as u32)),
+            loc,
+            is_write,
+            distance,
+        };
+        DumpDeltaArtifact {
+            failure_dump_bytes: 1234,
+            aligned_dump_bytes: 1180,
+            vars: 40,
+            diffs: 3,
+            shared: 12,
+            csv_paths: vec![
+                RefPath {
+                    root: PathRoot::Global(GlobalId(0)),
+                    steps: vec![],
+                },
+                RefPath {
+                    root: PathRoot::GlobalElem(GlobalId(1), 4),
+                    steps: vec![0, 2],
+                },
+                RefPath {
+                    root: PathRoot::FocusLocal(LocalId(3)),
+                    steps: vec![1],
+                },
+                RefPath {
+                    root: PathRoot::Register,
+                    steps: vec![],
+                },
+            ],
+            csv_locs: vec![
+                MemLoc::Global(GlobalId(0)),
+                MemLoc::GlobalElem(GlobalId(1), 4),
+                MemLoc::Heap(ObjId(2), 1),
+            ],
+            aligned_serial: 900,
+            csv_accesses: vec![
+                access(17, MemLoc::Global(GlobalId(0)), false, Some(4)),
+                access(17, MemLoc::Global(GlobalId(0)), true, Some(4)),
+                access(300, MemLoc::GlobalElem(GlobalId(1), 4), true, None),
+                access(899, MemLoc::Heap(ObjId(2), 1), false, Some(1)),
+                access(900, MemLoc::Global(GlobalId(0)), false, Some(0)),
+            ],
+            replay_elapsed: Duration::from_micros(150),
+            parse_elapsed: Duration::from_micros(20),
+            diff_elapsed: Duration::from_micros(3),
+            slice_elapsed: Duration::from_micros(9),
+        }
+    }
+
+    #[test]
+    fn delta_artifact_round_trips_and_survives_corruption() {
+        let art = sample_delta();
+        let bytes = art.to_bytes();
+        let back = DumpDeltaArtifact::from_bytes(&bytes).unwrap();
+        assert_eq!(art, back);
+        assert_eq!(bytes, back.to_bytes());
+        // Every truncation and every single-byte corruption decodes or
+        // fails with a `DecodeError`; none panics, and whatever decodes
+        // re-encodes to an artifact that decodes to itself.
+        let check = |b: &[u8]| {
+            if let Ok(a) = DumpDeltaArtifact::from_bytes(b) {
+                assert_eq!(DumpDeltaArtifact::from_bytes(&a.to_bytes()).unwrap(), a);
+            }
+        };
+        for len in 0..bytes.len() {
+            assert!(DumpDeltaArtifact::from_bytes(&bytes[..len]).is_err());
+        }
+        let mut corrupt = bytes.clone();
+        for i in 0..bytes.len() {
+            for mask in 1..=255u8 {
+                corrupt[i] = bytes[i] ^ mask;
+                check(&corrupt);
+            }
+            corrupt[i] = bytes[i];
+        }
+    }
+
+    #[test]
+    fn delta_projection_out_of_trace_order_rejected() {
+        let mut art = sample_delta();
+        art.csv_accesses.swap(0, 2);
+        let err = DumpDeltaArtifact::from_bytes(&art.to_bytes()).unwrap_err();
+        assert!(err.msg.contains("trace order"), "{err}");
+        let mut art = sample_delta();
+        art.aligned_serial = 899;
+        let err = DumpDeltaArtifact::from_bytes(&art.to_bytes()).unwrap_err();
+        assert!(err.msg.contains("trace order"), "{err}");
+    }
+
+    #[test]
+    fn version_1_delta_artifact_rejected() {
+        let err = DumpDeltaArtifact::from_bytes(&v1_delta_bytes()).unwrap_err();
+        assert!(err.msg.contains("artifact version 1"), "{err}");
     }
 }

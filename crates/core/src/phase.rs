@@ -33,7 +33,7 @@ use mcr_dump::{
 };
 use mcr_index::{AlignSignal, Aligner, Alignment};
 use mcr_search::{annotate_with_race, find_schedule, CancelToken, SearchConfig};
-use mcr_slice::{backward_slice, rank_csv_accesses, Strategy, TraceCollector};
+use mcr_slice::{backward_slice, csv_accesses, rank_accesses, Strategy, TraceCollector};
 use mcr_vm::{run_until, DeterministicScheduler, MemLoc, Outcome, Tee, ThreadId};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -382,8 +382,10 @@ impl PipelinePhase for AlignPhase {
 }
 
 /// Phase 3: replay to the aligned point, capture the aligned dump and
-/// the dependence trace, and compare the dumps to find the critical
-/// shared variables (§4).
+/// the dependence trace, compare the dumps to find the critical shared
+/// variables (§4), and project the trace onto the accesses to them
+/// (slicing first under [`Strategy::Dependence`]). The trace is dropped
+/// at the end of the phase; the artifact keeps only the projection.
 #[derive(Debug, Clone, Copy)]
 pub struct DiffPhase;
 
@@ -423,7 +425,7 @@ impl PipelinePhase for DiffPhase {
         // Replay to the aligned point; capture dump + trace.
         let t0 = Instant::now();
         let mut replay = s.new_vm();
-        let mut collector = TraceCollector::new(s.program, s.analysis(), s.options.trace_window);
+        let mut collector = TraceCollector::new(s.analysis(), s.options.trace_window);
         {
             let mut sched = DeterministicScheduler::new();
             let stop_after = alignment.step;
@@ -499,7 +501,23 @@ impl PipelinePhase for DiffPhase {
             })
             .collect();
 
-        let elapsed = replay_elapsed + parse_elapsed + diff_elapsed;
+        // Slice from the aligned point (the last traced event) and keep
+        // only what the rank phase reads: the CSV accesses.
+        let t0 = Instant::now();
+        let aligned = trace.last().map(|e| e.serial);
+        let slice = (s.options.strategy == Strategy::Dependence)
+            .then(|| backward_slice(&trace, aligned.as_slice()));
+        let aligned_serial = aligned.unwrap_or(0);
+        let csv_accesses = csv_accesses(&trace, aligned_serial, &csv_locs, slice.as_ref());
+        drop(trace);
+        let slice_elapsed = t0.elapsed();
+        s.emit(PhaseEvent::Stage {
+            phase: Phase::Diff,
+            stage: "slice",
+            elapsed: slice_elapsed,
+        });
+
+        let elapsed = replay_elapsed + parse_elapsed + diff_elapsed + slice_elapsed;
         s.emit(PhaseEvent::Finished {
             phase: Phase::Diff,
             elapsed,
@@ -512,16 +530,18 @@ impl PipelinePhase for DiffPhase {
             shared: diff.shared_compared,
             csv_paths: diff.csvs,
             csv_locs,
-            trace,
+            aligned_serial,
+            csv_accesses,
             replay_elapsed,
             parse_elapsed,
             diff_elapsed,
+            slice_elapsed,
         })
     }
 }
 
-/// Phase 4: prioritize the CSV accesses of the dependence trace
-/// (temporal closeness or dependence distance, per
+/// Phase 4: prioritize the CSV accesses the diff phase projected out of
+/// the dependence trace (temporal closeness or dependence distance, per
 /// [`ReproOptions::strategy`](crate::ReproOptions::strategy)).
 #[derive(Debug, Clone, Copy)]
 pub struct RankPhase;
@@ -554,26 +574,12 @@ impl PipelinePhase for RankPhase {
     fn compute(s: &mut ReproSession<'_>) -> Result<Self::Artifact, ReproError> {
         s.emit(PhaseEvent::Started { phase: Phase::Rank });
         let t0 = Instant::now();
-        let ranked = {
-            let delta = Self::input(s).expect("diff ran");
-            let trace = &delta.trace;
-            let csv_set: HashSet<MemLoc> = delta.csv_locs.iter().copied().collect();
-            let aligned_serial = trace.last().map_or(0, |e| e.serial);
-            let slice = match s.options.strategy {
-                Strategy::Dependence => {
-                    let criteria: Vec<u64> = trace.last().map(|e| e.serial).into_iter().collect();
-                    Some(backward_slice(trace, &criteria))
-                }
-                Strategy::Temporal => None,
-            };
-            rank_csv_accesses(
-                trace,
-                aligned_serial,
-                &csv_set,
-                s.options.strategy,
-                slice.as_ref(),
-            )
-        };
+        let delta = Self::input(s).expect("diff ran");
+        let ranked = rank_accesses(
+            &delta.csv_accesses,
+            delta.aligned_serial,
+            s.options.strategy,
+        );
         let elapsed = t0.elapsed();
         s.emit(PhaseEvent::Finished {
             phase: Phase::Rank,

@@ -350,7 +350,8 @@ pub struct ReproTimings {
     pub dump_parse: Duration,
     /// Comparing the two variable maps ("diff").
     pub diff: Duration,
-    /// Dynamic slicing.
+    /// Dynamic slicing: the backward slice and the projection onto the
+    /// CSV accesses (diff phase) plus their ranking (rank phase).
     pub slicing: Duration,
     /// The schedule search.
     pub search: Duration,

@@ -499,8 +499,8 @@ impl<'p> ReproSession<'p> {
     }
 
     /// Phase 3: replay to the aligned point, capture the aligned dump
-    /// and the dependence trace, and compare the dumps to find the
-    /// critical shared variables (§4).
+    /// and the dependence trace, compare the dumps to find the critical
+    /// shared variables (§4), and keep the trace's accesses to them.
     ///
     /// # Errors
     ///
@@ -510,7 +510,7 @@ impl<'p> ReproSession<'p> {
         self.run::<DiffPhase>()
     }
 
-    /// Phase 4: prioritize the CSV accesses of the dependence trace
+    /// Phase 4: prioritize the CSV accesses the diff phase kept
     /// (temporal closeness or dependence distance, per
     /// [`ReproOptions::strategy`](crate::ReproOptions::strategy)).
     ///
@@ -570,7 +570,7 @@ impl<'p> ReproSession<'p> {
                 replay: delta.replay_elapsed,
                 dump_parse: delta.parse_elapsed,
                 diff: delta.diff_elapsed,
-                slicing: ranked.elapsed,
+                slicing: delta.slice_elapsed + ranked.elapsed,
                 search: search.elapsed,
             },
             deterministic_repro: align.deterministic_repro,
@@ -1006,7 +1006,14 @@ mod tests {
             .collect();
         assert_eq!(
             stages,
-            ["replay", "dump-parse", "diff", "annotate", "schedule"]
+            [
+                "replay",
+                "dump-parse",
+                "diff",
+                "slice",
+                "annotate",
+                "schedule"
+            ]
         );
     }
 
@@ -1122,5 +1129,78 @@ mod tests {
         assert!(artifact.result.cancelled);
         // Rank and everything before it were cached; the search was not.
         assert_eq!(store.stats().inserts, 4);
+    }
+
+    /// A checkpoint that embeds a version-1 delta artifact (taken before
+    /// the delta layout changed) fails to resume with a typed codec
+    /// error.
+    #[test]
+    fn checkpoint_with_version_1_delta_rejected() {
+        let p = mcr_lang::compile(FIG1).unwrap();
+        let mut s = fig1_session(&p, ReproOptions::default());
+        s.run_diff().unwrap();
+        let ckpt = s.checkpoint();
+        // The delta is the last artifact present: `true`, its
+        // length-prefixed bytes, then `false` for rank and search.
+        let delta = s.delta_artifact().unwrap().to_bytes();
+        let mut tail = Writer::new();
+        tail.bool(true);
+        tail.bytes(&delta);
+        tail.bool(false);
+        tail.bool(false);
+        let tail = tail.into_bytes();
+        assert!(ckpt.ends_with(&tail));
+        let mut stale = Writer::new();
+        stale.raw(&ckpt[..ckpt.len() - tail.len()]);
+        stale.bool(true);
+        stale.bytes(&crate::artifact::v1_delta_bytes());
+        stale.bool(false);
+        stale.bool(false);
+        let result = ReproSession::resume(&p, &stale.into_bytes());
+        match result {
+            Err(ReproError::Codec(e)) => {
+                assert!(e.msg.contains("artifact version 1"), "{e}");
+            }
+            other => panic!("expected a codec error, got ok={}", other.is_ok()),
+        }
+    }
+
+    /// A version-1 delta left in the store under the current key is a
+    /// miss: the diff phase recomputes, overwrites the entry, and the
+    /// session reports what the cold run reported.
+    #[test]
+    fn stale_delta_store_entry_is_recomputed() {
+        let p = mcr_lang::compile(FIG1).unwrap();
+        let store: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::unbounded());
+        let mut cold = fig1_session(&p, ReproOptions::default());
+        cold.set_store(Arc::clone(&store));
+        let cold_report = cold.run_to_end().unwrap();
+        let key = cold.phase_key(Phase::Diff).unwrap();
+        store.put(&key, &crate::artifact::v1_delta_bytes());
+
+        let mut warm = fig1_session(&p, ReproOptions::default());
+        warm.set_store(Arc::clone(&store));
+        let log = Arc::new(Mutex::new(TimingLog::new()));
+        warm.set_observer(Box::new(Arc::clone(&log)));
+        let warm_report = warm.run_to_end().unwrap();
+
+        let log = log.lock().unwrap();
+        assert_eq!(log.cache_hits()[..2], [Phase::Index, Phase::Align]);
+        assert!(log.finished().iter().any(|(p, _)| *p == Phase::Diff));
+        let fresh = store.get(&key).expect("entry rewritten");
+        assert_eq!(
+            DumpDeltaArtifact::from_bytes(&fresh).unwrap(),
+            *warm.delta_artifact().unwrap()
+        );
+        // The recomputed phases carry their own timings.
+        let untimed = |r: ReproReport| ReproReport {
+            timings: ReproTimings::default(),
+            search: mcr_search::SearchResult {
+                wall_time: Duration::ZERO,
+                ..r.search
+            },
+            ..r
+        };
+        assert_eq!(untimed(cold_report), untimed(warm_report));
     }
 }

@@ -256,30 +256,6 @@ pub enum Inst {
 }
 
 impl Inst {
-    /// Stable opcode tag of this instruction kind, in declaration order.
-    ///
-    /// Existing tags must never be renumbered (new kinds append).
-    pub fn opcode(&self) -> u8 {
-        match self {
-            Inst::Assign { .. } => 0,
-            Inst::Branch { .. } => 1,
-            Inst::Jump { .. } => 2,
-            Inst::Call { .. } => 3,
-            Inst::Return { .. } => 4,
-            Inst::Acquire { .. } => 5,
-            Inst::Release { .. } => 6,
-            Inst::Spawn { .. } => 7,
-            Inst::Join { .. } => 8,
-            Inst::Alloc { .. } => 9,
-            Inst::Assert { .. } => 10,
-            Inst::Output { .. } => 11,
-            Inst::LoopEnter { .. } => 12,
-            Inst::LoopIter { .. } => 13,
-            Inst::Nop => 14,
-            Inst::Fence => 15,
-        }
-    }
-
     /// True for the synthetic loop-counter instructions inserted by the
     /// instrumentation pass; these are excluded from the Table 1 census.
     pub fn is_synthetic(&self) -> bool {
@@ -786,82 +762,6 @@ mod tests {
         assert_eq!(g.resolve(StmtId(3), false), None);
         assert_eq!(g.resolve(StmtId(4), false), Some(false));
         assert_eq!(g.root(), StmtId(3));
-    }
-
-    #[test]
-    fn opcode_tags_are_pinned() {
-        // Tag stability: renumbering is a breaking change.
-        let cases: Vec<(Inst, u8)> = vec![
-            (
-                Inst::Assign {
-                    dst: Place::Local(LocalId(0)),
-                    src: Expr::Const(0),
-                },
-                0,
-            ),
-            (
-                Inst::Branch {
-                    cond: Expr::Const(1),
-                    then_to: StmtId(0),
-                    else_to: StmtId(0),
-                    loop_header: None,
-                    cond_group: None,
-                },
-                1,
-            ),
-            (Inst::Jump { to: StmtId(0) }, 2),
-            (
-                Inst::Call {
-                    callee: FuncId(0),
-                    args: vec![],
-                    dst: None,
-                },
-                3,
-            ),
-            (Inst::Return { value: None }, 4),
-            (Inst::Acquire { lock: LockId(0) }, 5),
-            (Inst::Release { lock: LockId(0) }, 6),
-            (
-                Inst::Spawn {
-                    callee: FuncId(0),
-                    args: vec![],
-                    dst: None,
-                },
-                7,
-            ),
-            (
-                Inst::Join {
-                    thread: Expr::Const(0),
-                },
-                8,
-            ),
-            (
-                Inst::Alloc {
-                    dst: Place::Local(LocalId(0)),
-                    len: Expr::Const(1),
-                },
-                9,
-            ),
-            (
-                Inst::Assert {
-                    cond: Expr::Const(1),
-                },
-                10,
-            ),
-            (
-                Inst::Output {
-                    value: Expr::Const(0),
-                },
-                11,
-            ),
-            (Inst::LoopEnter { loop_id: LoopId(0) }, 12),
-            (Inst::LoopIter { loop_id: LoopId(0) }, 13),
-            (Inst::Nop, 14),
-            (Inst::Fence, 15),
-        ];
-        for (inst, tag) in cases {
-            assert_eq!(inst.opcode(), tag, "{inst:?}");
-        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! [`TraceCollector`] records a windowed dynamic dependence trace of the
 //! passing run (the role Valgrind plays in the paper); [`backward_slice`]
 //! computes the backward dynamic slice from the aligned point's
-//! criterion variables; [`rank_csv_accesses`] assigns the priority
+//! criterion variables; [`csv_accesses`] projects the trace onto the
+//! accesses to the critical shared variables, so the trace can be
+//! dropped, and [`rank_accesses`] assigns those accesses the priority
 //! superscripts of the paper's Fig. 9 under either the temporal or the
 //! dependence strategy.
 //!
@@ -20,7 +22,7 @@
 //! )?;
 //! let analysis = ProgramAnalysis::analyze(&program);
 //! let mut vm = Vm::new(&program, &[]);
-//! let mut tc = TraceCollector::new(&program, &analysis, 100_000);
+//! let mut tc = TraceCollector::new(&analysis, 100_000);
 //! run(&mut vm, &mut DeterministicScheduler::new(), &mut tc, 100_000);
 //! let trace = tc.finish();
 //! let criterion = trace.last().unwrap().serial;
@@ -35,6 +37,7 @@ pub mod slicer;
 pub mod trace;
 
 pub use slicer::{
-    backward_slice, rank_csv_accesses, DynamicSlice, RankedAccess, Strategy, PRIORITY_BOTTOM,
+    backward_slice, csv_accesses, rank_accesses, CsvAccess, DynamicSlice, RankedAccess, Strategy,
+    PRIORITY_BOTTOM,
 };
-pub use trace::{read_trace_event, write_trace_event, Trace, TraceCollector, TraceEvent};
+pub use trace::{Trace, TraceCollector, TraceEvent};

@@ -10,63 +10,93 @@
 //!   in the slice get the lowest priority ("they are very likely not
 //!   relevant to the failure").
 
-use crate::trace::{Trace, TraceEvent};
-use mcr_vm::MemLoc;
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::trace::Trace;
+use mcr_lang::Pc;
+use mcr_vm::{MemLoc, ThreadId};
+use std::collections::VecDeque;
 
 /// The lowest priority (the paper's ⊥).
 pub const PRIORITY_BOTTOM: u32 = u32::MAX;
 
-/// A backward dynamic slice with dependence distances.
+/// Marks an event outside the slice in [`DynamicSlice`]'s distance array.
+const OFF_SLICE: u32 = u32::MAX;
+
+/// A backward dynamic slice with dependence distances, over the events
+/// of one [`Trace`].
 #[derive(Debug, Clone, Default)]
 pub struct DynamicSlice {
-    /// Dependence distance (in edges) from the criterion, per event
-    /// serial; events absent from the map are not in the slice.
-    pub distance: HashMap<u64, u32>,
+    /// Serial of the trace's first event.
+    first: u64,
+    /// Dependence distance (in edges) from the criterion, per trace
+    /// position; [`OFF_SLICE`] for events not in the slice.
+    distance: Vec<u32>,
+    len: usize,
 }
 
 impl DynamicSlice {
+    /// The dependence distance of an event from the criterion, or `None`
+    /// when the event is not in the slice.
+    pub fn distance(&self, serial: u64) -> Option<u32> {
+        let idx = usize::try_from(serial.checked_sub(self.first)?).ok()?;
+        self.distance.get(idx).copied().filter(|&d| d != OFF_SLICE)
+    }
+
     /// Whether an event is in the slice.
     pub fn contains(&self, serial: u64) -> bool {
-        self.distance.contains_key(&serial)
+        self.distance(serial).is_some()
     }
 
     /// Number of events in the slice.
     pub fn len(&self) -> usize {
-        self.distance.len()
+        self.len
     }
 
     /// True when the slice is empty.
     pub fn is_empty(&self) -> bool {
-        self.distance.is_empty()
+        self.len == 0
+    }
+
+    /// Adds the event `serial` at distance `d` and queues its position,
+    /// unless it is already in the slice or outside the trace window.
+    fn reach(&mut self, queue: &mut VecDeque<usize>, serial: u64, d: u32) {
+        let Some(idx) = serial
+            .checked_sub(self.first)
+            .and_then(|i| usize::try_from(i).ok())
+            .filter(|&i| i < self.distance.len())
+        else {
+            return;
+        };
+        if self.distance[idx] == OFF_SLICE {
+            self.distance[idx] = d;
+            self.len += 1;
+            queue.push_back(idx);
+        }
     }
 }
 
 /// Computes the backward dynamic slice from the given criterion events
 /// (distance 0), following dynamic data and control dependence edges.
+/// Edges to events that fell out of the trace window are not followed.
 pub fn backward_slice(trace: &Trace, criteria: &[u64]) -> DynamicSlice {
-    let mut slice = DynamicSlice::default();
-    let mut queue: VecDeque<u64> = VecDeque::new();
+    let mut slice = DynamicSlice {
+        first: trace.events().first().map_or(0, |e| e.serial),
+        distance: vec![OFF_SLICE; trace.len()],
+        len: 0,
+    };
+    let mut queue: VecDeque<usize> = VecDeque::new();
     for &c in criteria {
-        if trace.by_serial(c).is_some() && !slice.distance.contains_key(&c) {
-            slice.distance.insert(c, 0);
-            queue.push_back(c);
-        }
+        slice.reach(&mut queue, c, 0);
     }
-    while let Some(serial) = queue.pop_front() {
-        let d = slice.distance[&serial];
-        let Some(ev) = trace.by_serial(serial) else {
-            continue;
-        };
-        let mut neighbors: Vec<u64> = ev.uses.iter().filter_map(|&(_, writer)| writer).collect();
-        if let Some(cd) = ev.ctrl_dep {
-            neighbors.push(cd);
-        }
-        for n in neighbors {
-            if trace.by_serial(n).is_some() && !slice.distance.contains_key(&n) {
-                slice.distance.insert(n, d + 1);
-                queue.push_back(n);
+    while let Some(idx) = queue.pop_front() {
+        let d = slice.distance[idx] + 1;
+        let ev = &trace.events()[idx];
+        for &(_, writer) in trace.uses(ev) {
+            if let Some(w) = writer {
+                slice.reach(&mut queue, w, d);
             }
+        }
+        if let Some(cd) = ev.ctrl_dep {
+            slice.reach(&mut queue, cd, d);
         }
     }
     slice
@@ -81,6 +111,27 @@ pub enum Strategy {
     Dependence,
 }
 
+/// One access to a critical shared variable, projected out of a trace:
+/// everything the ranking reads, so the trace itself can be dropped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CsvAccess {
+    /// Trace serial of the accessing event.
+    pub serial: u64,
+    /// VM step of the access.
+    pub step: u64,
+    /// Accessing thread.
+    pub tid: ThreadId,
+    /// Statement performing the access.
+    pub pc: Pc,
+    /// The CSV location touched.
+    pub loc: MemLoc,
+    /// Whether the access writes the location.
+    pub is_write: bool,
+    /// Backward-slice distance of the accessing event; `None` when it is
+    /// off the slice or no slice was computed (the temporal strategy).
+    pub distance: Option<u32>,
+}
+
 /// A prioritized access to a critical shared variable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankedAccess {
@@ -89,9 +140,9 @@ pub struct RankedAccess {
     /// VM step of the access.
     pub step: u64,
     /// Accessing thread.
-    pub tid: mcr_vm::ThreadId,
+    pub tid: ThreadId,
     /// Statement performing the access.
-    pub pc: mcr_lang::Pc,
+    pub pc: Pc,
     /// The CSV location touched.
     pub loc: MemLoc,
     /// Whether the access writes the location.
@@ -100,84 +151,90 @@ pub struct RankedAccess {
     pub priority: u32,
 }
 
-/// Finds and prioritizes all accesses to `csv_locs` that occur at or
-/// before the aligned point (`aligned_serial`).
-///
-/// For [`Strategy::Temporal`], rank = closeness to the aligned point.
-/// For [`Strategy::Dependence`], rank = dependence distance in `slice`
-/// (must be provided); off-slice accesses get [`PRIORITY_BOTTOM`].
-pub fn rank_csv_accesses(
+/// Projects the trace onto its accesses to `csv_locs` at or before the
+/// aligned point (`aligned_serial`), in trace order: per event, its reads
+/// of CSV locations, then its writes. With a `slice`, each access carries
+/// its event's dependence distance.
+pub fn csv_accesses(
     trace: &Trace,
     aligned_serial: u64,
-    csv_locs: &HashSet<MemLoc>,
-    strategy: Strategy,
+    csv_locs: &[MemLoc],
     slice: Option<&DynamicSlice>,
-) -> Vec<RankedAccess> {
-    let mut accesses: Vec<(&TraceEvent, MemLoc, bool)> = Vec::new();
-    for ev in &trace.events {
+) -> Vec<CsvAccess> {
+    // A handful of locations, looked up once per read and write of the
+    // trace: a sorted list is cheaper to probe than a hash set.
+    let mut csv_locs = csv_locs.to_vec();
+    csv_locs.sort_unstable();
+    let mut out = Vec::new();
+    for ev in trace.events() {
         if ev.serial > aligned_serial {
             break;
         }
-        for &(loc, _) in &ev.uses {
-            if csv_locs.contains(&loc) {
-                accesses.push((ev, loc, false));
-            }
-        }
-        for &loc in &ev.defs {
-            if csv_locs.contains(&loc) {
-                accesses.push((ev, loc, true));
+        let reads = trace.uses(ev).iter().map(|&(loc, _)| (loc, false));
+        let writes = trace.defs(ev).iter().map(|&loc| (loc, true));
+        for (loc, is_write) in reads.chain(writes) {
+            if csv_locs.binary_search(&loc).is_ok() {
+                out.push(CsvAccess {
+                    serial: ev.serial,
+                    step: ev.step,
+                    tid: ev.tid,
+                    pc: ev.pc,
+                    loc,
+                    is_write,
+                    distance: slice.and_then(|s| s.distance(ev.serial)),
+                });
             }
         }
     }
+    out
+}
 
+/// Prioritizes projected CSV accesses, all at or before the aligned
+/// point (`aligned_serial`), and returns them in their given order.
+///
+/// For [`Strategy::Temporal`], rank = closeness to the aligned point.
+/// For [`Strategy::Dependence`], rank = the accesses' slice distance;
+/// off-slice accesses get [`PRIORITY_BOTTOM`].
+pub fn rank_accesses(
+    accesses: &[CsvAccess],
+    aligned_serial: u64,
+    strategy: Strategy,
+) -> Vec<RankedAccess> {
     // Order by the strategy's notion of distance, then assign dense
-    // priorities 1..; ties share neither rank nor order stability issues
-    // because the sort is stable on (distance, recency).
-    let keyed: Vec<(u64, usize)> = accesses
+    // priorities 1..; among equal distances the later access ranks
+    // first.
+    let mut order: Vec<(u64, usize)> = accesses
         .iter()
         .enumerate()
-        .map(|(i, (ev, _, _))| {
+        .map(|(i, a)| {
             let key = match strategy {
-                Strategy::Temporal => aligned_serial - ev.serial,
-                Strategy::Dependence => {
-                    let s = slice.expect("dependence strategy requires a slice");
-                    match s.distance.get(&ev.serial) {
-                        Some(&d) => d as u64,
-                        None => u64::MAX,
-                    }
-                }
+                Strategy::Temporal => aligned_serial - a.serial,
+                Strategy::Dependence => a.distance.map_or(u64::MAX, u64::from),
             };
             (key, i)
         })
         .collect();
-    let mut order = keyed;
-    order.sort_by_key(|&(key, i)| (key, std::cmp::Reverse(i)));
+    order.sort_unstable_by_key(|&(key, i)| (key, std::cmp::Reverse(i)));
 
-    let mut out: Vec<RankedAccess> = Vec::with_capacity(accesses.len());
-    let mut ranked: Vec<Option<u32>> = vec![None; accesses.len()];
-    let mut next_priority = 1u32;
-    for &(key, i) in &order {
-        let p = if key == u64::MAX {
-            PRIORITY_BOTTOM
-        } else {
-            let p = next_priority;
-            next_priority += 1;
-            p
-        };
-        ranked[i] = Some(p);
+    let mut priority = vec![PRIORITY_BOTTOM; accesses.len()];
+    for (next, &(key, i)) in (1u32..).zip(&order) {
+        if key != u64::MAX {
+            priority[i] = next;
+        }
     }
-    for (i, (ev, loc, is_write)) in accesses.iter().enumerate() {
-        out.push(RankedAccess {
-            serial: ev.serial,
-            step: ev.step,
-            tid: ev.tid,
-            pc: ev.pc,
-            loc: *loc,
-            is_write: *is_write,
-            priority: ranked[i].expect("all accesses ranked"),
-        });
-    }
-    out
+    accesses
+        .iter()
+        .zip(priority)
+        .map(|(a, priority)| RankedAccess {
+            serial: a.serial,
+            step: a.step,
+            tid: a.tid,
+            pc: a.pc,
+            loc: a.loc,
+            is_write: a.is_write,
+            priority,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -188,15 +245,25 @@ mod tests {
     use mcr_lang::GlobalId;
     use mcr_vm::{run, DeterministicScheduler, Vm};
 
-    fn collect(src: &str, input: &[i64]) -> (mcr_lang::Program, Trace) {
+    fn collect(src: &str, input: &[i64]) -> Trace {
         let p = mcr_lang::compile(src).unwrap();
         let a = ProgramAnalysis::analyze(&p);
         let mut vm = Vm::new(&p, input);
         let mut s = DeterministicScheduler::new();
-        let mut tc = TraceCollector::new(&p, &a, 1_000_000);
+        let mut tc = TraceCollector::new(&a, 1_000_000);
         run(&mut vm, &mut s, &mut tc, 1_000_000);
-        let t = tc.finish();
-        (p, t)
+        tc.finish()
+    }
+
+    /// Projects and ranks `t`'s accesses to `csvs` at or before
+    /// `aligned`, slicing from `aligned` under the dependence strategy.
+    fn rank(t: &Trace, aligned: u64, csvs: &[MemLoc], strategy: Strategy) -> Vec<RankedAccess> {
+        let slice = (strategy == Strategy::Dependence).then(|| backward_slice(t, &[aligned]));
+        rank_accesses(
+            &csv_accesses(t, aligned, csvs, slice.as_ref()),
+            aligned,
+            strategy,
+        )
     }
 
     const PROG: &str = r#"
@@ -211,43 +278,30 @@ mod tests {
         }
     "#;
 
+    fn writes(t: &Trace, g: u32) -> impl Iterator<Item = &crate::TraceEvent> {
+        t.events().iter().filter(move |e| {
+            t.defs(e)
+                .iter()
+                .any(|l| matches!(l, MemLoc::Global(GlobalId(id)) if *id == g))
+        })
+    }
+
     fn criterion_serial(t: &Trace) -> u64 {
         // The `y = x + 1` event: defines y.
-        t.events
-            .iter()
-            .rev()
-            .find(|e| {
-                e.defs
-                    .iter()
-                    .any(|l| matches!(l, MemLoc::Global(GlobalId(1))))
-            })
-            .unwrap()
-            .serial
+        writes(t, 1).last().unwrap().serial
     }
 
     #[test]
     fn slice_follows_data_deps_only_where_relevant() {
-        let (_p, t) = collect(PROG, &[]);
+        let t = collect(PROG, &[]);
         let crit = criterion_serial(&t);
         let slice = backward_slice(&t, &[crit]);
         assert!(slice.contains(crit));
         // `x = 2` is in the slice at distance 1.
-        let x_writer = t
-            .events
-            .iter()
-            .find(|e| {
-                e.defs
-                    .iter()
-                    .any(|l| matches!(l, MemLoc::Global(GlobalId(0))))
-            })
-            .unwrap();
-        assert_eq!(slice.distance.get(&x_writer.serial), Some(&1));
+        let x_writer = writes(&t, 0).next().unwrap();
+        assert_eq!(slice.distance(x_writer.serial), Some(1));
         // `unrelated = ..` events are not in the slice.
-        for ev in t.events.iter().filter(|e| {
-            e.defs
-                .iter()
-                .any(|l| matches!(l, MemLoc::Global(GlobalId(2))))
-        }) {
+        for ev in writes(&t, 2) {
             assert!(!slice.contains(ev.serial), "unrelated in slice");
         }
     }
@@ -263,42 +317,32 @@ mod tests {
                 if (x > 0) { y = 1; } else { y = 2; }
             }
         "#;
-        let (_p, t) = collect(src, &[5]);
+        let t = collect(src, &[5]);
         let crit = t
-            .events
+            .events()
             .iter()
             .rev()
-            .find(|e| !e.defs.is_empty())
+            .find(|e| !t.defs(e).is_empty())
             .unwrap()
             .serial;
         let slice = backward_slice(&t, &[crit]);
         // The branch, and through it `x = input[0]`, are in the slice.
         let branch = t
-            .events
+            .events()
             .iter()
             .find(|e| e.branch_outcome.is_some())
             .unwrap();
         assert!(slice.contains(branch.serial));
-        let x_def = t
-            .events
-            .iter()
-            .find(|e| {
-                e.defs
-                    .iter()
-                    .any(|l| matches!(l, MemLoc::Global(GlobalId(1))))
-            })
-            .unwrap();
+        let x_def = writes(&t, 1).next().unwrap();
         assert!(slice.contains(x_def.serial));
     }
 
     #[test]
     fn temporal_ranking_prefers_recent() {
-        let (_p, t) = collect(PROG, &[]);
+        let t = collect(PROG, &[]);
         let crit = criterion_serial(&t);
-        let mut csvs = HashSet::new();
-        csvs.insert(MemLoc::Global(GlobalId(0)));
-        csvs.insert(MemLoc::Global(GlobalId(2)));
-        let ranked = rank_csv_accesses(&t, crit, &csvs, Strategy::Temporal, None);
+        let csvs = [MemLoc::Global(GlobalId(0)), MemLoc::Global(GlobalId(2))];
+        let ranked = rank(&t, crit, &csvs, Strategy::Temporal);
         // Closest to the aligned point: the read of x in `y = x + 1`.
         let top = ranked.iter().find(|r| r.priority == 1).unwrap();
         assert_eq!(top.serial, crit);
@@ -313,13 +357,13 @@ mod tests {
 
     #[test]
     fn dependence_ranking_excludes_unrelated() {
-        let (_p, t) = collect(PROG, &[]);
+        let t = collect(PROG, &[]);
         let crit = criterion_serial(&t);
-        let slice = backward_slice(&t, &[crit]);
-        let mut csvs = HashSet::new();
-        csvs.insert(MemLoc::Global(GlobalId(0))); // x
-        csvs.insert(MemLoc::Global(GlobalId(2))); // unrelated
-        let ranked = rank_csv_accesses(&t, crit, &csvs, Strategy::Dependence, Some(&slice));
+        let csvs = [
+            MemLoc::Global(GlobalId(0)), // x
+            MemLoc::Global(GlobalId(2)), // unrelated
+        ];
+        let ranked = rank(&t, crit, &csvs, Strategy::Dependence);
         // Accesses to `unrelated` rank bottom; accesses to x rank high.
         for r in &ranked {
             match r.loc {
@@ -331,7 +375,7 @@ mod tests {
         // This is exactly the paper's argument for the dependence
         // heuristic: the temporal heuristic cannot exclude `unrelated = 3`
         // (it is very recent), the dependence heuristic can.
-        let temporal = rank_csv_accesses(&t, crit, &csvs, Strategy::Temporal, None);
+        let temporal = rank(&t, crit, &csvs, Strategy::Temporal);
         let unrelated_temporal = temporal
             .iter()
             .filter(|r| matches!(r.loc, MemLoc::Global(GlobalId(2))))
@@ -343,21 +387,20 @@ mod tests {
 
     #[test]
     fn accesses_after_aligned_point_are_ignored() {
-        let (_p, t) = collect(PROG, &[]);
+        let t = collect(PROG, &[]);
         let crit = criterion_serial(&t);
-        let mut csvs = HashSet::new();
-        csvs.insert(MemLoc::Global(GlobalId(2)));
+        let csvs = [MemLoc::Global(GlobalId(2))];
         // Align at the very first event: only accesses before it count.
-        let first = t.events.first().unwrap().serial;
-        let ranked = rank_csv_accesses(&t, first, &csvs, Strategy::Temporal, None);
+        let first = t.events().first().unwrap().serial;
+        let ranked = rank(&t, first, &csvs, Strategy::Temporal);
         assert!(ranked.len() <= 1);
-        let all = rank_csv_accesses(&t, crit, &csvs, Strategy::Temporal, None);
+        let all = rank(&t, crit, &csvs, Strategy::Temporal);
         assert!(all.len() > ranked.len());
     }
 
     #[test]
     fn empty_criterion_empty_slice() {
-        let (_p, t) = collect(PROG, &[]);
+        let t = collect(PROG, &[]);
         let slice = backward_slice(&t, &[]);
         assert!(slice.is_empty());
     }

@@ -50,12 +50,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut session =
             ReproSession::new(&program, stress.dump.clone(), &FIG1_INPUT, options.clone())?;
         session.set_observer(Box::new(Progress));
-        let (csvs, trace_events) = {
+        let (csvs, accesses) = {
             let delta = session.run_diff()?;
-            (delta.csv_paths.len(), delta.trace.len())
+            (delta.csv_paths.len(), delta.csv_accesses.len())
         };
         println!(
-            "  checkpointing after {:?}: {csvs} CSVs, {trace_events} trace events",
+            "  checkpointing after {:?}: {csvs} CSVs, {accesses} CSV accesses",
             session.completed().unwrap(),
         );
         session.checkpoint()
