@@ -232,7 +232,7 @@ fn bench_slice(c: &mut Criterion) {
     g.bench_function("project_and_rank", |b| {
         b.iter(|| {
             let slice = backward_slice(&trace, &[criterion]);
-            let accesses = csv_accesses(&trace, criterion, &csvs, Some(&slice));
+            let accesses = csv_accesses(&trace, criterion, &csvs, &slice);
             black_box(rank_accesses(&accesses, criterion, Strategy::Dependence).len())
         });
     });

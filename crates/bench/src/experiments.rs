@@ -474,11 +474,12 @@ pub struct Table6Row {
     pub diff: Duration,
     /// Slicing cost.
     pub slicing: Duration,
-    /// Passing run + replay cost.
+    /// Passing run + the diff phase's dependence replay.
     pub reexecution: Duration,
 }
 
-/// Regenerates Table 6 (with the dependence strategy, which slices).
+/// Regenerates Table 6 (with the dependence strategy, which replays the
+/// passing run's prefix and slices).
 pub fn table6() -> Vec<Table6Row> {
     all_bugs()
         .iter()

@@ -2,12 +2,12 @@
 //!
 //! Each phase of a [`ReproSession`](crate::ReproSession) produces an
 //! owned, inspectable artifact struct — the reverse-engineered execution
-//! index, the alignment plus passing-run log, the dump delta, the ranked
-//! CSV accesses, and the search result. Every artifact is
-//! encodable/decodable on the [`mcr_dump::wire`] format, so the
-//! expensive intermediates are first-class
-//! values that can be stored, shipped between processes, and resumed —
-//! not locals inside one opaque pipeline call.
+//! index, the alignment plus passing-run log and aligned dump, the dump
+//! delta, the ranked CSV accesses, and the search result. Every artifact
+//! is encodable/decodable on the [`mcr_dump::wire`] format, so the
+//! expensive intermediates are first-class values that can be stored,
+//! shipped between processes, and resumed — not locals inside one
+//! opaque pipeline call.
 //!
 //! Framing: every artifact byte string starts with the 4-byte magic
 //! `MCRA`, a format version, and a kind tag, so artifacts of different
@@ -18,7 +18,7 @@ use mcr_analysis::PredKey;
 use mcr_dump::wire::{Reader, Writer};
 use mcr_dump::{DecodeError, PathRoot, RefPath};
 use mcr_index::{AlignSignal, Alignment, ExecutionIndex, IndexEntry};
-use mcr_lang::{CondGroupId, FuncId, GlobalId, LocalId, StmtId};
+use mcr_lang::{CondGroupId, FuncId, GlobalId, LocalId, Pc, StmtId};
 use mcr_search::{
     AnnotatedCandidate, CandidateKind, CoarseLoc, PassingRunInfo, PreemptionPoint, SearchResult,
     SharedAccess,
@@ -31,7 +31,8 @@ use std::time::Duration;
 const MAGIC: &[u8; 4] = b"MCRA";
 // v2: the delta artifact holds the CSV-access projection of the
 // dependence trace instead of the whole trace.
-const VERSION: u8 = 2;
+// v3: the alignment artifact carries the aligned dump.
+const VERSION: u8 = 3;
 
 /// The artifact kind tags of the `MCRA` framing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,8 +78,8 @@ pub struct FailureIndexArtifact {
     pub elapsed: Duration,
 }
 
-/// Phase 2 output: the aligned point plus the passing run's sync/access
-/// log.
+/// Phase 2 output: the aligned point, the passing run's sync/access
+/// log, and the aligned dump.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlignmentArtifact {
     /// The alignment found.
@@ -88,13 +89,26 @@ pub struct AlignmentArtifact {
     pub deterministic_repro: bool,
     /// Preemption candidates and shared accesses of the passing run.
     pub passing_run: PassingRunInfo,
+    /// The executing statement of each shared store, by step, whose
+    /// event carries another pc: a return value stored into the caller's
+    /// destination, stamped with the caller's pc. Strictly increasing
+    /// steps.
+    pub return_stores: Vec<(u64, Pc)>,
+    /// Steps the passing run had executed when it stood at the aligned
+    /// point (one past [`Alignment::step`], unless the run ended first).
+    pub aligned_steps: u64,
+    /// The core dump taken at the aligned point, encoded with
+    /// [`mcr_dump::encode`]. Kept as bytes: rehydrating the artifact
+    /// does not decode a dump only the diff phase reads.
+    pub aligned_dump: Vec<u8>,
     /// Wall-clock time the phase took.
     pub elapsed: Duration,
 }
 
 /// Phase 3 output: the dump comparison — critical shared variables plus
-/// the replay's accesses to them, projected out of the dependence trace
-/// captured up to the aligned point. The trace itself is dropped.
+/// the passing run's accesses to them up to the aligned point, projected
+/// out of the align phase's log (temporal strategy) or out of a sliced
+/// dependence trace (dependence strategy). No trace is kept.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DumpDeltaArtifact {
     /// Encoded size of the failure dump in bytes.
@@ -111,17 +125,19 @@ pub struct DumpDeltaArtifact {
     pub csv_paths: Vec<RefPath>,
     /// CSV locations resolved in the passing run.
     pub csv_locs: Vec<MemLoc>,
-    /// Serial of the last trace event: the aligned point (0 when the
-    /// replay traced nothing).
+    /// Trace serial of the aligned point, which is its VM step (0 when
+    /// the run executed nothing).
     pub aligned_serial: u64,
-    /// The replay's accesses to the CSV locations, in trace order (feeds
-    /// the rank phase). Under
+    /// The passing run's accesses to the CSV locations, in trace order
+    /// (feeds the rank phase). Under
     /// [`Strategy::Dependence`](mcr_slice::Strategy::Dependence) each
     /// carries its backward-slice distance from the aligned point.
     pub csv_accesses: Vec<CsvAccess>,
-    /// Wall-clock time of the replay to the aligned point.
+    /// Wall-clock time of the traced replay to the aligned point (the
+    /// dependence strategy's; near zero under the temporal strategy).
     pub replay_elapsed: Duration,
-    /// Wall-clock time encoding, decoding, and traversing both dumps.
+    /// Wall-clock time encoding and decoding the failure dump, decoding
+    /// the aligned dump, and traversing both.
     pub parse_elapsed: Duration,
     /// Wall-clock time comparing the two variable maps.
     pub diff_elapsed: Duration,
@@ -505,6 +521,13 @@ impl AlignmentArtifact {
                 w.bool(a.is_write);
             }
             w.uvarint(info.total_steps);
+            w.uvarint(self.return_stores.len() as u64);
+            for &(step, pc) in &self.return_stores {
+                w.uvarint(step);
+                w.pc(pc);
+            }
+            w.uvarint(self.aligned_steps);
+            w.bytes(&self.aligned_dump);
             w.duration(self.elapsed);
         })
     }
@@ -551,6 +574,19 @@ impl AlignmentArtifact {
             return r.err("passing-run log out of step order");
         }
         let total_steps = r.uvarint()?;
+        let n = r.len("return stores")?;
+        let mut return_stores = Vec::with_capacity(n.min(65536));
+        for _ in 0..n {
+            return_stores.push((r.uvarint()?, r.pc()?));
+        }
+        if !return_stores.windows(2).all(|w| w[0].0 < w[1].0) {
+            return r.err("return stores out of step order");
+        }
+        let aligned_steps = r.uvarint()?;
+        if aligned_steps > total_steps {
+            return r.err("aligned point past the end of the passing run");
+        }
+        let aligned_dump = r.bytes()?.to_vec();
         let elapsed = r.duration()?;
         r.finish()?;
         Ok(AlignmentArtifact {
@@ -561,6 +597,9 @@ impl AlignmentArtifact {
                 shared_accesses,
                 total_steps,
             },
+            return_stores,
+            aligned_steps,
+            aligned_dump,
             elapsed,
         })
     }
@@ -729,7 +768,7 @@ pub(crate) fn v1_delta_bytes() -> Vec<u8> {
     w.uvarint(0);
     w.uvarint(5);
     w.uvarint(1);
-    w.pc(mcr_lang::Pc::new(FuncId(1), StmtId(2)));
+    w.pc(Pc::new(FuncId(1), StmtId(2)));
     w.uvarint(1);
     w.memloc(x);
     w.opt_uvarint(None);
@@ -743,10 +782,73 @@ pub(crate) fn v1_delta_bytes() -> Vec<u8> {
     w.into_bytes()
 }
 
+/// An alignment artifact in the version-2 layout, which had no aligned
+/// dump (here one read of global 0 at step 3 of a 9-step run).
+#[cfg(test)]
+pub(crate) fn v2_alignment_bytes() -> Vec<u8> {
+    let mut w = Writer::new();
+    w.raw(MAGIC);
+    w.u8(2);
+    w.u8(Kind::Alignment as u8);
+    // Exact signal at step 5, nothing remaining, no deterministic
+    // repro, no candidates.
+    w.u8(0);
+    w.uvarint(5);
+    w.uvarint(0);
+    w.bool(false);
+    w.uvarint(0);
+    // One shared access: step, tid, pc, loc, is_write.
+    w.uvarint(1);
+    w.uvarint(3);
+    w.uvarint(1);
+    w.pc(Pc::new(FuncId(0), StmtId(2)));
+    w.memloc(MemLoc::Global(GlobalId(0)));
+    w.bool(false);
+    // Total steps, elapsed.
+    w.uvarint(9);
+    w.duration(Duration::from_micros(7));
+    w.into_bytes()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcr_lang::Pc;
+
+    /// An alignment artifact exercising every field: candidates, reads
+    /// and writes in step order, a return store, and embedded dump
+    /// bytes.
+    fn sample_alignment() -> AlignmentArtifact {
+        let access = |step, is_write| SharedAccess {
+            step,
+            tid: ThreadId(1),
+            pc: Pc::new(FuncId(0), StmtId(2)),
+            loc: MemLoc::GlobalElem(GlobalId(0), 3),
+            is_write,
+        };
+        AlignmentArtifact {
+            alignment: Alignment {
+                signal: AlignSignal::Closest,
+                step: 5,
+                remaining: 2,
+            },
+            deterministic_repro: false,
+            passing_run: PassingRunInfo {
+                candidates: vec![PreemptionPoint {
+                    tid: ThreadId(1),
+                    sync_seq: 0,
+                    kind: CandidateKind::ThreadStart,
+                    step: 1,
+                    pc: None,
+                }],
+                shared_accesses: vec![access(3, false), access(3, true), access(8, false)],
+                total_steps: 9,
+            },
+            return_stores: vec![(3, Pc::new(FuncId(1), StmtId(4)))],
+            aligned_steps: 6,
+            aligned_dump: vec![0x4d, 0x43, 0x52, 0x44, 1, 0, 7],
+            elapsed: Duration::from_micros(11),
+        }
+    }
 
     #[test]
     fn index_artifact_round_trip() {
@@ -797,31 +899,59 @@ mod tests {
 
     #[test]
     fn passing_run_out_of_step_order_rejected() {
-        let access = |step| SharedAccess {
-            step,
-            tid: ThreadId(1),
-            pc: Pc::new(FuncId(0), StmtId(2)),
-            loc: MemLoc::Global(GlobalId(0)),
-            is_write: false,
-        };
-        let mut art = AlignmentArtifact {
-            alignment: Alignment {
-                signal: AlignSignal::Exact,
-                step: 5,
-                remaining: 0,
-            },
-            deterministic_repro: false,
-            passing_run: PassingRunInfo {
-                candidates: Vec::new(),
-                shared_accesses: vec![access(3), access(3), access(8)],
-                total_steps: 9,
-            },
-            elapsed: Duration::ZERO,
-        };
+        let mut art = sample_alignment();
         assert_eq!(AlignmentArtifact::from_bytes(&art.to_bytes()).unwrap(), art);
         art.passing_run.shared_accesses.swap(0, 2);
         let err = AlignmentArtifact::from_bytes(&art.to_bytes()).unwrap_err();
         assert!(err.msg.contains("step order"), "{err}");
+    }
+
+    #[test]
+    fn aligned_point_past_the_run_rejected() {
+        let mut art = sample_alignment();
+        art.aligned_steps = art.passing_run.total_steps + 1;
+        let err = AlignmentArtifact::from_bytes(&art.to_bytes()).unwrap_err();
+        assert!(err.msg.contains("past the end"), "{err}");
+    }
+
+    #[test]
+    fn return_stores_out_of_step_order_rejected() {
+        let mut art = sample_alignment();
+        let store = art.return_stores[0];
+        art.return_stores.push(store);
+        let err = AlignmentArtifact::from_bytes(&art.to_bytes()).unwrap_err();
+        assert!(err.msg.contains("step order"), "{err}");
+    }
+
+    #[test]
+    fn alignment_artifact_round_trips_and_survives_corruption() {
+        let art = sample_alignment();
+        let bytes = art.to_bytes();
+        let back = AlignmentArtifact::from_bytes(&bytes).unwrap();
+        assert_eq!(art, back);
+        assert_eq!(bytes, back.to_bytes());
+        // Every truncation and every single-byte corruption decodes or
+        // fails with a `DecodeError`; none panics, and whatever decodes
+        // re-encodes to an artifact that decodes to itself.
+        for len in 0..bytes.len() {
+            assert!(AlignmentArtifact::from_bytes(&bytes[..len]).is_err());
+        }
+        let mut corrupt = bytes.clone();
+        for i in 0..bytes.len() {
+            for mask in 1..=255u8 {
+                corrupt[i] = bytes[i] ^ mask;
+                if let Ok(a) = AlignmentArtifact::from_bytes(&corrupt) {
+                    assert_eq!(AlignmentArtifact::from_bytes(&a.to_bytes()).unwrap(), a);
+                }
+            }
+            corrupt[i] = bytes[i];
+        }
+    }
+
+    #[test]
+    fn version_2_alignment_artifact_rejected() {
+        let err = AlignmentArtifact::from_bytes(&v2_alignment_bytes()).unwrap_err();
+        assert!(err.msg.contains("artifact version 2"), "{err}");
     }
 
     #[test]

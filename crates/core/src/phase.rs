@@ -32,9 +32,15 @@ use mcr_dump::{
     reachable_vars, resolve_loc, CoreDump, DecodeError, DumpDiff, DumpReason, ResolvedVar,
 };
 use mcr_index::{AlignSignal, Aligner, Alignment};
-use mcr_search::{annotate_with_race, find_schedule, CancelToken, SearchConfig};
-use mcr_slice::{backward_slice, csv_accesses, rank_accesses, Strategy, TraceCollector};
-use mcr_vm::{run_until, DeterministicScheduler, MemLoc, Outcome, Tee, ThreadId};
+use mcr_lang::Pc;
+use mcr_search::{
+    annotate_with_race, find_schedule, CancelToken, SearchConfig, SharedAccess, SyncLogger,
+};
+use mcr_slice::{backward_slice, csv_accesses, rank_accesses, CsvAccess, Strategy, TraceCollector};
+use mcr_vm::{
+    run_until, DeterministicScheduler, Event, MemLoc, Observer, Outcome, Tee, ThreadId, Vm,
+};
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
@@ -242,8 +248,79 @@ impl PipelinePhase for IndexPhase {
     }
 }
 
+/// Forwards events to an [`Aligner`] and publishes its current point,
+/// so the step loop's stop predicate sees when the point advances.
+struct PointWatch<'a, 'p> {
+    aligner: &'a mut Aligner<'p>,
+    point: &'a Cell<u64>,
+}
+
+impl Observer for PointWatch<'_, '_> {
+    fn on_event(&mut self, step: u64, event: &Event) {
+        self.aligner.on_event(step, event);
+        self.point.set(self.aligner.point());
+    }
+}
+
+/// The passing run's logs: the search's [`SyncLogger`], plus the
+/// executing statement of each shared store whose event carries another
+/// pc. A return value stored into the caller's destination is stamped
+/// with the caller's pc, while a trace attributes it to the callee's
+/// `return`; the temporal projection reads the latter.
+#[derive(Default)]
+struct PassingLog {
+    sync: SyncLogger,
+    stmt: Option<Pc>,
+    return_stores: Vec<(u64, Pc)>,
+}
+
+impl Observer for PassingLog {
+    fn on_event(&mut self, step: u64, event: &Event) {
+        match event {
+            Event::Stmt { pc, .. } => self.stmt = Some(*pc),
+            Event::Write { pc, loc, .. } | Event::StoreBuffered { pc, loc, .. }
+                if loc.is_shared() && self.stmt != Some(*pc) =>
+            {
+                if let Some(stmt) = self.stmt {
+                    self.return_stores.push((step, stmt));
+                }
+            }
+            _ => {}
+        }
+        self.sync.on_event(step, event);
+    }
+}
+
+/// A copy-on-write snapshot of the VM standing just past a run's
+/// candidate aligned point, retaken each time the point advances.
+#[derive(Default)]
+struct AlignedSnapshot<'p>(Option<(u64, Vm<'p>)>);
+
+impl<'p> AlignedSnapshot<'p> {
+    /// Called between steps with the current candidate point:
+    /// snapshots `vm` when it has just executed that point's step.
+    fn offer(&mut self, vm: &Vm<'p>, point: Option<u64>) {
+        let Some(point) = point else {
+            return;
+        };
+        if vm.steps() == point + 1 && self.0.as_ref().map(|(at, _)| *at) != Some(point) {
+            self.0 = Some((point, vm.clone()));
+        }
+    }
+
+    /// The snapshot past the final aligned `step`. `None` when none was
+    /// taken there: the run stopped right after that step (a crash ends
+    /// it before the stop predicate runs again), so the final VM stands
+    /// at the aligned point.
+    fn take(self, step: u64) -> Option<Vm<'p>> {
+        self.0.filter(|(at, _)| *at == step).map(|(_, vm)| vm)
+    }
+}
+
 /// Phase 2: the deterministic passing run — aligned-point location
-/// (§3.3, Fig. 7) plus the sync/shared-access log the search needs.
+/// (§3.3, Fig. 7), the sync/shared-access log the search needs, and
+/// the aligned dump, captured from a snapshot taken at the aligned
+/// point during the same run.
 #[derive(Debug, Clone, Copy)]
 pub struct AlignPhase;
 
@@ -288,28 +365,30 @@ impl PipelinePhase for AlignPhase {
 
         let t0 = Instant::now();
         let mut vm = s.new_vm();
-        let mut logger = mcr_search::SyncLogger::new();
+        let mut logger = PassingLog::default();
+        // The VM standing just past the latest candidate aligned point,
+        // kept as a copy-on-write snapshot while the run goes on.
+        let mut snapshot = AlignedSnapshot::default();
         let index = Self::input(s).expect("index phase ran").index.clone();
-        let (alignment, deterministic_repro, passing_run) = match &index {
+        let (alignment, outcome) = match &index {
             Some(idx) => {
                 let mut aligner = Aligner::new(s.program, s.analysis(), focus, idx);
+                let point = Cell::new(0);
                 let outcome = {
                     let mut tee = Tee {
-                        a: &mut aligner,
+                        a: &mut PointWatch {
+                            aligner: &mut aligner,
+                            point: &point,
+                        },
                         b: &mut logger,
                     };
                     let mut sched = DeterministicScheduler::new();
-                    run_until(&mut vm, &mut sched, &mut tee, max_steps, |_| guard.fired())
+                    run_until(&mut vm, &mut sched, &mut tee, max_steps, |vm| {
+                        snapshot.offer(vm, Some(point.get()));
+                        guard.fired()
+                    })
                 };
-                if guard.interrupted() {
-                    s.emit(PhaseEvent::Interrupted {
-                        phase: Phase::Align,
-                    });
-                    return Err(guard.error(Phase::Align));
-                }
-                let deterministic =
-                    matches!(outcome, Outcome::Crashed(f) if f.same_bug(&s.failure));
-                (aligner.finish(), deterministic, logger.finish())
+                (aligner.finish(), outcome)
             }
             None => {
                 // Instruction-count alignment (Table 5 baseline): one
@@ -322,6 +401,7 @@ impl PipelinePhase for AlignPhase {
                 let mut aligned_at: Option<u64> = None;
                 let mut scanning = true;
                 let outcome = run_until(&mut vm, &mut sched, &mut logger, max_steps, |vm| {
+                    snapshot.offer(vm, aligned_at.or(reached));
                     if guard.fired() {
                         return true;
                     }
@@ -346,27 +426,37 @@ impl PipelinePhase for AlignPhase {
                     }
                     false
                 });
-                if guard.interrupted() {
-                    s.emit(PhaseEvent::Interrupted {
-                        phase: Phase::Align,
-                    });
-                    return Err(guard.error(Phase::Align));
-                }
                 // If the run ended before the scan concluded, align at
                 // the point the count was reached (or the end).
                 let step = aligned_at
                     .or(reached)
                     .unwrap_or_else(|| vm.steps().saturating_sub(1));
-                let deterministic =
-                    matches!(outcome, Outcome::Crashed(f) if f.same_bug(&s.failure));
                 let alignment = Alignment {
                     signal: AlignSignal::Closest,
                     step,
                     remaining: 0,
                 };
-                (alignment, deterministic, logger.finish())
+                (alignment, outcome)
             }
         };
+        if guard.interrupted() {
+            s.emit(PhaseEvent::Interrupted {
+                phase: Phase::Align,
+            });
+            return Err(guard.error(Phase::Align));
+        }
+        let deterministic_repro = matches!(outcome, Outcome::Crashed(f) if f.same_bug(&s.failure));
+        let aligned_vm = snapshot.take(alignment.step).unwrap_or(vm);
+        let aligned_focus = if (focus.0 as usize) < aligned_vm.threads().len() {
+            focus
+        } else {
+            ThreadId(0)
+        };
+        let aligned_dump = mcr_dump::encode(&CoreDump::capture(
+            &aligned_vm,
+            aligned_focus,
+            DumpReason::Aligned,
+        ));
         let elapsed = t0.elapsed();
         s.emit(PhaseEvent::Finished {
             phase: Phase::Align,
@@ -375,17 +465,23 @@ impl PipelinePhase for AlignPhase {
         Ok(AlignmentArtifact {
             alignment,
             deterministic_repro,
-            passing_run,
+            passing_run: logger.sync.finish(),
+            return_stores: logger.return_stores,
+            aligned_steps: aligned_vm.steps(),
+            aligned_dump,
             elapsed,
         })
     }
 }
 
-/// Phase 3: replay to the aligned point, capture the aligned dump and
-/// the dependence trace, compare the dumps to find the critical shared
-/// variables (§4), and project the trace onto the accesses to them
-/// (slicing first under [`Strategy::Dependence`]). The trace is dropped
-/// at the end of the phase; the artifact keeps only the projection.
+/// Phase 3: compare the failure dump with the aligned dump the align
+/// phase captured, to find the critical shared variables (§4), and
+/// project the passing run onto the accesses to them. Under
+/// [`Strategy::Temporal`] the projection comes from the align phase's
+/// shared-access log and no VM runs. Under [`Strategy::Dependence`] the
+/// phase replays to the aligned point with a [`TraceCollector`], slices
+/// the trace from there and drops it; the artifact keeps only the
+/// projection.
 #[derive(Debug, Clone, Copy)]
 pub struct DiffPhase;
 
@@ -419,31 +515,30 @@ impl PipelinePhase for DiffPhase {
         let budget = Self::budget(s);
         let max_steps = effective_steps(s.options.max_steps, budget);
         let mut guard = Interrupt::new(s.cancel.clone(), budget);
-        let alignment = Self::input(s).expect("align ran").alignment;
-        let focus = s.failure_dump.focus;
+        let executed = Self::input(s).expect("align ran").aligned_steps;
 
-        // Replay to the aligned point; capture dump + trace.
+        // Only the dependence strategy needs a trace: replay the
+        // passing run's deterministic prefix to the aligned point.
         let t0 = Instant::now();
-        let mut replay = s.new_vm();
-        let mut collector = TraceCollector::new(s.analysis(), s.options.trace_window);
-        {
+        let trace = if s.options.strategy == Strategy::Dependence {
+            let mut replay = s.new_vm();
+            let mut collector = TraceCollector::new(s.analysis(), s.options.trace_window);
             let mut sched = DeterministicScheduler::new();
-            let stop_after = alignment.step;
             run_until(&mut replay, &mut sched, &mut collector, max_steps, |vm| {
-                guard.fired() || vm.steps() > stop_after
+                guard.fired() || vm.steps() >= executed
             });
-        }
-        if guard.interrupted() {
-            s.emit(PhaseEvent::Interrupted { phase: Phase::Diff });
-            return Err(guard.error(Phase::Diff));
-        }
-        let aligned_focus = if (focus.0 as usize) < replay.threads().len() {
-            focus
+            if guard.interrupted() {
+                s.emit(PhaseEvent::Interrupted { phase: Phase::Diff });
+                return Err(guard.error(Phase::Diff));
+            }
+            debug_assert!(
+                replay.steps() == executed || max_steps < executed,
+                "the replay must reach the align phase's aligned point"
+            );
+            Some(collector.finish())
         } else {
-            ThreadId(0)
+            None
         };
-        let aligned_dump = CoreDump::capture(&replay, aligned_focus, DumpReason::Aligned);
-        let trace = collector.finish();
         let replay_elapsed = t0.elapsed();
         s.emit(PhaseEvent::Stage {
             phase: Phase::Diff,
@@ -455,23 +550,19 @@ impl PipelinePhase for DiffPhase {
         // the GDB-dominated cost of the paper's Table 6).
         let t0 = Instant::now();
         let failure_bytes = mcr_dump::encode(&s.failure_dump);
-        let aligned_bytes = mcr_dump::encode(&aligned_dump);
-        let failure_reparsed = match mcr_dump::decode(&failure_bytes) {
-            Ok(dump) => dump,
-            Err(e) => {
-                s.emit(PhaseEvent::Interrupted { phase: Phase::Diff });
-                return Err(ReproError::Codec(e));
-            }
-        };
-        let aligned_reparsed = match mcr_dump::decode(&aligned_bytes) {
-            Ok(dump) => dump,
+        let aligned_bytes = &Self::input(s).expect("align ran").aligned_dump;
+        let aligned_dump_bytes = aligned_bytes.len();
+        let parsed = mcr_dump::decode(&failure_bytes)
+            .and_then(|failure| Ok((failure, mcr_dump::decode(aligned_bytes)?)));
+        let (failure_reparsed, aligned_dump) = match parsed {
+            Ok(dumps) => dumps,
             Err(e) => {
                 s.emit(PhaseEvent::Interrupted { phase: Phase::Diff });
                 return Err(ReproError::Codec(e));
             }
         };
         let vars_fail = reachable_vars(&failure_reparsed, s.options.limits);
-        let vars_aligned = reachable_vars(&aligned_reparsed, s.options.limits);
+        let vars_aligned = reachable_vars(&aligned_dump, s.options.limits);
         let parse_elapsed = t0.elapsed();
         s.emit(PhaseEvent::Stage {
             phase: Phase::Diff,
@@ -501,15 +592,23 @@ impl PipelinePhase for DiffPhase {
             })
             .collect();
 
-        // Slice from the aligned point (the last traced event) and keep
-        // only what the rank phase reads: the CSV accesses.
+        // Keep only what the rank phase reads: the CSV accesses up to
+        // the aligned point (the last traced event under the dependence
+        // strategy, sliced from there).
         let t0 = Instant::now();
-        let aligned = trace.last().map(|e| e.serial);
-        let slice = (s.options.strategy == Strategy::Dependence)
-            .then(|| backward_slice(&trace, aligned.as_slice()));
-        let aligned_serial = aligned.unwrap_or(0);
-        let csv_accesses = csv_accesses(&trace, aligned_serial, &csv_locs, slice.as_ref());
-        drop(trace);
+        let (aligned_serial, csv_accesses) = match trace {
+            Some(trace) => {
+                let aligned_serial = trace.last().map_or(0, |e| e.serial);
+                let slice = backward_slice(&trace, &[aligned_serial]);
+                let accesses = csv_accesses(&trace, aligned_serial, &csv_locs, &slice);
+                (aligned_serial, accesses)
+            }
+            None => temporal_csv_accesses(
+                Self::input(s).expect("align ran"),
+                s.options.trace_window,
+                &csv_locs,
+            ),
+        };
         let slice_elapsed = t0.elapsed();
         s.emit(PhaseEvent::Stage {
             phase: Phase::Diff,
@@ -524,7 +623,7 @@ impl PipelinePhase for DiffPhase {
         });
         Ok(DumpDeltaArtifact {
             failure_dump_bytes: failure_bytes.len(),
-            aligned_dump_bytes: aligned_bytes.len(),
+            aligned_dump_bytes,
             vars: diff.vars_a,
             diffs: diff.diff_count(),
             shared: diff.shared_compared,
@@ -540,8 +639,53 @@ impl PipelinePhase for DiffPhase {
     }
 }
 
+/// The passing run's accesses to `csv_locs` within the last `window`
+/// steps up to the aligned point, in step order, with the aligned
+/// point's serial: what [`csv_accesses`] projects out of a trace of the
+/// same prefix. A trace serial is the VM step (one
+/// [`Event::Stmt`] per step), a step's reads precede its writes in both
+/// logs, and a trace stamps each access with its executing statement.
+fn temporal_csv_accesses(
+    align: &AlignmentArtifact,
+    window: usize,
+    csv_locs: &[MemLoc],
+) -> (u64, Vec<CsvAccess>) {
+    let executed = align.aligned_steps;
+    // The trace ring keeps the last `window` events; a zero window never
+    // evicts.
+    let first = match window {
+        0 => 0,
+        w => executed.saturating_sub(w as u64),
+    };
+    let mut csv_locs = csv_locs.to_vec();
+    csv_locs.sort_unstable();
+    let stmt_pc = |a: &SharedAccess| {
+        align
+            .return_stores
+            .binary_search_by_key(&a.step, |&(step, _)| step)
+            .map_or(a.pc, |i| align.return_stores[i].1)
+    };
+    let log = &align.passing_run.shared_accesses;
+    let start = log.partition_point(|a| a.step < first);
+    let accesses = log[start..]
+        .iter()
+        .take_while(|a| a.step < executed)
+        .filter(|a| csv_locs.binary_search(&a.loc).is_ok())
+        .map(|a| CsvAccess {
+            serial: a.step,
+            step: a.step,
+            tid: a.tid,
+            pc: stmt_pc(a),
+            loc: a.loc,
+            is_write: a.is_write,
+            distance: None,
+        })
+        .collect();
+    (executed.saturating_sub(1), accesses)
+}
+
 /// Phase 4: prioritize the CSV accesses the diff phase projected out of
-/// the dependence trace (temporal closeness or dependence distance, per
+/// the passing run (temporal closeness or dependence distance, per
 /// [`ReproOptions::strategy`](crate::ReproOptions::strategy)).
 #[derive(Debug, Clone, Copy)]
 pub struct RankPhase;

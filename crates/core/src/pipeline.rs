@@ -1,10 +1,12 @@
 //! Pipeline configuration, errors, and the one-call compatibility
 //! wrapper.
 //!
-//! The paper's pipeline (reverse-index → align → replay → dump-diff →
-//! prioritize → search) is implemented as a staged, resumable
-//! [`ReproSession`] — see [`crate::session`]. This module holds
-//! everything around it:
+//! The paper's pipeline (reverse-index → align → dump-diff → prioritize
+//! → search) is implemented as a staged, resumable [`ReproSession`] —
+//! see [`crate::session`]. The align phase's deterministic run also
+//! captures the aligned dump; the diff phase replays that run's prefix
+//! only under the dependence strategy, to collect the trace it slices.
+//! This module holds everything around it:
 //!
 //! * [`ReproOptions`] (with [`ReproOptions::builder`]) — strategy,
 //!   alignment mode, search algorithm and budgets,
@@ -55,14 +57,17 @@ pub enum AlignMode {
 /// A wall-clock and/or step cap for one phase of a session.
 ///
 /// Budgets are enforced where the pipeline actually loops: the passing
-/// run ([`Phase::Align`]), the replay ([`Phase::Diff`]), and the schedule
-/// search ([`Phase::Search`]). The `Index` and `Rank` phases are one-shot
-/// computations — for them only the cancellation check at phase entry
-/// applies.
+/// run ([`Phase::Align`]), the dependence-strategy replay
+/// ([`Phase::Diff`]), and the schedule search ([`Phase::Search`]). The
+/// `Index` and `Rank` phases are one-shot computations — for them only
+/// the cancellation check at phase entry applies. Under
+/// [`Strategy::Temporal`] the diff phase steps no VM, so a diff-phase
+/// step cap bounds nothing there.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseBudget {
-    /// Cap on VM steps (align/diff) or per-try steps (search); `None`
-    /// leaves the [`ReproOptions`] default in force.
+    /// Cap on VM steps (the passing run, or the diff phase's dependence
+    /// replay) or per-try steps (search); `None` leaves the
+    /// [`ReproOptions`] default in force.
     pub max_steps: Option<u64>,
     /// Wall-clock cap; exceeding it interrupts align/diff with
     /// [`ReproError::BudgetExhausted`] and cuts the search off with a
@@ -138,7 +143,9 @@ pub struct ReproOptions {
     pub algorithm: Algorithm,
     /// Schedule search configuration.
     pub search: SearchConfig,
-    /// Dependence-trace window (events).
+    /// Dependence-trace window (events). Under either strategy only the
+    /// CSV accesses of the last this many steps up to the aligned point
+    /// are ranked.
     pub trace_window: usize,
     /// Step cap for the passing run and replay.
     pub max_steps: u64,
@@ -342,9 +349,12 @@ impl ReproOptionsBuilder {
 pub struct ReproTimings {
     /// Reverse engineering the failure index.
     pub reverse: Duration,
-    /// The full passing run (alignment scan + logging).
+    /// The full passing run: alignment scan, logging, and the aligned
+    /// dump's capture from a snapshot at the aligned point.
     pub passing_run: Duration,
-    /// The replay to the aligned point (dump + trace capture).
+    /// The traced replay to the aligned point, under the dependence
+    /// strategy; under the temporal strategy the diff phase replays
+    /// nothing and this is near zero.
     pub replay: Duration,
     /// Encoding + decoding + traversing both dumps ("parsing").
     pub dump_parse: Duration,

@@ -487,7 +487,8 @@ impl<'p> ReproSession<'p> {
     }
 
     /// Phase 2: the deterministic passing run — aligned-point location
-    /// (§3.3, Fig. 7) plus the sync/shared-access log the search needs.
+    /// (§3.3, Fig. 7), the sync/shared-access log the search needs, and
+    /// the aligned dump.
     ///
     /// # Errors
     ///
@@ -498,9 +499,10 @@ impl<'p> ReproSession<'p> {
         self.run::<AlignPhase>()
     }
 
-    /// Phase 3: replay to the aligned point, capture the aligned dump
-    /// and the dependence trace, compare the dumps to find the critical
-    /// shared variables (§4), and keep the trace's accesses to them.
+    /// Phase 3: compare the failure dump with the aligned dump to find
+    /// the critical shared variables (§4), and keep the passing run's
+    /// accesses to them — under the dependence strategy after a traced
+    /// replay to the aligned point and a backward slice.
     ///
     /// # Errors
     ///
@@ -1165,6 +1167,106 @@ mod tests {
         }
     }
 
+    /// A checkpoint that embeds a version-2 alignment artifact (taken
+    /// before the artifact carried the aligned dump) fails to resume
+    /// with a typed codec error.
+    #[test]
+    fn checkpoint_with_version_2_alignment_rejected() {
+        let p = mcr_lang::compile(FIG1).unwrap();
+        let mut s = fig1_session(&p, ReproOptions::default());
+        s.run_align().unwrap();
+        let ckpt = s.checkpoint();
+        // The alignment is the last artifact present: `true`, its
+        // length-prefixed bytes, then `false` for the three later ones.
+        let align = s.alignment_artifact().unwrap().to_bytes();
+        let tail = |align: &[u8]| {
+            let mut w = Writer::new();
+            w.bool(true);
+            w.bytes(align);
+            for _ in 0..3 {
+                w.bool(false);
+            }
+            w.into_bytes()
+        };
+        let current = tail(&align);
+        assert!(ckpt.ends_with(&current));
+        let mut stale = ckpt[..ckpt.len() - current.len()].to_vec();
+        stale.extend(tail(&crate::artifact::v2_alignment_bytes()));
+        match ReproSession::resume(&p, &stale) {
+            Err(ReproError::Codec(e)) => {
+                assert!(e.msg.contains("artifact version 2"), "{e}");
+            }
+            other => panic!("expected a codec error, got ok={}", other.is_ok()),
+        };
+    }
+
+    /// A version-2 alignment left in the store under the current key is
+    /// a miss: the align phase recomputes, overwrites the entry, and the
+    /// session reports what the cold run reported.
+    #[test]
+    fn stale_alignment_store_entry_is_recomputed() {
+        let p = mcr_lang::compile(FIG1).unwrap();
+        let store: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::unbounded());
+        let mut cold = fig1_session(&p, ReproOptions::default());
+        cold.set_store(Arc::clone(&store));
+        let cold_report = cold.run_to_end().unwrap();
+        let key = cold.phase_key(Phase::Align).unwrap();
+        store.put(&key, &crate::artifact::v2_alignment_bytes());
+
+        let mut warm = fig1_session(&p, ReproOptions::default());
+        warm.set_store(Arc::clone(&store));
+        let log = Arc::new(Mutex::new(TimingLog::new()));
+        warm.set_observer(Box::new(Arc::clone(&log)));
+        let warm_report = warm.run_to_end().unwrap();
+
+        let log = log.lock().unwrap();
+        assert_eq!(log.cache_hits()[..1], [Phase::Index]);
+        assert!(log.finished().iter().any(|(p, _)| *p == Phase::Align));
+        let fresh = store.get(&key).expect("entry rewritten");
+        assert_eq!(
+            AlignmentArtifact::from_bytes(&fresh).unwrap(),
+            *warm.alignment_artifact().unwrap()
+        );
+        assert_eq!(untimed(cold_report), untimed(warm_report));
+    }
+
+    /// An aligned dump that does not decode stops the diff phase with a
+    /// typed codec error, after an `Interrupted` event.
+    #[test]
+    fn undecodable_aligned_dump_is_a_codec_error() {
+        let p = mcr_lang::compile(FIG1).unwrap();
+        for strategy in [Strategy::Temporal, Strategy::Dependence] {
+            let options = ReproOptions::builder().strategy(strategy).build();
+            let mut s = fig1_session(&p, options);
+            s.run_align().unwrap();
+            let align = s.artifacts.align.as_mut().unwrap();
+            let len = align.aligned_dump.len();
+            align.aligned_dump.truncate(len / 2);
+            let log = Arc::new(Mutex::new(TimingLog::new()));
+            s.set_observer(Box::new(Arc::clone(&log)));
+            assert!(matches!(s.run_diff(), Err(ReproError::Codec(_))));
+            assert!(s.delta_artifact().is_none());
+            assert!(log
+                .lock()
+                .unwrap()
+                .events
+                .contains(&PhaseEvent::Interrupted { phase: Phase::Diff }));
+        }
+    }
+
+    /// A report with every timing zeroed: what a recomputed phase must
+    /// reproduce exactly.
+    fn untimed(r: ReproReport) -> ReproReport {
+        ReproReport {
+            timings: ReproTimings::default(),
+            search: mcr_search::SearchResult {
+                wall_time: Duration::ZERO,
+                ..r.search
+            },
+            ..r
+        }
+    }
+
     /// A version-1 delta left in the store under the current key is a
     /// miss: the diff phase recomputes, overwrites the entry, and the
     /// session reports what the cold run reported.
@@ -1193,14 +1295,6 @@ mod tests {
             *warm.delta_artifact().unwrap()
         );
         // The recomputed phases carry their own timings.
-        let untimed = |r: ReproReport| ReproReport {
-            timings: ReproTimings::default(),
-            search: mcr_search::SearchResult {
-                wall_time: Duration::ZERO,
-                ..r.search
-            },
-            ..r
-        };
         assert_eq!(untimed(cold_report), untimed(warm_report));
     }
 }

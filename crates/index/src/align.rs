@@ -87,6 +87,12 @@ impl<'p> Aligner<'p> {
         self.result.is_none()
     }
 
+    /// The step [`Aligner::finish`] would report if the run ended now:
+    /// the signal's step once one fired, else the deepest progress.
+    pub fn point(&self) -> u64 {
+        self.result.map_or(self.progress_step, |a| a.step)
+    }
+
     /// Finishes the scan: if no signal fired during the run, the point of
     /// deepest progress becomes the closest alignment.
     pub fn finish(self) -> Alignment {

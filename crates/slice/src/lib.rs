@@ -4,11 +4,16 @@
 //! [`TraceCollector`] records a windowed dynamic dependence trace of the
 //! passing run (the role Valgrind plays in the paper); [`backward_slice`]
 //! computes the backward dynamic slice from the aligned point's
-//! criterion variables; [`csv_accesses`] projects the trace onto the
-//! accesses to the critical shared variables, so the trace can be
+//! criterion variables; [`csv_accesses`] projects the sliced trace onto
+//! the accesses to the critical shared variables, so the trace can be
 //! dropped, and [`rank_accesses`] assigns those accesses the priority
 //! superscripts of the paper's Fig. 9 under either the temporal or the
 //! dependence strategy.
+//!
+//! The collector serves the dependence strategy. The temporal strategy
+//! ranks by closeness to the aligned point alone, so the pipeline builds
+//! its [`CsvAccess`] projection from the passing run's shared-access log
+//! and collects no trace.
 //!
 //! # Examples
 //!

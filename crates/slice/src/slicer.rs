@@ -111,8 +111,10 @@ pub enum Strategy {
     Dependence,
 }
 
-/// One access to a critical shared variable, projected out of a trace:
-/// everything the ranking reads, so the trace itself can be dropped.
+/// One access to a critical shared variable, projected out of a trace
+/// (or, for the temporal strategy, out of the passing run's
+/// shared-access log): everything the ranking reads, so the trace
+/// itself can be dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CsvAccess {
     /// Trace serial of the accessing event.
@@ -128,7 +130,8 @@ pub struct CsvAccess {
     /// Whether the access writes the location.
     pub is_write: bool,
     /// Backward-slice distance of the accessing event; `None` when it is
-    /// off the slice or no slice was computed (the temporal strategy).
+    /// off the slice or no slice was computed (the temporal strategy
+    /// projects the passing-run log, not a trace).
     pub distance: Option<u32>,
 }
 
@@ -153,13 +156,13 @@ pub struct RankedAccess {
 
 /// Projects the trace onto its accesses to `csv_locs` at or before the
 /// aligned point (`aligned_serial`), in trace order: per event, its reads
-/// of CSV locations, then its writes. With a `slice`, each access carries
-/// its event's dependence distance.
+/// of CSV locations, then its writes. Each access carries its event's
+/// distance in `slice`.
 pub fn csv_accesses(
     trace: &Trace,
     aligned_serial: u64,
     csv_locs: &[MemLoc],
-    slice: Option<&DynamicSlice>,
+    slice: &DynamicSlice,
 ) -> Vec<CsvAccess> {
     // A handful of locations, looked up once per read and write of the
     // trace: a sorted list is cheaper to probe than a hash set.
@@ -181,7 +184,7 @@ pub fn csv_accesses(
                     pc: ev.pc,
                     loc,
                     is_write,
-                    distance: slice.and_then(|s| s.distance(ev.serial)),
+                    distance: slice.distance(ev.serial),
                 });
             }
         }
@@ -256,14 +259,10 @@ mod tests {
     }
 
     /// Projects and ranks `t`'s accesses to `csvs` at or before
-    /// `aligned`, slicing from `aligned` under the dependence strategy.
+    /// `aligned`, sliced from `aligned`.
     fn rank(t: &Trace, aligned: u64, csvs: &[MemLoc], strategy: Strategy) -> Vec<RankedAccess> {
-        let slice = (strategy == Strategy::Dependence).then(|| backward_slice(t, &[aligned]));
-        rank_accesses(
-            &csv_accesses(t, aligned, csvs, slice.as_ref()),
-            aligned,
-            strategy,
-        )
+        let slice = backward_slice(t, &[aligned]);
+        rank_accesses(&csv_accesses(t, aligned, csvs, &slice), aligned, strategy)
     }
 
     const PROG: &str = r#"

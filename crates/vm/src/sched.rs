@@ -162,13 +162,14 @@ pub fn run(
 /// Like [`run`], but additionally stops (returning [`Outcome::Stopped`])
 /// as soon as `stop` returns true between steps. `stop` is evaluated
 /// before each step, so `|vm| vm.steps() > n` stops with exactly `n + 1`
-/// steps executed.
-pub fn run_until(
-    vm: &mut Vm<'_>,
+/// steps executed. `stop` sees the VM at the run's program lifetime, so
+/// it may keep a clone of it as a checkpoint.
+pub fn run_until<'p>(
+    vm: &mut Vm<'p>,
     sched: &mut dyn Scheduler,
     obs: &mut dyn Observer,
     max_steps: u64,
-    mut stop: impl FnMut(&Vm<'_>) -> bool,
+    mut stop: impl FnMut(&Vm<'p>) -> bool,
 ) -> Outcome {
     // One scratch buffer for the whole run; the step loop never allocates.
     let mut runnable: Vec<ThreadId> = Vec::new();

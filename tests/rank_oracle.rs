@@ -1,15 +1,20 @@
 //! The rank phase against the full-trace ranking it replaced.
 //!
-//! The diff phase projects the dependence trace onto the accesses to
-//! the critical shared variables and drops the trace; the rank phase
-//! orders that projection. Before, the diff artifact carried the whole
-//! trace and the rank phase scanned it. `reference_rank` below is that
-//! scan, kept test-only: for every seeded Table 2 bug under SC and TSO,
-//! both strategies, and both the default window and a 64-event one, the
-//! rank phase's artifact must be byte-identical to the reference's
-//! ranking of the same aligned replay.
+//! The diff phase projects the passing run onto the accesses to the
+//! critical shared variables: under the temporal strategy from the
+//! align phase's shared-access log, under the dependence strategy from
+//! a sliced dependence trace it then drops. The rank phase orders that
+//! projection. Before, the diff artifact carried the whole trace and the
+//! rank phase scanned it. `reference_rank` below is that scan, kept
+//! test-only: for every seeded Table 2 bug under SC and TSO, both
+//! strategies, and both the default window and a 64-event one, the rank
+//! phase's artifact must be byte-identical to the reference's ranking of
+//! the same aligned replay. The instruction-count alignment mode runs
+//! the same cases.
 
-use mcr_core::{find_failure_cfg, RankedAccessesArtifact, ReproOptions, ReproSession, RunConfig};
+use mcr_core::{
+    find_failure_cfg, AlignMode, RankedAccessesArtifact, ReproOptions, ReproSession, RunConfig,
+};
 use mcr_slice::{
     backward_slice, DynamicSlice, RankedAccess, Strategy, Trace, TraceCollector, TraceEvent,
     PRIORITY_BOTTOM,
@@ -108,8 +113,8 @@ fn check_case(
 ) {
     let input = bug.default_input();
     let case = format!(
-        "{} {:?} {:?} window={}",
-        bug.name, options.mem_model, options.strategy, options.trace_window
+        "{} {:?} {:?} {:?} window={}",
+        bug.name, options.mem_model, options.align_mode, options.strategy, options.trace_window
     );
     let mut session = ReproSession::new(program, sf.dump.clone(), &input, options.clone())
         .unwrap_or_else(|e| panic!("{case}: {e}"));
@@ -180,6 +185,7 @@ fn check_case(
 fn rank_phase_matches_full_trace_ranking() {
     let mut full = Coverage::default();
     let mut windowed = Coverage::default();
+    let mut instruction_count = Coverage::default();
     for bug in mcr_workloads::all_bugs() {
         let program = bug.compile();
         let input = bug.default_input();
@@ -202,6 +208,19 @@ fn rank_phase_matches_full_trace_ranking() {
                     };
                     check_case(&bug, &program, &sf, options, coverage);
                 }
+                // The instruction-count alignment baseline (Table 5)
+                // locates the aligned point differently.
+                for window in [default_window, 64] {
+                    let options = ReproOptions {
+                        strategy,
+                        align_mode: AlignMode::InstructionCount,
+                        mem_model,
+                        trace_window: window,
+                        parallelism: 1,
+                        ..Default::default()
+                    };
+                    check_case(&bug, &program, &sf, options, &mut instruction_count);
+                }
             }
         }
     }
@@ -209,5 +228,9 @@ fn rank_phase_matches_full_trace_ranking() {
     assert!(
         windowed.ranked > 0 && windowed.dangling_writers > 0,
         "64-event window coverage"
+    );
+    assert!(
+        instruction_count.ranked > 0 && instruction_count.dangling_writers > 0,
+        "instruction-count alignment coverage"
     );
 }
