@@ -3,7 +3,8 @@
 //! * `instrumentation/*` — the overhead story of the paper's §3.2: plain
 //!   execution vs. loop counters vs. full online execution indexing (the
 //!   paper's 1.6% vs 42% motivation).
-//! * `dump/*` — encode/decode/traverse/diff (Tables 3 and 6).
+//! * `dump/*` — encode/decode/traverse (Tables 3 and 6), and the diff of
+//!   a Table 2 bug's failure dump against its aligned dump.
 //! * `index/*` — failure-index reverse engineering and alignment.
 //! * `slice/*` — dependence trace, backward slice, and the projection
 //!   onto CSV accesses plus their ranking (Table 6).
@@ -22,7 +23,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use mcr_analysis::ProgramAnalysis;
-use mcr_core::{find_failure, ReproOptions, Reproducer};
+use mcr_core::{find_failure, ReproOptions, ReproSession, Reproducer};
 use mcr_dump::{reachable_vars, CoreDump, DumpDiff, DumpReason, TraverseLimits};
 use mcr_index::{reverse_index, Aligner, OnlineIndexer};
 use mcr_lang::GlobalId;
@@ -125,10 +126,24 @@ fn medium_dump() -> (mcr_lang::Program, CoreDump) {
     (program, dump)
 }
 
+/// A Table 2 bug's failure dump and the aligned dump of its passing run,
+/// as the diff phase compares them.
+fn failure_and_aligned_dumps() -> (CoreDump, CoreDump) {
+    let bug = mcr_workloads::bug_by_name("apache-1").unwrap();
+    let program = bug.compile();
+    let input = bug.default_input();
+    let sf = find_failure(&program, &input, 0..200_000, bug.max_steps).expect("stress");
+    let mut session =
+        ReproSession::new(&program, sf.dump.clone(), &input, ReproOptions::default()).unwrap();
+    let aligned = mcr_dump::decode(&session.run_align().unwrap().aligned_dump).unwrap();
+    (sf.dump, aligned)
+}
+
 fn bench_dump(c: &mut Criterion) {
     let (_program, dump) = medium_dump();
     let bytes = mcr_dump::encode(&dump);
-    let vars = reachable_vars(&dump, TraverseLimits::default());
+    let (failure, aligned) = failure_and_aligned_dumps();
+    assert!(DumpDiff::compare(&failure, &aligned).diff_count() > 0);
     let mut g = c.benchmark_group("dump");
     g.bench_function("encode", |b| b.iter(|| black_box(mcr_dump::encode(&dump))));
     g.bench_function("decode", |b| {
@@ -138,7 +153,13 @@ fn bench_dump(c: &mut Criterion) {
         b.iter(|| black_box(reachable_vars(&dump, TraverseLimits::default())));
     });
     g.bench_function("diff", |b| {
-        b.iter(|| black_box(DumpDiff::compare_maps(&vars, &vars)));
+        b.iter(|| {
+            black_box(DumpDiff::compare_with(
+                &failure,
+                &aligned,
+                TraverseLimits::default(),
+            ))
+        });
     });
     g.finish();
 }

@@ -468,9 +468,10 @@ pub fn render_table5(rows: &[Table5Row]) -> String {
 pub struct Table6Row {
     /// Bug name.
     pub name: String,
-    /// Dump encode/decode/traverse cost ("parsing").
+    /// Dump encode/decode and the walk comparing both dumps
+    /// ("parsing").
     pub dump_parse: Duration,
-    /// Variable-map comparison cost ("diff").
+    /// Sorting the differences and splitting off the CSVs ("diff").
     pub diff: Duration,
     /// Slicing cost.
     pub slicing: Duration,

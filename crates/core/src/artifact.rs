@@ -137,9 +137,11 @@ pub struct DumpDeltaArtifact {
     /// dependence strategy's; near zero under the temporal strategy).
     pub replay_elapsed: Duration,
     /// Wall-clock time encoding and decoding the failure dump, decoding
-    /// the aligned dump, and traversing both.
+    /// the aligned dump, and walking both at once
+    /// ([`DumpDiff::walk`](mcr_dump::DumpDiff::walk)).
     pub parse_elapsed: Duration,
-    /// Wall-clock time comparing the two variable maps.
+    /// Wall-clock time sorting the walk's differences by path and
+    /// splitting off the CSVs.
     pub diff_elapsed: Duration,
     /// Wall-clock time of the backward slice (dependence strategy only)
     /// and the projection onto the CSV accesses.

@@ -28,9 +28,7 @@ use crate::artifact::{
 use crate::observe::{Phase, PhaseEvent};
 use crate::pipeline::{AlignMode, PhaseBudget, ReproError};
 use crate::session::ReproSession;
-use mcr_dump::{
-    reachable_vars, resolve_loc, CoreDump, DecodeError, DumpDiff, DumpReason, ResolvedVar,
-};
+use mcr_dump::{resolve_loc, CoreDump, DecodeError, DumpDiff, DumpReason, ResolvedVar};
 use mcr_index::{AlignSignal, Aligner, Alignment};
 use mcr_lang::Pc;
 use mcr_search::{
@@ -546,8 +544,9 @@ impl PipelinePhase for DiffPhase {
             elapsed: replay_elapsed,
         });
 
-        // Dump comparison ("parse" covers encode/decode and traversal,
-        // the GDB-dominated cost of the paper's Table 6).
+        // Dump comparison ("parse" covers encode/decode and the walk over
+        // both dumps, the GDB-dominated cost of the paper's Table 6;
+        // "diff" sorts the differences and splits off the CSVs).
         let t0 = Instant::now();
         let failure_bytes = mcr_dump::encode(&s.failure_dump);
         let aligned_bytes = &Self::input(s).expect("align ran").aligned_dump;
@@ -561,8 +560,7 @@ impl PipelinePhase for DiffPhase {
                 return Err(ReproError::Codec(e));
             }
         };
-        let vars_fail = reachable_vars(&failure_reparsed, s.options.limits);
-        let vars_aligned = reachable_vars(&aligned_dump, s.options.limits);
+        let walk = DumpDiff::walk(&failure_reparsed, &aligned_dump, s.options.limits);
         let parse_elapsed = t0.elapsed();
         s.emit(PhaseEvent::Stage {
             phase: Phase::Diff,
@@ -571,7 +569,7 @@ impl PipelinePhase for DiffPhase {
         });
 
         let t0 = Instant::now();
-        let diff = DumpDiff::compare_maps(&vars_fail, &vars_aligned);
+        let diff = walk.finish();
         let diff_elapsed = t0.elapsed();
         s.emit(PhaseEvent::Stage {
             phase: Phase::Diff,

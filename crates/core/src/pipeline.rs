@@ -356,9 +356,10 @@ pub struct ReproTimings {
     /// strategy; under the temporal strategy the diff phase replays
     /// nothing and this is near zero.
     pub replay: Duration,
-    /// Encoding + decoding + traversing both dumps ("parsing").
+    /// Encoding + decoding both dumps + the walk comparing them
+    /// ("parsing").
     pub dump_parse: Duration,
-    /// Comparing the two variable maps ("diff").
+    /// Sorting the differences and splitting off the CSVs ("diff").
     pub diff: Duration,
     /// Dynamic slicing: the backward slice and the projection onto the
     /// CSV accesses (diff phase) plus their ranking (rank phase).
@@ -498,7 +499,9 @@ impl<'p> Reproducer<'p> {
     ///
     /// # Errors
     ///
-    /// [`ReproError::NotAFailureDump`] when the dump carries no failure.
+    /// [`ReproError::NotAFailureDump`] when the dump carries no failure,
+    /// [`ReproError::NoSuchThread`] when its focus is not one of its
+    /// threads.
     pub fn session(
         &self,
         failure_dump: &CoreDump,

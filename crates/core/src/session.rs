@@ -137,7 +137,9 @@ impl<'p> ReproSession<'p> {
     ///
     /// # Errors
     ///
-    /// [`ReproError::NotAFailureDump`] when the dump carries no failure.
+    /// [`ReproError::NotAFailureDump`] when the dump carries no failure,
+    /// [`ReproError::NoSuchThread`] when its focus is not one of its
+    /// threads.
     pub fn new(
         program: &'p Program,
         failure_dump: CoreDump,
@@ -169,6 +171,11 @@ impl<'p> ReproSession<'p> {
         options: ReproOptions,
     ) -> Result<Self, ReproError> {
         let failure = failure_dump.failure().ok_or(ReproError::NotAFailureDump)?;
+        // `decode` rejects such a dump; an in-memory one never went
+        // through it, and every phase reads the focus thread.
+        if failure_dump.focus.0 as usize >= failure_dump.threads.len() {
+            return Err(ReproError::NoSuchThread(failure_dump.focus));
+        }
         let store = options.store.clone().unwrap_or_else(|| Arc::new(NullStore));
         Ok(ReproSession {
             program,
@@ -967,6 +974,27 @@ mod tests {
         assert!(s.is_complete());
         let report = s.report().unwrap();
         assert!(report.search.reproduced);
+    }
+
+    #[test]
+    fn focus_outside_the_dump_is_no_such_thread() {
+        let p = mcr_lang::compile(FIG1).unwrap();
+        let input = [0i64, 1];
+        let sf = find_failure(&p, &input, 0..200_000, 1_000_000).expect("stress exposes");
+        let mut dump = sf.dump;
+        dump.focus = ThreadId(dump.threads.len() as u32);
+        let bad = dump.focus;
+        let err = ReproSession::new(&p, dump.clone(), &input, ReproOptions::default())
+            .expect_err("focus is not a thread of the dump");
+        assert!(
+            matches!(err, ReproError::NoSuchThread(t) if t == bad),
+            "{err}"
+        );
+        let r = crate::Reproducer::new(&p, ReproOptions::default());
+        assert!(matches!(
+            r.reproduce(&dump, &input),
+            Err(ReproError::NoSuchThread(t)) if t == bad
+        ));
     }
 
     #[test]

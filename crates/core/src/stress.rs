@@ -47,18 +47,6 @@ pub struct StressFailure {
     pub instrs: u64,
 }
 
-impl StressFailure {
-    /// Packages the failure dump as a segmented container — the
-    /// shippable form: checksummed fixed-size frames with a footer
-    /// index, so a triage worker in another process can validate the
-    /// framing in O(1) and rehydrate byte ranges on demand instead of
-    /// decoding the whole blob (`mcr_dump::decode_segmented` reverses
-    /// it). `mcr_dump::DUMP_FRAME_SIZE` is the default frame size.
-    pub fn dump_segmented(&self, frame_size: usize) -> mcr_dump::SegmentedBytes {
-        mcr_dump::encode_segmented(&self.dump, frame_size)
-    }
-}
-
 /// Runs the program under random interleavings until it crashes.
 ///
 /// Returns `None` when no seed in `seeds` exposes a failure within
@@ -349,21 +337,6 @@ mod tests {
         let f2 = find_failure(&p, &[], 0..100_000, 100_000).unwrap();
         assert_eq!(f1.seed, f2.seed);
         assert_eq!(f1.dump, f2.dump);
-    }
-
-    #[test]
-    fn segmented_failure_dump_ships_and_rehydrates() {
-        let p = mcr_lang::compile(RACE).unwrap();
-        let f = find_failure(&p, &[], 0..100_000, 100_000).expect("stress exposes");
-        let seg = f.dump_segmented(mcr_dump::DUMP_FRAME_SIZE);
-        // The container survives a byte-level process hop and decodes
-        // to the identical dump.
-        let shipped =
-            mcr_dump::SegmentedBytes::parse(seg.as_bytes().to_vec()).expect("framing valid");
-        assert_eq!(
-            mcr_dump::decode_segmented(&shipped).expect("payload decodes"),
-            f.dump
-        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! construction.
 
 use crate::dump::{CoreDump, DumpReason, FrameImage, ThreadImage};
-use crate::wire::{Reader, SegmentedBytes, Writer};
+use crate::wire::{Reader, Writer};
 use mcr_lang::{FuncId, StmtId};
 use mcr_vm::{BufferedStore, GSlot, ThreadId, ThreadState};
 use std::error::Error;
@@ -130,35 +130,6 @@ pub fn encode(dump: &CoreDump) -> Vec<u8> {
         }
     }
     w.into_bytes()
-}
-
-/// Default frame size for segmented dump payloads: small enough that a
-/// range read over one thread image touches a handful of frames, large
-/// enough that framing overhead (varint length + 8-byte checksum per
-/// segment) stays well under 1%.
-pub const DUMP_FRAME_SIZE: usize = 4096;
-
-/// Serializes a dump straight into a [`SegmentedBytes`] container: the
-/// shippable snapshot representation. The encoded stream is identical to
-/// [`encode`]'s, but packaged in checksummed fixed-size frames with a
-/// footer index, so a receiving process can validate framing in O(1),
-/// rehydrate byte ranges on demand, and forward the container without a
-/// decode→re-encode round trip.
-pub fn encode_segmented(dump: &CoreDump, frame_size: usize) -> SegmentedBytes {
-    SegmentedBytes::from_payload(&encode(dump), frame_size)
-}
-
-/// Parses a dump from a segmented container, verifying only the
-/// segments actually decoded (which for a full dump parse is all of
-/// them — the laziness pays off for consumers that stop early or only
-/// need ranges).
-///
-/// # Errors
-///
-/// Returns [`DecodeError`] on corrupt framing or a malformed payload.
-pub fn decode_segmented(seg: &SegmentedBytes) -> Result<CoreDump, DecodeError> {
-    let payload = seg.read_range(0, seg.total_len() as usize)?;
-    decode(&payload)
 }
 
 /// Parses a dump from bytes.
@@ -342,21 +313,6 @@ mod tests {
     #[test]
     fn rejects_bad_magic() {
         assert!(decode(b"XXXX\x01").is_err());
-    }
-
-    #[test]
-    fn segmented_encoding_round_trips_and_ships() {
-        let d = sample_dump(
-            "global x: int; global a: [int; 64]; fn main() { var i; for (i = 0; i < 64; i = i + 1) { a[i] = i * 3; } x = 7; }",
-        );
-        let seg = encode_segmented(&d, 128);
-        assert_eq!(seg.total_len() as usize, encode(&d).len());
-        assert!(seg.segment_count() >= 2, "fixture must span frames");
-        assert_eq!(decode_segmented(&seg).unwrap(), d);
-        // Shipping: the container bytes parse back on the other side
-        // without re-encoding, and still decode to the same dump.
-        let shipped = SegmentedBytes::parse(seg.as_bytes().to_vec()).unwrap();
-        assert_eq!(decode_segmented(&shipped).unwrap(), d);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! why a failure occurs in one run but not the other."
 
 use crate::dump::CoreDump;
-use crate::refpath::{reachable_vars, PathValue, RefPath, TraverseLimits, VarMap};
+use crate::refpath::{PathRoot, PathValue, RefPath, TraverseLimits};
+use mcr_lang::{GlobalId, LocalId};
+use mcr_vm::{GSlot, ObjId, Value};
 
 /// One value difference between two dumps.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,10 +35,11 @@ pub struct DumpDiff {
     pub compared: usize,
     /// Shared variables compared (paper Table 3, "shared").
     pub shared_compared: usize,
-    /// All value differences (paper Table 3, "diffs").
+    /// All value differences, in reference-path order (paper Table 3,
+    /// "diffs").
     pub diffs: Vec<ValueDiff>,
-    /// The critical shared variables: shared paths with differing values
-    /// (paper Table 3, "CSV").
+    /// The critical shared variables: shared paths with differing values,
+    /// in reference-path order (paper Table 3, "CSV").
     pub csvs: Vec<RefPath>,
 }
 
@@ -47,46 +50,49 @@ impl DumpDiff {
     }
 
     /// Compares two dumps with explicit traversal limits.
+    ///
+    /// The result is the comparison of the two dumps'
+    /// [`reachable_vars`](crate::reachable_vars) maps over the paths they
+    /// share, computed in one depth-first walk over both dumps at once:
+    /// no per-dump map is built, and a path is cloned only when its
+    /// values differ. Each side keeps its own cycle check, depth limit
+    /// and path budget, so a path reachable in only one dump counts in
+    /// that side's `vars` alone.
     pub fn compare_with(a: &CoreDump, b: &CoreDump, limits: TraverseLimits) -> DumpDiff {
-        let va = reachable_vars(a, limits);
-        let vb = reachable_vars(b, limits);
-        Self::compare_maps(&va, &vb)
+        Self::walk(a, b, limits).finish()
     }
 
-    /// Compares two precomputed variable maps.
-    pub fn compare_maps(va: &VarMap, vb: &VarMap) -> DumpDiff {
-        let mut compared = 0usize;
-        let mut shared_compared = 0usize;
-        let mut diffs = Vec::new();
-        let mut csvs = Vec::new();
-        for (path, &value_a) in va {
-            let Some(&value_b) = vb.get(path) else {
-                continue;
-            };
-            compared += 1;
-            let shared = path.is_shared();
-            if shared {
-                shared_compared += 1;
-            }
-            if value_a != value_b {
-                if shared {
-                    csvs.push(path.clone());
-                }
-                diffs.push(ValueDiff {
-                    path: path.clone(),
-                    a: value_a,
-                    b: value_b,
-                });
+    /// The walk half of [`DumpDiff::compare_with`]: counts and the
+    /// differing paths in walk order. [`DiffWalk::finish`] sorts them.
+    pub fn walk(a: &CoreDump, b: &CoreDump, limits: TraverseLimits) -> DiffWalk {
+        let mut walk = Walk {
+            a: Side::new(a),
+            b: Side::new(b),
+            limits,
+            steps: Vec::new(),
+            out: DiffWalk::default(),
+        };
+        let globals = a.globals.len().max(b.globals.len());
+        for gi in 0..globals {
+            let g = GlobalId(gi as u32);
+            let (ga, gb) = (a.globals.get(gi), b.globals.get(gi));
+            walk.visit(PathRoot::Global(g), scalar(ga), scalar(gb));
+            let (ea, eb) = (elems(ga), elems(gb));
+            for i in 0..ea.len().max(eb.len()) {
+                let root = PathRoot::GlobalElem(g, i as u32);
+                walk.visit(root, ea.get(i).copied(), eb.get(i).copied());
             }
         }
-        DumpDiff {
-            vars_a: va.len(),
-            vars_b: vb.len(),
-            compared,
-            shared_compared,
-            diffs,
-            csvs,
+        let (la, lb) = (focus_locals(a), focus_locals(b));
+        for li in 0..la.len().max(lb.len()) {
+            let root = PathRoot::FocusLocal(LocalId(li as u32));
+            walk.visit(root, la.get(li).copied(), lb.get(li).copied());
         }
+        let (ra, rb) = (a.focus_thread().last_value, b.focus_thread().last_value);
+        walk.visit(PathRoot::Register, Some(ra), Some(rb));
+        walk.out.vars_a = walk.a.vars;
+        walk.out.vars_b = walk.b.vars;
+        walk.out
     }
 
     /// Number of differing variables.
@@ -97,6 +103,150 @@ impl DumpDiff {
     /// Number of critical shared variables.
     pub fn csv_count(&self) -> usize {
         self.csvs.len()
+    }
+}
+
+/// Counts and differences of a two-dump walk, before the final sort
+/// ([`DumpDiff::walk`]).
+#[derive(Debug, Default)]
+pub struct DiffWalk {
+    vars_a: usize,
+    vars_b: usize,
+    compared: usize,
+    shared_compared: usize,
+    diffs: Vec<ValueDiff>,
+}
+
+impl DiffWalk {
+    /// Sorts the differences by reference path and splits off the
+    /// critical shared variables.
+    pub fn finish(mut self) -> DumpDiff {
+        // The walk reaches `Global(g2)` after `GlobalElem(g1, _)`; within
+        // one root its pre-order is already path order.
+        self.diffs.sort_unstable_by(|x, y| x.path.cmp(&y.path));
+        let csvs = self
+            .diffs
+            .iter()
+            .filter(|d| d.path.is_shared())
+            .map(|d| d.path.clone())
+            .collect();
+        DumpDiff {
+            vars_a: self.vars_a,
+            vars_b: self.vars_b,
+            compared: self.compared,
+            shared_compared: self.shared_compared,
+            diffs: self.diffs,
+            csvs,
+        }
+    }
+}
+
+fn scalar(slot: Option<&GSlot>) -> Option<Value> {
+    match slot {
+        Some(GSlot::Scalar(v)) => Some(*v),
+        _ => None,
+    }
+}
+
+fn elems(slot: Option<&GSlot>) -> &[Value] {
+    match slot {
+        Some(GSlot::Array(slots)) => slots,
+        _ => &[],
+    }
+}
+
+fn focus_locals(dump: &CoreDump) -> &[Value] {
+    dump.focus_thread().top().map_or(&[], |f| &f.locals)
+}
+
+/// One dump's state in the lockstep walk.
+struct Side<'d> {
+    dump: &'d CoreDump,
+    /// Objects on the current path, for the cycle and depth checks.
+    on_path: Vec<ObjId>,
+    /// Paths visited so far: this dump's `vars`.
+    vars: usize,
+}
+
+impl<'d> Side<'d> {
+    fn new(dump: &'d CoreDump) -> Self {
+        Side {
+            dump,
+            on_path: Vec::new(),
+            vars: 0,
+        }
+    }
+
+    /// Counts a path holding `v` unless the path budget is spent; `None`
+    /// means the path does not exist on this side.
+    fn record(&mut self, v: Option<Value>, limits: TraverseLimits) -> Option<Value> {
+        let v = v.filter(|_| self.vars < limits.max_paths)?;
+        self.vars += 1;
+        Some(v)
+    }
+
+    /// The slots `v` points to, if the walk descends into them on this
+    /// side; pushes the object onto the path.
+    fn enter(&mut self, v: Option<Value>, limits: TraverseLimits) -> Option<&'d [Value]> {
+        let Some(Value::Ptr(Some(obj))) = v else {
+            return None;
+        };
+        if self.on_path.contains(&obj) || self.on_path.len() >= limits.max_depth {
+            return None; // cycle along this path, or too deep
+        }
+        let slots = self.dump.heap.get(obj.0 as usize)?.as_deref()?;
+        self.on_path.push(obj);
+        Some(slots)
+    }
+}
+
+/// The depth-first walk over both dumps, following each reference path
+/// in both at once.
+struct Walk<'d> {
+    a: Side<'d>,
+    b: Side<'d>,
+    limits: TraverseLimits,
+    /// Steps of the current path, reused across the walk.
+    steps: Vec<u32>,
+    out: DiffWalk,
+}
+
+impl Walk<'_> {
+    /// Visits the path `root` + `self.steps`, holding `va` in the first
+    /// dump and `vb` in the second (`None` where it does not exist), and
+    /// every path below it.
+    fn visit(&mut self, root: PathRoot, va: Option<Value>, vb: Option<Value>) {
+        let va = self.a.record(va, self.limits);
+        let vb = self.b.record(vb, self.limits);
+        if let (Some(x), Some(y)) = (va, vb) {
+            self.out.compared += 1;
+            self.out.shared_compared += usize::from(root.is_shared());
+            let (pa, pb) = (PathValue::of(x), PathValue::of(y));
+            if pa != pb {
+                self.out.diffs.push(ValueDiff {
+                    path: RefPath {
+                        root,
+                        steps: self.steps.clone(),
+                    },
+                    a: pa,
+                    b: pb,
+                });
+            }
+        }
+        let sa = self.a.enter(va, self.limits);
+        let sb = self.b.enter(vb, self.limits);
+        let (ea, eb) = (sa.unwrap_or_default(), sb.unwrap_or_default());
+        for i in 0..ea.len().max(eb.len()) {
+            self.steps.push(i as u32);
+            self.visit(root, ea.get(i).copied(), eb.get(i).copied());
+            self.steps.pop();
+        }
+        if sa.is_some() {
+            self.a.on_path.pop();
+        }
+        if sb.is_some() {
+            self.b.on_path.pop();
+        }
     }
 }
 

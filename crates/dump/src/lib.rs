@@ -15,9 +15,12 @@
 //!   phase-artifact formats of `mcr-core`'s resumable sessions, plus the
 //!   [`ContentHash`] identity the content-addressed artifact stores key
 //!   on,
-//! * [`refpath`] — reachability traversal producing cross-run variable
-//!   identities,
-//! * [`DumpDiff`] — comparison and CSV identification (§4).
+//! * [`refpath`] — reference paths, the cross-run variable identities,
+//!   and [`reachable_vars`], one dump's variables as a map (the
+//!   inspection API),
+//! * [`DumpDiff`] — comparison and CSV identification (§4): one
+//!   depth-first walk over both dumps at once, following each reference
+//!   path in both, with no per-dump map.
 //!
 //! # Examples
 //!
@@ -44,10 +47,10 @@ pub mod dump;
 pub mod refpath;
 pub mod wire;
 
-pub use codec::{decode, decode_segmented, encode, encode_segmented, DecodeError, DUMP_FRAME_SIZE};
+pub use codec::{decode, encode, DecodeError};
 pub use diff::{DumpDiff, ValueDiff};
 pub use dump::{CoreDump, DumpReason, FrameImage, ThreadImage};
 pub use refpath::{
     reachable_vars, resolve_loc, PathRoot, PathValue, RefPath, ResolvedVar, TraverseLimits, VarMap,
 };
-pub use wire::{ContentHash, ContentHasher, SegmentWriter, SegmentedBytes};
+pub use wire::{ContentHash, ContentHasher};

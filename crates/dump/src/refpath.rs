@@ -28,6 +28,13 @@ pub enum PathRoot {
     Register,
 }
 
+impl PathRoot {
+    /// Whether paths from this root are shared state ([`RefPath::is_shared`]).
+    pub(crate) fn is_shared(self) -> bool {
+        matches!(self, PathRoot::Global(_) | PathRoot::GlobalElem(..))
+    }
+}
+
 /// A reference path: a root plus a sequence of slot indices followed
 /// through heap objects.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -51,7 +58,7 @@ impl RefPath {
     /// or through the heap). Locals and registers of the failing thread
     /// are private.
     pub fn is_shared(&self) -> bool {
-        matches!(self.root, PathRoot::Global(_) | PathRoot::GlobalElem(..))
+        self.root.is_shared()
     }
 
     /// Renders the path with source-level names.
@@ -100,7 +107,7 @@ pub enum PathValue {
 }
 
 impl PathValue {
-    fn of(v: Value) -> PathValue {
+    pub(crate) fn of(v: Value) -> PathValue {
         match v {
             Value::Int(i) => PathValue::Int(i),
             Value::Ptr(p) => PathValue::PtrNull(p.is_none()),

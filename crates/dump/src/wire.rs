@@ -18,11 +18,7 @@
 //!   [`Writer::failure`] (shared by the dump codec and the phase
 //!   artifacts, so one layout serves both),
 //! * [`ContentHash`] identifies wire-encoded content for the
-//!   content-addressed artifact stores built on top,
-//! * [`SegmentedBytes`] packages a byte stream into fixed-size,
-//!   independently checksummed frames with a footer index — the
-//!   container a core dump ships in (`crate::encode_segmented`), whose
-//!   byte ranges can be read on demand instead of decoded whole.
+//!   content-addressed artifact stores built on top.
 
 use crate::codec::DecodeError;
 use mcr_lang::{FuncId, GlobalId, LocalId, LockId, LoopId, Pc, StmtId};
@@ -826,356 +822,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Magic prefix of a segmented container.
-const SEG_MAGIC: &[u8; 4] = b"MCSG";
-/// Magic suffix closing a segmented container's fixed-width trailer.
-const SEG_TRAILER_MAGIC: &[u8; 4] = b"MCSE";
-/// Segmented-container format version.
-const SEG_VERSION: u8 = 1;
-/// Bytes of the fixed-width trailer: 8-byte LE footer offset + magic.
-const SEG_TRAILER_LEN: usize = 8 + 4;
-
-/// 64-bit integrity checksum of the segmented container: the xor-folded
-/// FNV-1a 128 digest (the same fold [`ContentHasher`]'s
-/// `std::hash::Hasher::finish` uses).
-fn checksum64(bytes: &[u8]) -> u64 {
-    let h = ContentHash::of(bytes).0;
-    (h as u64) ^ ((h >> 64) as u64)
-}
-
-/// Incrementally builds a [`SegmentedBytes`] container from a byte
-/// stream.
-///
-/// Input bytes are buffered until a full frame (`frame_size` bytes)
-/// accumulates, then sealed as one segment — so a producer streaming
-/// through a `SegmentWriter` never holds more than one frame of
-/// unsealed payload beyond the container itself.
-#[derive(Debug)]
-pub struct SegmentWriter {
-    frame_size: usize,
-    buf: Vec<u8>,
-    /// Per sealed segment: record offset (for the footer index), payload
-    /// offset, payload length.
-    records: Vec<(u64, usize, usize)>,
-    pending: Vec<u8>,
-    total_len: u64,
-}
-
-impl SegmentWriter {
-    /// An empty container with the given frame size (clamped to ≥ 1).
-    pub fn new(frame_size: usize) -> SegmentWriter {
-        let frame_size = frame_size.max(1);
-        let mut w = Writer::new();
-        w.raw(SEG_MAGIC);
-        w.u8(SEG_VERSION);
-        w.uvarint(frame_size as u64);
-        SegmentWriter {
-            frame_size,
-            buf: w.into_bytes(),
-            records: Vec::new(),
-            pending: Vec::new(),
-            total_len: 0,
-        }
-    }
-
-    /// Logical payload bytes written so far.
-    pub fn total_len(&self) -> u64 {
-        self.total_len
-    }
-
-    /// Appends payload bytes, sealing full frames as they accumulate.
-    pub fn write(&mut self, bytes: &[u8]) {
-        self.total_len += bytes.len() as u64;
-        self.pending.extend_from_slice(bytes);
-        while self.pending.len() >= self.frame_size {
-            let rest = self.pending.split_off(self.frame_size);
-            let frame = std::mem::replace(&mut self.pending, rest);
-            self.seal(&frame);
-        }
-    }
-
-    fn seal(&mut self, payload: &[u8]) {
-        let record_off = self.buf.len() as u64;
-        let mut w = Writer::new();
-        w.uvarint(payload.len() as u64);
-        let header_len = w.len();
-        w.raw(&checksum64(payload).to_le_bytes());
-        w.raw(payload);
-        let payload_off = record_off as usize + header_len + 8;
-        self.buf.extend_from_slice(&w.into_bytes());
-        self.records.push((record_off, payload_off, payload.len()));
-    }
-
-    /// Seals the final (possibly short) frame, writes the footer index
-    /// and trailer, and yields the finished container.
-    pub fn finish(mut self) -> SegmentedBytes {
-        if !self.pending.is_empty() {
-            let tail = std::mem::take(&mut self.pending);
-            self.seal(&tail);
-        }
-        let footer_offset = self.buf.len() as u64;
-        let mut f = Writer::new();
-        f.uvarint(self.records.len() as u64);
-        for &(record_off, _, len) in &self.records {
-            f.uvarint(record_off);
-            f.uvarint(len as u64);
-        }
-        f.uvarint(self.total_len);
-        let footer = f.into_bytes();
-        let sum = checksum64(&footer);
-        self.buf.extend_from_slice(&footer);
-        self.buf.extend_from_slice(&sum.to_le_bytes());
-        self.buf.extend_from_slice(&footer_offset.to_le_bytes());
-        self.buf.extend_from_slice(SEG_TRAILER_MAGIC);
-        SegmentedBytes {
-            bytes: self.buf,
-            frame_size: self.frame_size,
-            segments: self
-                .records
-                .into_iter()
-                .map(|(_, payload_off, len)| (payload_off, len))
-                .collect(),
-            total_len: self.total_len,
-        }
-    }
-}
-
-/// A byte stream packaged into fixed-size, independently checksummed
-/// frames with a footer index for O(1) range seek.
-///
-/// Layout: `MCSG` magic, version, frame-size varint; then one record per
-/// segment (payload-length varint, 8-byte LE FNV-64 checksum, payload);
-/// then a footer (segment count, per-segment record offset + length,
-/// total payload length) followed by its own 8-byte checksum; finally a
-/// fixed-width trailer (8-byte LE footer offset + `MCSE` magic).
-///
-/// Every segment except the last is exactly the frame size, so the
-/// segment holding logical offset `o` is `o / frame_size` — no scan.
-/// [`SegmentedBytes::parse`] validates only the header, footer, and
-/// trailer; per-segment checksums are verified lazily when a range is
-/// first read ([`SegmentedBytes::read_range`]), so reading one range
-/// out of a large container neither touches nor verifies the rest.
-/// Truncating the container anywhere loses the trailer (or leaves a
-/// footer whose checksum or recorded extent no longer matches), so
-/// every prefix fails closed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentedBytes {
-    bytes: Vec<u8>,
-    frame_size: usize,
-    /// `(absolute payload offset, payload length)` per segment.
-    segments: Vec<(usize, usize)>,
-    total_len: u64,
-}
-
-impl SegmentedBytes {
-    /// Packages a fully materialized payload (convenience over
-    /// [`SegmentWriter`]).
-    pub fn from_payload(payload: &[u8], frame_size: usize) -> SegmentedBytes {
-        let mut w = SegmentWriter::new(frame_size);
-        w.write(payload);
-        w.finish()
-    }
-
-    /// Parses a container, validating the header, footer index, and
-    /// trailer — but *not* the per-segment payload checksums, which are
-    /// verified lazily on first read. Use
-    /// [`SegmentedBytes::parse_verified`] to verify everything up front.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] on any truncated, reordered, or inconsistent
-    /// framing.
-    pub fn parse(bytes: Vec<u8>) -> Result<SegmentedBytes, DecodeError> {
-        let fail = |offset: usize, msg: &str| DecodeError {
-            msg: msg.to_string(),
-            offset,
-        };
-        if bytes.len() < SEG_TRAILER_LEN {
-            return Err(fail(bytes.len(), "segmented container too short"));
-        }
-        if &bytes[bytes.len() - 4..] != SEG_TRAILER_MAGIC {
-            return Err(fail(bytes.len() - 4, "bad segmented trailer magic"));
-        }
-        let off_at = bytes.len() - SEG_TRAILER_LEN;
-        let footer_offset =
-            u64::from_le_bytes(bytes[off_at..off_at + 8].try_into().expect("8 bytes")) as usize;
-
-        let mut r = Reader::new(&bytes);
-        r.expect_magic(SEG_MAGIC)?;
-        let version = r.u8()?;
-        if version != SEG_VERSION {
-            return r.err(format!("unsupported segmented version {version}"));
-        }
-        let frame_size = r.uvarint()? as usize;
-        if frame_size == 0 {
-            return r.err("zero segment frame size");
-        }
-        let header_end = r.pos();
-
-        // Footer body sits between `footer_offset` and its checksum,
-        // which the fixed-width trailer follows immediately.
-        if bytes.len() < SEG_TRAILER_LEN + 8 || footer_offset > bytes.len() - SEG_TRAILER_LEN - 8 {
-            return Err(fail(off_at, "footer offset out of bounds"));
-        }
-        if footer_offset < header_end {
-            return Err(fail(off_at, "footer offset inside header"));
-        }
-        let body_end = bytes.len() - SEG_TRAILER_LEN - 8;
-        let footer = &bytes[footer_offset..body_end];
-        let stored = u64::from_le_bytes(bytes[body_end..body_end + 8].try_into().expect("8 bytes"));
-        if checksum64(footer) != stored {
-            return Err(fail(footer_offset, "footer checksum mismatch"));
-        }
-
-        let mut fr = Reader::new(footer);
-        let count = fr.len("segments")?;
-        let mut segments = Vec::with_capacity(count.min(65536));
-        let mut expect_off = header_end;
-        let mut total = 0u64;
-        for i in 0..count {
-            let record_off = fr.uvarint()? as usize;
-            let len = fr.uvarint()? as usize;
-            if record_off != expect_off {
-                return Err(fail(record_off, "segment record out of place"));
-            }
-            if i + 1 < count && len != frame_size {
-                return Err(fail(record_off, "interior segment not frame-sized"));
-            }
-            if len == 0 || len > frame_size {
-                return Err(fail(record_off, "bad segment length"));
-            }
-            // Re-read the record header so the payload offset comes from
-            // the record itself, cross-checked against the footer.
-            let mut sr = Reader::new(&bytes[record_off..footer_offset]);
-            let rec_len = sr.uvarint()? as usize;
-            if rec_len != len {
-                return Err(fail(record_off, "segment length disagrees with footer"));
-            }
-            let payload_off = record_off + sr.pos() + 8;
-            if payload_off + len > footer_offset {
-                return Err(fail(record_off, "segment payload overruns footer"));
-            }
-            segments.push((payload_off, len));
-            expect_off = payload_off + len;
-            total += len as u64;
-        }
-        let total_len = fr.uvarint()?;
-        fr.finish()?;
-        if total != total_len {
-            return Err(fail(footer_offset, "segment lengths disagree with total"));
-        }
-        if expect_off != footer_offset {
-            return Err(fail(expect_off, "gap between segments and footer"));
-        }
-        Ok(SegmentedBytes {
-            bytes,
-            frame_size,
-            segments,
-            total_len,
-        })
-    }
-
-    /// Parses a container and eagerly verifies every segment checksum.
-    ///
-    /// # Errors
-    ///
-    /// See [`SegmentedBytes::parse`]; additionally fails on any corrupt
-    /// segment payload.
-    pub fn parse_verified(bytes: Vec<u8>) -> Result<SegmentedBytes, DecodeError> {
-        let seg = SegmentedBytes::parse(bytes)?;
-        for i in 0..seg.segments.len() {
-            seg.verify_segment(i)?;
-        }
-        Ok(seg)
-    }
-
-    /// Total logical payload length.
-    pub fn total_len(&self) -> u64 {
-        self.total_len
-    }
-
-    /// Number of segments.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// The frame size segments were sealed at.
-    pub fn frame_size(&self) -> usize {
-        self.frame_size
-    }
-
-    /// The full container bytes (the shippable representation).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Consumes the container, yielding its bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
-    }
-
-    /// Checks segment `i`'s payload against its stored checksum.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an out-of-range index or a checksum mismatch.
-    pub fn verify_segment(&self, i: usize) -> Result<(), DecodeError> {
-        let Some(&(payload_off, len)) = self.segments.get(i) else {
-            return Err(DecodeError {
-                msg: format!("segment {i} out of range"),
-                offset: self.bytes.len(),
-            });
-        };
-        let stored = u64::from_le_bytes(
-            self.bytes[payload_off - 8..payload_off]
-                .try_into()
-                .expect("8 bytes"),
-        );
-        if checksum64(&self.bytes[payload_off..payload_off + len]) != stored {
-            return Err(DecodeError {
-                msg: format!("segment {i} checksum mismatch"),
-                offset: payload_off,
-            });
-        }
-        Ok(())
-    }
-
-    /// Rehydrates `len` payload bytes starting at logical offset
-    /// `start`, verifying every touched segment.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the range exceeds the payload or a touched segment is
-    /// corrupt.
-    pub fn read_range(&self, start: usize, len: usize) -> Result<Vec<u8>, DecodeError> {
-        let end = start.saturating_add(len);
-        if end as u64 > self.total_len {
-            return Err(DecodeError {
-                msg: format!(
-                    "range {start}..{end} out of bounds (payload is {} bytes)",
-                    self.total_len
-                ),
-                offset: start,
-            });
-        }
-        if len == 0 {
-            return Ok(Vec::new());
-        }
-        let first = start / self.frame_size;
-        let last = (end - 1) / self.frame_size;
-        let mut out = Vec::with_capacity(len);
-        for i in first..=last {
-            self.verify_segment(i)?;
-            let (payload_off, seg_len) = self.segments[i];
-            let logical = i * self.frame_size;
-            let from = start.max(logical) - logical;
-            let to = end.min(logical + seg_len) - logical;
-            out.extend_from_slice(&self.bytes[payload_off + from..payload_off + to]);
-        }
-        Ok(out)
-    }
-}
-
 fn failure_kind_tag(k: FailureKind) -> u8 {
     match k {
         FailureKind::NullDeref => 0,
@@ -1347,113 +993,6 @@ mod tests {
         assert!(Reader::new(&bytes[..15]).hash().is_err());
         // Display is 32 hex digits.
         assert_eq!(a.to_string().len(), 32);
-    }
-
-    #[test]
-    fn segmented_round_trips_across_shapes() {
-        // Empty, sub-frame, exact-multiple, and ragged payloads.
-        for (len, frame) in [
-            (0usize, 16usize),
-            (5, 16),
-            (64, 16),
-            (70, 16),
-            (1, 1),
-            (257, 32),
-        ] {
-            let payload: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
-            let seg = SegmentedBytes::from_payload(&payload, frame);
-            assert_eq!(seg.total_len(), len as u64);
-            assert_eq!(seg.segment_count(), len.div_ceil(frame));
-            let parsed = SegmentedBytes::parse(seg.as_bytes().to_vec()).unwrap();
-            assert_eq!(parsed, seg);
-            SegmentedBytes::parse_verified(seg.as_bytes().to_vec()).unwrap();
-            assert_eq!(seg.read_range(0, len).unwrap(), payload);
-        }
-    }
-
-    #[test]
-    fn segmented_streaming_writes_equal_one_shot() {
-        let payload: Vec<u8> = (0..1000u32).flat_map(u32::to_le_bytes).collect();
-        let one_shot = SegmentedBytes::from_payload(&payload, 64);
-        let mut w = SegmentWriter::new(64);
-        for chunk in payload.chunks(13) {
-            w.write(chunk);
-        }
-        let streamed = w.finish();
-        assert_eq!(streamed.as_bytes(), one_shot.as_bytes());
-        assert_eq!(streamed.total_len(), payload.len() as u64);
-    }
-
-    #[test]
-    fn segmented_range_reads_match_the_payload() {
-        let payload: Vec<u8> = (0..300).map(|i| (i % 251) as u8).collect();
-        let seg = SegmentedBytes::from_payload(&payload, 32);
-        for (start, len) in [
-            (0, 300),
-            (0, 1),
-            (299, 1),
-            (31, 2),
-            (32, 32),
-            (100, 150),
-            (40, 0),
-        ] {
-            assert_eq!(
-                seg.read_range(start, len).unwrap(),
-                payload[start..start + len],
-                "range {start}+{len}"
-            );
-        }
-        assert!(seg.read_range(299, 2).is_err(), "overrun rejected");
-        assert!(
-            seg.read_range(301, 0).is_err(),
-            "out-of-bounds start rejected"
-        );
-    }
-
-    #[test]
-    fn segmented_every_prefix_fails_closed() {
-        let payload: Vec<u8> = (0..200).map(|i| i as u8).collect();
-        let seg = SegmentedBytes::from_payload(&payload, 32);
-        let bytes = seg.as_bytes();
-        for cut in 0..bytes.len() {
-            assert!(
-                SegmentedBytes::parse(bytes[..cut].to_vec()).is_err(),
-                "parse succeeded on {cut}-byte prefix"
-            );
-        }
-    }
-
-    #[test]
-    fn segmented_bit_flips_are_detected() {
-        let payload: Vec<u8> = (0..100).map(|i| i as u8).collect();
-        let seg = SegmentedBytes::from_payload(&payload, 32);
-        let bytes = seg.as_bytes();
-        for at in 0..bytes.len() {
-            let mut corrupt = bytes.to_vec();
-            corrupt[at] ^= 0x40;
-            // Either structural parsing or eager payload verification
-            // must notice any single-bit flip.
-            assert!(
-                SegmentedBytes::parse_verified(corrupt).is_err(),
-                "flip at byte {at} went unnoticed"
-            );
-        }
-    }
-
-    #[test]
-    fn segmented_lazy_verification_is_per_segment() {
-        let payload: Vec<u8> = (0..128).map(|i| i as u8).collect();
-        let seg = SegmentedBytes::from_payload(&payload, 32);
-        // Corrupt the last segment's payload in place.
-        let mut bytes = seg.as_bytes().to_vec();
-        let (payload_off, _) = seg.segments[3];
-        bytes[payload_off] ^= 0xff;
-        let corrupt = SegmentedBytes::parse(bytes).unwrap();
-        // Lazy parse succeeds; untouched ranges still read fine...
-        assert_eq!(corrupt.read_range(0, 96).unwrap(), payload[..96]);
-        // ...but touching the corrupt segment fails closed.
-        let err = corrupt.read_range(96, 32).unwrap_err();
-        assert!(err.msg.contains("checksum"), "{err}");
     }
 
     #[test]

@@ -4,16 +4,12 @@
 //! disk drives the CSV comparison exactly like the live one).
 
 use mcr_dump::wire::{Reader, Writer};
-use mcr_dump::{
-    decode, encode, reachable_vars, CoreDump, DumpReason, SegmentWriter, SegmentedBytes,
-    TraverseLimits,
-};
+use mcr_dump::{decode, encode, reachable_vars, CoreDump, DumpReason, TraverseLimits};
 use mcr_lang::{FuncId, GlobalId, LocalId, LockId, Pc, StmtId};
 use mcr_vm::{
     run, run_until, DeterministicScheduler, Event, MemLoc, MemModel, NullObserver, ObjId, SyncKind,
     ThreadId, Value, Vm,
 };
-use proptest::prelude::*;
 
 fn completed_dump(src: &str, input: &[i64]) -> CoreDump {
     let program = mcr_lang::compile(src).unwrap();
@@ -338,129 +334,6 @@ fn corrupted_sync_kind_and_memloc_tags_are_rejected() {
         let mut r = Reader::new(&corrupted);
         let err = r.event().expect_err("memloc tag must be rejected");
         assert!(err.msg.contains("memloc tag"), "{err}");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Segmented framing round-trips any payload at any frame size, and
-    /// arbitrary range reads rehydrate exactly the payload slice.
-    #[test]
-    fn segmented_container_round_trips_any_payload(
-        payload in proptest::collection::vec(0u8..255, 0..2048),
-        frame_size in 1usize..512,
-        start_frac in 0u64..1000,
-        len_frac in 0u64..1000,
-    ) {
-        let seg = SegmentedBytes::from_payload(&payload, frame_size);
-        let parsed = SegmentedBytes::parse_verified(seg.as_bytes().to_vec())
-            .expect("canonical container must parse");
-        prop_assert_eq!(parsed.total_len(), payload.len() as u64);
-        prop_assert_eq!(parsed.frame_size(), frame_size);
-        prop_assert_eq!(&parsed.read_range(0, payload.len()).unwrap(), &payload);
-        // A pseudo-random in-bounds subrange reads back the exact slice.
-        let start = (start_frac as usize * payload.len()) / 1000;
-        let len = (len_frac as usize * (payload.len() - start)) / 1000;
-        prop_assert_eq!(
-            parsed.read_range(start, len).unwrap(),
-            payload[start..start + len].to_vec()
-        );
-        // One-past-the-end fails closed, never pads.
-        prop_assert!(parsed.read_range(0, payload.len() + 1).is_err());
-    }
-
-    /// Framing is canonical in the write chunking: streaming the payload
-    /// through a `SegmentWriter` in arbitrary splits produces the exact
-    /// container bytes of the one-shot `from_payload` path.
-    #[test]
-    fn segmented_framing_is_chunking_invariant(
-        payload in proptest::collection::vec(0u8..255, 1..1024),
-        frame_size in 1usize..256,
-        cut_frac in 0u64..1000,
-    ) {
-        let oneshot = SegmentedBytes::from_payload(&payload, frame_size);
-        let cut = (cut_frac as usize * payload.len()) / 1000;
-        let mut w = SegmentWriter::new(frame_size);
-        w.write(&payload[..cut]);
-        w.write(&payload[cut..]);
-        let streamed = w.finish();
-        prop_assert_eq!(streamed.as_bytes(), oneshot.as_bytes());
-    }
-
-    /// Every strict prefix of a segmented container fails `parse` closed
-    /// — a torn write (crash mid-spill, short read) is always detected,
-    /// never misparsed as a shorter valid container.
-    #[test]
-    fn every_truncation_prefix_fails_closed(
-        payload in proptest::collection::vec(0u8..255, 0..512),
-        frame_size in 1usize..128,
-    ) {
-        let bytes = SegmentedBytes::from_payload(&payload, frame_size).into_bytes();
-        for cut in 0..bytes.len() {
-            prop_assert!(
-                SegmentedBytes::parse(bytes[..cut].to_vec()).is_err(),
-                "prefix of {cut}/{} bytes must not parse",
-                bytes.len()
-            );
-        }
-    }
-
-    /// Every single-bit flip anywhere in the container either fails
-    /// closed (`parse_verified` rejects it) or is payload-benign (the
-    /// full rehydrated payload is still byte-identical — e.g. a flip in
-    /// the advisory frame-size varint of a single-segment container).
-    /// A flip is never silently accepted while corrupting the payload.
-    #[test]
-    fn bit_flips_never_corrupt_the_payload_silently(
-        payload in proptest::collection::vec(0u8..255, 1..256),
-        frame_size in 1usize..64,
-        byte_frac in 0u64..1000,
-        bit in 0u8..8,
-    ) {
-        let bytes = SegmentedBytes::from_payload(&payload, frame_size).into_bytes();
-        let at = (byte_frac as usize * bytes.len()) / 1000;
-        let mut flipped = bytes;
-        flipped[at] ^= 1 << bit;
-        if let Ok(seg) = SegmentedBytes::parse_verified(flipped) {
-            prop_assert_eq!(
-                &seg.read_range(0, seg.total_len() as usize).unwrap(),
-                &payload,
-                "accepted flip at byte {at} bit {bit} must be payload-benign"
-            );
-        }
-    }
-}
-
-/// A flipped bit *inside a segment payload* is always caught — if not by
-/// the lazy `parse`, then by the checksum verification of the first
-/// `read_range` that touches the segment.
-#[test]
-fn payload_bit_flips_are_caught_on_first_read() {
-    let payload: Vec<u8> = (0..=255u8).cycle().take(700).collect();
-    let seg = SegmentedBytes::from_payload(&payload, 64);
-    let first_payload_at = seg
-        .as_bytes()
-        .windows(8)
-        .position(|w| w == &payload[..8])
-        .expect("payload bytes present verbatim in the container");
-    for bit in 0..8 {
-        let mut flipped = seg.as_bytes().to_vec();
-        flipped[first_payload_at] ^= 1 << bit;
-        // Lazy parse validates only the framing, so it accepts the
-        // container…
-        let lazy = SegmentedBytes::parse(flipped).expect("framing is intact");
-        // …but the corrupt segment can never serve a read.
-        let err = lazy
-            .read_range(0, 8)
-            .expect_err("checksum must catch the flip");
-        assert!(err.msg.contains("checksum"), "{err}");
-        // Untouched segments still serve reads: corruption is contained
-        // to the frame it hit.
-        assert_eq!(
-            lazy.read_range(640, 32).unwrap(),
-            payload[640..672].to_vec()
-        );
     }
 }
 

@@ -37,7 +37,7 @@ pub use mcr_core::{
     PhaseBudgets, PhaseEvent, PhaseObserver, RankedAccessesArtifact, ReproSession, SearchArtifact,
     TimingLog,
 };
-use mcr_dump::{CoreDump, DumpReason};
+use mcr_dump::{CoreDump, DumpDiff, DumpReason, ValueDiff, VarMap};
 use mcr_search::{Algorithm, SearchConfig};
 use mcr_slice::Strategy;
 use mcr_vm::{run, DeterministicScheduler, NullObserver, SplitMix64, ThreadId, Vm};
@@ -300,6 +300,46 @@ pub fn canned_heap_dump() -> (mcr_lang::Program, CoreDump) {
     assert_eq!(outcome, mcr_vm::Outcome::Completed, "fixture must complete");
     let dump = CoreDump::capture(&vm, ThreadId(0), DumpReason::Manual);
     (program, dump)
+}
+
+/// The reference dump diff: merges two dumps' variable maps
+/// ([`mcr_dump::reachable_vars`]) over the paths they share.
+/// [`DumpDiff::compare_with`] computes the same result in one walk over
+/// both dumps; this is the map-based algorithm it replaced, kept as the
+/// oracle the tests check it against.
+pub fn compare_maps(va: &VarMap, vb: &VarMap) -> DumpDiff {
+    let mut compared = 0usize;
+    let mut shared_compared = 0usize;
+    let mut diffs = Vec::new();
+    let mut csvs = Vec::new();
+    for (path, &value_a) in va {
+        let Some(&value_b) = vb.get(path) else {
+            continue;
+        };
+        compared += 1;
+        let shared = path.is_shared();
+        if shared {
+            shared_compared += 1;
+        }
+        if value_a != value_b {
+            if shared {
+                csvs.push(path.clone());
+            }
+            diffs.push(ValueDiff {
+                path: path.clone(),
+                a: value_a,
+                b: value_b,
+            });
+        }
+    }
+    DumpDiff {
+        vars_a: va.len(),
+        vars_b: vb.len(),
+        compared,
+        shared_compared,
+        diffs,
+        csvs,
+    }
 }
 
 /// Deterministic seed sequence for tests that iterate over schedules:

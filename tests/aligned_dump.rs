@@ -11,9 +11,9 @@
 //! CSV locations, must equal what the replay gives.
 
 use mcr_core::{find_failure_cfg, AlignMode, ReproOptions, ReproSession, RunConfig};
-use mcr_dump::{reachable_vars, resolve_loc, CoreDump, DumpDiff, DumpReason, RefPath, ResolvedVar};
+use mcr_dump::{reachable_vars, resolve_loc, CoreDump, DumpReason, RefPath, ResolvedVar};
 use mcr_slice::{Strategy, TraceCollector};
-use mcr_testsupport::stress_seed_cap;
+use mcr_testsupport::{compare_maps, stress_seed_cap};
 use mcr_vm::{run_until, DeterministicScheduler, MemLoc, MemModel, ThreadId, Vm};
 
 /// What the replay-based diff phase produced.
@@ -51,7 +51,7 @@ fn reference(
         ThreadId(0)
     };
     let aligned = CoreDump::capture(&vm, focus, DumpReason::Aligned);
-    let diff = DumpDiff::compare_maps(
+    let diff = compare_maps(
         &reachable_vars(failure_dump, options.limits),
         &reachable_vars(&aligned, options.limits),
     );
