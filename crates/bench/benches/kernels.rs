@@ -11,9 +11,11 @@
 //! * `search/*` — one end-to-end directed search per algorithm (Table 4).
 //! * `search_hotpath/*` — the search engine's cost model in isolation:
 //!   checkpoint (`Vm::clone`) cost on a heap-rich state, stepping
-//!   throughput, one test execution (a "try"), and a guided vs plain
-//!   search on a fixed candidate set. `tables -- bench-json` records the
-//!   same metrics to `BENCH_search.json`.
+//!   throughput, one test execution (a "try"), a guided vs plain search
+//!   on a fixed candidate set, and annotating mysql-1's passing run with
+//!   its ranked CSV accesses (the search's first stage). `tables --
+//!   bench-json` records all of these but the annotation to
+//!   `BENCH_search.json`.
 //! * `worklist/*` — the lazy CHESS worklist over 700 candidates (a
 //!   suite-sized candidate list, pair pool 512): building it and taking
 //!   the first entry (all a 2-try reproduction pays), the first 1000
@@ -27,9 +29,12 @@ use mcr_core::{find_failure, ReproOptions, ReproSession, Reproducer};
 use mcr_dump::{reachable_vars, CoreDump, DumpDiff, DumpReason, TraverseLimits};
 use mcr_index::{reverse_index, Aligner, OnlineIndexer};
 use mcr_lang::GlobalId;
-use mcr_search::{Algorithm, Worklist};
-use mcr_slice::{backward_slice, csv_accesses, rank_accesses, Strategy, TraceCollector};
+use mcr_search::{annotate_with_race, Algorithm, PassingRunInfo, Worklist};
+use mcr_slice::{
+    backward_slice, csv_accesses, rank_accesses, RankedAccess, Strategy, TraceCollector,
+};
 use mcr_vm::{run, run_until, DeterministicScheduler, MemLoc, NullObserver, ThreadId, Vm};
+use std::collections::HashSet;
 
 const LOOPY: &str = r#"
     global n: int;
@@ -137,6 +142,27 @@ fn failure_and_aligned_dumps() -> (CoreDump, CoreDump) {
         ReproSession::new(&program, sf.dump.clone(), &input, ReproOptions::default()).unwrap();
     let aligned = mcr_dump::decode(&session.run_align().unwrap().aligned_dump).unwrap();
     (sf.dump, aligned)
+}
+
+/// A Table 2 bug's passing run, CSV locations and ranked accesses, as
+/// the search phase annotates them.
+fn passing_run_and_ranking(name: &str) -> (PassingRunInfo, HashSet<MemLoc>, Vec<RankedAccess>) {
+    let bug = mcr_workloads::bug_by_name(name).unwrap();
+    let program = bug.compile();
+    let input = bug.default_input();
+    let sf = find_failure(&program, &input, 0..200_000, bug.max_steps).expect("stress");
+    let mut session =
+        ReproSession::new(&program, sf.dump.clone(), &input, ReproOptions::default()).unwrap();
+    let ranked = session.run_rank().unwrap().ranked.clone();
+    let info = session.alignment_artifact().unwrap().passing_run.clone();
+    let csvs = session
+        .delta_artifact()
+        .unwrap()
+        .csv_locs
+        .iter()
+        .copied()
+        .collect();
+    (info, csvs, ranked)
 }
 
 fn bench_dump(c: &mut Criterion) {
@@ -299,6 +325,7 @@ fn bench_search_hotpath(c: &mut Criterion) {
     let program = checkpoint_fixture_program();
     let vm = checkpoint_fixture_vm(&program);
     let fixture = SearchFixture::prepare();
+    let (info, csvs, ranked) = passing_run_and_ranking("mysql-1");
 
     let mut g = c.benchmark_group("search_hotpath");
     g.bench_function("checkpoint_clone", |b| b.iter(|| black_box(vm.clone())));
@@ -313,6 +340,9 @@ fn bench_search_hotpath(c: &mut Criterion) {
             );
             black_box(vm.steps())
         });
+    });
+    g.bench_function("annotate", |b| {
+        b.iter(|| black_box(annotate_with_race(&info, &csvs, ranked.as_slice(), None)));
     });
     g.sample_size(10);
     g.bench_function("guided_search", |b| {

@@ -25,7 +25,6 @@ use mcr_search::{
 };
 use mcr_slice::{CsvAccess, RankedAccess};
 use mcr_vm::{MemLoc, ObjId, ThreadId};
-use std::collections::HashSet;
 use std::time::Duration;
 
 const MAGIC: &[u8; 4] = b"MCRA";
@@ -151,7 +150,8 @@ pub struct DumpDeltaArtifact {
 /// Phase 4 output: the prioritized CSV accesses.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankedAccessesArtifact {
-    /// Prioritized accesses to the critical shared variables.
+    /// Prioritized accesses to the critical shared variables, in step
+    /// order (the search looks priorities up by binary search).
     pub ranked: Vec<RankedAccess>,
     /// Wall-clock time the phase took.
     pub elapsed: Duration,
@@ -358,11 +358,9 @@ fn write_candidate(w: &mut Writer, c: &AnnotatedCandidate) {
         write_ranked(w, a);
     }
     w.uvarint(c.best_priority as u64);
-    // HashSet → sorted for a canonical byte layout.
-    let mut locs: Vec<CoarseLoc> = c.access_locs.iter().copied().collect();
-    locs.sort_unstable();
-    w.uvarint(locs.len() as u64);
-    for l in locs {
+    // Sorted, so the byte layout is canonical.
+    w.uvarint(c.access_locs.len() as u64);
+    for &l in &c.access_locs {
         write_coarse(w, l);
     }
 }
@@ -376,10 +374,12 @@ fn read_candidate(r: &mut Reader<'_>) -> Result<AnnotatedCandidate, DecodeError>
     }
     let best_priority = r.uvarint()? as u32;
     let n = r.len("candidate locs")?;
-    let mut access_locs = HashSet::with_capacity(n.min(65536));
+    let mut access_locs = Vec::with_capacity(n.min(65536));
     for _ in 0..n {
-        access_locs.insert(read_coarse(r)?);
+        access_locs.push(read_coarse(r)?);
     }
+    access_locs.sort_unstable();
+    access_locs.dedup();
     Ok(AnnotatedCandidate {
         point,
         accesses,
@@ -575,6 +575,15 @@ impl AlignmentArtifact {
         {
             return r.err("passing-run log out of step order");
         }
+        // The search's future-CSV map holds an entry per sync position up
+        // to each thread's largest. A recorded run's ordinals count its
+        // threads' syncs, each of which is a candidate.
+        if candidates
+            .iter()
+            .any(|c| c.sync_seq as usize >= candidates.len())
+        {
+            return r.err("candidate sync ordinal out of range");
+        }
         let total_steps = r.uvarint()?;
         let n = r.len("return stores")?;
         let mut return_stores = Vec::with_capacity(n.min(65536));
@@ -720,6 +729,10 @@ impl RankedAccessesArtifact {
         let mut ranked = Vec::with_capacity(n.min(65536));
         for _ in 0..n {
             ranked.push(read_ranked(&mut r)?);
+        }
+        // The search looks priorities up by binary search on the step.
+        if !ranked.windows(2).all(|w| w[0].step <= w[1].step) {
+            return r.err("ranked accesses out of step order");
         }
         let elapsed = r.duration()?;
         r.finish()?;
@@ -905,6 +918,38 @@ mod tests {
         assert_eq!(AlignmentArtifact::from_bytes(&art.to_bytes()).unwrap(), art);
         art.passing_run.shared_accesses.swap(0, 2);
         let err = AlignmentArtifact::from_bytes(&art.to_bytes()).unwrap_err();
+        assert!(err.msg.contains("step order"), "{err}");
+    }
+
+    #[test]
+    fn sync_ordinal_past_the_candidates_rejected() {
+        let mut art = sample_alignment();
+        art.passing_run.candidates[0].sync_seq = 1;
+        let err = AlignmentArtifact::from_bytes(&art.to_bytes()).unwrap_err();
+        assert!(err.msg.contains("sync ordinal"), "{err}");
+    }
+
+    #[test]
+    fn ranked_accesses_out_of_step_order_rejected() {
+        let access = |step, priority| RankedAccess {
+            serial: step,
+            step,
+            tid: ThreadId(1),
+            pc: Pc::new(FuncId(0), StmtId(2)),
+            loc: MemLoc::Global(GlobalId(0)),
+            is_write: false,
+            priority,
+        };
+        let mut art = RankedAccessesArtifact {
+            ranked: vec![access(3, 2), access(3, 3), access(8, 1)],
+            elapsed: Duration::ZERO,
+        };
+        assert_eq!(
+            RankedAccessesArtifact::from_bytes(&art.to_bytes()).unwrap(),
+            art
+        );
+        art.ranked.swap(1, 2);
+        let err = RankedAccessesArtifact::from_bytes(&art.to_bytes()).unwrap_err();
         assert!(err.msg.contains("step order"), "{err}");
     }
 

@@ -39,7 +39,7 @@ use mcr_vm::{
     run_until, DeterministicScheduler, Event, MemLoc, Observer, Outcome, Tee, ThreadId, Vm,
 };
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::time::Instant;
 
 mod sealed {
@@ -782,21 +782,19 @@ impl PipelinePhase for SearchPhase {
             let delta = s.artifacts.delta.as_ref().expect("diff ran");
             let align = s.artifacts.align.as_ref().expect("align ran");
             let csv_set: HashSet<MemLoc> = delta.csv_locs.iter().copied().collect();
-
-            let mut priorities: HashMap<(u64, MemLoc, bool), u32> =
-                HashMap::with_capacity(ranked.len());
-            for r in ranked {
-                let e = priorities
-                    .entry((r.step, r.loc, r.is_write))
-                    .or_insert(r.priority);
-                *e = (*e).min(r.priority);
-            }
+            // Both projections emit step order and ranking keeps it, so
+            // annotation looks priorities up in `ranked` itself.
+            debug_assert!(ranked.windows(2).all(|w| w[0].step <= w[1].step));
             // Under `static_race`, the session's race verdicts prune
             // provably-Solo preemption points and rank May-Race blocks
             // ahead of statically clean ones (`race_verdicts` is `None`
             // unless the knob is on and the fault plan is empty).
-            let (candidates, future) =
-                annotate_with_race(&align.passing_run, &csv_set, &priorities, s.race_verdicts());
+            let (candidates, future) = annotate_with_race(
+                &align.passing_run,
+                &csv_set,
+                ranked.as_slice(),
+                s.race_verdicts(),
+            );
             s.emit(PhaseEvent::Stage {
                 phase: Phase::Search,
                 stage: "annotate",

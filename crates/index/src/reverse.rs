@@ -27,7 +27,8 @@ use std::fmt;
 pub enum ReverseError {
     /// The dump's focus thread has no frames (it had already finished).
     NoFrames,
-    /// A frame referenced a statement out of range (corrupt dump).
+    /// A frame referenced a function or statement out of range (corrupt
+    /// dump).
     BadFrame {
         /// Frame depth (0 = outermost).
         depth: usize,
@@ -39,6 +40,18 @@ pub enum ReverseError {
         depth: usize,
         /// Loop id within the function.
         loop_id: u32,
+    },
+    /// A loop counter exceeds the dump's step count. Every iteration
+    /// executes at least one statement, so the dump is corrupt.
+    CounterOutOfRange {
+        /// Frame depth.
+        depth: usize,
+        /// Loop id within the function.
+        loop_id: u32,
+        /// The counter.
+        counter: i64,
+        /// Statements executed when the dump was taken.
+        steps: u64,
     },
 }
 
@@ -52,6 +65,16 @@ impl fmt::Display for ReverseError {
             ReverseError::MissingCounter { depth, loop_id } => {
                 write!(f, "frame {depth} lacks a counter for loop {loop_id}")
             }
+            ReverseError::CounterOutOfRange {
+                depth,
+                loop_id,
+                counter,
+                steps,
+            } => write!(
+                f,
+                "frame {depth} counts {counter} iterations of loop {loop_id} \
+                 in a dump of {steps} steps"
+            ),
         }
     }
 }
@@ -73,6 +96,8 @@ pub fn reverse_index(
     if frames.is_empty() {
         return Err(ReverseError::NoFrames);
     }
+    // The entries are built leaf first, in reverse, and turned around
+    // once at the end.
     let mut entries: Vec<IndexEntry> = Vec::new();
 
     // The leaf: the failure PC itself.
@@ -84,27 +109,39 @@ pub fn reverse_index(
     for (rev_depth, frame) in frames.iter().rev().enumerate() {
         let depth = frames.len() - 1 - rev_depth;
         let func_id = frame.func;
-        let func = program.func(func_id);
+        let Some(func) = program.funcs.get(func_id.0 as usize) else {
+            return Err(ReverseError::BadFrame { depth });
+        };
         if frame.pc.0 as usize >= func.body.len() {
             return Err(ReverseError::BadFrame { depth });
         }
         let fa = analysis.func(func_id);
 
-        let counter =
-            |header: StmtId| -> Result<i64, ReverseError> {
-                let lid = func
-                    .loop_header(header)
-                    .ok_or(ReverseError::BadFrame { depth })?;
-                frame.loop_counters.get(lid.0 as usize).copied().ok_or(
-                    ReverseError::MissingCounter {
-                        depth,
-                        loop_id: lid.0,
-                    },
-                )
-            };
+        let counter = |header: StmtId| -> Result<i64, ReverseError> {
+            let lid = func
+                .loop_header(header)
+                .ok_or(ReverseError::BadFrame { depth })?;
+            let n = frame.loop_counters.get(lid.0 as usize).copied().ok_or(
+                ReverseError::MissingCounter {
+                    depth,
+                    loop_id: lid.0,
+                },
+            )?;
+            if u64::try_from(n).is_ok_and(|n| n > dump.steps) {
+                return Err(ReverseError::CounterOutOfRange {
+                    depth,
+                    loop_id: lid.0,
+                    counter: n,
+                    steps: dump.steps,
+                });
+            }
+            Ok(n)
+        };
 
-        let prepend = |e: IndexEntry, entries: &mut Vec<IndexEntry>| {
-            entries.insert(0, e);
+        // `n` copies of `e` in front of the entries built so far.
+        let prepend = |e: IndexEntry, n: i64, entries: &mut Vec<IndexEntry>| {
+            let n = usize::try_from(n).unwrap_or(0);
+            entries.extend(std::iter::repeat_n(e, n));
         };
 
         let mut cur = frame.pc;
@@ -112,17 +149,15 @@ pub fn reverse_index(
         // come first (paper: "if the given PC is a loop predicate, its
         // parent node ... can be reverse engineered as well").
         if func.loop_header(cur).is_some() {
-            let n = counter(cur)?;
-            for _ in 0..n {
-                prepend(
-                    IndexEntry::Branch {
-                        func: func_id,
-                        key: PredKey::Stmt(cur),
-                        outcome: true,
-                    },
-                    &mut entries,
-                );
-            }
+            prepend(
+                IndexEntry::Branch {
+                    func: func_id,
+                    key: PredKey::Stmt(cur),
+                    outcome: true,
+                },
+                counter(cur)?,
+                &mut entries,
+            );
         }
         // Walk outward to the function boundary.
         let mut guard = 0usize;
@@ -133,21 +168,19 @@ pub fn reverse_index(
             }
             match fa.index_parent(func, cur) {
                 ParentStep::MethodBody => {
-                    prepend(IndexEntry::Func(func_id), &mut entries);
+                    prepend(IndexEntry::Func(func_id), 1, &mut entries);
                     break;
                 }
                 ParentStep::Loop { header } => {
-                    let n = counter(header)?;
-                    for _ in 0..n {
-                        prepend(
-                            IndexEntry::Branch {
-                                func: func_id,
-                                key: PredKey::Stmt(header),
-                                outcome: true,
-                            },
-                            &mut entries,
-                        );
-                    }
+                    prepend(
+                        IndexEntry::Branch {
+                            func: func_id,
+                            key: PredKey::Stmt(header),
+                            outcome: true,
+                        },
+                        counter(header)?,
+                        &mut entries,
+                    );
                     cur = header;
                 }
                 ParentStep::Pred { key, outcome, .. } => {
@@ -157,6 +190,7 @@ pub fn reverse_index(
                             key,
                             outcome,
                         },
+                        1,
                         &mut entries,
                     );
                     let rep = fa.rep_stmt(func, key);
@@ -164,23 +198,22 @@ pub fn reverse_index(
                     // loop header; account its iterations (minus the entry
                     // just added if it is the loop entry itself).
                     if func.loop_header(rep).is_some() {
-                        let n = counter(rep)?.saturating_sub(1);
-                        for _ in 0..n {
-                            prepend(
-                                IndexEntry::Branch {
-                                    func: func_id,
-                                    key: PredKey::Stmt(rep),
-                                    outcome: true,
-                                },
-                                &mut entries,
-                            );
-                        }
+                        prepend(
+                            IndexEntry::Branch {
+                                func: func_id,
+                                key: PredKey::Stmt(rep),
+                                outcome: true,
+                            },
+                            counter(rep)?.saturating_sub(1),
+                            &mut entries,
+                        );
                     }
                     cur = rep;
                 }
             }
         }
     }
+    entries.reverse();
     Ok(ExecutionIndex::new(entries))
 }
 
@@ -189,6 +222,7 @@ mod tests {
     use super::*;
     use mcr_analysis::ProgramAnalysis;
     use mcr_dump::CoreDump;
+    use mcr_lang::FuncId;
     use mcr_vm::{run, DeterministicScheduler, NullObserver, Vm};
 
     /// The paper's Fig. 1/2/3 running example, with `a` set so the second
@@ -373,6 +407,92 @@ mod tests {
             "{}",
             idx.display(&p)
         );
+    }
+
+    /// The focus thread's frames, outermost first.
+    fn focus_frames(dump: &mut CoreDump) -> &mut Vec<mcr_dump::FrameImage> {
+        let focus = dump.focus.0 as usize;
+        &mut dump.threads[focus].frames
+    }
+
+    #[test]
+    fn out_of_range_frame_function_is_a_bad_frame() {
+        let (p, a, dump) = fig1_crash();
+        let depth = dump.focus_thread().frames.len() - 1;
+        assert!(depth > 0, "fig. 1 crashes in a callee");
+        for (at, want) in [(depth, depth), (0, 0)] {
+            let mut bad = dump.clone();
+            focus_frames(&mut bad)[at].func = FuncId(999);
+            let err = Err(ReverseError::BadFrame { depth: want });
+            assert_eq!(reverse_index(&p, &a, &bad), err, "frame {at} in memory");
+            // The dump codec does not check frames against a program, so
+            // the same dump also arrives from bytes.
+            let decoded = mcr_dump::decode(&mcr_dump::encode(&bad)).unwrap();
+            assert_eq!(reverse_index(&p, &a, &decoded), err, "frame {at} decoded");
+        }
+    }
+
+    /// A crash in iteration 3 of `main`'s loop, and its dump.
+    fn loop_crash() -> (mcr_lang::Program, ProgramAnalysis, CoreDump) {
+        let src = r#"
+            global input: [int; 1];
+            fn main() {
+                var i; var p;
+                while (i < 10) {
+                    i = i + 1;
+                    if (i == input[0]) { p = null; p[0] = 1; }
+                }
+            }
+        "#;
+        let p = mcr_lang::compile(src).unwrap();
+        let a = ProgramAnalysis::analyze(&p);
+        let mut vm = Vm::new(&p, &[3]);
+        run(
+            &mut vm,
+            &mut DeterministicScheduler::new(),
+            &mut NullObserver,
+            100_000,
+        );
+        let dump = CoreDump::capture_failure(&vm).expect("crash");
+        assert_eq!(dump.focus_thread().frames[0].loop_counters, vec![3]);
+        (p, a, dump)
+    }
+
+    #[test]
+    fn a_million_iterations_build_in_linear_time() {
+        // Prepending each iteration's entry made this quadratic: a
+        // counter of a million took minutes.
+        let (p, a, mut dump) = loop_crash();
+        let len = reverse_index(&p, &a, &dump).unwrap().entries.len();
+        let n = 1_000_000;
+        focus_frames(&mut dump)[0].loop_counters[0] = n;
+        dump.steps = n as u64;
+        let idx = reverse_index(&p, &a, &dump).unwrap();
+        assert_eq!(idx.entries.len(), len - 3 + n as usize);
+        assert_eq!(idx.entries[0], IndexEntry::Func(p.main));
+        assert!(matches!(idx.entries.last(), Some(IndexEntry::Stmt(_))));
+    }
+
+    #[test]
+    fn counter_above_the_step_count_is_an_error() {
+        let (p, a, mut dump) = loop_crash();
+        let steps = dump.steps;
+        focus_frames(&mut dump)[0].loop_counters[0] = steps as i64 + 1;
+        assert_eq!(
+            reverse_index(&p, &a, &dump),
+            Err(ReverseError::CounterOutOfRange {
+                depth: 0,
+                loop_id: 0,
+                counter: steps as i64 + 1,
+                steps,
+            })
+        );
+        // A forged counter far beyond any run fails just as fast.
+        focus_frames(&mut dump)[0].loop_counters[0] = 1 << 40;
+        assert!(matches!(
+            reverse_index(&p, &a, &dump),
+            Err(ReverseError::CounterOutOfRange { .. })
+        ));
     }
 
     #[test]

@@ -12,6 +12,13 @@
 //!   (what injecting the preemption would perturb), and
 //! * the set of CSVs its thread will access from that point on (used by
 //!   the guided `preempt()` thread selection).
+//!
+//! Annotation hashes no access. A candidate's `access_locs` is a sorted,
+//! deduplicated list, so the overlap test is a binary search. The
+//! priorities come through the [`Priorities`] lookup, which the search
+//! serves from the step-ordered ranking itself. The future-CSV map is
+//! one dense list per thread, indexed by sync position, of indices into
+//! its distinct sets.
 
 use mcr_analysis::RaceVerdicts;
 use mcr_lang::{GlobalId, Pc};
@@ -19,6 +26,36 @@ use mcr_slice::{RankedAccess, PRIORITY_BOTTOM};
 use mcr_vm::{Event, MemLoc, ObjId, Observer, SyncKind, ThreadId};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+
+/// Where [`annotate_with_race`] looks up the priority of a CSV access.
+pub trait Priorities {
+    /// The best (smallest) priority given to the access of `loc` at
+    /// `step` with this direction, or `None` if it was not ranked.
+    fn priority(&self, step: u64, loc: MemLoc, is_write: bool) -> Option<u32>;
+}
+
+/// A map keyed by `(step, loc, is_write)`, holding each key's best
+/// priority.
+impl Priorities for HashMap<(u64, MemLoc, bool), u32> {
+    fn priority(&self, step: u64, loc: MemLoc, is_write: bool) -> Option<u32> {
+        self.get(&(step, loc, is_write)).copied()
+    }
+}
+
+/// A ranking in step order, as `mcr_slice::rank_accesses` returns it for
+/// a step-ordered projection: a binary search finds the step, and the
+/// best priority among that step's matching entries wins.
+impl Priorities for [RankedAccess] {
+    fn priority(&self, step: u64, loc: MemLoc, is_write: bool) -> Option<u32> {
+        let from = self.partition_point(|r| r.step < step);
+        self[from..]
+            .iter()
+            .take_while(|r| r.step == step)
+            .filter(|r| r.loc == loc && r.is_write == is_write)
+            .map(|r| r.priority)
+            .min()
+    }
+}
 
 /// Variable-granularity location used for CSV overlap tests: array
 /// elements and heap slots collapse to their container. Two threads that
@@ -206,36 +243,53 @@ pub struct AnnotatedCandidate {
     /// Best (smallest) priority among `accesses`; [`PRIORITY_BOTTOM`]
     /// when the block touches no CSV.
     pub best_priority: u32,
-    /// Variable-granularity locations of `accesses` (for overlap tests).
-    pub access_locs: HashSet<CoarseLoc>,
+    /// Variable-granularity locations of `accesses` (for overlap tests),
+    /// sorted and deduplicated.
+    pub access_locs: Vec<CoarseLoc>,
 }
 
 /// For each `(thread, position)` — position = number of syncs executed —
 /// the set of CSVs the thread accesses from that position on in the
 /// passing run (the paper's per-sync-point "CSV set").
+///
+/// Layout: `tids` lists the threads that have candidates, in id order.
+/// For the thread at index `k`, `map[k][pos]` is the index into `sets` of
+/// its set at sync position `pos`, or `u32::MAX` for a position the
+/// passing run never reached; `all[k]` indexes every CSV the thread
+/// accesses.
 #[derive(Debug, Clone, Default)]
 pub struct FutureCsvMap {
-    /// Index into `sets` per `(thread, position)`.
-    map: HashMap<(u32, u32), usize>,
+    /// Threads with candidates, in id order.
+    tids: Vec<u32>,
+    /// Per thread, the index into `sets` per sync position.
+    map: Vec<Vec<u32>>,
     /// Fallback per thread, as an index into `sets`: all CSVs it ever
     /// accesses (used when a test run drives a thread past its
     /// passing-run sync count).
-    all: HashMap<u32, usize>,
+    all: Vec<u32>,
     /// The distinct sets. A thread's future set changes only when it
     /// reaches its last access of some CSV, so consecutive positions
     /// share one.
     sets: Vec<HashSet<CoarseLoc>>,
 }
 
+/// The [`FutureCsvMap`] entry of a sync position with no set.
+const NO_SET: u32 = u32::MAX;
+
 impl FutureCsvMap {
     /// CSVs thread `tid` will access from sync position `pos` on.
     pub fn future(&self, tid: ThreadId, pos: u32) -> Option<&HashSet<CoarseLoc>> {
-        self.map.get(&(tid.0, pos)).map(|&i| &self.sets[i])
+        let k = self.tids.binary_search(&tid.0).ok()?;
+        match self.map[k].get(pos as usize) {
+            Some(&i) if i != NO_SET => Some(&self.sets[i as usize]),
+            _ => None,
+        }
     }
 
     /// All CSVs the thread ever accessed in the passing run.
     pub fn any(&self, tid: ThreadId) -> Option<&HashSet<CoarseLoc>> {
-        self.all.get(&tid.0).map(|&i| &self.sets[i])
+        let k = self.tids.binary_search(&tid.0).ok()?;
+        Some(&self.sets[self.all[k] as usize])
     }
 }
 
@@ -279,11 +333,14 @@ pub fn annotate(
 /// it. Each thread's accesses are then sorted too, so a block is two
 /// binary searches into its thread's list and the future sets are
 /// suffix unions built in one backward sweep: the cost is linear in the
-/// logs plus a logarithmic factor per candidate.
-pub fn annotate_with_race(
+/// logs plus a logarithmic factor per candidate and per access. The
+/// future map holds one entry per sync position up to each thread's
+/// largest, so sync ordinals must count each thread's syncs, as they do
+/// in a recorded run.
+pub fn annotate_with_race<P: Priorities + ?Sized>(
     info: &PassingRunInfo,
     csv_locs: &HashSet<MemLoc>,
-    priorities: &HashMap<(u64, MemLoc, bool), u32>,
+    priorities: &P,
     race: Option<&RaceVerdicts>,
 ) -> (Vec<AnnotatedCandidate>, FutureCsvMap) {
     debug_assert!(info.candidates.windows(2).all(|w| w[0].step <= w[1].step));
@@ -331,12 +388,15 @@ pub fn annotate_with_race(
         }
     }
 
+    // A handful of CSV locations, probed once per shared access.
+    let mut csv_locs: Vec<MemLoc> = csv_locs.iter().copied().collect();
+    csv_locs.sort_unstable();
     for a in &info.shared_accesses {
         let Ok(t) = slot(a.tid) else {
             continue;
         };
         let log = &mut logs[t];
-        if csv_locs.contains(&a.loc) {
+        if csv_locs.binary_search(&a.loc).is_ok() {
             log.csv.push(a);
         }
         if race.is_some() {
@@ -352,15 +412,14 @@ pub fn annotate_with_race(
         let log = &logs[slot(c.tid).expect("every candidate's thread has a log")];
         let block = in_span(&log.csv, start, end);
         let mut accesses = Vec::with_capacity(block.len());
-        let mut access_locs = HashSet::new();
+        let mut access_locs = Vec::with_capacity(block.len());
         let mut best = PRIORITY_BOTTOM;
         for a in block {
             let priority = priorities
-                .get(&(a.step, a.loc, a.is_write))
-                .copied()
+                .priority(a.step, a.loc, a.is_write)
                 .unwrap_or(PRIORITY_BOTTOM);
             best = best.min(priority);
-            access_locs.insert(coarse(a.loc));
+            access_locs.push(coarse(a.loc));
             accesses.push(RankedAccess {
                 serial: a.step,
                 step: a.step,
@@ -381,6 +440,8 @@ pub fn annotate_with_race(
                 }
             }
         }
+        access_locs.sort_unstable();
+        access_locs.dedup();
         annotated.push(AnnotatedCandidate {
             point: *c,
             accesses,
@@ -393,10 +454,12 @@ pub fn annotate_with_race(
     // positions by descending step. A repeated position keeps the set of
     // its last occurrence, the first one this backward sweep meets.
     let mut fut = FutureCsvMap::default();
-    for (&tid, log) in tids.iter().zip(&logs) {
+    for log in &logs {
+        let len = log.positions.iter().map(|&(pos, _)| pos as usize + 1).max();
+        let mut by_pos = vec![NO_SET; len.unwrap_or_default()];
         let mut suffix = HashSet::new();
         // Index of `suffix`'s copy in `fut.sets`, while it is current.
-        let mut stored: Option<usize> = None;
+        let mut stored: Option<u32> = None;
         let mut rest = log.csv.len();
         for &(pos, from_step) in log.positions.iter().rev() {
             while rest > 0 && log.csv[rest - 1].step >= from_step {
@@ -407,14 +470,19 @@ pub fn annotate_with_race(
             }
             let set = *stored.get_or_insert_with(|| {
                 fut.sets.push(suffix.clone());
-                fut.sets.len() - 1
+                (fut.sets.len() - 1) as u32
             });
-            fut.map.entry((tid, pos)).or_insert(set);
+            let entry = &mut by_pos[pos as usize];
+            if *entry == NO_SET {
+                *entry = set;
+            }
         }
+        fut.map.push(by_pos);
         // The sweep ends at position 0, step 0: the last set stored is
         // every CSV the thread accesses.
-        fut.all.insert(tid, fut.sets.len() - 1);
+        fut.all.push((fut.sets.len() - 1) as u32);
     }
+    fut.tids = tids;
 
     (annotated, fut)
 }
@@ -646,6 +714,8 @@ mod tests {
                     }
                 }
             }
+            let mut access_locs: Vec<CoarseLoc> = access_locs.into_iter().collect();
+            access_locs.sort_unstable();
             annotated.push(AnnotatedCandidate {
                 point: *c,
                 accesses,
@@ -709,14 +779,21 @@ mod tests {
         fn from(f: &FutureCsvMap) -> Self {
             ReferenceFuture {
                 map: f
-                    .map
+                    .tids
                     .iter()
-                    .map(|(&k, &i)| (k, f.sets[i].clone()))
+                    .zip(&f.map)
+                    .flat_map(|(&tid, by_pos)| {
+                        (0u32..)
+                            .zip(by_pos)
+                            .filter(|&(_, &i)| i != NO_SET)
+                            .map(move |(pos, &i)| ((tid, pos), f.sets[i as usize].clone()))
+                    })
                     .collect(),
                 all: f
-                    .all
+                    .tids
                     .iter()
-                    .map(|(&k, &i)| (k, f.sets[i].clone()))
+                    .zip(&f.all)
+                    .map(|(&tid, &i)| (tid, f.sets[i as usize].clone()))
                     .collect(),
             }
         }

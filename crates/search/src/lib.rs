@@ -24,7 +24,7 @@ pub mod worklist;
 
 pub use candidates::{
     annotate, annotate_with_race, coarse, AnnotatedCandidate, CandidateKind, CoarseLoc,
-    FutureCsvMap, PassingRunInfo, PreemptionPoint, SharedAccess, SyncLogger,
+    FutureCsvMap, PassingRunInfo, PreemptionPoint, Priorities, SharedAccess, SyncLogger,
 };
 pub use chess::{find_schedule, Algorithm, SearchConfig, SearchResult};
 pub use runner::{Budget, CancelToken, Guidance, TestRun};

@@ -8,12 +8,20 @@
 //! Here checkpointing is a [`Vm`] clone, and the exploration is a
 //! depth-first search over those choices; every completed execution
 //! counts as one *try* (the unit of the paper's Table 4).
+//!
+//! The step loop is the search's innermost loop, so it builds nothing
+//! per try and hashes nothing per step. A preemption set has one or two
+//! members: each step scans it for a pending member anchored at the
+//! thread's `(tid, sync_seq)`, with no index. The next thread is picked
+//! without collecting the runnable list: the current thread if it can
+//! still step, else the first runnable one. The statement an
+//! after-anchor needs is decoded only when such a member waits at the
+//! thread's position.
 
 use crate::candidates::{AnnotatedCandidate, CandidateKind, FutureCsvMap};
 use mcr_lang::Inst;
 use mcr_vm::{Failure, NullObserver, ThreadId, Vm};
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -282,76 +290,34 @@ pub struct TestRun<'a, 'p> {
     pub future: &'a FutureCsvMap,
 }
 
-/// Preemption candidates pre-bucketed by `(tid, sync_seq)` — the key
-/// every firing rule matches on — so the per-step `fires_before` /
-/// `fires_after` checks look up one (almost always empty or singleton)
-/// bucket instead of scanning the whole preemption set.
-#[derive(Debug, Default)]
-struct PreemptionIndex {
-    by_anchor: HashMap<(u32, u32), Vec<usize>>,
-}
-
-impl PreemptionIndex {
-    fn build(preemptions: &[AnnotatedCandidate]) -> PreemptionIndex {
-        let mut by_anchor: HashMap<(u32, u32), Vec<usize>> = HashMap::new();
-        for (i, pm) in preemptions.iter().enumerate() {
-            // Buckets keep insertion (= candidate index) order, so the
-            // first in-bucket hit is the same candidate a full scan
-            // would have returned.
-            by_anchor
-                .entry((pm.point.tid.0, pm.point.sync_seq))
-                .or_default()
-                .push(i);
-        }
-        PreemptionIndex { by_anchor }
-    }
-
-    /// Candidate indices anchored at `(tid, sync_seq)`.
-    fn bucket(&self, tid: ThreadId, sync_seq: u32) -> &[usize] {
-        self.by_anchor
-            .get(&(tid.0, sync_seq))
-            .map_or(&[], Vec::as_slice)
-    }
-}
-
 impl TestRun<'_, '_> {
     /// Runs the test, exploring thread choices at each preemption.
     /// Returns whether the target failure was reproduced. Increments
     /// `budget.tries` once per completed execution.
     pub fn execute(&self, budget: &mut Budget) -> bool {
-        let index = PreemptionIndex::build(self.preemptions);
         let consumed = vec![false; self.preemptions.len()];
-        self.explore(self.fresh_vm.clone(), None, consumed, &index, budget)
+        self.explore(self.fresh_vm.clone(), None, consumed, budget)
     }
 
-    /// The deterministic policy: keep the current thread while runnable,
-    /// else the lowest-id runnable thread.
-    fn pick(current: Option<ThreadId>, runnable: &[ThreadId]) -> ThreadId {
-        match current {
-            Some(c) if runnable.contains(&c) => c,
-            _ => runnable[0],
-        }
+    /// The pending preemptions anchored at `(t, sync_seq)`, in index
+    /// order. Every firing rule requires that match, and a preemption set
+    /// has one or two members, so a scan is the whole lookup.
+    fn pending_at<'s>(
+        &'s self,
+        t: ThreadId,
+        sync_seq: u32,
+        consumed: &'s [bool],
+    ) -> impl Iterator<Item = (usize, &'s AnnotatedCandidate)> + 's {
+        self.preemptions.iter().enumerate().filter(move |&(i, pm)| {
+            !consumed[i] && pm.point.tid == t && pm.point.sync_seq == sync_seq
+        })
     }
 
     /// Does a pending *before*-anchored preemption fire for `t` now?
-    ///
-    /// Every firing rule requires the candidate's `(tid, sync_seq)` to
-    /// match the thread's current position, so only that bucket of the
-    /// index is inspected.
-    fn fires_before(
-        &self,
-        vm: &Vm<'_>,
-        t: ThreadId,
-        index: &PreemptionIndex,
-        consumed: &[bool],
-    ) -> Option<usize> {
+    fn fires_before(&self, vm: &Vm<'_>, t: ThreadId, consumed: &[bool]) -> Option<usize> {
         let th = vm.thread(t);
-        for &i in index.bucket(t, th.sync_seq) {
-            if consumed[i] {
-                continue;
-            }
-            let pm = &self.preemptions[i];
-            let hit = match pm.point.kind {
+        self.pending_at(t, th.sync_seq, consumed)
+            .find(|(_, pm)| match pm.point.kind {
                 CandidateKind::ThreadStart => th.steps_taken == 0,
                 CandidateKind::BeforeAcquire => {
                     matches!(vm.next_inst(t), Some(Inst::Acquire { .. }))
@@ -361,35 +327,31 @@ impl TestRun<'_, '_> {
                 }
                 CandidateKind::BeforeFlush => vm.flush_point(t),
                 _ => false,
-            };
-            if hit {
-                return Some(i);
-            }
-        }
-        None
+            })
+            .map(|(i, _)| i)
     }
 
-    /// Does a pending *after*-anchored preemption fire after `t` just
-    /// executed sync `seq_before` of kind `was`?
-    fn fires_after(
-        &self,
-        t: ThreadId,
-        seq_before: u32,
-        was: Option<CandidateKind>,
-        index: &PreemptionIndex,
-        consumed: &[bool],
-    ) -> Option<usize> {
-        let was = was?;
-        for &i in index.bucket(t, seq_before) {
-            if consumed[i] {
-                continue;
-            }
-            let pm = &self.preemptions[i];
-            if pm.point.kind == was {
-                return Some(i);
-            }
-        }
-        None
+    /// The pending *after*-anchored preemption that fires once `t` has
+    /// executed its next statement: the first one at `t`'s sync position
+    /// whose kind is the release or spawn that statement performs. The
+    /// statement is decoded only when such a preemption waits there.
+    fn fires_after(&self, vm: &Vm<'_>, t: ThreadId, consumed: &[bool]) -> Option<usize> {
+        let mut waiting = self
+            .pending_at(t, vm.thread(t).sync_seq, consumed)
+            .filter(|(_, pm)| {
+                matches!(
+                    pm.point.kind,
+                    CandidateKind::AfterRelease | CandidateKind::AfterSpawn
+                )
+            })
+            .peekable();
+        waiting.peek()?;
+        let was = match vm.next_inst(t) {
+            Some(Inst::Release { .. }) => CandidateKind::AfterRelease,
+            Some(Inst::Spawn { .. }) => CandidateKind::AfterSpawn,
+            _ => return None,
+        };
+        waiting.find(|(_, pm)| pm.point.kind == was).map(|(i, _)| i)
     }
 
     /// Admissible switch targets at preemption `pm` (Algorithm 2's
@@ -413,7 +375,9 @@ impl TestRun<'_, '_> {
                     let pos = vm.thread(t).sync_seq;
                     let fut = self.future.future(t, pos).or_else(|| self.future.any(t));
                     match fut {
-                        Some(set) => set.iter().any(|loc| pm.access_locs.contains(loc)),
+                        Some(set) => set
+                            .iter()
+                            .any(|loc| pm.access_locs.binary_search(loc).is_ok()),
                         None => false,
                     }
                 }
@@ -428,12 +392,8 @@ impl TestRun<'_, '_> {
         mut vm: Vm<'_>,
         mut current: Option<ThreadId>,
         mut consumed: Vec<bool>,
-        index: &PreemptionIndex,
         budget: &mut Budget,
     ) -> bool {
-        // Scratch buffer reused across the stepping loop; recursion (one
-        // level per injected preemption) gets its own.
-        let mut runnable: Vec<ThreadId> = Vec::new();
         loop {
             if budget.exhausted() {
                 return false;
@@ -446,16 +406,22 @@ impl TestRun<'_, '_> {
                 budget.record_try();
                 return false;
             }
-            vm.runnable_into(&mut runnable);
-            if runnable.is_empty() {
-                budget.record_try();
-                return false;
-            }
-            let t = Self::pick(current, &runnable);
+            // The deterministic policy: keep the current thread while
+            // runnable, else the lowest-id runnable thread.
+            let t = match current {
+                Some(c) if vm.runnable(c) => c,
+                _ => match vm.runnable_iter().next() {
+                    Some(t) => t,
+                    None => {
+                        budget.record_try();
+                        return false;
+                    }
+                },
+            };
             current = Some(t);
 
             // Before-anchored preemption?
-            if let Some(i) = self.fires_before(&vm, t, index, &consumed) {
+            if let Some(i) = self.fires_before(&vm, t, &consumed) {
                 consumed[i] = true;
                 let pm = &self.preemptions[i];
                 let choices = self.choices(&vm, t, pm);
@@ -463,7 +429,7 @@ impl TestRun<'_, '_> {
                     if budget.exhausted() {
                         return false;
                     }
-                    if self.explore(vm.clone(), Some(c), consumed.clone(), index, budget) {
+                    if self.explore(vm.clone(), Some(c), consumed.clone(), budget) {
                         return true;
                     }
                 }
@@ -473,16 +439,11 @@ impl TestRun<'_, '_> {
                 continue;
             }
 
-            let seq_before = vm.thread(t).sync_seq;
-            let after_kind = match vm.next_inst(t) {
-                Some(Inst::Release { .. }) => Some(CandidateKind::AfterRelease),
-                Some(Inst::Spawn { .. }) => Some(CandidateKind::AfterSpawn),
-                _ => None,
-            };
+            let fires_after = self.fires_after(&vm, t, &consumed);
             vm.step(t, &mut NullObserver);
 
             // After-anchored preemption?
-            if let Some(i) = self.fires_after(t, seq_before, after_kind, index, &consumed) {
+            if let Some(i) = fires_after {
                 consumed[i] = true;
                 let pm = &self.preemptions[i];
                 let choices = self.choices(&vm, t, pm);
@@ -490,7 +451,7 @@ impl TestRun<'_, '_> {
                     if budget.exhausted() {
                         return false;
                     }
-                    if self.explore(vm.clone(), Some(c), consumed.clone(), index, budget) {
+                    if self.explore(vm.clone(), Some(c), consumed.clone(), budget) {
                         return true;
                     }
                 }

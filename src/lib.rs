@@ -38,10 +38,12 @@ pub use mcr_core::{
     TimingLog,
 };
 use mcr_dump::{CoreDump, DumpDiff, DumpReason, ValueDiff, VarMap};
-use mcr_search::{Algorithm, SearchConfig};
+use mcr_lang::Inst;
+use mcr_search::{Algorithm, AnnotatedCandidate, CandidateKind, Guidance, SearchConfig, TestRun};
 use mcr_slice::Strategy;
 use mcr_vm::{run, DeterministicScheduler, NullObserver, SplitMix64, ThreadId, Vm};
 use mcr_workloads::BugSpec;
+use std::collections::HashMap;
 
 /// Which budget tier the suite is running under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -339,6 +341,175 @@ pub fn compare_maps(va: &VarMap, vb: &VarMap) -> DumpDiff {
         shared_compared,
         diffs,
         csvs,
+    }
+}
+
+/// The reference try loop: [`TestRun::execute`] as it was before its
+/// step loop became a scan, kept as the oracle the tests check it
+/// against. It buckets the preemptions by `(tid, sync_seq)` in a hash
+/// map built per try, collects the runnable threads at every step and
+/// picks from that list. It counts its own tries, with the cap and
+/// per-execution step limit of a [`Budget`](mcr_search::Budget) that has
+/// no deadline, and returns `(reproduced, tries)`.
+pub fn reference_execute(run: &TestRun<'_, '_>, max_tries: u64, max_steps: u64) -> (bool, u64) {
+    let mut by_anchor: HashMap<(u32, u32), Vec<usize>> = HashMap::new();
+    for (i, pm) in run.preemptions.iter().enumerate() {
+        by_anchor
+            .entry((pm.point.tid.0, pm.point.sync_seq))
+            .or_default()
+            .push(i);
+    }
+    let mut reference = ReferenceRun {
+        run,
+        by_anchor,
+        max_tries,
+        max_steps,
+        tries: 0,
+    };
+    let consumed = vec![false; run.preemptions.len()];
+    let reproduced = reference.explore(run.fresh_vm.clone(), None, consumed);
+    (reproduced, reference.tries)
+}
+
+/// The state of one [`reference_execute`] call.
+struct ReferenceRun<'r, 'a, 'p> {
+    run: &'r TestRun<'a, 'p>,
+    by_anchor: HashMap<(u32, u32), Vec<usize>>,
+    max_tries: u64,
+    max_steps: u64,
+    tries: u64,
+}
+
+impl ReferenceRun<'_, '_, '_> {
+    fn bucket(&self, tid: ThreadId, sync_seq: u32) -> &[usize] {
+        self.by_anchor
+            .get(&(tid.0, sync_seq))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    fn exhausted(&self) -> bool {
+        self.tries >= self.max_tries
+    }
+
+    fn fires_before(&self, vm: &Vm<'_>, t: ThreadId, consumed: &[bool]) -> Option<usize> {
+        let th = vm.thread(t);
+        self.bucket(t, th.sync_seq).iter().copied().find(|&i| {
+            !consumed[i]
+                && match self.run.preemptions[i].point.kind {
+                    CandidateKind::ThreadStart => th.steps_taken == 0,
+                    CandidateKind::BeforeAcquire => {
+                        matches!(vm.next_inst(t), Some(Inst::Acquire { .. }))
+                    }
+                    CandidateKind::BeforeJoin => {
+                        matches!(vm.next_inst(t), Some(Inst::Join { .. }))
+                    }
+                    CandidateKind::BeforeFlush => vm.flush_point(t),
+                    _ => false,
+                }
+        })
+    }
+
+    fn fires_after(
+        &self,
+        t: ThreadId,
+        seq_before: u32,
+        was: Option<CandidateKind>,
+        consumed: &[bool],
+    ) -> Option<usize> {
+        let was = was?;
+        self.bucket(t, seq_before)
+            .iter()
+            .copied()
+            .find(|&i| !consumed[i] && self.run.preemptions[i].point.kind == was)
+    }
+
+    fn choices(&self, vm: &Vm<'_>, preempted: ThreadId, pm: &AnnotatedCandidate) -> Vec<ThreadId> {
+        vm.runnable_iter()
+            .filter(|&t| t != preempted)
+            .filter(|&t| match self.run.guidance {
+                Guidance::All => true,
+                Guidance::CsvOverlap if pm.point.kind == CandidateKind::BeforeFlush => true,
+                Guidance::CsvOverlap => {
+                    let pos = vm.thread(t).sync_seq;
+                    let fut = self
+                        .run
+                        .future
+                        .future(t, pos)
+                        .or_else(|| self.run.future.any(t));
+                    fut.is_some_and(|set| set.iter().any(|loc| pm.access_locs.contains(loc)))
+                }
+            })
+            .collect()
+    }
+
+    /// Explores each admissible choice at preemption `i`; true once one
+    /// reproduces.
+    fn preempt(&mut self, vm: &Vm<'_>, t: ThreadId, i: usize, consumed: &[bool]) -> bool {
+        let run = self.run;
+        for c in self.choices(vm, t, &run.preemptions[i]) {
+            if self.exhausted() {
+                return false;
+            }
+            if self.explore(vm.clone(), Some(c), consumed.to_vec()) {
+                return true;
+            }
+        }
+        false
+    }
+
+    fn explore(
+        &mut self,
+        mut vm: Vm<'_>,
+        mut current: Option<ThreadId>,
+        mut consumed: Vec<bool>,
+    ) -> bool {
+        let mut runnable: Vec<ThreadId> = Vec::new();
+        loop {
+            if self.exhausted() {
+                return false;
+            }
+            if let Some(f) = vm.failure() {
+                self.tries += 1;
+                return f.same_bug(&self.run.target);
+            }
+            if vm.steps() >= self.max_steps {
+                self.tries += 1;
+                return false;
+            }
+            vm.runnable_into(&mut runnable);
+            if runnable.is_empty() {
+                self.tries += 1;
+                return false;
+            }
+            let t = match current {
+                Some(c) if runnable.contains(&c) => c,
+                _ => runnable[0],
+            };
+            current = Some(t);
+
+            if let Some(i) = self.fires_before(&vm, t, &consumed) {
+                consumed[i] = true;
+                if self.preempt(&vm, t, i, &consumed) {
+                    return true;
+                }
+                continue;
+            }
+
+            let seq_before = vm.thread(t).sync_seq;
+            let after_kind = match vm.next_inst(t) {
+                Some(Inst::Release { .. }) => Some(CandidateKind::AfterRelease),
+                Some(Inst::Spawn { .. }) => Some(CandidateKind::AfterSpawn),
+                _ => None,
+            };
+            vm.step(t, &mut NullObserver);
+
+            if let Some(i) = self.fires_after(t, seq_before, after_kind, &consumed) {
+                consumed[i] = true;
+                if self.preempt(&vm, t, i, &consumed) {
+                    return true;
+                }
+            }
+        }
     }
 }
 
