@@ -105,7 +105,7 @@ pub struct FleetJob<'p> {
     /// The failing input.
     pub input: Vec<i64>,
     /// Per-job pipeline options (budgets included). The fleet overrides
-    /// the `store` and `pool` attachments with its shared ones.
+    /// the `store` and `search.pool` attachments with its shared ones.
     pub options: ReproOptions,
     /// Scheduling priority: lower runs earlier within each wave.
     pub priority: u32,
@@ -844,7 +844,7 @@ impl<'p> TriageService<'p> {
                         observer,
                     } = *queued;
                     options.store = Some(Arc::clone(&self.store));
-                    options.pool = Some(self.pool.clone());
+                    options.search.pool = Some(self.pool.clone());
                     match ReproSession::new(program, dump, &input, options) {
                         Ok(mut session) => {
                             let log = Arc::new(Mutex::new(TimingLog::new()));

@@ -21,10 +21,10 @@
 //! The five phases are implementations of the generic [`PipelinePhase`]
 //! trait and the session is a thin driver over them; each phase unit is
 //! identified by a content-addressed [`PhaseKey`], so attaching an
-//! [`ArtifactStore`] (e.g. an in-memory [`MemoryStore`] LRU or a
-//! persistable [`BytesStore`]) makes sessions skip any phase whose key
-//! was already computed — by themselves, by an earlier run, or by
-//! another session of a batch fleet (see the `mcr-batch` crate).
+//! [`ArtifactStore`] (e.g. an unbounded or LRU-bounded in-memory
+//! [`MemoryStore`]) makes sessions skip any phase whose key was already
+//! computed — by themselves, by an earlier run, or by another session of
+//! a batch fleet (see the `mcr-batch` crate).
 //!
 //! ```no_run
 //! use mcr_core::{find_failure, ReproOptions, Reproducer};
@@ -87,12 +87,10 @@ pub use pipeline::{
 };
 pub use session::ReproSession;
 pub use store::{
-    program_fingerprint, ArtifactStore, BytesStore, MemoryStore, NullStore, PhaseKey, PhaseStats,
-    StoreStats,
+    program_fingerprint, ArtifactStore, MemoryStore, NullStore, PhaseKey, PhaseStats, StoreStats,
 };
 pub use stress::{
-    find_failure, find_failure_cfg, find_failure_par, find_failure_par_cancellable,
-    find_failure_par_cfg, find_failure_pool, passes_deterministically,
+    find_failure, find_failure_cfg, find_failure_par, passes_deterministically,
     passes_deterministically_cfg, RunConfig, StressFailure,
 };
 

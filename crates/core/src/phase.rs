@@ -805,9 +805,6 @@ impl PipelinePhase for SearchPhase {
             let mut search_config = SearchConfig {
                 parallelism: s.options.parallelism.max(1),
                 cancel: s.cancel.clone(),
-                // The session-level executor handle (a fleet's shared
-                // pool) wins over one set directly on the search config.
-                pool: s.options.pool.clone().or(s.options.search.pool.clone()),
                 ..s.options.search.clone()
             };
             if let Some(b) = budget {

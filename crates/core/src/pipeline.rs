@@ -166,13 +166,6 @@ pub struct ReproOptions {
     /// attachment: not serialized in checkpoints and not part of phase
     /// keys.
     pub store: Option<std::sync::Arc<dyn crate::ArtifactStore>>,
-    /// Injected executor handle for the schedule search (and any other
-    /// fan-out this session performs). A batch fleet hands every job a
-    /// clone of one handle carrying a shared [`minipool::Limit`], so all
-    /// sessions draw from a single thread budget; `None` builds private
-    /// pools from [`ReproOptions::parallelism`], the historical
-    /// behavior. A runtime attachment like `store`.
-    pub pool: Option<minipool::Pool>,
     /// Memory consistency model every VM in the session runs under
     /// (replay, alignment, stress, search). Part of the phase key: a
     /// schedule found under TSO is only valid under TSO.
@@ -212,7 +205,6 @@ impl Default for ReproOptions {
             parallelism: minipool::available_parallelism(),
             budgets: PhaseBudgets::default(),
             store: None,
-            pool: None,
             mem_model: mcr_vm::MemModel::Sc,
             faults: Vec::new(),
             static_race: false,
@@ -306,12 +298,6 @@ impl ReproOptionsBuilder {
     /// Attaches a content-addressed artifact store.
     pub fn store(mut self, store: std::sync::Arc<dyn crate::ArtifactStore>) -> Self {
         self.options.store = Some(store);
-        self
-    }
-
-    /// Injects a shared executor handle.
-    pub fn pool(mut self, pool: minipool::Pool) -> Self {
-        self.options.pool = Some(pool);
         self
     }
 
@@ -669,7 +655,6 @@ mod tests {
             .budget(Phase::Search, PhaseBudget::steps(10))
             .budget(Phase::Align, PhaseBudget::wall(Duration::from_secs(9)))
             .store(std::sync::Arc::new(crate::store::MemoryStore::unbounded()))
-            .pool(minipool::Pool::new(3))
             .static_race(true)
             .build();
         assert_eq!(options.strategy, Strategy::Dependence);
@@ -690,7 +675,6 @@ mod tests {
         );
         assert_eq!(options.budgets.get(Phase::Rank), None);
         assert!(options.store.is_some());
-        assert_eq!(options.pool.as_ref().map(minipool::Pool::threads), Some(3));
         assert!(options.static_race);
     }
 }

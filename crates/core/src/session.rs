@@ -68,7 +68,9 @@ use std::sync::Arc;
 const MAGIC: &[u8; 4] = b"MCRS";
 // v2: options carry the memory model and fault-injection plan.
 // v3: options carry the static-race knob.
-const VERSION: u8 = 3;
+// v4: the worker counts follow the key options instead of sitting
+// among them.
+const VERSION: u8 = 4;
 
 /// The artifacts a session has produced so far.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -693,15 +695,6 @@ fn session_basis(
     h.finish128()
 }
 
-/// The options bytes that enter a session's key basis: like
-/// [`write_options`] but *excluding* the worker counts
-/// (`ReproOptions::parallelism`, `SearchConfig::parallelism`). The
-/// parallel-equivalence suite pins that results are independent of
-/// worker count, so folding it into keys would only break cache sharing
-/// between machines with different core counts (a shipped
-/// [`BytesStore`](crate::BytesStore) snapshot would silently never
-/// hit). Checkpoints still serialize the full options via
-/// [`write_options`].
 /// Serializes the execution environment (memory model + fault plan).
 /// Shared between the checkpoint codec and the key basis: both must see
 /// it — a schedule found under TSO or with injected faults is only
@@ -748,6 +741,13 @@ fn read_env(r: &mut Reader<'_>) -> Result<(MemModel, Vec<FaultSpec>), DecodeErro
     Ok((mem_model, faults))
 }
 
+/// The options bytes that enter a session's key basis: every semantic
+/// knob *except* the worker counts (`ReproOptions::parallelism`,
+/// `SearchConfig::parallelism`). The parallel-equivalence suite pins
+/// that results are independent of worker count, so folding it into
+/// keys would only stop sessions with different core counts from
+/// sharing one store. Checkpoints append the worker counts via
+/// [`write_options`].
 fn write_key_options(w: &mut Writer, o: &ReproOptions) {
     write_env(w, o);
     w.bool(o.static_race);
@@ -809,46 +809,15 @@ fn read_artifact<T>(
     })
 }
 
-/// Serializes the options' *semantic* knobs (runtime attachments — the
-/// cancel token, artifact store, and executor handle — are
-/// process-local and excluded; they also do not contribute to session
-/// bases, so attaching a store never changes a phase key).
+/// Serializes the options' *semantic* knobs: the key bytes of
+/// [`write_key_options`] followed by the two worker counts. Runtime
+/// attachments (the cancel token, artifact store, and executor handle)
+/// are process-local and excluded; they also do not contribute to
+/// session bases, so attaching a store never changes a phase key.
 fn write_options(w: &mut Writer, o: &ReproOptions) {
-    write_env(w, o);
-    w.bool(o.static_race);
-    w.u8(match o.strategy {
-        Strategy::Temporal => 0,
-        Strategy::Dependence => 1,
-    });
-    w.u8(match o.align_mode {
-        AlignMode::ExecutionIndex => 0,
-        AlignMode::InstructionCount => 1,
-    });
-    w.u8(match o.algorithm {
-        Algorithm::Chess => 0,
-        Algorithm::ChessX => 1,
-    });
-    w.uvarint(o.search.preemption_bound as u64);
-    w.uvarint(o.search.max_tries);
-    w.opt_duration(o.search.time_budget);
-    w.uvarint(o.search.max_steps);
-    w.uvarint(o.search.pair_pool as u64);
+    write_key_options(w, o);
     w.uvarint(o.search.parallelism as u64);
-    w.uvarint(o.trace_window as u64);
-    w.uvarint(o.max_steps);
-    w.uvarint(o.limits.max_depth as u64);
-    w.uvarint(o.limits.max_paths as u64);
     w.uvarint(o.parallelism as u64);
-    for phase in crate::observe::PHASES {
-        match o.budgets.get(phase) {
-            None => w.bool(false),
-            Some(b) => {
-                w.bool(true);
-                w.opt_uvarint(b.max_steps);
-                w.opt_duration(b.wall);
-            }
-        }
-    }
 }
 
 fn read_options(r: &mut Reader<'_>) -> Result<ReproOptions, DecodeError> {
@@ -869,13 +838,14 @@ fn read_options(r: &mut Reader<'_>) -> Result<ReproOptions, DecodeError> {
         1 => Algorithm::ChessX,
         t => return r.err(format!("bad algorithm tag {t}")),
     };
-    let search = SearchConfig {
+    let mut search = SearchConfig {
         preemption_bound: r.uvarint()? as usize,
         max_tries: r.uvarint()?,
         time_budget: r.opt_duration()?,
         max_steps: r.uvarint()?,
         pair_pool: r.uvarint()? as usize,
-        parallelism: r.uvarint()? as usize,
+        // Read with the other worker count, after the key options.
+        parallelism: 0,
         // The token is process-local state; a resumed session gets a
         // fresh one. Likewise the executor handle.
         cancel: CancelToken::new(),
@@ -887,7 +857,6 @@ fn read_options(r: &mut Reader<'_>) -> Result<ReproOptions, DecodeError> {
         max_depth: r.uvarint()? as usize,
         max_paths: r.uvarint()? as usize,
     };
-    let parallelism = r.uvarint()? as usize;
     let mut budgets = PhaseBudgets::default();
     for phase in crate::observe::PHASES {
         if r.bool()? {
@@ -900,6 +869,8 @@ fn read_options(r: &mut Reader<'_>) -> Result<ReproOptions, DecodeError> {
             );
         }
     }
+    search.parallelism = r.uvarint()? as usize;
+    let parallelism = r.uvarint()? as usize;
     Ok(ReproOptions {
         strategy,
         align_mode,
@@ -911,7 +882,6 @@ fn read_options(r: &mut Reader<'_>) -> Result<ReproOptions, DecodeError> {
         parallelism,
         budgets,
         store: None,
-        pool: None,
         mem_model,
         faults,
         static_race,
@@ -1144,6 +1114,100 @@ mod tests {
         // Keys of later phases are unknown before their upstream exists.
         assert_eq!(a.phase_key(Phase::Align), None);
         assert_eq!(a.next_phase_key().unwrap().phase, Phase::Index);
+    }
+
+    /// Every option a checkpoint serializes survives `resume`, the key
+    /// options and the worker counts after them alike: each is set to a
+    /// non-default value here, so a field the reader skipped, swapped or
+    /// defaulted would show. The key basis is unchanged by the round
+    /// trip, and a checkpoint of the previous version is refused.
+    #[test]
+    fn checkpoint_round_trips_every_serialized_option() {
+        let p = mcr_lang::compile(FIG1).unwrap();
+        let search = SearchConfig {
+            preemption_bound: 3,
+            max_tries: 77,
+            time_budget: Some(Duration::from_millis(1500)),
+            max_steps: 123_456,
+            pair_pool: 9,
+            parallelism: 5,
+            ..SearchConfig::default()
+        };
+        let faults = vec![
+            FaultSpec {
+                kind: FaultKind::AllocFail,
+                tid: ThreadId(1),
+                nth: 2,
+            },
+            FaultSpec {
+                kind: FaultKind::LockTimeout,
+                tid: ThreadId(2),
+                nth: 0,
+            },
+        ];
+        let both = PhaseBudget {
+            max_steps: Some(99),
+            wall: Some(Duration::from_micros(4321)),
+        };
+        let options = ReproOptions::builder()
+            .strategy(Strategy::Dependence)
+            .align_mode(AlignMode::InstructionCount)
+            .algorithm(Algorithm::Chess)
+            .search(search)
+            .trace_window(4321)
+            .max_steps(8765)
+            .limits(TraverseLimits {
+                max_depth: 6,
+                max_paths: 321,
+            })
+            .parallelism(7)
+            .budget(Phase::Index, PhaseBudget::steps(11))
+            .budget(Phase::Align, PhaseBudget::wall(Duration::from_secs(3)))
+            .budget(Phase::Search, both)
+            .mem_model(MemModel::Tso { buffer_cap: 5 })
+            .faults(faults.clone())
+            .static_race(true)
+            .build();
+        let s = fig1_session(&p, options);
+        let ckpt = s.checkpoint();
+        let resumed = ReproSession::resume(&p, &ckpt).unwrap();
+        let o = resumed.options();
+        assert_eq!(o.strategy, Strategy::Dependence);
+        assert_eq!(o.align_mode, AlignMode::InstructionCount);
+        assert_eq!(o.algorithm, Algorithm::Chess);
+        assert_eq!(o.search.preemption_bound, 3);
+        assert_eq!(o.search.max_tries, 77);
+        assert_eq!(o.search.time_budget, Some(Duration::from_millis(1500)));
+        assert_eq!(o.search.max_steps, 123_456);
+        assert_eq!(o.search.pair_pool, 9);
+        assert_eq!(o.search.parallelism, 5);
+        assert_eq!(o.trace_window, 4321);
+        assert_eq!(o.max_steps, 8765);
+        assert_eq!((o.limits.max_depth, o.limits.max_paths), (6, 321));
+        assert_eq!(o.parallelism, 7);
+        assert_eq!(o.budgets.get(Phase::Index), Some(PhaseBudget::steps(11)));
+        assert_eq!(
+            o.budgets.get(Phase::Align),
+            Some(PhaseBudget::wall(Duration::from_secs(3)))
+        );
+        assert_eq!(o.budgets.get(Phase::Diff), None);
+        assert_eq!(o.budgets.get(Phase::Rank), None);
+        assert_eq!(o.budgets.get(Phase::Search), Some(both));
+        assert_eq!(o.mem_model, MemModel::Tso { buffer_cap: 5 });
+        assert_eq!(o.faults, faults);
+        assert!(o.static_race);
+        assert_eq!(resumed.basis(), s.basis());
+        assert_eq!(resumed.checkpoint(), ckpt);
+        // A version-3 checkpoint put the worker counts among the key
+        // options; it is refused rather than misread.
+        let mut v3 = ckpt;
+        v3[MAGIC.len()] = 3;
+        match ReproSession::resume(&p, &v3) {
+            Err(ReproError::Codec(e)) => {
+                assert!(e.msg.contains("unsupported session version 3"), "{e}");
+            }
+            other => panic!("expected a codec error, got ok={}", other.is_ok()),
+        };
     }
 
     #[test]

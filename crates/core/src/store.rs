@@ -19,11 +19,7 @@
 //!
 //! * [`NullStore`] — caches nothing (the default of a bare session),
 //! * [`MemoryStore`] — an in-memory store, unbounded or an LRU bounded
-//!   by total artifact bytes,
-//! * [`BytesStore`] — an unbounded store whose whole content serializes
-//!   to one byte string on the same wire codec the session checkpoints
-//!   use, so a warm cache can be persisted or shipped between processes
-//!   like a checkpoint.
+//!   by total artifact bytes.
 //!
 //! Every store also slices its counters by phase kind
 //! ([`StoreStats::per_phase`]), so a report shows *which* phases hit,
@@ -33,14 +29,10 @@
 //! handle (an `Arc`) is shared by every session of a fleet.
 
 use crate::observe::Phase;
-use mcr_dump::wire::{ContentHash, ContentHasher, Reader, Writer};
-use mcr_dump::DecodeError;
+use mcr_dump::wire::{ContentHash, ContentHasher};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
-
-const MAGIC: &[u8; 4] = b"MCRC";
-const VERSION: u8 = 1;
 
 /// Identity of one unit of phase work: the phase plus the content hash
 /// of everything that determines its artifact.
@@ -224,20 +216,6 @@ impl MemoryStore {
     fn lock(&self) -> std::sync::MutexGuard<'_, MemInner> {
         self.inner.lock().expect("artifact store poisoned")
     }
-
-    /// Visits every resident entry in key order, borrowing each value in
-    /// place, so a snapshot never clones the store's values. The lock
-    /// is held for the whole walk: `f` must not call back into this
-    /// store.
-    fn for_each_entry(&self, mut f: impl FnMut(&PhaseKey, &[u8])) {
-        let inner = self.lock();
-        let mut keys: Vec<PhaseKey> = inner.map.keys().copied().collect();
-        keys.sort_unstable();
-        for k in &keys {
-            let (bytes, _) = &inner.map[k];
-            f(k, bytes);
-        }
-    }
 }
 
 impl ArtifactStore for MemoryStore {
@@ -306,80 +284,6 @@ impl ArtifactStore for MemoryStore {
     }
 }
 
-/// An unbounded store whose entire content round-trips through one byte
-/// string on the session-checkpoint wire codec (`MCRC` framing), so a
-/// warm cache can be persisted to disk, shipped to another triage
-/// worker, and restored with [`BytesStore::from_bytes`].
-///
-/// Storage and accounting delegate to an unbounded [`MemoryStore`];
-/// this type adds only the snapshot layer.
-#[derive(Debug, Default)]
-pub struct BytesStore {
-    inner: MemoryStore,
-}
-
-impl BytesStore {
-    /// An empty store.
-    pub fn new() -> BytesStore {
-        BytesStore::default()
-    }
-
-    /// Serializes every entry to bytes (deterministic: entries are
-    /// ordered by key). Values are streamed out borrowed, never cloned.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.raw(MAGIC);
-        w.u8(VERSION);
-        w.uvarint(self.inner.stats().entries as u64);
-        self.inner.for_each_entry(|key, bytes| {
-            w.u8(key.phase.index() as u8);
-            w.hash(key.hash);
-            w.bytes(bytes);
-        });
-        w.into_bytes()
-    }
-
-    /// Restores a store from [`BytesStore::to_bytes`] output.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] on truncated or malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<BytesStore, DecodeError> {
-        let mut r = Reader::new(bytes);
-        r.expect_magic(MAGIC)?;
-        let version = r.u8()?;
-        if version != VERSION {
-            return r.err(format!("unsupported store version {version}"));
-        }
-        let n = r.len("store entries")?;
-        let store = BytesStore::new();
-        for _ in 0..n {
-            let tag = r.u8()? as usize;
-            let Some(phase) = Phase::from_index(tag) else {
-                return r.err(format!("bad phase tag {tag}"));
-            };
-            let hash = r.hash()?;
-            store.inner.put(&PhaseKey { phase, hash }, r.bytes()?);
-        }
-        r.finish()?;
-        Ok(store)
-    }
-}
-
-impl ArtifactStore for BytesStore {
-    fn get(&self, key: &PhaseKey) -> Option<Vec<u8>> {
-        self.inner.get(key)
-    }
-
-    fn put(&self, key: &PhaseKey, bytes: &[u8]) {
-        self.inner.put(key, bytes);
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-}
-
 /// A stable fingerprint of a compiled program
 /// ([`mcr_lang::program_fingerprint`]). Part of every session's key
 /// basis, so artifacts of different programs can never be confused even
@@ -391,7 +295,6 @@ pub fn program_fingerprint(program: &mcr_lang::Program) -> ContentHash {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::PHASES;
 
     fn key(phase: Phase, seed: u8) -> PhaseKey {
         PhaseKey::derive(ContentHash::of(&[seed]), phase, None)
@@ -463,43 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn bytes_store_round_trips_through_the_wire_codec() {
-        let store = BytesStore::new();
-        store.put(&key(Phase::Index, 1), b"one");
-        store.put(&key(Phase::Search, 2), b"two");
-        let blob = store.to_bytes();
-        let restored = BytesStore::from_bytes(&blob).unwrap();
-        assert_eq!(
-            restored.get(&key(Phase::Index, 1)).as_deref(),
-            Some(b"one".as_ref())
-        );
-        assert_eq!(
-            restored.get(&key(Phase::Search, 2)).as_deref(),
-            Some(b"two".as_ref())
-        );
-        assert_eq!(restored.stats().entries, 2);
-        // Deterministic snapshot.
-        assert_eq!(blob, restored.to_bytes());
-        // Truncations never panic.
-        for cut in 0..blob.len() {
-            assert!(BytesStore::from_bytes(&blob[..cut]).is_err(), "cut {cut}");
-        }
-        // Tags 5 and 6 were the retired compile and static-race units; a
-        // snapshot still carrying them fails with a typed error.
-        for tag in [5u8, 6] {
-            let mut w = Writer::new();
-            w.raw(MAGIC);
-            w.u8(VERSION);
-            w.uvarint(1);
-            w.u8(tag);
-            w.hash(ContentHash::of(b"unit"));
-            w.bytes(b"plan");
-            let err = BytesStore::from_bytes(&w.into_bytes()).unwrap_err();
-            assert!(err.msg.contains(&format!("bad phase tag {tag}")), "{err}");
-        }
-    }
-
-    #[test]
     fn null_store_forgets_everything() {
         let store = NullStore;
         let k = key(Phase::Rank, 0);
@@ -557,23 +423,5 @@ mod tests {
         let b = mcr_lang::compile("global x: int; fn main() { x = 2; }").unwrap();
         assert_eq!(program_fingerprint(&a), program_fingerprint(&a2));
         assert_ne!(program_fingerprint(&a), program_fingerprint(&b));
-    }
-
-    #[test]
-    fn entry_walks_agree_with_materialized_entries() {
-        let store = MemoryStore::unbounded();
-        let mut materialized = Vec::new();
-        for s in 0..12u8 {
-            let (k, v) = (
-                key(PHASES[(s % 5) as usize], s),
-                vec![s; (s as usize + 1) * 3],
-            );
-            store.put(&k, &v);
-            materialized.push((k, v));
-        }
-        materialized.sort();
-        let mut walked = Vec::new();
-        store.for_each_entry(|k, b| walked.push((*k, b.to_vec())));
-        assert_eq!(walked, materialized, "every entry, in key order");
     }
 }

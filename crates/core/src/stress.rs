@@ -5,12 +5,13 @@
 //! "while stress testing is very expensive, it is not part of our
 //! proposed technique"). The equivalent here: run under the seeded
 //! bursty [`StressScheduler`] over a seed range until the run crashes.
+//! [`find_failure`] scans the seeds in order; [`find_failure_par`] fans
+//! the same scan over worker threads and returns the same failure.
 
 use mcr_dump::CoreDump;
 use mcr_lang::Program;
-use mcr_search::CancelToken;
 use mcr_vm::{run, FaultSpec, MemModel, NullObserver, Outcome, StressScheduler, Vm};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Execution environment a stress campaign (and its dump capture) runs
 /// under: the memory model and any injected faults. The default is the
@@ -103,178 +104,34 @@ pub fn find_failure_par(
     if parallelism <= 1 {
         return find_failure(program, input, seeds, max_steps);
     }
-    find_failure_pool(
-        program,
-        input,
-        seeds,
-        max_steps,
-        &minipool::Pool::new(parallelism),
-    )
-}
-
-/// [`find_failure_par`] under an explicit execution environment.
-pub fn find_failure_par_cfg(
-    program: &Program,
-    input: &[i64],
-    seeds: std::ops::Range<u64>,
-    max_steps: u64,
-    parallelism: usize,
-    cfg: &RunConfig,
-) -> Option<StressFailure> {
-    if parallelism <= 1 {
-        return find_failure_cfg(program, input, seeds, max_steps, cfg);
-    }
-    scan(
-        program,
-        input,
-        seeds,
-        max_steps,
-        &minipool::Pool::new(parallelism),
-        None,
-        cfg,
-    )
-}
-
-/// [`find_failure_par`] over an *injected* executor handle — the form a
-/// fleet scheduler uses so that every stress scan it launches draws from
-/// one shared worker budget instead of constructing its own pool.
-pub fn find_failure_pool(
-    program: &Program,
-    input: &[i64],
-    seeds: std::ops::Range<u64>,
-    max_steps: u64,
-    pool: &minipool::Pool,
-) -> Option<StressFailure> {
-    scan(
-        program,
-        input,
-        seeds,
-        max_steps,
-        pool,
-        None,
-        &RunConfig::default(),
-    )
-}
-
-/// Cancellable parallel seed scan.
-///
-/// Firing `cancel` (from any thread) stops workers from starting new
-/// seed runs; the scan then returns the lowest crashing seed found **if
-/// and only if** every lower seed already completed — i.e. any `Some`
-/// answer is exactly the seed the uninterrupted serial scan would
-/// return. When cancellation leaves that undetermined (or nothing
-/// crashed), the scan returns `None`.
-pub fn find_failure_par_cancellable(
-    program: &Program,
-    input: &[i64],
-    seeds: std::ops::Range<u64>,
-    max_steps: u64,
-    parallelism: usize,
-    cancel: &CancelToken,
-) -> Option<StressFailure> {
-    scan(
-        program,
-        input,
-        seeds,
-        max_steps,
-        &minipool::Pool::new(parallelism.max(1)),
-        Some(cancel),
-        &RunConfig::default(),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn scan(
-    program: &Program,
-    input: &[i64],
-    seeds: std::ops::Range<u64>,
-    max_steps: u64,
-    pool: &minipool::Pool,
-    cancel: Option<&CancelToken>,
-    cfg: &RunConfig,
-) -> Option<StressFailure> {
     let start = seeds.start;
     let n = usize::try_from(seeds.end.saturating_sub(start)).unwrap_or(usize::MAX);
     // Lowest crashing seed found so far (u64::MAX = none).
     let winner = AtomicU64::new(u64::MAX);
-    // With cancellation in play, per-seed completion flags let the scan
-    // prove (or refuse to claim) serial equivalence afterwards.
-    let done: Option<Vec<AtomicBool>> =
-        cancel.map(|_| (0..n).map(|_| AtomicBool::new(false)).collect());
-    pool.for_each_index(n, |i| {
-        if let Some(token) = cancel {
-            if token.is_cancelled() {
-                return;
-            }
-        }
+    minipool::Pool::new(parallelism).for_each_index(n, |i| {
         let seed = start + i as u64;
         // A seed above the current winner can never become the answer
         // (`fetch_min` only lowers it); seeds below always run.
         if seed > winner.load(Ordering::Acquire) {
             return;
         }
-        if crashes(program, input, seed, max_steps, cfg) {
+        let mut vm = RunConfig::default().vm(program, input);
+        let mut sched = StressScheduler::new(seed);
+        if let Outcome::Crashed(_) = run(&mut vm, &mut sched, &mut NullObserver, max_steps) {
             winner.fetch_min(seed, Ordering::AcqRel);
-        }
-        if let Some(flags) = &done {
-            flags[i].store(true, Ordering::Release);
         }
     });
     let seed = winner.load(Ordering::Acquire);
     if seed == u64::MAX {
         return None;
     }
-    if let (Some(token), Some(flags)) = (cancel, &done) {
-        // A skipped seed is always above the final winner (the winner
-        // only decreases), so incompleteness below it can only come from
-        // cancellation — in which case a lower seed might still crash
-        // and the serial answer is unknown: refuse to guess.
-        if token.is_cancelled() {
-            let w_idx = (seed - start) as usize;
-            if !flags[..w_idx].iter().all(|f| f.load(Ordering::Acquire)) {
-                return None;
-            }
-        }
-    }
     // Replay the winning seed to capture the dump: stress runs are pure
     // functions of the seed, so this reproduces the identical crash state
     // without shipping VM snapshots across threads.
-    Some(capture_at_seed(program, input, seed, max_steps, start, cfg))
-}
-
-/// Does one stress run at `seed` crash? (Parallel-scan probe: workers
-/// only need the verdict; the winning seed's dump is captured once, by
-/// [`capture_at_seed`], after the scan settles.)
-fn crashes(program: &Program, input: &[i64], seed: u64, max_steps: u64, cfg: &RunConfig) -> bool {
-    let mut vm = cfg.vm(program, input);
-    let mut sched = StressScheduler::new(seed);
-    matches!(
-        run(&mut vm, &mut sched, &mut NullObserver, max_steps),
-        Outcome::Crashed(_)
-    )
-}
-
-/// Re-runs the (known-crashing) `seed` and packages its failure dump.
-fn capture_at_seed(
-    program: &Program,
-    input: &[i64],
-    seed: u64,
-    max_steps: u64,
-    start: u64,
-    cfg: &RunConfig,
-) -> StressFailure {
-    let mut vm = cfg.vm(program, input);
-    let mut sched = StressScheduler::new(seed);
-    let outcome = run(&mut vm, &mut sched, &mut NullObserver, max_steps);
-    debug_assert!(matches!(outcome, Outcome::Crashed(_)));
-    let dump = CoreDump::capture_failure(&vm).expect("crashed");
-    StressFailure {
-        seed,
-        seeds_tried: seed - start + 1,
-        dump,
-        steps: vm.steps(),
-        instrs: vm.instrs(),
-    }
+    let mut failure =
+        find_failure(program, input, seed..seed + 1, max_steps).expect("the winning seed crashes");
+    failure.seeds_tried = seed - start + 1;
+    Some(failure)
 }
 
 /// Verifies that the program passes deterministically (the Heisenbug
@@ -366,8 +223,8 @@ mod tests {
     #[test]
     fn repeated_scans_are_seed_deterministic() {
         // Equivalence, not wall time: CI may be single-core, so the
-        // property pinned is that serial, parallel, and injected-pool
-        // scans all settle on the identical winner, run after run.
+        // property pinned is that serial and parallel scans settle on the
+        // identical winner, run after run.
         let p = mcr_lang::compile(RACE).unwrap();
         let serial = find_failure(&p, &[], 0..100_000, 100_000).expect("stress exposes");
         for _ in 0..2 {
@@ -377,57 +234,6 @@ mod tests {
                 (serial.seed, serial.seeds_tried)
             );
             assert_eq!(par.dump, serial.dump);
-        }
-        let limit = minipool::Limit::new(2);
-        let pool = minipool::Pool::with_limit(4, limit.clone());
-        let pooled = find_failure_pool(&p, &[], 0..100_000, 100_000, &pool).unwrap();
-        assert_eq!(pooled.seed, serial.seed);
-        assert_eq!(pooled.dump, serial.dump);
-        assert_eq!(limit.available(), limit.capacity(), "permits returned");
-    }
-
-    #[test]
-    fn uncancelled_cancellable_scan_matches_serial() {
-        let p = mcr_lang::compile(RACE).unwrap();
-        let serial = find_failure(&p, &[], 0..100_000, 100_000).expect("stress exposes");
-        let token = CancelToken::new();
-        let scan = find_failure_par_cancellable(&p, &[], 0..100_000, 100_000, 4, &token)
-            .expect("token never fired");
-        assert_eq!(scan.seed, serial.seed);
-        assert_eq!(scan.seeds_tried, serial.seeds_tried);
-        assert_eq!(scan.dump, serial.dump);
-    }
-
-    #[test]
-    fn pre_cancelled_scan_returns_nothing() {
-        let p = mcr_lang::compile(RACE).unwrap();
-        let token = CancelToken::new();
-        token.cancel();
-        assert!(find_failure_par_cancellable(&p, &[], 0..100_000, 100_000, 4, &token).is_none());
-    }
-
-    #[test]
-    fn mid_scan_cancellation_never_contradicts_the_serial_winner() {
-        // Fire the token from another thread at staggered delays; any
-        // answer the cancelled scan *does* return must be the serial
-        // winner — never a later seed that merely crashed first.
-        let p = mcr_lang::compile(RACE).unwrap();
-        let serial = find_failure(&p, &[], 0..100_000, 100_000).expect("stress exposes");
-        for delay_us in [0u64, 50, 200, 1_000, 5_000] {
-            let token = CancelToken::new();
-            let fired = token.clone();
-            let result = std::thread::scope(|s| {
-                s.spawn(move || {
-                    std::thread::sleep(std::time::Duration::from_micros(delay_us));
-                    fired.cancel();
-                });
-                find_failure_par_cancellable(&p, &[], 0..100_000, 100_000, 4, &token)
-            });
-            if let Some(sf) = result {
-                assert_eq!(sf.seed, serial.seed, "delay {delay_us}us");
-                assert_eq!(sf.seeds_tried, serial.seeds_tried);
-                assert_eq!(sf.dump, serial.dump);
-            }
         }
     }
 }

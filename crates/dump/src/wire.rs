@@ -14,17 +14,16 @@
 //! * sequences are a length varint followed by the elements,
 //! * options are a `0`/`1` presence byte followed by the payload,
 //! * durations are whole nanoseconds (saturating at `u64::MAX`),
-//! * program counters and failure records use [`Writer::pc`] /
+//! * values, memory locations, program counters and failure records use
+//!   [`Writer::value`] / [`Writer::memloc`] / [`Writer::pc`] /
 //!   [`Writer::failure`] (shared by the dump codec and the phase
 //!   artifacts, so one layout serves both),
 //! * [`ContentHash`] identifies wire-encoded content for the
 //!   content-addressed artifact stores built on top.
 
 use crate::codec::DecodeError;
-use mcr_lang::{FuncId, GlobalId, LocalId, LockId, LoopId, Pc, StmtId};
-use mcr_vm::{
-    Event, Failure, FailureKind, FaultKind, InjectedFault, MemLoc, ObjId, SyncKind, ThreadId, Value,
-};
+use mcr_lang::{FuncId, GlobalId, LocalId, Pc, StmtId};
+use mcr_vm::{Failure, FailureKind, FaultKind, InjectedFault, MemLoc, ObjId, ThreadId, Value};
 use std::time::Duration;
 
 /// FNV-1a 128-bit offset basis.
@@ -50,14 +49,10 @@ impl ContentHash {
         h.finish128()
     }
 
-    /// The hash as 16 little-endian bytes (the wire layout).
+    /// The hash as 16 little-endian bytes (what phase-key derivation
+    /// folds in).
     pub fn to_le_bytes(self) -> [u8; 16] {
         self.0.to_le_bytes()
-    }
-
-    /// Rebuilds a hash from its wire layout.
-    pub fn from_le_bytes(bytes: [u8; 16]) -> ContentHash {
-        ContentHash(u128::from_le_bytes(bytes))
     }
 }
 
@@ -287,157 +282,6 @@ impl Writer {
                 self.uvarint(local.0 as u64);
             }
         }
-    }
-
-    /// Appends a synchronization-operation kind.
-    pub fn sync_kind(&mut self, kind: SyncKind) {
-        match kind {
-            SyncKind::Acquire(l) => {
-                self.u8(0);
-                self.uvarint(l.0 as u64);
-            }
-            SyncKind::Release(l) => {
-                self.u8(1);
-                self.uvarint(l.0 as u64);
-            }
-            SyncKind::Spawn(t) => {
-                self.u8(2);
-                self.uvarint(t.0 as u64);
-            }
-            SyncKind::Join(t) => {
-                self.u8(3);
-                self.uvarint(t.0 as u64);
-            }
-            SyncKind::Flush => self.u8(4),
-        }
-    }
-
-    /// Appends one dynamic event. Tags are pinned in declaration order of
-    /// [`Event`]; new kinds append (the store-buffer events of the TSO
-    /// memory model took tags 4 and 5 when the enum gained them).
-    pub fn event(&mut self, e: &Event) {
-        match e {
-            Event::Stmt { tid, pc, cost } => {
-                self.u8(0);
-                self.uvarint(tid.0 as u64);
-                self.pc(*pc);
-                self.u8(*cost);
-            }
-            Event::Branch { tid, pc, outcome } => {
-                self.u8(1);
-                self.uvarint(tid.0 as u64);
-                self.pc(*pc);
-                self.bool(*outcome);
-            }
-            Event::Read {
-                tid,
-                pc,
-                loc,
-                value,
-            } => {
-                self.u8(2);
-                self.uvarint(tid.0 as u64);
-                self.pc(*pc);
-                self.memloc(*loc);
-                self.value(*value);
-            }
-            Event::Write {
-                tid,
-                pc,
-                loc,
-                value,
-            } => {
-                self.u8(3);
-                self.uvarint(tid.0 as u64);
-                self.pc(*pc);
-                self.memloc(*loc);
-                self.value(*value);
-            }
-            Event::StoreBuffered {
-                tid,
-                pc,
-                loc,
-                value,
-            } => {
-                self.u8(4);
-                self.uvarint(tid.0 as u64);
-                self.pc(*pc);
-                self.memloc(*loc);
-                self.value(*value);
-            }
-            Event::StoreFlushed {
-                tid,
-                pc,
-                loc,
-                value,
-            } => {
-                self.u8(5);
-                self.uvarint(tid.0 as u64);
-                self.pc(*pc);
-                self.memloc(*loc);
-                self.value(*value);
-            }
-            Event::FuncEnter { tid, func, frame } => {
-                self.u8(6);
-                self.uvarint(tid.0 as u64);
-                self.uvarint(func.0 as u64);
-                self.uvarint(*frame);
-            }
-            Event::FuncExit { tid, func, frame } => {
-                self.u8(7);
-                self.uvarint(tid.0 as u64);
-                self.uvarint(func.0 as u64);
-                self.uvarint(*frame);
-            }
-            Event::Sync { tid, pc, kind, seq } => {
-                self.u8(8);
-                self.uvarint(tid.0 as u64);
-                self.pc(*pc);
-                self.sync_kind(*kind);
-                self.uvarint(*seq as u64);
-            }
-            Event::ThreadStart { tid, func } => {
-                self.u8(9);
-                self.uvarint(tid.0 as u64);
-                self.uvarint(func.0 as u64);
-            }
-            Event::ThreadEnd { tid } => {
-                self.u8(10);
-                self.uvarint(tid.0 as u64);
-            }
-            Event::Output { tid, value } => {
-                self.u8(11);
-                self.uvarint(tid.0 as u64);
-                self.value(*value);
-            }
-            Event::LoopEnter { tid, pc, loop_id } => {
-                self.u8(12);
-                self.uvarint(tid.0 as u64);
-                self.pc(*pc);
-                self.uvarint(loop_id.0 as u64);
-            }
-            Event::LoopIter {
-                tid,
-                pc,
-                loop_id,
-                count,
-            } => {
-                self.u8(13);
-                self.uvarint(tid.0 as u64);
-                self.pc(*pc);
-                self.uvarint(loop_id.0 as u64);
-                self.ivarint(*count);
-            }
-            Event::Crash { failure } => {
-                self.u8(14);
-                self.failure(*failure);
-            }
-        }
-    }
-
-    /// Appends a content hash (16 little-endian bytes).
-    pub fn hash(&mut self, h: ContentHash) {
-        self.raw(&h.to_le_bytes());
     }
 }
 
@@ -703,123 +547,6 @@ impl<'a> Reader<'a> {
             t => self.err(format!("bad memloc tag {t}")),
         }
     }
-
-    /// Reads a synchronization-operation kind.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an unknown kind tag or truncation.
-    pub fn sync_kind(&mut self) -> Result<SyncKind, DecodeError> {
-        match self.u8()? {
-            0 => Ok(SyncKind::Acquire(LockId(self.uvarint()? as u32))),
-            1 => Ok(SyncKind::Release(LockId(self.uvarint()? as u32))),
-            2 => Ok(SyncKind::Spawn(ThreadId(self.uvarint()? as u32))),
-            3 => Ok(SyncKind::Join(ThreadId(self.uvarint()? as u32))),
-            4 => Ok(SyncKind::Flush),
-            t => self.err(format!("bad sync kind tag {t}")),
-        }
-    }
-
-    /// Reads one dynamic event.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an unknown event tag or truncation.
-    pub fn event(&mut self) -> Result<Event, DecodeError> {
-        match self.u8()? {
-            0 => Ok(Event::Stmt {
-                tid: ThreadId(self.uvarint()? as u32),
-                pc: self.pc()?,
-                cost: self.u8()?,
-            }),
-            1 => Ok(Event::Branch {
-                tid: ThreadId(self.uvarint()? as u32),
-                pc: self.pc()?,
-                outcome: self.bool()?,
-            }),
-            2 => Ok(Event::Read {
-                tid: ThreadId(self.uvarint()? as u32),
-                pc: self.pc()?,
-                loc: self.memloc()?,
-                value: self.value()?,
-            }),
-            3 => Ok(Event::Write {
-                tid: ThreadId(self.uvarint()? as u32),
-                pc: self.pc()?,
-                loc: self.memloc()?,
-                value: self.value()?,
-            }),
-            4 => Ok(Event::StoreBuffered {
-                tid: ThreadId(self.uvarint()? as u32),
-                pc: self.pc()?,
-                loc: self.memloc()?,
-                value: self.value()?,
-            }),
-            5 => Ok(Event::StoreFlushed {
-                tid: ThreadId(self.uvarint()? as u32),
-                pc: self.pc()?,
-                loc: self.memloc()?,
-                value: self.value()?,
-            }),
-            6 => Ok(Event::FuncEnter {
-                tid: ThreadId(self.uvarint()? as u32),
-                func: FuncId(self.uvarint()? as u32),
-                frame: self.uvarint()?,
-            }),
-            7 => Ok(Event::FuncExit {
-                tid: ThreadId(self.uvarint()? as u32),
-                func: FuncId(self.uvarint()? as u32),
-                frame: self.uvarint()?,
-            }),
-            8 => Ok(Event::Sync {
-                tid: ThreadId(self.uvarint()? as u32),
-                pc: self.pc()?,
-                kind: self.sync_kind()?,
-                seq: self.uvarint()? as u32,
-            }),
-            9 => Ok(Event::ThreadStart {
-                tid: ThreadId(self.uvarint()? as u32),
-                func: FuncId(self.uvarint()? as u32),
-            }),
-            10 => Ok(Event::ThreadEnd {
-                tid: ThreadId(self.uvarint()? as u32),
-            }),
-            11 => Ok(Event::Output {
-                tid: ThreadId(self.uvarint()? as u32),
-                value: self.value()?,
-            }),
-            12 => Ok(Event::LoopEnter {
-                tid: ThreadId(self.uvarint()? as u32),
-                pc: self.pc()?,
-                loop_id: LoopId(self.uvarint()? as u32),
-            }),
-            13 => Ok(Event::LoopIter {
-                tid: ThreadId(self.uvarint()? as u32),
-                pc: self.pc()?,
-                loop_id: LoopId(self.uvarint()? as u32),
-                count: self.ivarint()?,
-            }),
-            14 => Ok(Event::Crash {
-                failure: self.failure()?,
-            }),
-            t => self.err(format!("bad event tag {t}")),
-        }
-    }
-
-    /// Reads a content hash.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation.
-    pub fn hash(&mut self) -> Result<ContentHash, DecodeError> {
-        let Some(slice) = self.buf.get(self.pos..self.pos + 16) else {
-            return self.err("content hash truncated");
-        };
-        let mut bytes = [0u8; 16];
-        bytes.copy_from_slice(slice);
-        self.pos += 16;
-        Ok(ContentHash::from_le_bytes(bytes))
-    }
 }
 
 fn failure_kind_tag(k: FailureKind) -> u8 {
@@ -982,15 +709,6 @@ mod tests {
         h.update(b"he");
         h.update(b"llo");
         assert_eq!(h.finish128(), a);
-        // Wire round-trip.
-        assert_eq!(ContentHash::from_le_bytes(a.to_le_bytes()), a);
-        let mut w = Writer::new();
-        w.hash(a);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.hash().unwrap(), a);
-        r.finish().unwrap();
-        assert!(Reader::new(&bytes[..15]).hash().is_err());
         // Display is 32 hex digits.
         assert_eq!(a.to_string().len(), 32);
     }

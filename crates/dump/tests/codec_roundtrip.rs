@@ -5,10 +5,9 @@
 
 use mcr_dump::wire::{Reader, Writer};
 use mcr_dump::{decode, encode, reachable_vars, CoreDump, DumpReason, TraverseLimits};
-use mcr_lang::{FuncId, GlobalId, LocalId, LockId, Pc, StmtId};
+use mcr_lang::GlobalId;
 use mcr_vm::{
-    run, run_until, DeterministicScheduler, Event, MemLoc, MemModel, NullObserver, ObjId, SyncKind,
-    ThreadId, Value, Vm,
+    run, run_until, DeterministicScheduler, MemLoc, MemModel, NullObserver, ThreadId, Vm,
 };
 
 fn completed_dump(src: &str, input: &[i64]) -> CoreDump {
@@ -136,203 +135,17 @@ fn failure_dump_with_deep_frames_round_trips() {
     assert!(decoded.focus_thread().frames.len() >= 8);
 }
 
-fn roundtrip_event(e: &Event) -> Event {
+#[test]
+fn corrupted_memloc_tags_are_rejected() {
     let mut w = Writer::new();
-    w.event(e);
+    w.memloc(MemLoc::Global(GlobalId(0)));
     let bytes = w.into_bytes();
-    let mut r = Reader::new(&bytes);
-    let back = r.event().unwrap();
-    r.finish().unwrap();
-    back
-}
-
-#[test]
-fn store_buffer_events_round_trip() {
-    let pc = Pc::new(FuncId(3), StmtId(9));
-    let cases = [
-        Event::StoreBuffered {
-            tid: ThreadId(2),
-            pc,
-            loc: MemLoc::Global(GlobalId(1)),
-            value: Value::Int(-42),
-        },
-        Event::StoreFlushed {
-            tid: ThreadId(2),
-            pc,
-            loc: MemLoc::GlobalElem(GlobalId(0), 7),
-            value: Value::Ptr(Some(ObjId(4))),
-        },
-        Event::StoreFlushed {
-            tid: ThreadId(0),
-            pc,
-            loc: MemLoc::Heap(ObjId(1), 3),
-            value: Value::NULL,
-        },
-        Event::StoreBuffered {
-            tid: ThreadId(1),
-            pc,
-            loc: MemLoc::Local {
-                tid: ThreadId(1),
-                frame: 12,
-                local: LocalId(2),
-            },
-            value: Value::Int(0),
-        },
-        Event::Sync {
-            tid: ThreadId(5),
-            pc,
-            kind: SyncKind::Flush,
-            seq: 17,
-        },
-    ];
-    for e in &cases {
-        assert_eq!(&roundtrip_event(e), e, "{e:?}");
-    }
-}
-
-#[test]
-fn every_event_kind_round_trips() {
-    // One representative of every variant, so any codec asymmetry a
-    // future variant introduces fails here rather than in a replay.
-    let pc = Pc::new(FuncId(0), StmtId(1));
-    let tid = ThreadId(1);
-    let cases = [
-        Event::Stmt { tid, pc, cost: 1 },
-        Event::Branch {
-            tid,
-            pc,
-            outcome: true,
-        },
-        Event::Read {
-            tid,
-            pc,
-            loc: MemLoc::Global(GlobalId(0)),
-            value: Value::Int(5),
-        },
-        Event::Write {
-            tid,
-            pc,
-            loc: MemLoc::Heap(ObjId(0), 0),
-            value: Value::NULL,
-        },
-        Event::StoreBuffered {
-            tid,
-            pc,
-            loc: MemLoc::Global(GlobalId(2)),
-            value: Value::Int(1),
-        },
-        Event::StoreFlushed {
-            tid,
-            pc,
-            loc: MemLoc::Global(GlobalId(2)),
-            value: Value::Int(1),
-        },
-        Event::FuncEnter {
-            tid,
-            func: FuncId(2),
-            frame: 6,
-        },
-        Event::FuncExit {
-            tid,
-            func: FuncId(2),
-            frame: 6,
-        },
-        Event::Sync {
-            tid,
-            pc,
-            kind: SyncKind::Acquire(LockId(0)),
-            seq: 0,
-        },
-        Event::Sync {
-            tid,
-            pc,
-            kind: SyncKind::Release(LockId(1)),
-            seq: 1,
-        },
-        Event::Sync {
-            tid,
-            pc,
-            kind: SyncKind::Spawn(ThreadId(2)),
-            seq: 2,
-        },
-        Event::Sync {
-            tid,
-            pc,
-            kind: SyncKind::Join(ThreadId(2)),
-            seq: 3,
-        },
-        Event::Sync {
-            tid,
-            pc,
-            kind: SyncKind::Flush,
-            seq: 4,
-        },
-    ];
-    for e in &cases {
-        assert_eq!(&roundtrip_event(e), e, "{e:?}");
-    }
-}
-
-#[test]
-fn corrupted_event_tags_are_rejected() {
-    // Flip the leading tag byte to every out-of-range value: the reader
-    // must error, never misparse.
-    let e = Event::StoreBuffered {
-        tid: ThreadId(1),
-        pc: Pc::new(FuncId(0), StmtId(0)),
-        loc: MemLoc::Global(GlobalId(0)),
-        value: Value::Int(1),
-    };
-    let mut w = Writer::new();
-    w.event(&e);
-    let bytes = w.into_bytes();
-    for bad in 15u8..=255 {
+    // Layout: memloc tag, global id.
+    for bad in 4u8..=255 {
         let mut corrupted = bytes.clone();
         corrupted[0] = bad;
         let mut r = Reader::new(&corrupted);
-        let err = r.event().expect_err("tag {bad} must be rejected");
-        assert!(err.msg.contains("event tag"), "{err}");
-    }
-}
-
-#[test]
-fn corrupted_sync_kind_and_memloc_tags_are_rejected() {
-    let pc = Pc::new(FuncId(0), StmtId(0));
-    let sync = Event::Sync {
-        tid: ThreadId(0),
-        pc,
-        kind: SyncKind::Flush,
-        seq: 0,
-    };
-    let mut w = Writer::new();
-    w.event(&sync);
-    let sync_bytes = w.into_bytes();
-    // Layout: event tag, tid, pc (func, stmt), sync-kind tag, ...
-    let kind_at = sync_bytes.len() - 2; // tag byte before the seq varint
-    for bad in 5u8..=255 {
-        let mut corrupted = sync_bytes.clone();
-        corrupted[kind_at] = bad;
-        let mut r = Reader::new(&corrupted);
-        let err = r.event().expect_err("sync tag must be rejected");
-        assert!(err.msg.contains("sync kind tag"), "{err}");
-    }
-
-    let read = Event::Read {
-        tid: ThreadId(0),
-        pc,
-        loc: MemLoc::Global(GlobalId(0)),
-        value: Value::Int(1),
-    };
-    let mut w = Writer::new();
-    w.event(&read);
-    let read_bytes = w.into_bytes();
-    // Layout: event tag, tid, pc, memloc tag, global id, value.
-    let loc_at = 4;
-    for bad in 4u8..=255 {
-        let mut corrupted = read_bytes.clone();
-        corrupted[loc_at] = bad;
-        let mut r = Reader::new(&corrupted);
-        let err = r.event().expect_err("memloc tag must be rejected");
+        let err = r.memloc().expect_err("memloc tag must be rejected");
         assert!(err.msg.contains("memloc tag"), "{err}");
     }
 }

@@ -92,29 +92,6 @@ impl<'p> OnlineIndexer<'p> {
         ExecutionIndex::new(entries)
     }
 
-    /// The index a thread would have *at* `pc` (its next statement):
-    /// current stack plus `pc` as the leaf, after applying the pop rule
-    /// for `pc`. Used to name a point just before it executes.
-    pub fn index_at(&self, tid: ThreadId, pc: Pc) -> ExecutionIndex {
-        let mut stack = self.stacks.get(&tid).cloned().unwrap_or_default();
-        Self::pop_for_stmt(&mut stack, pc, &mut 0);
-        let mut entries: Vec<IndexEntry> = stack
-            .iter()
-            .map(|e| match e {
-                StackEntry::Func(f) => IndexEntry::Func(*f),
-                StackEntry::Region {
-                    func, key, outcome, ..
-                } => IndexEntry::Branch {
-                    func: *func,
-                    key: *key,
-                    outcome: *outcome,
-                },
-            })
-            .collect();
-        entries.push(IndexEntry::Stmt(pc));
-        ExecutionIndex::new(entries)
-    }
-
     fn pop_for_stmt(stack: &mut Vec<StackEntry>, pc: Pc, ops: &mut u64) {
         while let Some(StackEntry::Region {
             func,

@@ -52,45 +52,33 @@ impl Scheduler for DeterministicScheduler {
     }
 }
 
+/// Per-statement probability, in percent, that a stress run switches
+/// away from the current thread (doubled right before a flush point).
+const SWITCH_PERCENT: u64 = 20;
+
 /// Seeded random scheduler simulating multicore interleaving.
 ///
 /// Threads run in *bursts*: at every statement boundary the current
-/// thread continues with probability `1 - switch/100` and is otherwise
-/// replaced by a uniformly random runnable thread. Geometric burst
-/// lengths are the standard software model of truly parallel cores with
-/// scheduling quanta and memory-system jitter; a uniform per-statement
-/// choice would make long thread delays (the ones that expose ordering
-/// bugs) astronomically unlikely.
+/// thread continues with probability `1 - SWITCH_PERCENT/100` (80%) and
+/// is otherwise replaced by a uniformly random runnable thread.
+/// Geometric burst lengths are the standard software model of truly
+/// parallel cores with scheduling quanta and memory-system jitter; a
+/// uniform per-statement choice would make long thread delays (the ones
+/// that expose ordering bugs) astronomically unlikely.
 #[derive(Debug, Clone)]
 pub struct StressScheduler {
     rng: SplitMix64,
-    switch_percent: u64,
     current: Option<ThreadId>,
 }
 
 impl StressScheduler {
-    /// Creates a stress scheduler from a seed with the default 20%
-    /// per-statement switch probability; the same seed replays the same
-    /// interleaving.
+    /// Creates a stress scheduler from a seed; the same seed replays the
+    /// same interleaving.
     pub fn new(seed: u64) -> Self {
-        Self::with_switch_percent(seed, 20)
-    }
-
-    /// Creates a stress scheduler with an explicit switch probability
-    /// (in percent, clamped to `1..=100`; zero and out-of-range inputs
-    /// are brought into range rather than rejected so stress configs
-    /// from untrusted seeds can never disable switching entirely).
-    pub fn with_switch_percent(seed: u64, switch_percent: u64) -> Self {
         StressScheduler {
             rng: SplitMix64::new(seed),
-            switch_percent: switch_percent.clamp(1, 100),
             current: Option::None,
         }
-    }
-
-    /// The effective (clamped) per-statement switch probability.
-    pub fn switch_percent(&self) -> u64 {
-        self.switch_percent
     }
 }
 
@@ -105,9 +93,9 @@ impl Scheduler for StressScheduler {
                 // interleaving bit-identical for programs that never reach
                 // a flush point (every SC program without fences).
                 let switch = if vm.flush_point(c) {
-                    (self.switch_percent * 2).min(100)
+                    SWITCH_PERCENT * 2
                 } else {
-                    self.switch_percent
+                    SWITCH_PERCENT
                 };
                 if self.rng.next_below(100) >= switch {
                     return c;
@@ -269,26 +257,6 @@ mod tests {
         // Racy increments/resets must yield more than one final value
         // across 40 random interleavings.
         assert!(distinct.len() > 1, "only saw {distinct:?}");
-    }
-
-    #[test]
-    fn switch_percent_inputs_are_clamped() {
-        assert_eq!(
-            StressScheduler::with_switch_percent(1, 0).switch_percent(),
-            1
-        );
-        assert_eq!(
-            StressScheduler::with_switch_percent(1, 55).switch_percent(),
-            55
-        );
-        assert_eq!(
-            StressScheduler::with_switch_percent(1, 100).switch_percent(),
-            100
-        );
-        assert_eq!(
-            StressScheduler::with_switch_percent(1, 10_000).switch_percent(),
-            100
-        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 
 use mcr_batch::{FleetConfig, FleetJob, FleetSummary, JobOutcome, JobTicket, TriageService};
 use mcr_core::{
-    ArtifactStore, BytesStore, MemoryStore, PhaseEvent, PhaseKey, ReproReport, ReproSession,
-    Reproducer, StoreStats, PHASES,
+    ArtifactStore, MemoryStore, PhaseEvent, PhaseKey, ReproReport, ReproSession, Reproducer,
+    StoreStats, PHASES,
 };
 use mcr_search::Algorithm;
 use mcr_slice::Strategy;
@@ -114,34 +114,6 @@ fn cold_warm_and_fleet_reports_agree_for_every_bug() {
             &format!("{} warm vs fleet", bug.name),
         );
     }
-}
-
-/// A warm cache survives a process hop: exporting the fleet's artifacts
-/// through the `BytesStore` wire snapshot and importing them elsewhere
-/// still serves every phase from cache.
-#[test]
-fn persisted_store_snapshot_keeps_serving_hits() {
-    let bug = mcr_workloads::bug_by_name("mysql-3").unwrap();
-    let (program, sf) = stress_bug(&bug);
-    let input = bug.default_input();
-    let opts = options(Algorithm::ChessX, Strategy::Temporal);
-
-    // Populate a persistable store with one full run.
-    let bytes_store = Arc::new(BytesStore::new());
-    let mut session = ReproSession::new(&program, sf.dump.clone(), &input, opts.clone()).unwrap();
-    session.set_store(bytes_store.clone());
-    let original = session.run_to_end().unwrap();
-
-    // Snapshot → bytes → fresh store, as a second triage worker would.
-    let snapshot = bytes_store.to_bytes();
-    let restored: Arc<dyn ArtifactStore> = Arc::new(BytesStore::from_bytes(&snapshot).unwrap());
-    let mut warm = ReproSession::new(&program, sf.dump, &input, opts).unwrap();
-    warm.set_store(restored);
-    let log = Arc::new(std::sync::Mutex::new(mcr_core::TimingLog::new()));
-    warm.set_observer(Box::new(Arc::clone(&log)));
-    let rehydrated = warm.run_to_end().unwrap();
-    assert_eq!(log.lock().unwrap().cache_hits(), PHASES);
-    assert_reports_identical(&original, &rehydrated, "snapshot hop");
 }
 
 /// Distinct jobs in one fleet never cross-contaminate: different inputs
