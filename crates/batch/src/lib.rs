@@ -1142,12 +1142,7 @@ mod tests {
         assert_eq!(summary.deduped_in_flight, 10);
         assert_eq!(summary.waves, 5);
         for job in &outcomes {
-            let report = job.result.as_ref().expect("job completed");
-            assert_eq!(report.search.reproduced, solo.search.reproduced);
-            assert_eq!(report.search.tries, solo.search.tries);
-            assert_eq!(report.search.winning, solo.search.winning);
-            assert_eq!(report.csv_paths, solo.csv_paths);
-            assert_eq!(report.diffs, solo.diffs);
+            assert_eq!(job.result.as_ref().expect("job completed"), &solo);
         }
         // Exactly one job computed; the others only hit.
         let computed: u32 = outcomes.iter().map(|j| j.computed).sum();
@@ -1232,7 +1227,7 @@ mod tests {
         assert_eq!(summary.cache_hits, 5);
         let cold = first[0].result.as_ref().unwrap();
         let warm = second[0].result.as_ref().unwrap();
-        // Rehydrated reports are bit-identical, timings included.
+        // Rehydrated reports are bit-identical.
         assert_eq!(cold, warm);
     }
 
@@ -1266,10 +1261,7 @@ mod tests {
         assert_eq!(summary.completed, 2);
         assert_eq!(summary.failed, 0);
         for outcome in [&first, &second] {
-            let report = outcome.result.as_ref().expect("completed");
-            assert_eq!(report.search.reproduced, baseline.search.reproduced);
-            assert_eq!(report.search.winning, baseline.search.winning);
-            assert_eq!(report.diffs, baseline.diffs);
+            assert_eq!(outcome.result.as_ref().expect("completed"), &baseline);
         }
         // The duplicate rehydrated everything the first job computed.
         assert_eq!(second.computed, 0);

@@ -99,25 +99,6 @@ pub struct BatchReport {
     pub store: StoreStats,
 }
 
-/// Everything observable about a report except wall-clock timings.
-fn reports_equal(a: &ReproReport, b: &ReproReport) -> bool {
-    a.index == b.index
-        && a.alignment == b.alignment
-        && a.failure_dump_bytes == b.failure_dump_bytes
-        && a.aligned_dump_bytes == b.aligned_dump_bytes
-        && a.vars == b.vars
-        && a.diffs == b.diffs
-        && a.shared == b.shared
-        && a.csv_paths == b.csv_paths
-        && a.csv_locs == b.csv_locs
-        && a.deterministic_repro == b.deterministic_repro
-        && a.search.reproduced == b.search.reproduced
-        && a.search.tries == b.search.tries
-        && a.search.combinations_tested == b.search.combinations_tested
-        && a.search.winning == b.search.winning
-        && a.search.cut_off == b.search.cut_off
-}
-
 /// Runs the batch measurement: stress each distinct job once, reproduce
 /// every job serially (no store), then run the whole corpus as one
 /// fleet and compare.
@@ -205,7 +186,7 @@ pub fn batch_report() -> BatchReport {
     for (job_outcome, serial) in outcomes.iter().zip(&serial_reports) {
         match &job_outcome.result {
             Ok(report) => {
-                if !reports_equal(report, serial) {
+                if report != serial {
                     identical = false;
                 }
                 if report.search.reproduced {

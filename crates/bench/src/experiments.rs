@@ -7,7 +7,9 @@
 //! magnitude, which baseline fails — is the reproduction target. See
 //! EXPERIMENTS.md for the recorded comparison.
 
-use mcr_core::{find_failure, AlignMode, ReproOptions, ReproReport, Reproducer, StressFailure};
+use mcr_core::{
+    find_failure, AlignMode, ReproOptions, ReproReport, ReproTimings, Reproducer, StressFailure,
+};
 use mcr_search::{Algorithm, SearchConfig};
 use mcr_slice::Strategy;
 use mcr_workloads::{all_bugs, overhead_workloads, BugSpec};
@@ -59,8 +61,13 @@ impl Default for HarnessOptions {
     }
 }
 
-/// Runs the full reproduction pipeline for one bug.
-pub fn run_pipeline(bug: &BugSpec, sf: &StressFailure, opts: HarnessOptions) -> ReproReport {
+/// Runs the full reproduction pipeline for one bug: its report, and
+/// where the session's time went.
+pub fn run_pipeline(
+    bug: &BugSpec,
+    sf: &StressFailure,
+    opts: HarnessOptions,
+) -> (ReproReport, ReproTimings) {
     let program = bug.compile();
     let input = bug.default_input();
     let options = ReproOptions {
@@ -75,9 +82,13 @@ pub fn run_pipeline(bug: &BugSpec, sf: &StressFailure, opts: HarnessOptions) -> 
         ..Default::default()
     };
     let reproducer = Reproducer::new(&program, options);
-    reproducer
-        .reproduce(&sf.dump, &input)
-        .unwrap_or_else(|e| panic!("{}: pipeline failed: {e}", bug.name))
+    let mut session = reproducer
+        .session(&sf.dump, &input)
+        .unwrap_or_else(|e| panic!("{}: pipeline failed: {e}", bug.name));
+    let report = session
+        .run_to_end()
+        .unwrap_or_else(|e| panic!("{}: pipeline failed: {e}", bug.name));
+    (report, session.timings())
 }
 
 // ---------------------------------------------------------------------
@@ -236,7 +247,7 @@ pub fn table3() -> Vec<Table3Row> {
         .map(|bug| {
             let input = bug.default_input();
             let sf = stress_bug(bug, &input);
-            let report = run_pipeline(
+            let (report, _) = run_pipeline(
                 bug,
                 &sf,
                 HarnessOptions {
@@ -288,7 +299,8 @@ pub fn render_table3(rows: &[Table3Row]) -> String {
 pub struct SearchCell {
     /// Tries used.
     pub tries: u64,
-    /// Wall time of the schedule search.
+    /// Wall time of the search phase (candidate annotation and the
+    /// schedule loop).
     pub time: Duration,
     /// Whether the bug was reproduced within the cutoff.
     pub reproduced: bool,
@@ -315,7 +327,7 @@ pub fn table4() -> Vec<Table4Row> {
             let input = bug.default_input();
             let sf = stress_bug(bug, &input);
             let cell = |strategy, algorithm| {
-                let report = run_pipeline(
+                let (report, timings) = run_pipeline(
                     bug,
                     &sf,
                     HarnessOptions {
@@ -326,7 +338,7 @@ pub fn table4() -> Vec<Table4Row> {
                 );
                 SearchCell {
                     tries: report.search.tries,
-                    time: report.search.wall_time,
+                    time: timings.search,
                     reproduced: report.search.reproduced,
                 }
             };
@@ -405,7 +417,7 @@ pub fn table5() -> Vec<Table5Row> {
         .map(|bug| {
             let input = bug.default_input();
             let sf = stress_bug(bug, &input);
-            let report = run_pipeline(
+            let (report, timings) = run_pipeline(
                 bug,
                 &sf,
                 HarnessOptions {
@@ -422,7 +434,7 @@ pub fn table5() -> Vec<Table5Row> {
                 csv: report.csv_paths.len(),
                 search: SearchCell {
                     tries: report.search.tries,
-                    time: report.search.wall_time,
+                    time: timings.search,
                     reproduced: report.search.reproduced,
                 },
             }
@@ -487,7 +499,7 @@ pub fn table6() -> Vec<Table6Row> {
         .map(|bug| {
             let input = bug.default_input();
             let sf = stress_bug(bug, &input);
-            let report = run_pipeline(
+            let (_, timings) = run_pipeline(
                 bug,
                 &sf,
                 HarnessOptions {
@@ -498,10 +510,10 @@ pub fn table6() -> Vec<Table6Row> {
             );
             Table6Row {
                 name: bug.name.to_string(),
-                dump_parse: report.timings.dump_parse,
-                diff: report.timings.diff,
-                slicing: report.timings.slicing,
-                reexecution: report.timings.passing_run + report.timings.replay,
+                dump_parse: timings.dump_parse,
+                diff: timings.diff,
+                slicing: timings.slicing,
+                reexecution: timings.passing_run + timings.replay,
             }
         })
         .collect()
@@ -600,7 +612,7 @@ mod tests {
         let bug = mcr_workloads::bug_by_name("mysql-3").unwrap();
         let input = bug.default_input();
         let sf = stress_bug(&bug, &input);
-        let report = run_pipeline(
+        let (report, _) = run_pipeline(
             &bug,
             &sf,
             HarnessOptions {

@@ -197,8 +197,6 @@ impl SearchFixture {
             },
         );
         let report = reproducer.reproduce(&sf.dump, &input).expect("pipeline");
-        let csv_set: std::collections::HashSet<mcr_vm::MemLoc> =
-            report.csv_locs.iter().copied().collect();
         let mut vm = Vm::new(&program, &input);
         let mut logger = mcr_search::SyncLogger::new();
         run(
@@ -209,7 +207,7 @@ impl SearchFixture {
         );
         let (candidates, future) = mcr_search::annotate(
             &logger.finish(),
-            &csv_set,
+            &report.csv_locs,
             &std::collections::HashMap::new(),
         );
         SearchFixture {
@@ -509,10 +507,13 @@ pub struct BenchReport {
     pub static_race: StaticRaceCell,
 }
 
-fn algo_cell(r: &SearchResult) -> AlgoCell {
+/// Runs one serial search on the fixture, timing the call.
+fn algo_cell(fixture: &SearchFixture, algorithm: Algorithm) -> AlgoCell {
+    let t0 = Instant::now();
+    let r = fixture.search(algorithm, 1);
     AlgoCell {
         tries: r.tries,
-        wall: r.wall_time,
+        wall: t0.elapsed(),
         reproduced: r.reproduced,
     }
 }
@@ -557,21 +558,22 @@ pub fn measure_parallel_suite(parallelism: usize) -> ParallelCell {
                     ..Default::default()
                 },
             );
-            reproducer
-                .reproduce(&sf.dump, &input)
-                .unwrap_or_else(|e| panic!("{}: pipeline failed: {e}", bug.name))
+            let mut session = reproducer
+                .session(&sf.dump, &input)
+                .unwrap_or_else(|e| panic!("{}: pipeline failed: {e}", bug.name));
+            let report = session
+                .run_to_end()
+                .unwrap_or_else(|e| panic!("{}: pipeline failed: {e}", bug.name));
+            (report, session.timings().search)
         };
         // Two alternating rounds per leg, best wall time kept: the legs
         // run identical search code when the fan-out clamps to one core,
         // so single-sample scheduling noise must not be read as a
         // parallel regression (or a win).
-        let serial = reproduce(1);
-        let par = reproduce(parallelism);
-        let serial_wall = serial.search.wall_time.min(reproduce(1).search.wall_time);
-        let par_wall = par
-            .search
-            .wall_time
-            .min(reproduce(parallelism).search.wall_time);
+        let (serial, serial_wall) = reproduce(1);
+        let (par, par_wall) = reproduce(parallelism);
+        let serial_wall = serial_wall.min(reproduce(1).1);
+        let par_wall = par_wall.min(reproduce(parallelism).1);
         serial_search += serial_wall;
         parallel_search += par_wall;
         let points = |r: &SearchResult| {
@@ -606,10 +608,10 @@ pub fn bench_report() -> BenchReport {
     let checkpoint_clone_ns = measure_checkpoint_clone_ns();
     let steps_per_sec = measure_steps_per_sec();
     let fixture = SearchFixture::prepare();
-    let plain_result = fixture.search(Algorithm::Chess, 1);
-    let guided_result = fixture.search(Algorithm::ChessX, 1);
-    let tries_per_sec = if plain_result.wall_time.as_secs_f64() > 0.0 {
-        plain_result.tries as f64 / plain_result.wall_time.as_secs_f64()
+    let plain = algo_cell(&fixture, Algorithm::Chess);
+    let guided = algo_cell(&fixture, Algorithm::ChessX);
+    let tries_per_sec = if plain.wall.as_secs_f64() > 0.0 {
+        plain.tries as f64 / plain.wall.as_secs_f64()
     } else {
         0.0
     };
@@ -624,8 +626,8 @@ pub fn bench_report() -> BenchReport {
         checkpoint_clone_ns,
         steps_per_sec,
         tries_per_sec,
-        guided: algo_cell(&guided_result),
-        plain: algo_cell(&plain_result),
+        guided,
+        plain,
         memmodel,
         parallel,
         static_race,

@@ -25,13 +25,13 @@ use mcr_search::{
 };
 use mcr_slice::{CsvAccess, RankedAccess};
 use mcr_vm::{MemLoc, ObjId, ThreadId};
-use std::time::Duration;
 
 const MAGIC: &[u8; 4] = b"MCRA";
 // v2: the delta artifact holds the CSV-access projection of the
 // dependence trace instead of the whole trace.
 // v3: the alignment artifact carries the aligned dump.
-const VERSION: u8 = 3;
+// v4: no artifact carries a wall-clock duration.
+const VERSION: u8 = 4;
 
 /// The artifact kind tags of the `MCRA` framing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,8 +73,6 @@ pub struct FailureIndexArtifact {
     /// [`AlignMode::InstructionCount`](crate::AlignMode::InstructionCount),
     /// which skips reverse engineering).
     pub index: Option<ExecutionIndex>,
-    /// Wall-clock time the phase took.
-    pub elapsed: Duration,
 }
 
 /// Phase 2 output: the aligned point, the passing run's sync/access
@@ -100,8 +98,6 @@ pub struct AlignmentArtifact {
     /// [`mcr_dump::encode`]. Kept as bytes: rehydrating the artifact
     /// does not decode a dump only the diff phase reads.
     pub aligned_dump: Vec<u8>,
-    /// Wall-clock time the phase took.
-    pub elapsed: Duration,
 }
 
 /// Phase 3 output: the dump comparison — critical shared variables plus
@@ -132,19 +128,6 @@ pub struct DumpDeltaArtifact {
     /// [`Strategy::Dependence`](mcr_slice::Strategy::Dependence) each
     /// carries its backward-slice distance from the aligned point.
     pub csv_accesses: Vec<CsvAccess>,
-    /// Wall-clock time of the traced replay to the aligned point (the
-    /// dependence strategy's; near zero under the temporal strategy).
-    pub replay_elapsed: Duration,
-    /// Wall-clock time encoding and decoding the failure dump, decoding
-    /// the aligned dump, and walking both at once
-    /// ([`DumpDiff::walk`](mcr_dump::DumpDiff::walk)).
-    pub parse_elapsed: Duration,
-    /// Wall-clock time sorting the walk's differences by path and
-    /// splitting off the CSVs.
-    pub diff_elapsed: Duration,
-    /// Wall-clock time of the backward slice (dependence strategy only)
-    /// and the projection onto the CSV accesses.
-    pub slice_elapsed: Duration,
 }
 
 /// Phase 4 output: the prioritized CSV accesses.
@@ -153,8 +136,6 @@ pub struct RankedAccessesArtifact {
     /// Prioritized accesses to the critical shared variables, in step
     /// order (the search looks priorities up by binary search).
     pub ranked: Vec<RankedAccess>,
-    /// Wall-clock time the phase took.
-    pub elapsed: Duration,
 }
 
 /// Phase 5 output: the schedule search result.
@@ -162,8 +143,6 @@ pub struct RankedAccessesArtifact {
 pub struct SearchArtifact {
     /// The search result (possibly partial, when cancelled or cut off).
     pub result: SearchResult,
-    /// Wall-clock time the phase took.
-    pub elapsed: Duration,
 }
 
 // ---------------------------------------------------------------------
@@ -402,7 +381,6 @@ fn write_search_result(w: &mut Writer, s: &SearchResult) {
             }
         }
     }
-    w.duration(s.wall_time);
     w.bool(s.cut_off);
     w.bool(s.cancelled);
 }
@@ -426,7 +404,6 @@ fn read_search_result(r: &mut Reader<'_>) -> Result<SearchResult, DecodeError> {
         tries,
         combinations_tested,
         winning,
-        wall_time: r.duration()?,
         cut_off: r.bool()?,
         cancelled: r.bool()?,
     })
@@ -460,18 +437,15 @@ fn read_csv_access(r: &mut Reader<'_>) -> Result<CsvAccess, DecodeError> {
 impl FailureIndexArtifact {
     /// Serializes the artifact to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        frame(Kind::Index, |w| {
-            match &self.index {
-                None => w.bool(false),
-                Some(idx) => {
-                    w.bool(true);
-                    w.uvarint(idx.entries.len() as u64);
-                    for e in &idx.entries {
-                        write_index_entry(w, e);
-                    }
+        frame(Kind::Index, |w| match &self.index {
+            None => w.bool(false),
+            Some(idx) => {
+                w.bool(true);
+                w.uvarint(idx.entries.len() as u64);
+                for e in &idx.entries {
+                    write_index_entry(w, e);
                 }
             }
-            w.duration(self.elapsed);
         })
     }
 
@@ -492,9 +466,8 @@ impl FailureIndexArtifact {
         } else {
             None
         };
-        let elapsed = r.duration()?;
         r.finish()?;
-        Ok(FailureIndexArtifact { index, elapsed })
+        Ok(FailureIndexArtifact { index })
     }
 }
 
@@ -530,7 +503,6 @@ impl AlignmentArtifact {
             }
             w.uvarint(self.aligned_steps);
             w.bytes(&self.aligned_dump);
-            w.duration(self.elapsed);
         })
     }
 
@@ -598,7 +570,6 @@ impl AlignmentArtifact {
             return r.err("aligned point past the end of the passing run");
         }
         let aligned_dump = r.bytes()?.to_vec();
-        let elapsed = r.duration()?;
         r.finish()?;
         Ok(AlignmentArtifact {
             alignment,
@@ -611,7 +582,6 @@ impl AlignmentArtifact {
             return_stores,
             aligned_steps,
             aligned_dump,
-            elapsed,
         })
     }
 }
@@ -638,10 +608,6 @@ impl DumpDeltaArtifact {
             for a in &self.csv_accesses {
                 write_csv_access(w, a);
             }
-            w.duration(self.replay_elapsed);
-            w.duration(self.parse_elapsed);
-            w.duration(self.diff_elapsed);
-            w.duration(self.slice_elapsed);
         })
     }
 
@@ -683,10 +649,6 @@ impl DumpDeltaArtifact {
         {
             return r.err("csv accesses out of trace order");
         }
-        let replay_elapsed = r.duration()?;
-        let parse_elapsed = r.duration()?;
-        let diff_elapsed = r.duration()?;
-        let slice_elapsed = r.duration()?;
         r.finish()?;
         Ok(DumpDeltaArtifact {
             failure_dump_bytes,
@@ -698,10 +660,6 @@ impl DumpDeltaArtifact {
             csv_locs,
             aligned_serial,
             csv_accesses,
-            replay_elapsed,
-            parse_elapsed,
-            diff_elapsed,
-            slice_elapsed,
         })
     }
 }
@@ -714,7 +672,6 @@ impl RankedAccessesArtifact {
             for a in &self.ranked {
                 write_ranked(w, a);
             }
-            w.duration(self.elapsed);
         })
     }
 
@@ -734,9 +691,8 @@ impl RankedAccessesArtifact {
         if !ranked.windows(2).all(|w| w[0].step <= w[1].step) {
             return r.err("ranked accesses out of step order");
         }
-        let elapsed = r.duration()?;
         r.finish()?;
-        Ok(RankedAccessesArtifact { ranked, elapsed })
+        Ok(RankedAccessesArtifact { ranked })
     }
 }
 
@@ -745,7 +701,6 @@ impl SearchArtifact {
     pub fn to_bytes(&self) -> Vec<u8> {
         frame(Kind::Search, |w| {
             write_search_result(w, &self.result);
-            w.duration(self.elapsed);
         })
     }
 
@@ -757,9 +712,8 @@ impl SearchArtifact {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut r = unframe(bytes, Kind::Search)?;
         let result = read_search_result(&mut r)?;
-        let elapsed = r.duration()?;
         r.finish()?;
-        Ok(SearchArtifact { result, elapsed })
+        Ok(SearchArtifact { result })
     }
 }
 
@@ -792,7 +746,7 @@ pub(crate) fn v1_delta_bytes() -> Vec<u8> {
     w.opt_uvarint(None);
     w.u8(0);
     for _ in 0..3 {
-        w.duration(Duration::from_micros(7));
+        w.duration(std::time::Duration::from_micros(7));
     }
     w.into_bytes()
 }
@@ -821,7 +775,7 @@ pub(crate) fn v2_alignment_bytes() -> Vec<u8> {
     w.bool(false);
     // Total steps, elapsed.
     w.uvarint(9);
-    w.duration(Duration::from_micros(7));
+    w.duration(std::time::Duration::from_micros(7));
     w.into_bytes()
 }
 
@@ -861,7 +815,6 @@ mod tests {
             return_stores: vec![(3, Pc::new(FuncId(1), StmtId(4)))],
             aligned_steps: 6,
             aligned_dump: vec![0x4d, 0x43, 0x52, 0x44, 1, 0, 7],
-            elapsed: Duration::from_micros(11),
         }
     }
 
@@ -882,7 +835,6 @@ mod tests {
                 },
                 IndexEntry::Stmt(Pc::new(FuncId(3), StmtId(9))),
             ])),
-            elapsed: Duration::from_micros(42),
         };
         let bytes = art.to_bytes();
         let back = FailureIndexArtifact::from_bytes(&bytes).unwrap();
@@ -892,10 +844,7 @@ mod tests {
 
     #[test]
     fn kind_confusion_rejected() {
-        let art = FailureIndexArtifact {
-            index: None,
-            elapsed: Duration::ZERO,
-        };
+        let art = FailureIndexArtifact { index: None };
         let bytes = art.to_bytes();
         let err = AlignmentArtifact::from_bytes(&bytes).unwrap_err();
         assert!(err.msg.contains("kind"), "{err}");
@@ -903,10 +852,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let art = RankedAccessesArtifact {
-            ranked: vec![],
-            elapsed: Duration::ZERO,
-        };
+        let art = RankedAccessesArtifact { ranked: vec![] };
         let mut bytes = art.to_bytes();
         bytes.push(0);
         assert!(RankedAccessesArtifact::from_bytes(&bytes).is_err());
@@ -942,7 +888,6 @@ mod tests {
         };
         let mut art = RankedAccessesArtifact {
             ranked: vec![access(3, 2), access(3, 3), access(8, 1)],
-            elapsed: Duration::ZERO,
         };
         assert_eq!(
             RankedAccessesArtifact::from_bytes(&art.to_bytes()).unwrap(),
@@ -995,6 +940,20 @@ mod tests {
         }
     }
 
+    /// Version-3 artifacts, which ended in the phase's wall-clock
+    /// durations, are refused rather than misread.
+    #[test]
+    fn version_3_artifacts_rejected() {
+        let mut bytes = FailureIndexArtifact { index: None }.to_bytes();
+        bytes[MAGIC.len()] = 3;
+        let err = FailureIndexArtifact::from_bytes(&bytes).unwrap_err();
+        assert!(err.msg.contains("artifact version 3"), "{err}");
+        let mut bytes = sample_alignment().to_bytes();
+        bytes[MAGIC.len()] = 3;
+        let err = AlignmentArtifact::from_bytes(&bytes).unwrap_err();
+        assert!(err.msg.contains("artifact version 3"), "{err}");
+    }
+
     #[test]
     fn version_2_alignment_artifact_rejected() {
         let err = AlignmentArtifact::from_bytes(&v2_alignment_bytes()).unwrap_err();
@@ -1031,11 +990,9 @@ mod tests {
                 tries: 7,
                 combinations_tested: 3,
                 winning: Some(vec![cand]),
-                wall_time: Duration::from_millis(12),
                 cut_off: false,
                 cancelled: false,
             },
-            elapsed: Duration::from_millis(13),
         };
         let back = SearchArtifact::from_bytes(&art.to_bytes()).unwrap();
         assert_eq!(art, back);
@@ -1091,10 +1048,6 @@ mod tests {
                 access(899, MemLoc::Heap(ObjId(2), 1), false, Some(1)),
                 access(900, MemLoc::Global(GlobalId(0)), false, Some(0)),
             ],
-            replay_elapsed: Duration::from_micros(150),
-            parse_elapsed: Duration::from_micros(20),
-            diff_elapsed: Duration::from_micros(3),
-            slice_elapsed: Duration::from_micros(9),
         }
     }
 

@@ -5,10 +5,11 @@
 //! emitting job status, a CLI progress bar, a metrics sink — implements
 //! [`PhaseObserver`] and attaches it with
 //! [`ReproSession::set_observer`](crate::ReproSession::set_observer).
-//! The observer replaces the old ad-hoc `ReproTimings` plumbing as the
-//! *live* channel; the per-phase durations are additionally persisted
-//! inside each phase artifact, so a checkpointed session still reports
-//! faithful [`ReproTimings`](crate::ReproTimings) after a resume.
+//! The event stream is the only channel time travels on: no artifact
+//! and no report carries a duration. The session folds the same events
+//! into [`ReproSession::timings`](crate::ReproSession::timings), so a
+//! phase that was rehydrated from a store or carried in by a checkpoint
+//! reports no time, and a resumed session times only what it computed.
 
 use std::fmt;
 use std::time::Duration;
@@ -72,11 +73,6 @@ impl Phase {
             Phase::Rank => 3,
             Phase::Search => 4,
         }
-    }
-
-    /// The phase with the given wire index ([`Phase::index`] inverse).
-    pub fn from_index(index: usize) -> Option<Phase> {
-        PHASES.get(index).copied()
     }
 
     /// A stable lowercase name (used in progress output and errors).
@@ -233,18 +229,6 @@ mod tests {
         for (i, p) in PHASES.iter().enumerate() {
             assert_eq!(p.index(), i);
             assert_eq!(p.prev(), i.checked_sub(1).map(|j| PHASES[j]));
-        }
-    }
-
-    #[test]
-    fn from_index_inverts_index_for_the_five_phases_only() {
-        for (i, p) in PHASES.iter().enumerate() {
-            assert_eq!(Phase::from_index(i), Some(*p));
-        }
-        // Tags 5 and 6 belonged to the retired compile and static-race
-        // cache units; they (and anything beyond) decode to nothing.
-        for tag in 5..8 {
-            assert_eq!(Phase::from_index(tag), None, "tag {tag}");
         }
     }
 

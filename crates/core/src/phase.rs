@@ -39,7 +39,6 @@ use mcr_vm::{
     run_until, DeterministicScheduler, Event, MemLoc, Observer, Outcome, Tee, ThreadId, Vm,
 };
 use std::cell::Cell;
-use std::collections::HashSet;
 use std::time::Instant;
 
 mod sealed {
@@ -237,12 +236,11 @@ impl PipelinePhase for IndexPhase {
             }
             AlignMode::InstructionCount => None,
         };
-        let elapsed = t0.elapsed();
         s.emit(PhaseEvent::Finished {
             phase: Phase::Index,
-            elapsed,
+            elapsed: t0.elapsed(),
         });
-        Ok(FailureIndexArtifact { index, elapsed })
+        Ok(FailureIndexArtifact { index })
     }
 }
 
@@ -455,10 +453,9 @@ impl PipelinePhase for AlignPhase {
             aligned_focus,
             DumpReason::Aligned,
         ));
-        let elapsed = t0.elapsed();
         s.emit(PhaseEvent::Finished {
             phase: Phase::Align,
-            elapsed,
+            elapsed: t0.elapsed(),
         });
         Ok(AlignmentArtifact {
             alignment,
@@ -467,7 +464,6 @@ impl PipelinePhase for AlignPhase {
             return_stores: logger.return_stores,
             aligned_steps: aligned_vm.steps(),
             aligned_dump,
-            elapsed,
         })
     }
 }
@@ -629,10 +625,6 @@ impl PipelinePhase for DiffPhase {
             csv_locs,
             aligned_serial,
             csv_accesses,
-            replay_elapsed,
-            parse_elapsed,
-            diff_elapsed,
-            slice_elapsed,
         })
     }
 }
@@ -722,12 +714,11 @@ impl PipelinePhase for RankPhase {
             delta.aligned_serial,
             s.options.strategy,
         );
-        let elapsed = t0.elapsed();
         s.emit(PhaseEvent::Finished {
             phase: Phase::Rank,
-            elapsed,
+            elapsed: t0.elapsed(),
         });
-        Ok(RankedAccessesArtifact { ranked, elapsed })
+        Ok(RankedAccessesArtifact { ranked })
     }
 }
 
@@ -777,11 +768,10 @@ impl PipelinePhase for SearchPhase {
             phase: Phase::Search,
         });
         let t0 = Instant::now();
-        let (result, elapsed) = {
+        let result = {
             let ranked = &Self::input(s).expect("rank ran").ranked;
             let delta = s.artifacts.delta.as_ref().expect("diff ran");
             let align = s.artifacts.align.as_ref().expect("align ran");
-            let csv_set: HashSet<MemLoc> = delta.csv_locs.iter().copied().collect();
             // Both projections emit step order and ranking keeps it, so
             // annotation looks priorities up in `ranked` itself.
             debug_assert!(ranked.windows(2).all(|w| w[0].step <= w[1].step));
@@ -791,7 +781,7 @@ impl PipelinePhase for SearchPhase {
             // unless the knob is on and the fault plan is empty).
             let (candidates, future) = annotate_with_race(
                 &align.passing_run,
-                &csv_set,
+                &delta.csv_locs,
                 ranked.as_slice(),
                 s.race_verdicts(),
             );
@@ -830,15 +820,15 @@ impl PipelinePhase for SearchPhase {
                 stage: "schedule",
                 elapsed: t1.elapsed(),
             });
-            (result, t0.elapsed())
+            result
         };
         // A cancelled search still Finishes (with a partial artifact,
         // `result.cancelled` set); Interrupted is reserved for phases
         // that produced nothing.
         s.emit(PhaseEvent::Finished {
             phase: Phase::Search,
-            elapsed,
+            elapsed: t0.elapsed(),
         });
-        Ok(SearchArtifact { result, elapsed })
+        Ok(SearchArtifact { result })
     }
 }

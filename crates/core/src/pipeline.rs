@@ -13,8 +13,9 @@
 //! * [`PhaseBudget`]/[`PhaseBudgets`] — per-phase wall-clock and step
 //!   caps,
 //! * [`ReproError`] — everything that can interrupt a reproduction,
-//! * [`ReproReport`]/[`ReproTimings`] — the final report (feeds the
-//!   paper's Tables 3–6),
+//! * [`ReproReport`] — the final report (feeds the paper's Tables 3–5),
+//! * [`ReproTimings`] — the phase costs of Table 6, folded from a
+//!   session's [`PhaseEvent`]s,
 //! * [`Reproducer`] — the original blocking entry point, now a thin
 //!   wrapper that drives a session end to end.
 //!
@@ -23,7 +24,7 @@
 //! instructions, then find the failure PC" — see
 //! [`AlignMode::InstructionCount`].
 
-use crate::observe::Phase;
+use crate::observe::{Phase, PhaseEvent};
 use crate::session::ReproSession;
 use mcr_analysis::ProgramAnalysis;
 use mcr_dump::{CoreDump, DecodeError, RefPath, TraverseLimits};
@@ -328,9 +329,11 @@ impl ReproOptionsBuilder {
 
 /// Wall-clock costs of the analysis phases (paper Table 6).
 ///
-/// Built from the per-phase durations persisted inside the session
-/// artifacts, so the numbers survive checkpoint/resume; live progress
-/// goes through [`PhaseObserver`](crate::PhaseObserver) instead.
+/// Telemetry, not a result: [`ReproSession::timings`] folds the
+/// `Stage`/`Finished` [`PhaseEvent`]s its phases emit into one value,
+/// so it counts only the phases that session computed. A phase
+/// rehydrated from an artifact store, or carried in by
+/// [`ReproSession::resume`], adds nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReproTimings {
     /// Reverse engineering the failure index.
@@ -350,17 +353,48 @@ pub struct ReproTimings {
     /// Dynamic slicing: the backward slice and the projection onto the
     /// CSV accesses (diff phase) plus their ranking (rank phase).
     pub slicing: Duration,
-    /// The schedule search.
+    /// The whole search phase: candidate annotation, then the worklist
+    /// walk with its tries.
     pub search: Duration,
 }
 
-/// The full reproduction report (feeds Tables 3–6).
+impl ReproTimings {
+    /// Adds the duration `event` reports to its field: the index, align
+    /// and search phases' `Finished` events, the diff phase's `Stage`
+    /// events, and the rank phase's `Finished` event into
+    /// [`ReproTimings::slicing`].
+    pub(crate) fn record(&mut self, event: &PhaseEvent) {
+        let (field, elapsed) = match *event {
+            PhaseEvent::Finished { phase, elapsed } => match phase {
+                Phase::Index => (&mut self.reverse, elapsed),
+                Phase::Align => (&mut self.passing_run, elapsed),
+                Phase::Rank => (&mut self.slicing, elapsed),
+                Phase::Search => (&mut self.search, elapsed),
+                Phase::Diff => return,
+            },
+            PhaseEvent::Stage {
+                phase: Phase::Diff,
+                stage,
+                elapsed,
+            } => match stage {
+                "replay" => (&mut self.replay, elapsed),
+                "dump-parse" => (&mut self.dump_parse, elapsed),
+                "diff" => (&mut self.diff, elapsed),
+                "slice" => (&mut self.slicing, elapsed),
+                _ => return,
+            },
+            _ => return,
+        };
+        *field += elapsed;
+    }
+}
+
+/// The full reproduction report (feeds Tables 3–5).
 ///
-/// Equality is total — timings included — so `a == b` states that `b`
-/// is the *bit-identical* outcome of the same work (rehydrated phase
-/// artifacts embed the original run's durations, which is what makes
-/// warm and batched runs literally indistinguishable from their cold
-/// originals).
+/// It holds results only — no clock — so `a == b` states that `b` is the
+/// bit-identical outcome of the same work, whether it was computed cold,
+/// rehydrated from a store, resumed from a checkpoint or run in a
+/// fleet. Where the time went is [`ReproSession::timings`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReproReport {
     /// The reverse-engineered failure index (when EI alignment is used).
@@ -383,8 +417,6 @@ pub struct ReproReport {
     pub csv_locs: Vec<MemLoc>,
     /// The schedule search result.
     pub search: SearchResult,
-    /// Phase timings.
-    pub timings: ReproTimings,
     /// True when the deterministic passing run itself crashed with the
     /// target failure (not a Heisenbug — no search needed).
     pub deterministic_repro: bool,

@@ -21,9 +21,16 @@
 //! phase and rehydrates the cached artifact
 //! ([`PhaseEvent::CacheHit`]); a computed artifact is written back, so a
 //! fleet of sessions over near-duplicate dumps pays for each distinct
-//! phase unit once. Because phases are deterministic, cached and
-//! computed artifacts are bit-identical — the final [`ReproReport`] is
-//! pinned to be the same cold, warm, or batched.
+//! phase unit once. Because phases are deterministic and artifacts hold
+//! results only, cached and computed artifacts are bit-identical — the
+//! final [`ReproReport`] is pinned to be the same cold, warm, or batched.
+//!
+//! Time is telemetry and travels on one channel, the [`PhaseEvent`]
+//! stream: every event goes to the attached [`PhaseObserver`], and the
+//! session folds the `Stage`/`Finished` durations into
+//! [`ReproSession::timings`]. No artifact or report carries a clock, so
+//! a rehydrated phase reports no time of its own and a recomputed phase
+//! leaves every downstream [`PhaseKey`] unchanged.
 //!
 //! Running a phase implicitly runs any prerequisite phase that has not
 //! produced its artifact yet, and re-running a completed phase is a
@@ -119,6 +126,9 @@ pub struct ReproSession<'p> {
     /// no fault plan — `None` once resolved means disabled). A runtime
     /// attachment like the store itself: excluded from checkpoints.
     race: OnceCell<Option<RaceAnalysis>>,
+    /// The durations of the phases this session computed, folded from
+    /// the events it emitted. Telemetry: excluded from checkpoints.
+    timings: ReproTimings,
 }
 
 impl std::fmt::Debug for ReproSession<'_> {
@@ -194,6 +204,7 @@ impl<'p> ReproSession<'p> {
             artifacts: Artifacts::default(),
             hashes: std::array::from_fn(|_| Cell::new(None)),
             race: OnceCell::new(),
+            timings: ReproTimings::default(),
         })
     }
 
@@ -347,7 +358,15 @@ impl<'p> ReproSession<'p> {
         self.artifacts.search.as_ref()
     }
 
+    /// Where this session's time went (paper Table 6): the phases it
+    /// computed, from the events they emitted. A phase rehydrated from
+    /// the store, or carried in by [`ReproSession::resume`], adds zero.
+    pub fn timings(&self) -> ReproTimings {
+        self.timings
+    }
+
     pub(crate) fn emit(&mut self, event: PhaseEvent) {
+        self.timings.record(&event);
         self.observer.on_event(&event);
     }
 
@@ -562,7 +581,6 @@ impl<'p> ReproSession<'p> {
         let index = self.artifacts.index.as_ref()?;
         let align = self.artifacts.align.as_ref()?;
         let delta = self.artifacts.delta.as_ref()?;
-        let ranked = self.artifacts.ranked.as_ref()?;
         let search = self.artifacts.search.as_ref()?;
         Some(ReproReport {
             index: index.index.clone(),
@@ -575,15 +593,6 @@ impl<'p> ReproSession<'p> {
             csv_paths: delta.csv_paths.clone(),
             csv_locs: delta.csv_locs.clone(),
             search: search.result.clone(),
-            timings: ReproTimings {
-                reverse: index.elapsed,
-                passing_run: align.elapsed,
-                replay: delta.replay_elapsed,
-                dump_parse: delta.parse_elapsed,
-                diff: delta.diff_elapsed,
-                slicing: delta.slice_elapsed + ranked.elapsed,
-                search: search.elapsed,
-            },
             deterministic_repro: align.deterministic_repro,
         })
     }
@@ -1069,8 +1078,7 @@ mod tests {
         // No phase ran, so nothing was analyzed.
         assert!(cold.analysis.get().is_some(), "the cold session analyzed");
         assert!(warm.analysis.get().is_none(), "warm session analyzed");
-        // The rehydrated report is bit-identical, *including* timings
-        // (they are part of the cached artifacts).
+        // The rehydrated report is bit-identical.
         assert_eq!(cold_report, warm_report);
         // And both sessions derived identical keys.
         assert_eq!(cold.basis(), warm.basis());
@@ -1303,6 +1311,7 @@ mod tests {
         cold.set_store(Arc::clone(&store));
         let cold_report = cold.run_to_end().unwrap();
         let key = cold.phase_key(Phase::Align).unwrap();
+        let cold_entry = store.get(&key).unwrap();
         store.put(&key, &crate::artifact::v2_alignment_bytes());
 
         let mut warm = fig1_session(&p, ReproOptions::default());
@@ -1311,15 +1320,17 @@ mod tests {
         warm.set_observer(Box::new(Arc::clone(&log)));
         let warm_report = warm.run_to_end().unwrap();
 
+        // The recomputed alignment is the cold one byte for byte, so
+        // every later phase keeps its key and hits.
         let log = log.lock().unwrap();
-        assert_eq!(log.cache_hits()[..1], [Phase::Index]);
-        assert!(log.finished().iter().any(|(p, _)| *p == Phase::Align));
-        let fresh = store.get(&key).expect("entry rewritten");
         assert_eq!(
-            AlignmentArtifact::from_bytes(&fresh).unwrap(),
-            *warm.alignment_artifact().unwrap()
+            log.cache_hits(),
+            [Phase::Index, Phase::Diff, Phase::Rank, Phase::Search]
         );
-        assert_eq!(untimed(cold_report), untimed(warm_report));
+        assert_eq!(log.finished().len(), 1);
+        assert_eq!(log.finished()[0].0, Phase::Align);
+        assert_eq!(store.get(&key).expect("entry rewritten"), cold_entry);
+        assert_eq!(cold_report, warm_report);
     }
 
     /// An aligned dump that does not decode stops the diff phase with a
@@ -1346,19 +1357,6 @@ mod tests {
         }
     }
 
-    /// A report with every timing zeroed: what a recomputed phase must
-    /// reproduce exactly.
-    fn untimed(r: ReproReport) -> ReproReport {
-        ReproReport {
-            timings: ReproTimings::default(),
-            search: mcr_search::SearchResult {
-                wall_time: Duration::ZERO,
-                ..r.search
-            },
-            ..r
-        }
-    }
-
     /// A version-1 delta left in the store under the current key is a
     /// miss: the diff phase recomputes, overwrites the entry, and the
     /// session reports what the cold run reported.
@@ -1370,6 +1368,7 @@ mod tests {
         cold.set_store(Arc::clone(&store));
         let cold_report = cold.run_to_end().unwrap();
         let key = cold.phase_key(Phase::Diff).unwrap();
+        let cold_entry = store.get(&key).unwrap();
         store.put(&key, &crate::artifact::v1_delta_bytes());
 
         let mut warm = fig1_session(&p, ReproOptions::default());
@@ -1378,15 +1377,73 @@ mod tests {
         warm.set_observer(Box::new(Arc::clone(&log)));
         let warm_report = warm.run_to_end().unwrap();
 
+        // The recomputed delta is the cold one byte for byte, so the
+        // rank and search phases keep their keys and hit.
         let log = log.lock().unwrap();
-        assert_eq!(log.cache_hits()[..2], [Phase::Index, Phase::Align]);
-        assert!(log.finished().iter().any(|(p, _)| *p == Phase::Diff));
-        let fresh = store.get(&key).expect("entry rewritten");
         assert_eq!(
-            DumpDeltaArtifact::from_bytes(&fresh).unwrap(),
-            *warm.delta_artifact().unwrap()
+            log.cache_hits(),
+            [Phase::Index, Phase::Align, Phase::Rank, Phase::Search]
         );
-        // The recomputed phases carry their own timings.
-        assert_eq!(untimed(cold_report), untimed(warm_report));
+        assert_eq!(log.finished().len(), 1);
+        assert_eq!(log.finished()[0].0, Phase::Diff);
+        assert_eq!(store.get(&key).expect("entry rewritten"), cold_entry);
+        assert_eq!(cold_report, warm_report);
+    }
+
+    /// Two cold runs of one job, each on its own store, write the same
+    /// bytes under the same keys: no artifact carries a clock.
+    #[test]
+    fn cold_runs_write_byte_identical_store_entries() {
+        let p = mcr_lang::compile(FIG1).unwrap();
+        let run = || {
+            let store = Arc::new(MemoryStore::unbounded());
+            let mut s = fig1_session(&p, ReproOptions::default());
+            s.set_store(Arc::clone(&store) as Arc<dyn ArtifactStore>);
+            s.run_to_end().unwrap();
+            let entries: Vec<Vec<u8>> = crate::observe::PHASES
+                .iter()
+                .map(|&phase| store.get(&s.phase_key(phase).unwrap()).unwrap())
+                .collect();
+            (entries, store.stats().bytes)
+        };
+        let (a, a_bytes) = run();
+        let (b, b_bytes) = run();
+        assert_eq!(a, b);
+        assert_eq!(a_bytes, b_bytes);
+        assert_eq!(a_bytes, a.iter().map(Vec::len).sum::<usize>());
+    }
+
+    /// A session times only the phases it computes: rehydrated and
+    /// resumed phases add nothing to its `timings()`.
+    #[test]
+    fn timings_count_only_the_phases_a_session_computed() {
+        let p = mcr_lang::compile(FIG1).unwrap();
+        let store: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::unbounded());
+        let mut cold = fig1_session(&p, ReproOptions::default());
+        cold.set_store(Arc::clone(&store));
+        cold.run_to_end().unwrap();
+        assert!(
+            cold.timings().search > Duration::ZERO,
+            "the cold run searched"
+        );
+
+        let mut warm = fig1_session(&p, ReproOptions::default());
+        warm.set_store(Arc::clone(&store));
+        warm.run_to_end().unwrap();
+        assert_eq!(warm.timings(), ReproTimings::default());
+
+        let mut staged = fig1_session(&p, ReproOptions::default());
+        staged.run_rank().unwrap();
+        let mut resumed = ReproSession::resume(&p, &staged.checkpoint()).unwrap();
+        assert_eq!(resumed.timings(), ReproTimings::default());
+        resumed.run_search().unwrap();
+        let t = resumed.timings();
+        assert_eq!(
+            t,
+            ReproTimings {
+                search: t.search,
+                ..ReproTimings::default()
+            }
+        );
     }
 }

@@ -294,11 +294,12 @@ impl FutureCsvMap {
 }
 
 /// Builds annotated candidates and the future-CSV map from the passing
-/// run info, the CSV locations, and the access priorities computed by
-/// `mcr-slice` (keyed by `(step, loc, is_write)`).
-pub fn annotate(
+/// run info, the CSV locations (in any order, repeats allowed), and the
+/// access priorities computed by `mcr-slice` (keyed by
+/// `(step, loc, is_write)`).
+pub fn annotate<'a>(
     info: &PassingRunInfo,
-    csv_locs: &HashSet<MemLoc>,
+    csv_locs: impl IntoIterator<Item = &'a MemLoc>,
     priorities: &HashMap<(u64, MemLoc, bool), u32>,
 ) -> (Vec<AnnotatedCandidate>, FutureCsvMap) {
     annotate_with_race(info, csv_locs, priorities, None)
@@ -337,9 +338,9 @@ pub fn annotate(
 /// future map holds one entry per sync position up to each thread's
 /// largest, so sync ordinals must count each thread's syncs, as they do
 /// in a recorded run.
-pub fn annotate_with_race<P: Priorities + ?Sized>(
+pub fn annotate_with_race<'a, P: Priorities + ?Sized>(
     info: &PassingRunInfo,
-    csv_locs: &HashSet<MemLoc>,
+    csv_locs: impl IntoIterator<Item = &'a MemLoc>,
     priorities: &P,
     race: Option<&RaceVerdicts>,
 ) -> (Vec<AnnotatedCandidate>, FutureCsvMap) {
@@ -389,7 +390,7 @@ pub fn annotate_with_race<P: Priorities + ?Sized>(
     }
 
     // A handful of CSV locations, probed once per shared access.
-    let mut csv_locs: Vec<MemLoc> = csv_locs.iter().copied().collect();
+    let mut csv_locs: Vec<MemLoc> = csv_locs.into_iter().copied().collect();
     csv_locs.sort_unstable();
     for a in &info.shared_accesses {
         let Ok(t) = slot(a.tid) else {

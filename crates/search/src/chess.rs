@@ -114,8 +114,6 @@ pub struct SearchResult {
     pub combinations_tested: u64,
     /// The winning preemption set, if any.
     pub winning: Option<Vec<AnnotatedCandidate>>,
-    /// Wall-clock time spent searching.
-    pub wall_time: Duration,
     /// True when the search stopped on budget rather than success or
     /// worklist exhaustion.
     pub cut_off: bool,
@@ -137,8 +135,7 @@ pub fn find_schedule(
     algorithm: Algorithm,
     config: &SearchConfig,
 ) -> SearchResult {
-    let start = Instant::now();
-    let deadline = config.time_budget.map(|d| start + d);
+    let deadline = config.time_budget.map(|d| Instant::now() + d);
 
     let worklist = Worklist::new(candidates, algorithm, config);
     let guidance = match algorithm {
@@ -156,7 +153,7 @@ pub fn find_schedule(
     if workers > 1 && worklist.len() > 1 {
         return find_schedule_parallel(
             fresh_vm, candidates, future, target, guidance, config, &executor, workers, worklist,
-            deadline, start,
+            deadline,
         );
     }
 
@@ -208,7 +205,6 @@ pub fn find_schedule(
         tries: budget.tries,
         combinations_tested,
         winning,
-        wall_time: start.elapsed(),
         cut_off: !reproduced && cut_off,
         cancelled: !reproduced && cancelled,
     }
@@ -277,7 +273,6 @@ fn find_schedule_parallel(
     workers: usize,
     worklist: Worklist,
     deadline: Option<Instant>,
-    start: Instant,
 ) -> SearchResult {
     // Lowest reproducing worklist index (usize::MAX = none yet).
     let winner = Arc::new(AtomicUsize::new(usize::MAX));
@@ -357,7 +352,6 @@ fn find_schedule_parallel(
             tries: claims.tries[..=w].iter().sum(),
             combinations_tested: (w + 1) as u64,
             winning: Some(preemptions(candidates, claims.combos[w])),
-            wall_time: start.elapsed(),
             cut_off: false,
             cancelled: false,
         }
@@ -371,7 +365,6 @@ fn find_schedule_parallel(
             tries,
             combinations_tested: executed.load(Ordering::Relaxed),
             winning: None,
-            wall_time: start.elapsed(),
             cut_off,
             cancelled,
         }
@@ -615,7 +608,6 @@ mod tests {
             let serial = find_schedule(&fresh, &s.candidates, &s.future, s.failure, alg, &cfg);
             let worklist = Worklist::new(&s.candidates, alg, &cfg);
             let executor = minipool::Pool::new(4);
-            let start = Instant::now();
             let par = find_schedule_parallel(
                 &fresh,
                 &s.candidates,
@@ -627,7 +619,6 @@ mod tests {
                 4,
                 worklist,
                 None,
-                start,
             );
             assert_eq!(serial.reproduced, par.reproduced, "{alg:?}");
             assert_eq!(serial.tries, par.tries, "{alg:?}");

@@ -46,7 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..Default::default()
         },
     );
-    let report = reproducer.reproduce(&stress.dump, &input)?;
+    let mut session = reproducer.session(&stress.dump, &input)?;
+    let report = session.run_to_end()?;
+    let timings = session.timings();
 
     println!(
         "CSVs found ({} of {} shared variables):",
@@ -73,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "analysis costs: parse {:?}, diff {:?}, slicing {:?}",
-        report.timings.dump_parse, report.timings.diff, report.timings.slicing
+        timings.dump_parse, timings.diff, timings.slicing
     );
     Ok(())
 }

@@ -111,8 +111,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .filter_map(|j| j.result.as_ref().ok())
         .collect();
     assert!(reports.iter().all(|r| r.search.reproduced));
-    // Duplicates agree bit-for-bit (timings included — rehydrated
-    // artifacts embed the originals); the variant genuinely differs.
+    // Duplicates agree bit-for-bit (reports hold results only); the
+    // variant genuinely differs.
     for dup_report in &reports[1..5] {
         assert_eq!(&reports[0], dup_report, "duplicates must be bit-identical");
     }

@@ -114,53 +114,6 @@ pub fn repro_options(algorithm: Algorithm, strategy: Strategy) -> ReproOptions {
     }
 }
 
-/// Asserts that two reports agree on every observable field *except*
-/// wall-clock timings — the equivalence the batch/triage suites pin
-/// between cold, warm, fleet, and service runs (timings legitimately
-/// differ unless one report was rehydrated from the other's cached
-/// artifacts; for that, compare with `assert_eq!` directly —
-/// `ReproReport` is `PartialEq` including timings).
-///
-/// Centralized here so the field list cannot drift between test files:
-/// when `ReproReport` grows an observable field, extend this one
-/// function.
-pub fn assert_reports_equivalent(
-    a: &mcr_core::ReproReport,
-    b: &mcr_core::ReproReport,
-    context: &str,
-) {
-    assert_eq!(a.index, b.index, "{context}: index");
-    assert_eq!(a.alignment, b.alignment, "{context}: alignment");
-    assert_eq!(
-        a.failure_dump_bytes, b.failure_dump_bytes,
-        "{context}: failure dump size"
-    );
-    assert_eq!(
-        a.aligned_dump_bytes, b.aligned_dump_bytes,
-        "{context}: aligned dump size"
-    );
-    assert_eq!(a.vars, b.vars, "{context}: vars");
-    assert_eq!(a.diffs, b.diffs, "{context}: diffs");
-    assert_eq!(a.shared, b.shared, "{context}: shared");
-    assert_eq!(a.csv_paths, b.csv_paths, "{context}: csv paths");
-    assert_eq!(a.csv_locs, b.csv_locs, "{context}: csv locs");
-    assert_eq!(
-        a.deterministic_repro, b.deterministic_repro,
-        "{context}: deterministic_repro"
-    );
-    assert_eq!(
-        a.search.reproduced, b.search.reproduced,
-        "{context}: reproduced"
-    );
-    assert_eq!(a.search.tries, b.search.tries, "{context}: tries");
-    assert_eq!(
-        a.search.combinations_tested, b.search.combinations_tested,
-        "{context}: combinations"
-    );
-    assert_eq!(a.search.winning, b.search.winning, "{context}: winning");
-    assert_eq!(a.search.cut_off, b.search.cut_off, "{context}: cut_off");
-}
-
 /// Compiles `bug` and stresses it to a failure dump at the active tier's
 /// seed budget, returning the compiled program alongside (callers always
 /// need both, and compiling twice is wasted work).

@@ -62,7 +62,7 @@ fn tso_reproduction_is_deterministic() {
     };
     let a = mk();
     let b = mk();
-    mcr_testsupport::assert_reports_equivalent(&a, &b, "tso-sb");
+    assert_eq!(a, b, "tso-sb");
 }
 
 /// SC provably cannot reach the TSO failures: the same stress budget
@@ -191,7 +191,7 @@ fn explicit_sc_session_matches_default() {
     let b = Reproducer::new(&program, explicit)
         .reproduce(&sf.dump, &FIG1_INPUT)
         .unwrap();
-    mcr_testsupport::assert_reports_equivalent(&a, &b, "explicit SC");
+    assert_eq!(a, b, "explicit SC");
 }
 
 /// A TSO failure dump decodes back to the exact capture (the v2 codec

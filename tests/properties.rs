@@ -431,10 +431,6 @@ fn static_race_pruning_preserves_env_gated_winners() {
         };
         let unpruned = reproduce(false);
         let pruned = reproduce(true);
-        mcr_testsupport::assert_reports_equivalent(
-            &unpruned,
-            &pruned,
-            &format!("{}: static_race on vs off", bug.name),
-        );
+        assert_eq!(unpruned, pruned, "{}: static_race on vs off", bug.name);
     }
 }

@@ -22,7 +22,6 @@ use mcr_slice::{
 use mcr_testsupport::stress_seed_cap;
 use mcr_vm::{run_until, DeterministicScheduler, MemLoc, MemModel, Vm};
 use std::collections::HashSet;
-use std::time::Duration;
 
 /// The ranking as it ran on the whole trace: every access to a CSV at
 /// or before the aligned point, keyed by temporal distance or by its
@@ -154,13 +153,7 @@ fn check_case(
         slice.as_ref(),
     );
 
-    let bytes = |ranked: Vec<RankedAccess>| {
-        RankedAccessesArtifact {
-            ranked,
-            elapsed: Duration::ZERO,
-        }
-        .to_bytes()
-    };
+    let bytes = |ranked: Vec<RankedAccess>| RankedAccessesArtifact { ranked }.to_bytes();
     assert!(
         bytes(ranked.clone()) == bytes(reference),
         "{case}: rank phase differs from the full-trace ranking"

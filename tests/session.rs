@@ -4,7 +4,7 @@
 
 use mcr_core::{
     AlignMode, CancelToken, Phase, PhaseEvent, PhaseObserver, ReproError, ReproOptions,
-    ReproReport, ReproSession, Reproducer,
+    ReproSession, Reproducer,
 };
 use mcr_search::{Algorithm, SyncLogger};
 use mcr_slice::Strategy;
@@ -12,40 +12,6 @@ use mcr_testsupport::{repro_options as options, stress_bug, FIG1, FIG1_INPUT};
 use mcr_vm::{run, DeterministicScheduler, Vm};
 use mcr_workloads::all_bugs;
 use proptest::prelude::*;
-
-/// Everything observable about a report except wall-clock timings.
-fn assert_reports_equal(a: &ReproReport, b: &ReproReport, context: &str) {
-    assert_eq!(a.index, b.index, "{context}: index");
-    assert_eq!(a.alignment, b.alignment, "{context}: alignment");
-    assert_eq!(
-        a.failure_dump_bytes, b.failure_dump_bytes,
-        "{context}: failure dump size"
-    );
-    assert_eq!(
-        a.aligned_dump_bytes, b.aligned_dump_bytes,
-        "{context}: aligned dump size"
-    );
-    assert_eq!(a.vars, b.vars, "{context}: vars");
-    assert_eq!(a.diffs, b.diffs, "{context}: diffs");
-    assert_eq!(a.shared, b.shared, "{context}: shared");
-    assert_eq!(a.csv_paths, b.csv_paths, "{context}: csv paths");
-    assert_eq!(a.csv_locs, b.csv_locs, "{context}: csv locs");
-    assert_eq!(
-        a.deterministic_repro, b.deterministic_repro,
-        "{context}: deterministic_repro"
-    );
-    assert_eq!(
-        a.search.reproduced, b.search.reproduced,
-        "{context}: reproduced"
-    );
-    assert_eq!(a.search.tries, b.search.tries, "{context}: tries");
-    assert_eq!(
-        a.search.combinations_tested, b.search.combinations_tested,
-        "{context}: combinations"
-    );
-    assert_eq!(a.search.winning, b.search.winning, "{context}: winning");
-    assert_eq!(a.search.cut_off, b.search.cut_off, "{context}: cut_off");
-}
 
 /// The acceptance bar: for every bug in the suite, a session that is
 /// checkpointed to bytes and resumed in fresh state after *every* phase
@@ -83,7 +49,7 @@ fn resumed_sessions_match_uninterrupted_for_every_bug() {
             }
         }
         let resumed = session.report().expect("complete after search");
-        assert_reports_equal(&uninterrupted, &resumed, bug.name);
+        assert_eq!(uninterrupted, resumed, "{}", bug.name);
         // Checkpoints monotonically accumulate artifacts.
         assert!(
             phase_hops.windows(2).all(|w| w[0] < w[1]),
@@ -106,7 +72,7 @@ fn completed_session_checkpoint_carries_the_report() {
     let bytes = session.checkpoint();
     let restored = ReproSession::resume(&program, &bytes).unwrap();
     assert!(restored.is_complete());
-    assert_reports_equal(&original, &restored.report().unwrap(), "apache-2");
+    assert_eq!(original, restored.report().unwrap());
 }
 
 /// Any strict prefix of a checkpoint fails to resume with a codec error

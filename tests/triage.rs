@@ -13,10 +13,7 @@ use mcr_core::{
 };
 use mcr_search::Algorithm;
 use mcr_slice::Strategy;
-use mcr_testsupport::{
-    assert_reports_equivalent as assert_reports_equal, fig1_failure, repro_options, Phase, FIG1,
-    FIG1_INPUT,
-};
+use mcr_testsupport::{fig1_failure, repro_options, Phase, FIG1, FIG1_INPUT};
 use mcr_vm::SplitMix64;
 use mcr_workloads::all_bugs;
 use proptest::prelude::*;
@@ -122,7 +119,7 @@ fn incremental_service_matches_the_closed_list_fleet_for_every_bug() {
             .result
             .as_ref()
             .unwrap_or_else(|e| panic!("{}: service job failed: {e}", f.name));
-        assert_reports_equal(report, base, &format!("{} incremental vs closed", f.name));
+        assert_eq!(report, base, "{} incremental vs closed", f.name);
         // Distinct bugs on a fresh store: the service computed this
         // job's pipeline itself.
         assert_eq!(outcome.computed, 5, "{}", f.name);
@@ -175,11 +172,7 @@ fn concurrent_submission_during_drain_is_admitted_and_correct() {
             .result
             .as_ref()
             .unwrap_or_else(|e| panic!("{}: concurrent job failed: {e}", outcome.name));
-        assert_reports_equal(
-            report,
-            base,
-            &format!("{} concurrent vs closed", outcome.name),
-        );
+        assert_eq!(report, base, "{} concurrent vs closed", outcome.name);
     }
     assert_eq!(service.summary().failed, 0);
 }
@@ -364,10 +357,12 @@ proptest! {
                 .result
                 .as_ref()
                 .unwrap_or_else(|e| panic!("{}: job failed: {e}", fx[*idx].name));
-            assert_reports_equal(
+            prop_assert_eq!(
                 report,
                 &base_reports[*idx],
-                &format!("{} interleaved (seed {seed})", fx[*idx].name),
+                "{} interleaved (seed {})",
+                fx[*idx].name,
+                seed
             );
         }
     }
