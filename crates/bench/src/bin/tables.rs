@@ -13,7 +13,8 @@
 //!
 //! `bench-json` runs the `search_hotpath` measurements (checkpoint
 //! clone, steps/sec, tries/sec, guided vs plain, parallel-vs-serial over
-//! the bug suite) and writes them to `PATH` (default
+//! the bug suite, the fixed cost of a cheap reproduction by stage) and
+//! writes them to `PATH` (default
 //! `BENCH_search.json`), printing the JSON to stdout as well.
 //!
 //! `race-lint` runs the static race/lockset lint over the whole

@@ -16,17 +16,26 @@
 //! * **parallel** — end-to-end guided search over the full
 //!   `mcr-workloads` bug suite at `parallelism = 1` vs all cores, with a
 //!   result-equality check (the deterministic lowest-index-wins
-//!   protocol must make both runs identical).
+//!   protocol must make both runs identical),
+//! * **fixed_cost** — what a cheap reproduction pays besides running
+//!   the program, stage by stage on one bug that needs two tries: the
+//!   bare deterministic run, the align phase's logged run (and its
+//!   ratio to the bare run), candidate annotation, and a search whose
+//!   token is cancelled before the first try.
 //!
-//! The microbenchmarks report the median of [`SAMPLES`] timed samples;
-//! the suite legs keep the best of two rounds.
+//! The microbenchmarks report the median of [`SAMPLES`] timed samples
+//! (the fixed-cost stages, of [`FIXED_COST_CALLS`] calls); the suite
+//! legs keep the best of two rounds.
 //!
 //! `tables -- bench-json` serializes a [`BenchReport`] to
 //! `BENCH_search.json` so successive PRs leave a measurable trajectory.
 
 use crate::stamp::Stamp;
 use mcr_core::{find_failure_cfg, find_failure_par, ReproOptions, Reproducer, RunConfig};
-use mcr_search::{find_schedule, worklist_size, Algorithm, SearchConfig, SearchResult};
+use mcr_search::{
+    annotate_with_race, find_schedule, worklist_size, Algorithm, CancelToken, SearchConfig,
+    SearchResult,
+};
 use mcr_slice::Strategy;
 use mcr_vm::{run, DeterministicScheduler, MemModel, NullObserver, Outcome, Vm};
 use mcr_workloads::{all_bugs, fault_bugs, EnvRequirement};
@@ -99,7 +108,7 @@ pub fn checkpoint_fixture_program() -> mcr_lang::Program {
 pub const SAMPLES: usize = 9;
 
 /// Median-of-samples timing helper.
-fn median_ns(samples: &mut [f64]) -> f64 {
+fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
 }
@@ -118,7 +127,7 @@ pub fn measure_checkpoint_clone_ns() -> f64 {
         }
         samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
     }
-    median_ns(&mut samples)
+    median(&mut samples)
 }
 
 /// Measures interpreter throughput (statements per second) on a
@@ -150,7 +159,7 @@ pub fn measure_steps_per_sec() -> f64 {
         }
         samples.push(total_steps as f64 / start.elapsed().as_secs_f64());
     }
-    median_ns(&mut samples)
+    median(&mut samples)
 }
 
 /// A fig1-scale search setup shared by the tries/guided/plain
@@ -483,6 +492,138 @@ pub fn measure_static_race() -> StaticRaceCell {
     cell
 }
 
+/// Calls behind each fixed-cost median.
+pub const FIXED_COST_CALLS: usize = 301;
+
+/// The bug the fixed-cost section measures: it needs two tries, like
+/// the median request of the benchmark's `suite_chessx` workload.
+pub const FIXED_COST_BUG: &str = "mysql-2";
+
+/// The fixed cost of one cheap reproduction, stage by stage (median
+/// microseconds per call).
+#[derive(Debug, Clone, Copy)]
+pub struct FixedCostCell {
+    /// A deterministic run with no observer, from `Vm::new` on.
+    pub bare_run_us: f64,
+    /// The align phase: the same run, logged and aligned, plus the
+    /// aligned dump's capture.
+    pub align_us: f64,
+    /// Candidate annotation, as the search phase calls it.
+    pub annotate_us: f64,
+    /// `find_schedule` with a token cancelled before the first try:
+    /// the worklist and the executor, and no try.
+    pub cancelled_search_us: f64,
+}
+
+impl FixedCostCell {
+    /// The align phase's cost in bare runs.
+    pub fn align_ratio(&self) -> f64 {
+        if self.bare_run_us > 0.0 {
+            self.align_us / self.bare_run_us
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Measures [`FixedCostCell`] on [`FIXED_COST_BUG`] with the benchmark's
+/// inputs: the bug's default warm-up lengthened with input seed 42, the
+/// default options on one search thread.
+///
+/// # Panics
+///
+/// Panics if stress or a pipeline phase fails (covered by the
+/// repository test suite).
+pub fn measure_fixed_cost() -> FixedCostCell {
+    let bug = mcr_workloads::bug_by_name(FIXED_COST_BUG).expect("workload exists");
+    let program = bug.compile();
+    let input = bug.lengthened_input(bug.default_warmup, 42);
+    let seeds = 42_000_000..43_000_000;
+    let sf = find_failure_cfg(
+        &program,
+        &input,
+        seeds,
+        bug.max_steps,
+        &RunConfig::default(),
+    )
+    .expect("stress exposes the fixed-cost bug");
+    let options = ReproOptions {
+        parallelism: 1,
+        ..Default::default()
+    };
+    let reproducer = Reproducer::new(&program, options.clone());
+    let mut session = reproducer.session(&sf.dump, &input).expect("session");
+    session.run_rank().expect("pipeline");
+    let align = session.alignment_artifact().expect("align ran");
+    let csv_locs = &session.delta_artifact().expect("diff ran").csv_locs;
+    let ranked = session
+        .ranked_artifact()
+        .expect("rank ran")
+        .ranked
+        .as_slice();
+    let (candidates, future) = annotate_with_race(&align.passing_run, csv_locs, ranked, None);
+    let failure = sf.dump.failure().expect("failure dump");
+    let fresh = Vm::new(&program, &input);
+
+    // The stages take turns call by call, so host drift during the
+    // measurement moves them alike.
+    let mut samples: [Vec<f64>; 4] = Default::default();
+    let us = |t0: Instant| t0.elapsed().as_secs_f64() * 1e6;
+    for _ in 0..FIXED_COST_CALLS {
+        let t0 = Instant::now();
+        let mut vm = Vm::new(&program, &input);
+        run(
+            &mut vm,
+            &mut DeterministicScheduler::new(),
+            &mut NullObserver,
+            bug.max_steps,
+        );
+        samples[0].push(us(t0));
+
+        let mut session = reproducer.session(&sf.dump, &input).expect("session");
+        session.run_index().expect("index phase");
+        let t0 = Instant::now();
+        session.run_align().expect("align phase");
+        samples[1].push(us(t0));
+
+        let t0 = Instant::now();
+        std::hint::black_box(annotate_with_race(
+            &align.passing_run,
+            csv_locs,
+            ranked,
+            None,
+        ));
+        samples[2].push(us(t0));
+
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let config = SearchConfig {
+            parallelism: 1,
+            cancel,
+            ..options.search.clone()
+        };
+        let t0 = Instant::now();
+        let result = find_schedule(
+            &fresh,
+            &candidates,
+            &future,
+            failure,
+            options.algorithm,
+            &config,
+        );
+        samples[3].push(us(t0));
+        assert_eq!(result.tries, 0, "a cancelled search runs no try");
+    }
+    let [bare_run_us, align_us, annotate_us, cancelled_search_us] =
+        samples.map(|mut calls| median(&mut calls));
+    FixedCostCell {
+        bare_run_us,
+        align_us,
+        annotate_us,
+        cancelled_search_us,
+    }
+}
+
 /// The full `search_hotpath` report serialized to `BENCH_search.json`.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
@@ -505,6 +646,8 @@ pub struct BenchReport {
     pub parallel: ParallelCell,
     /// Static race pruning: candidate reduction + winner identity.
     pub static_race: StaticRaceCell,
+    /// The fixed cost of a cheap reproduction, stage by stage.
+    pub fixed_cost: FixedCostCell,
 }
 
 /// Runs one serial search on the fixture, timing the call.
@@ -621,6 +764,7 @@ pub fn bench_report() -> BenchReport {
     let memmodel = measure_memmodel();
     let parallel = measure_parallel_suite(minipool::available_parallelism().max(2));
     let static_race = measure_static_race();
+    let fixed_cost = measure_fixed_cost();
     BenchReport {
         stamp: Stamp::of_this_host(SAMPLES),
         checkpoint_clone_ns,
@@ -631,6 +775,7 @@ pub fn bench_report() -> BenchReport {
         memmodel,
         parallel,
         static_race,
+        fixed_cost,
     }
 }
 
@@ -744,6 +889,20 @@ impl BenchReport {
             "    \"identical_winners\": {}",
             self.static_race.identical_winners
         );
+        let _ = writeln!(s, "  }},");
+        let fixed = &self.fixed_cost;
+        let _ = writeln!(s, "  \"fixed_cost\": {{");
+        let _ = writeln!(s, "    \"bug\": \"{FIXED_COST_BUG}\",");
+        let _ = writeln!(s, "    \"calls\": {FIXED_COST_CALLS},");
+        let _ = writeln!(s, "    \"bare_run_us\": {:.1},", fixed.bare_run_us);
+        let _ = writeln!(s, "    \"align_us\": {:.1},", fixed.align_us);
+        let _ = writeln!(s, "    \"align_ratio\": {:.2},", fixed.align_ratio());
+        let _ = writeln!(s, "    \"annotate_us\": {:.1},", fixed.annotate_us);
+        let _ = writeln!(
+            s,
+            "    \"cancelled_search_us\": {:.1}",
+            fixed.cancelled_search_us
+        );
         let _ = writeln!(s, "  }}");
         let _ = write!(s, "}}");
         s
@@ -763,6 +922,12 @@ pub const BENCH_JSON_REQUIRED: &[&str] = &[
     "\"static_race\"",
     "\"candidate_reduction\"",
     "\"identical_winners\"",
+    "\"fixed_cost\"",
+    "\"bare_run_us\"",
+    "\"align_us\"",
+    "\"align_ratio\"",
+    "\"annotate_us\"",
+    "\"cancelled_search_us\"",
     "\"stamp\"",
     "\"rev\"",
     "\"nproc\"",
@@ -846,6 +1011,12 @@ mod tests {
                 pruned_worklist: 40_000,
                 identical_winners: true,
             },
+            fixed_cost: FixedCostCell {
+                bare_run_us: 70.0,
+                align_us: 91.0,
+                annotate_us: 12.0,
+                cancelled_search_us: 2.5,
+            },
         }
     }
 
@@ -868,6 +1039,9 @@ mod tests {
             "\"static_race\"",
             "\"candidate_reduction\": 2.00",
             "\"identical_winners\": true",
+            "\"fixed_cost\"",
+            "\"align_ratio\": 1.30",
+            "\"cancelled_search_us\": 2.5",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

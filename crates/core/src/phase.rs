@@ -35,9 +35,7 @@ use mcr_search::{
     annotate_with_race, find_schedule, CancelToken, SearchConfig, SharedAccess, SyncLogger,
 };
 use mcr_slice::{backward_slice, csv_accesses, rank_accesses, CsvAccess, Strategy, TraceCollector};
-use mcr_vm::{
-    run_until, DeterministicScheduler, Event, MemLoc, Observer, Outcome, Tee, ThreadId, Vm,
-};
+use mcr_vm::{run_until, DeterministicScheduler, Event, MemLoc, Observer, Outcome, ThreadId, Vm};
 use std::cell::Cell;
 use std::time::Instant;
 
@@ -244,46 +242,59 @@ impl PipelinePhase for IndexPhase {
     }
 }
 
-/// Forwards events to an [`Aligner`] and publishes its current point,
-/// so the step loop's stop predicate sees when the point advances.
-struct PointWatch<'a, 'p> {
-    aligner: &'a mut Aligner<'p>,
+/// The passing run's one observer. A single `match` per event feeds
+/// the [`Aligner`] (absent under instruction-count alignment), the
+/// search's [`SyncLogger`], and the return-store log, and publishes the
+/// aligner's current point so the step loop's stop predicate sees when
+/// it advances.
+///
+/// The return-store log holds the executing statement of each shared
+/// store whose event carries another pc. A return value stored into the
+/// caller's destination is stamped with the caller's pc, while a trace
+/// attributes it to the callee's `return`; the temporal projection
+/// reads the latter.
+struct PassingRun<'a, 'p> {
+    aligner: Option<Aligner<'p>>,
     point: &'a Cell<u64>,
-}
-
-impl Observer for PointWatch<'_, '_> {
-    fn on_event(&mut self, step: u64, event: &Event) {
-        self.aligner.on_event(step, event);
-        self.point.set(self.aligner.point());
-    }
-}
-
-/// The passing run's logs: the search's [`SyncLogger`], plus the
-/// executing statement of each shared store whose event carries another
-/// pc. A return value stored into the caller's destination is stamped
-/// with the caller's pc, while a trace attributes it to the callee's
-/// `return`; the temporal projection reads the latter.
-#[derive(Default)]
-struct PassingLog {
     sync: SyncLogger,
     stmt: Option<Pc>,
     return_stores: Vec<(u64, Pc)>,
 }
 
-impl Observer for PassingLog {
+impl PassingRun<'_, '_> {
+    fn align(&mut self, feed: impl FnOnce(&mut Aligner<'_>)) {
+        if let Some(aligner) = &mut self.aligner {
+            feed(aligner);
+            self.point.set(aligner.point());
+        }
+    }
+}
+
+impl Observer for PassingRun<'_, '_> {
     fn on_event(&mut self, step: u64, event: &Event) {
-        match event {
-            Event::Stmt { pc, .. } => self.stmt = Some(*pc),
-            Event::Write { pc, loc, .. } | Event::StoreBuffered { pc, loc, .. }
-                if loc.is_shared() && self.stmt != Some(*pc) =>
-            {
-                if let Some(stmt) = self.stmt {
-                    self.return_stores.push((step, stmt));
+        match *event {
+            // Every executed step emits one `Stmt`, so it alone keeps
+            // the logger's step count.
+            Event::Stmt { tid, pc, .. } => {
+                self.stmt = Some(pc);
+                self.sync.stepped(step);
+                self.align(|a| a.stmt(step, tid, pc));
+            }
+            Event::Branch { tid, pc, outcome } => self.align(|a| a.branch(step, tid, pc, outcome)),
+            Event::FuncEnter { tid, func, .. } => self.align(|a| a.func_enter(step, tid, func)),
+            Event::ThreadStart { tid, .. } => self.sync.thread_start(step, tid),
+            Event::Sync { tid, pc, kind, seq } => self.sync.sync(step, tid, pc, kind, seq),
+            Event::Read { tid, pc, loc, .. } => self.sync.access(step, tid, pc, loc, false),
+            Event::Write { tid, pc, loc, .. } | Event::StoreBuffered { tid, pc, loc, .. } => {
+                if loc.is_shared() && self.stmt != Some(pc) {
+                    if let Some(stmt) = self.stmt {
+                        self.return_stores.push((step, stmt));
+                    }
                 }
+                self.sync.access(step, tid, pc, loc, true);
             }
             _ => {}
         }
-        self.sync.on_event(step, event);
     }
 }
 
@@ -361,79 +372,78 @@ impl PipelinePhase for AlignPhase {
 
         let t0 = Instant::now();
         let mut vm = s.new_vm();
-        let mut logger = PassingLog::default();
         // The VM standing just past the latest candidate aligned point,
         // kept as a copy-on-write snapshot while the run goes on.
         let mut snapshot = AlignedSnapshot::default();
-        let index = Self::input(s).expect("index phase ran").index.clone();
-        let (alignment, outcome) = match &index {
-            Some(idx) => {
-                let mut aligner = Aligner::new(s.program, s.analysis(), focus, idx);
-                let point = Cell::new(0);
-                let outcome = {
-                    let mut tee = Tee {
-                        a: &mut PointWatch {
-                            aligner: &mut aligner,
-                            point: &point,
-                        },
-                        b: &mut logger,
-                    };
-                    let mut sched = DeterministicScheduler::new();
-                    run_until(&mut vm, &mut sched, &mut tee, max_steps, |vm| {
-                        snapshot.offer(vm, Some(point.get()));
-                        guard.fired()
-                    })
-                };
-                (aligner.finish(), outcome)
-            }
-            None => {
-                // Instruction-count alignment (Table 5 baseline): one
-                // full logged run; the aligned point is found on the
-                // fly, so no second execution is needed.
-                let target_instrs = s.failure_dump.focus_thread().instrs;
-                let failure_pc = s.failure.pc;
-                let mut sched = DeterministicScheduler::new();
-                let mut reached: Option<u64> = None;
-                let mut aligned_at: Option<u64> = None;
-                let mut scanning = true;
-                let outcome = run_until(&mut vm, &mut sched, &mut logger, max_steps, |vm| {
-                    snapshot.offer(vm, aligned_at.or(reached));
-                    if guard.fired() {
-                        return true;
-                    }
-                    if scanning {
-                        if let Some(th) = vm.threads().get(focus.0 as usize) {
-                            if th.instrs >= target_instrs {
-                                if reached.is_none() {
-                                    reached = Some(vm.steps());
-                                }
-                                // Scan for the failure PC from here on.
-                                if th.pc() == Some(failure_pc) {
-                                    aligned_at = Some(vm.steps());
-                                    scanning = false;
-                                } else if vm.steps() > reached.unwrap() + 200_000 {
-                                    // Give up the PC scan after a grace
-                                    // window.
-                                    aligned_at = reached;
-                                    scanning = false;
-                                }
+        let index = Self::input(s).expect("index phase ran").index.as_ref();
+        let point = Cell::new(0);
+        let mut passing = PassingRun {
+            aligner: index.map(|idx| Aligner::new(s.program, s.analysis(), focus, idx)),
+            point: &point,
+            sync: SyncLogger::new(),
+            stmt: None,
+            return_stores: Vec::new(),
+        };
+        let mut sched = DeterministicScheduler::new();
+        // Instruction-count alignment (Table 5 baseline) finds the aligned
+        // point on the fly: the step at which the focus thread's retired
+        // instructions reach the dump's count, refined to the next visit
+        // of the failure pc.
+        let mut reached: Option<u64> = None;
+        let mut aligned_at: Option<u64> = None;
+        let outcome = if passing.aligner.is_some() {
+            run_until(&mut vm, &mut sched, &mut passing, max_steps, |vm| {
+                snapshot.offer(vm, Some(point.get()));
+                guard.fired()
+            })
+        } else {
+            let target_instrs = s.failure_dump.focus_thread().instrs;
+            let failure_pc = s.failure.pc;
+            let mut scanning = true;
+            run_until(&mut vm, &mut sched, &mut passing, max_steps, |vm| {
+                snapshot.offer(vm, aligned_at.or(reached));
+                if guard.fired() {
+                    return true;
+                }
+                if scanning {
+                    if let Some(th) = vm.threads().get(focus.0 as usize) {
+                        if th.instrs >= target_instrs {
+                            if reached.is_none() {
+                                reached = Some(vm.steps());
+                            }
+                            // Scan for the failure PC from here on.
+                            if th.pc() == Some(failure_pc) {
+                                aligned_at = Some(vm.steps());
+                                scanning = false;
+                            } else if vm.steps() > reached.unwrap() + 200_000 {
+                                // Give up the PC scan after a grace
+                                // window.
+                                aligned_at = reached;
+                                scanning = false;
                             }
                         }
                     }
-                    false
-                });
-                // If the run ended before the scan concluded, align at
-                // the point the count was reached (or the end).
-                let step = aligned_at
+                }
+                false
+            })
+        };
+        let PassingRun {
+            aligner,
+            sync,
+            return_stores,
+            ..
+        } = passing;
+        let alignment = match aligner {
+            Some(aligner) => aligner.finish(),
+            // If the run ended before the count scan concluded, align at
+            // the point the count was reached (or the end).
+            None => Alignment {
+                signal: AlignSignal::Closest,
+                step: aligned_at
                     .or(reached)
-                    .unwrap_or_else(|| vm.steps().saturating_sub(1));
-                let alignment = Alignment {
-                    signal: AlignSignal::Closest,
-                    step,
-                    remaining: 0,
-                };
-                (alignment, outcome)
-            }
+                    .unwrap_or_else(|| vm.steps().saturating_sub(1)),
+                remaining: 0,
+            },
         };
         if guard.interrupted() {
             s.emit(PhaseEvent::Interrupted {
@@ -460,8 +470,8 @@ impl PipelinePhase for AlignPhase {
         Ok(AlignmentArtifact {
             alignment,
             deterministic_repro,
-            passing_run: logger.sync.finish(),
-            return_stores: logger.return_stores,
+            passing_run: sync.finish(),
+            return_stores,
             aligned_steps: aligned_vm.steps(),
             aligned_dump,
         })

@@ -35,6 +35,7 @@ use mcr_slice::Strategy;
 use mcr_vm::{MemLoc, ThreadId};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How the aligned point is located.
@@ -490,7 +491,8 @@ impl From<DecodeError> for ReproError {
 #[derive(Debug)]
 pub struct Reproducer<'p> {
     program: &'p Program,
-    analysis: ProgramAnalysis,
+    /// Shared with every session opened here, never copied.
+    analysis: Arc<ProgramAnalysis>,
     options: ReproOptions,
 }
 
@@ -499,7 +501,7 @@ impl<'p> Reproducer<'p> {
     pub fn new(program: &'p Program, options: ReproOptions) -> Self {
         Reproducer {
             program,
-            analysis: ProgramAnalysis::analyze(program),
+            analysis: Arc::new(ProgramAnalysis::analyze(program)),
             options,
         }
     }
@@ -510,7 +512,8 @@ impl<'p> Reproducer<'p> {
     }
 
     /// Opens a staged session on a failure dump, sharing this
-    /// reproducer's precomputed static analysis.
+    /// reproducer's precomputed static analysis (the session holds a
+    /// reference to it, not a copy).
     ///
     /// The dump and input are cloned into the session — a session owns
     /// its inputs so [`ReproSession::checkpoint`] can serialize them.
@@ -527,7 +530,7 @@ impl<'p> Reproducer<'p> {
     ) -> Result<ReproSession<'p>, ReproError> {
         ReproSession::from_parts(
             self.program,
-            self.analysis.clone(),
+            Arc::clone(&self.analysis),
             failure_dump.clone(),
             input.to_vec(),
             self.options.clone(),

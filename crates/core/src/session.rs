@@ -100,7 +100,7 @@ pub struct ReproSession<'p> {
     /// eagerly by [`Reproducer`](crate::Reproducer) (which analyzes its
     /// program once for all sessions), otherwise computed on the first
     /// phase that needs it.
-    analysis: OnceCell<ProgramAnalysis>,
+    analysis: OnceCell<Arc<ProgramAnalysis>>,
     pub(crate) options: ReproOptions,
     pub(crate) input: Vec<i64>,
     pub(crate) failure_dump: CoreDump,
@@ -166,7 +166,7 @@ impl<'p> ReproSession<'p> {
     /// sessions).
     pub(crate) fn from_parts(
         program: &'p Program,
-        analysis: ProgramAnalysis,
+        analysis: Arc<ProgramAnalysis>,
         failure_dump: CoreDump,
         input: Vec<i64>,
         options: ReproOptions,
@@ -285,7 +285,7 @@ impl<'p> ReproSession<'p> {
     /// `Reproducer` path seeded it).
     pub(crate) fn analysis(&self) -> &ProgramAnalysis {
         self.analysis
-            .get_or_init(|| ProgramAnalysis::analyze(self.program))
+            .get_or_init(|| Arc::new(ProgramAnalysis::analyze(self.program)))
     }
 
     /// The session's static race verdicts, resolved on first use —

@@ -18,7 +18,7 @@
 
 use crate::index::{ExecutionIndex, IndexEntry};
 use mcr_analysis::{PredEvent, PredKey, ProgramAnalysis};
-use mcr_lang::Program;
+use mcr_lang::{FuncId, Pc, Program};
 use mcr_vm::{Event, Observer, ThreadId};
 use std::collections::VecDeque;
 
@@ -114,86 +114,111 @@ impl<'p> Aligner<'p> {
     }
 }
 
-impl Observer for Aligner<'_> {
-    fn on_event(&mut self, step: u64, event: &Event) {
-        if self.result.is_some() || event.tid() != self.focus {
+impl Aligner<'_> {
+    /// Whether an event of thread `tid` still concerns the scan.
+    fn watching(&self, tid: ThreadId) -> bool {
+        self.result.is_none() && tid == self.focus
+    }
+
+    /// Rule 5: thread `tid` entered procedure `func` at `step`.
+    #[inline]
+    pub fn func_enter(&mut self, step: u64, tid: ThreadId, func: FuncId) {
+        if self.watching(tid) && self.idx.front() == Some(&IndexEntry::Func(func)) {
+            self.idx.pop_front();
+            self.progress_step = step;
+            self.progress_seen = true;
+        }
+    }
+
+    /// Rule 6: the predicate at `pc` of thread `tid` resolved to
+    /// `outcome` at `step`.
+    #[inline]
+    pub fn branch(&mut self, step: u64, tid: ThreadId, pc: Pc, outcome: bool) {
+        if !self.watching(tid) {
             return;
         }
-        match event {
-            // Rule 5: enter procedure X.
-            Event::FuncEnter { func, .. } if self.idx.front() == Some(&IndexEntry::Func(*func)) => {
-                self.idx.pop_front();
-                self.progress_step = step;
-                self.progress_seen = true;
-            }
-            // Rule 6: predicate with outcome.
-            Event::Branch { pc, outcome, .. } => {
-                let func = self.program.func(pc.func);
-                let fa = self.analysis.func(pc.func);
-                let (key, side) = match fa.pred_event(func, pc.stmt, *outcome) {
-                    PredEvent::Simple { stmt, outcome } => (PredKey::Stmt(stmt), outcome),
-                    PredEvent::ClusterResolved { group, side } => (PredKey::Cluster(group), side),
-                    PredEvent::ClusterInternal { .. } => return,
-                };
-                let Some(head) = self.idx.front().copied() else {
-                    return;
-                };
-                match head {
-                    IndexEntry::Branch {
-                        func: hfunc,
-                        key: hkey,
-                        outcome: houtcome,
-                    } if hfunc == pc.func && hkey == key => {
-                        if houtcome == side {
-                            // Condition ①: entering the matching branch.
-                            self.idx.pop_front();
-                            self.progress_step = step;
-                            self.progress_seen = true;
-                        } else {
-                            // Condition ②: same predicate, other branch.
-                            self.signal(AlignSignal::Closest, step);
-                        }
-                    }
-                    IndexEntry::Branch {
-                        func: hfunc,
-                        key: hkey,
-                        ..
-                    } if hfunc == pc.func => {
-                        // Condition ③: the head nests in the branch NOT
-                        // taken. Control dependence on the untaken side is
-                        // the paper's test; the reachability qualifier
-                        // keeps it from misfiring on multi-dependence
-                        // statements that another path can still reach
-                        // (cf. 22F in the paper's Fig. 6 example).
-                        let head_rep = fa.rep_stmt(func, hkey);
-                        let not_taken = !side;
-                        let opposite_rep = fa.rep_stmt(func, key);
-                        if fa.transitively_control_dependent(head_rep, opposite_rep, not_taken)
-                            && !fa.reachable_after_branch(opposite_rep, side, head_rep)
-                        {
-                            self.signal(AlignSignal::Closest, step);
-                        }
-                    }
-                    IndexEntry::Stmt(leaf) if leaf.func == pc.func => {
-                        // Condition ③ applied to the leaf.
-                        let not_taken = !side;
-                        let opposite_rep = fa.rep_stmt(func, key);
-                        if fa.transitively_control_dependent(leaf.stmt, opposite_rep, not_taken)
-                            && !fa.reachable_after_branch(opposite_rep, side, leaf.stmt)
-                        {
-                            self.signal(AlignSignal::Closest, step);
-                        }
-                    }
-                    _ => {}
+        let func = self.program.func(pc.func);
+        let fa = self.analysis.func(pc.func);
+        let (key, side) = match fa.pred_event(func, pc.stmt, outcome) {
+            PredEvent::Simple { stmt, outcome } => (PredKey::Stmt(stmt), outcome),
+            PredEvent::ClusterResolved { group, side } => (PredKey::Cluster(group), side),
+            PredEvent::ClusterInternal { .. } => return,
+        };
+        let Some(head) = self.idx.front().copied() else {
+            return;
+        };
+        match head {
+            IndexEntry::Branch {
+                func: hfunc,
+                key: hkey,
+                outcome: houtcome,
+            } if hfunc == pc.func && hkey == key => {
+                if houtcome == side {
+                    // Condition ①: entering the matching branch.
+                    self.idx.pop_front();
+                    self.progress_step = step;
+                    self.progress_seen = true;
+                } else {
+                    // Condition ②: same predicate, other branch.
+                    self.signal(AlignSignal::Closest, step);
                 }
             }
-            // Rule 7: the leaf statement executes.
-            Event::Stmt { pc, .. }
-                if self.idx.len() == 1 && self.idx.front() == Some(&IndexEntry::Stmt(*pc)) =>
-            {
-                self.idx.pop_front();
-                self.signal(AlignSignal::Exact, step);
+            IndexEntry::Branch {
+                func: hfunc,
+                key: hkey,
+                ..
+            } if hfunc == pc.func => {
+                // Condition ③: the head nests in the branch NOT
+                // taken. Control dependence on the untaken side is
+                // the paper's test; the reachability qualifier
+                // keeps it from misfiring on multi-dependence
+                // statements that another path can still reach
+                // (cf. 22F in the paper's Fig. 6 example).
+                let head_rep = fa.rep_stmt(func, hkey);
+                let not_taken = !side;
+                let opposite_rep = fa.rep_stmt(func, key);
+                if fa.transitively_control_dependent(head_rep, opposite_rep, not_taken)
+                    && !fa.reachable_after_branch(opposite_rep, side, head_rep)
+                {
+                    self.signal(AlignSignal::Closest, step);
+                }
             }
+            IndexEntry::Stmt(leaf) if leaf.func == pc.func => {
+                // Condition ③ applied to the leaf.
+                let not_taken = !side;
+                let opposite_rep = fa.rep_stmt(func, key);
+                if fa.transitively_control_dependent(leaf.stmt, opposite_rep, not_taken)
+                    && !fa.reachable_after_branch(opposite_rep, side, leaf.stmt)
+                {
+                    self.signal(AlignSignal::Closest, step);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Rule 7: thread `tid` executes the statement at `pc` at `step`.
+    #[inline]
+    pub fn stmt(&mut self, step: u64, tid: ThreadId, pc: Pc) {
+        if self.watching(tid)
+            && self.idx.len() == 1
+            && self.idx.front() == Some(&IndexEntry::Stmt(pc))
+        {
+            self.idx.pop_front();
+            self.signal(AlignSignal::Exact, step);
+        }
+    }
+}
+
+/// Feeds the three events the scan reads to [`Aligner::func_enter`],
+/// [`Aligner::branch`] and [`Aligner::stmt`]. An observer that does
+/// more with the stream can call those directly from its own `match`.
+impl Observer for Aligner<'_> {
+    fn on_event(&mut self, step: u64, event: &Event) {
+        match *event {
+            Event::FuncEnter { tid, func, .. } => self.func_enter(step, tid, func),
+            Event::Branch { tid, pc, outcome } => self.branch(step, tid, pc, outcome),
+            Event::Stmt { tid, pc, .. } => self.stmt(step, tid, pc),
             _ => {}
         }
     }

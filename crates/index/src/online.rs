@@ -179,12 +179,7 @@ mod tests {
             let mut sched = DeterministicScheduler::new();
             let mut indexer = OnlineIndexer::new(&p, &a);
             // Capture the index after every step by re-running manually.
-            loop {
-                let runnable = vm.runnable_threads();
-                if runnable.is_empty() || vm.failure().is_some() {
-                    break;
-                }
-                let t = sched.pick(&vm, &runnable);
+            while let Some(t) = sched.pick(&vm) {
                 vm.step(t, &mut indexer);
                 indexes.push(indexer.current_index(t).display(&p).to_string());
             }
@@ -236,12 +231,7 @@ mod tests {
         let mut indexer = OnlineIndexer::new(&p, &a);
         let f_id = p.func_by_name("F").unwrap();
         let mut f_body_indexes = Vec::new();
-        loop {
-            let runnable = vm.runnable_threads();
-            if runnable.is_empty() {
-                break;
-            }
-            let t = sched.pick(&vm, &runnable);
+        while let Some(t) = sched.pick(&vm) {
             vm.step(t, &mut indexer);
             let idx = indexer.current_index(t);
             if idx.leaf().map(|pc| pc.func) == Some(f_id) {
@@ -285,12 +275,7 @@ mod tests {
         let mut sched = DeterministicScheduler::new();
         let mut indexer = OnlineIndexer::new(&p, &a);
         let mut then_index = None;
-        loop {
-            let runnable = vm.runnable_threads();
-            if runnable.is_empty() {
-                break;
-            }
-            let t = sched.pick(&vm, &runnable);
+        while let Some(t) = sched.pick(&vm) {
             vm.step(t, &mut indexer);
             let idx = indexer.current_index(t);
             let leaf_inst = idx.leaf().map(|pc| p.inst(pc).clone());

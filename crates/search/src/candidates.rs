@@ -13,18 +13,19 @@
 //! * the set of CSVs its thread will access from that point on (used by
 //!   the guided `preempt()` thread selection).
 //!
-//! Annotation hashes no access. A candidate's `access_locs` is a sorted,
+//! Annotation hashes nothing. A candidate's `access_locs` is a sorted,
 //! deduplicated list, so the overlap test is a binary search. The
-//! priorities come through the [`Priorities`] lookup, which the search
-//! serves from the step-ordered ranking itself. The future-CSV map is
-//! one dense list per thread, indexed by sync position, of indices into
-//! its distinct sets.
+//! priorities come through the [`Priorities`] lookup, made once per CSV
+//! access in step order, which the search serves with a forward walk
+//! over the step-ordered ranking itself. The future-CSV map is one
+//! dense list per thread, indexed by sync position, of indices into its
+//! distinct sets; each set is a short sorted slice of one shared list.
 
 use mcr_analysis::RaceVerdicts;
 use mcr_lang::{GlobalId, Pc};
 use mcr_slice::{RankedAccess, PRIORITY_BOTTOM};
 use mcr_vm::{Event, MemLoc, ObjId, Observer, SyncKind, ThreadId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Where [`annotate_with_race`] looks up the priority of a CSV access.
@@ -32,6 +33,19 @@ pub trait Priorities {
     /// The best (smallest) priority given to the access of `loc` at
     /// `step` with this direction, or `None` if it was not ranked.
     fn priority(&self, step: u64, loc: MemLoc, is_write: bool) -> Option<u32>;
+
+    /// [`Priorities::priority`] for lookups made in non-decreasing step
+    /// order. `cursor` starts at 0 and carries a position from one call
+    /// to the next, so a lookup can resume where the last one stopped.
+    fn priority_from(
+        &self,
+        _cursor: &mut usize,
+        step: u64,
+        loc: MemLoc,
+        is_write: bool,
+    ) -> Option<u32> {
+        self.priority(step, loc, is_write)
+    }
 }
 
 /// A map keyed by `(step, loc, is_write)`, holding each key's best
@@ -45,10 +59,29 @@ impl Priorities for HashMap<(u64, MemLoc, bool), u32> {
 /// A ranking in step order, as `mcr_slice::rank_accesses` returns it for
 /// a step-ordered projection: a binary search finds the step, and the
 /// best priority among that step's matching entries wins.
+/// In step order, [`Priorities::priority_from`] walks forward from the
+/// cursor instead of searching.
 impl Priorities for [RankedAccess] {
     fn priority(&self, step: u64, loc: MemLoc, is_write: bool) -> Option<u32> {
-        let from = self.partition_point(|r| r.step < step);
-        self[from..]
+        self.priority_from(
+            &mut self.partition_point(|r| r.step < step),
+            step,
+            loc,
+            is_write,
+        )
+    }
+
+    fn priority_from(
+        &self,
+        cursor: &mut usize,
+        step: u64,
+        loc: MemLoc,
+        is_write: bool,
+    ) -> Option<u32> {
+        while self.get(*cursor).is_some_and(|r| r.step < step) {
+            *cursor += 1;
+        }
+        self[*cursor..]
             .iter()
             .take_while(|r| r.step == step)
             .filter(|r| r.loc == loc && r.is_write == is_write)
@@ -166,67 +199,78 @@ impl SyncLogger {
     pub fn finish(self) -> PassingRunInfo {
         self.info
     }
+
+    /// Notes that step `step` executed.
+    #[inline]
+    pub fn stepped(&mut self, step: u64) {
+        self.info.total_steps = self.info.total_steps.max(step + 1);
+    }
+
+    /// Logs the `ThreadStart` candidate of a new thread (thread 0 has
+    /// none: nothing runs before it).
+    #[inline]
+    pub fn thread_start(&mut self, step: u64, tid: ThreadId) {
+        if tid.0 != 0 {
+            self.info.candidates.push(PreemptionPoint {
+                tid,
+                sync_seq: 0,
+                kind: CandidateKind::ThreadStart,
+                step,
+                pc: None,
+            });
+        }
+    }
+
+    /// Logs the candidate a sync operation anchors.
+    #[inline]
+    pub fn sync(&mut self, step: u64, tid: ThreadId, pc: Pc, kind: SyncKind, seq: u32) {
+        let kind = match kind {
+            SyncKind::Acquire(_) => CandidateKind::BeforeAcquire,
+            SyncKind::Release(_) => CandidateKind::AfterRelease,
+            SyncKind::Spawn(_) => CandidateKind::AfterSpawn,
+            SyncKind::Join(_) => CandidateKind::BeforeJoin,
+            SyncKind::Flush => CandidateKind::BeforeFlush,
+        };
+        self.info.candidates.push(PreemptionPoint {
+            tid,
+            sync_seq: seq,
+            kind,
+            step,
+            pc: Some(pc),
+        });
+    }
+
+    /// Logs an access of `loc`, if the location is shared.
+    #[inline]
+    pub fn access(&mut self, step: u64, tid: ThreadId, pc: Pc, loc: MemLoc, is_write: bool) {
+        if loc.is_shared() {
+            self.info.shared_accesses.push(SharedAccess {
+                step,
+                tid,
+                pc,
+                loc,
+                is_write,
+            });
+        }
+    }
 }
 
+/// Feeds the stream to the logging methods: every event to
+/// [`SyncLogger::stepped`], thread starts, syncs, reads, writes and
+/// buffered stores to the rest. An observer that does more with the
+/// stream can call those directly from its own `match`.
 impl Observer for SyncLogger {
     fn on_event(&mut self, step: u64, event: &Event) {
-        self.info.total_steps = self.info.total_steps.max(step + 1);
-        match event {
-            Event::ThreadStart { tid, .. } if tid.0 != 0 => {
-                self.info.candidates.push(PreemptionPoint {
-                    tid: *tid,
-                    sync_seq: 0,
-                    kind: CandidateKind::ThreadStart,
-                    step,
-                    pc: None,
-                });
-            }
-            Event::Sync { tid, pc, kind, seq } => {
-                let kind = match kind {
-                    SyncKind::Acquire(_) => CandidateKind::BeforeAcquire,
-                    SyncKind::Release(_) => CandidateKind::AfterRelease,
-                    SyncKind::Spawn(_) => CandidateKind::AfterSpawn,
-                    SyncKind::Join(_) => CandidateKind::BeforeJoin,
-                    SyncKind::Flush => CandidateKind::BeforeFlush,
-                };
-                self.info.candidates.push(PreemptionPoint {
-                    tid: *tid,
-                    sync_seq: *seq,
-                    kind,
-                    step,
-                    pc: Some(*pc),
-                });
-            }
-            Event::Read { tid, pc, loc, .. } if loc.is_shared() => {
-                self.info.shared_accesses.push(SharedAccess {
-                    step,
-                    tid: *tid,
-                    pc: *pc,
-                    loc: *loc,
-                    is_write: false,
-                });
-            }
-            Event::Write { tid, pc, loc, .. } if loc.is_shared() => {
-                self.info.shared_accesses.push(SharedAccess {
-                    step,
-                    tid: *tid,
-                    pc: *pc,
-                    loc: *loc,
-                    is_write: true,
-                });
-            }
+        self.stepped(step);
+        match *event {
+            Event::ThreadStart { tid, .. } => self.thread_start(step, tid),
+            Event::Sync { tid, pc, kind, seq } => self.sync(step, tid, pc, kind, seq),
+            Event::Read { tid, pc, loc, .. } => self.access(step, tid, pc, loc, false),
+            Event::Write { tid, pc, loc, .. } => self.access(step, tid, pc, loc, true),
             // A buffered store is the *program's* write (the flush is
             // its delayed visibility, not a second access — counting
             // `StoreFlushed` too would double-count every TSO write).
-            Event::StoreBuffered { tid, pc, loc, .. } if loc.is_shared() => {
-                self.info.shared_accesses.push(SharedAccess {
-                    step,
-                    tid: *tid,
-                    pc: *pc,
-                    loc: *loc,
-                    is_write: true,
-                });
-            }
+            Event::StoreBuffered { tid, pc, loc, .. } => self.access(step, tid, pc, loc, true),
             _ => {}
         }
     }
@@ -267,29 +311,45 @@ pub struct FutureCsvMap {
     /// accesses (used when a test run drives a thread past its
     /// passing-run sync count).
     all: Vec<u32>,
-    /// The distinct sets. A thread's future set changes only when it
-    /// reaches its last access of some CSV, so consecutive positions
-    /// share one.
-    sets: Vec<HashSet<CoarseLoc>>,
+    /// The distinct sets, as `(start, end)` ranges of `locs`. A
+    /// thread's future set changes only when it reaches its last access
+    /// of some CSV, so consecutive positions share one.
+    sets: Vec<(u32, u32)>,
+    /// Every set's locations, each set sorted and deduplicated.
+    locs: Vec<CoarseLoc>,
 }
 
 /// The [`FutureCsvMap`] entry of a sync position with no set.
 const NO_SET: u32 = u32::MAX;
 
 impl FutureCsvMap {
-    /// CSVs thread `tid` will access from sync position `pos` on.
-    pub fn future(&self, tid: ThreadId, pos: u32) -> Option<&HashSet<CoarseLoc>> {
+    /// CSVs thread `tid` will access from sync position `pos` on,
+    /// sorted.
+    pub fn future(&self, tid: ThreadId, pos: u32) -> Option<&[CoarseLoc]> {
         let k = self.tids.binary_search(&tid.0).ok()?;
         match self.map[k].get(pos as usize) {
-            Some(&i) if i != NO_SET => Some(&self.sets[i as usize]),
+            Some(&i) if i != NO_SET => Some(self.set(i)),
             _ => None,
         }
     }
 
-    /// All CSVs the thread ever accessed in the passing run.
-    pub fn any(&self, tid: ThreadId) -> Option<&HashSet<CoarseLoc>> {
+    /// All CSVs the thread ever accessed in the passing run, sorted.
+    pub fn any(&self, tid: ThreadId) -> Option<&[CoarseLoc]> {
         let k = self.tids.binary_search(&tid.0).ok()?;
-        Some(&self.sets[self.all[k] as usize])
+        Some(self.set(self.all[k]))
+    }
+
+    fn set(&self, i: u32) -> &[CoarseLoc] {
+        let (start, end) = self.sets[i as usize];
+        &self.locs[start as usize..end as usize]
+    }
+
+    /// Stores `set` as a new distinct set and returns its index.
+    fn push_set(&mut self, set: &[CoarseLoc]) -> u32 {
+        let start = self.locs.len() as u32;
+        self.locs.extend_from_slice(set);
+        self.sets.push((start, self.locs.len() as u32));
+        (self.sets.len() - 1) as u32
     }
 }
 
@@ -331,10 +391,10 @@ pub fn annotate<'a>(
 /// sync positions must stay aligned with what a test run replays.
 ///
 /// Every log in `info` must be in step order, as [`SyncLogger`] records
-/// it. Each thread's accesses are then sorted too, so a block is two
-/// binary searches into its thread's list and the future sets are
-/// suffix unions built in one backward sweep: the cost is linear in the
-/// logs plus a logarithmic factor per candidate and per access. The
+/// it. Each thread's accesses are then sorted too, so its blocks are
+/// consecutive runs of its list, found by one forward walk, and the
+/// future sets are suffix unions built in one backward sweep: the cost
+/// is linear in the logs plus a logarithmic factor per access. The
 /// future map holds one entry per sync position up to each thread's
 /// largest, so sync ordinals must count each thread's syncs, as they do
 /// in a recorded run.
@@ -351,26 +411,30 @@ pub fn annotate_with_race<'a, P: Priorities + ?Sized>(
         .all(|w| w[0].step <= w[1].step));
     // One log per thread with a candidate, in thread-id order. Other
     // threads lead no block and get no future set.
-    let mut tids: Vec<u32> = info.candidates.iter().map(|c| c.tid.0).collect();
-    tids.sort_unstable();
-    tids.dedup();
+    let mut tids: Vec<u32> = Vec::new();
+    for c in &info.candidates {
+        if let Err(at) = tids.binary_search(&c.tid.0) {
+            tids.insert(at, c.tid.0);
+        }
+    }
     let slot = |tid: ThreadId| tids.binary_search(&tid.0);
     let mut logs: Vec<ThreadLog<'_>> = tids.iter().map(|_| ThreadLog::default()).collect();
 
-    // Block spans: a candidate's block runs up to its thread's next
-    // candidate. A candidate that shares its step with the thread's
-    // previous one takes the block of the first candidate at that step,
-    // which ends at the second and so is empty.
-    let mut spans: Vec<(u64, u64)> = Vec::with_capacity(info.candidates.len());
+    // Block spans `(start, end, log)`: a candidate's block runs up to its
+    // thread's next candidate. A candidate that shares its step with the
+    // thread's previous one takes the block of the first candidate at
+    // that step, which ends at the second and so is empty.
+    let mut spans: Vec<(u64, u64, usize)> = Vec::with_capacity(info.candidates.len());
     for (i, c) in info.candidates.iter().enumerate() {
-        let log = &mut logs[slot(c.tid).expect("every candidate's thread has a log")];
+        let t = slot(c.tid).expect("every candidate's thread has a log");
+        let log = &mut logs[t];
         if let Some(open) = log.open.take() {
             spans[open].1 = c.step;
         }
         if log.last_step == Some(c.step) {
-            spans.push((c.step, c.step));
+            spans.push((c.step, c.step, t));
         } else {
-            spans.push((c.step, u64::MAX));
+            spans.push((c.step, u64::MAX, t));
             log.open = Some(i);
         }
         log.last_step = Some(c.step);
@@ -389,16 +453,30 @@ pub fn annotate_with_race<'a, P: Priorities + ?Sized>(
         }
     }
 
-    // A handful of CSV locations, probed once per shared access.
+    // A handful of CSV locations, probed once per shared access. Each
+    // CSV access's priority is looked up here, in step order.
     let mut csv_locs: Vec<MemLoc> = csv_locs.into_iter().copied().collect();
     csv_locs.sort_unstable();
+    let mut cursor = 0;
+    // Threads run in bursts, so consecutive accesses mostly share one.
+    let mut last: Option<(ThreadId, usize)> = None;
     for a in &info.shared_accesses {
-        let Ok(t) = slot(a.tid) else {
-            continue;
+        let t = match last {
+            Some((tid, t)) if tid == a.tid => t,
+            _ => {
+                let Ok(t) = slot(a.tid) else {
+                    continue;
+                };
+                last = Some((a.tid, t));
+                t
+            }
         };
         let log = &mut logs[t];
         if csv_locs.binary_search(&a.loc).is_ok() {
-            log.csv.push(a);
+            let priority = priorities
+                .priority_from(&mut cursor, a.step, a.loc, a.is_write)
+                .unwrap_or(PRIORITY_BOTTOM);
+            log.csv.push((a, priority));
         }
         if race.is_some() {
             log.shared.push(a);
@@ -406,34 +484,20 @@ pub fn annotate_with_race<'a, P: Priorities + ?Sized>(
     }
 
     let mut annotated = Vec::with_capacity(info.candidates.len());
-    for (c, &(start, end)) in info.candidates.iter().zip(&spans) {
+    for (c, &(start, end, t)) in info.candidates.iter().zip(&spans) {
         if race.is_some_and(|rv| prunable(c, rv)) {
             continue;
         }
-        let log = &logs[slot(c.tid).expect("every candidate's thread has a log")];
-        let block = in_span(&log.csv, start, end);
-        let mut accesses = Vec::with_capacity(block.len());
-        let mut access_locs = Vec::with_capacity(block.len());
-        let mut best = PRIORITY_BOTTOM;
-        for a in block {
-            let priority = priorities
-                .priority(a.step, a.loc, a.is_write)
-                .unwrap_or(PRIORITY_BOTTOM);
-            best = best.min(priority);
-            access_locs.push(coarse(a.loc));
-            accesses.push(RankedAccess {
-                serial: a.step,
-                step: a.step,
-                tid: a.tid,
-                pc: a.pc,
-                loc: a.loc,
-                is_write: a.is_write,
-                priority,
-            });
-        }
+        let log = &mut logs[t];
+        let block = next_span(&log.csv, &mut log.csv_next, start, end, |&(a, _)| a.step);
+        let mut best = block
+            .iter()
+            .map(|&(_, priority)| priority)
+            .min()
+            .unwrap_or(PRIORITY_BOTTOM);
         if best == PRIORITY_BOTTOM {
             if let Some(rv) = race {
-                if in_span(&log.shared, start, end)
+                if next_span(&log.shared, &mut log.shared_next, start, end, |a| a.step)
                     .iter()
                     .any(|a| rv.has_may_race(a.pc))
                 {
@@ -441,6 +505,19 @@ pub fn annotate_with_race<'a, P: Priorities + ?Sized>(
                 }
             }
         }
+        let accesses = block
+            .iter()
+            .map(|&(a, priority)| RankedAccess {
+                serial: a.step,
+                step: a.step,
+                tid: a.tid,
+                pc: a.pc,
+                loc: a.loc,
+                is_write: a.is_write,
+                priority,
+            })
+            .collect();
+        let mut access_locs: Vec<CoarseLoc> = block.iter().map(|(a, _)| coarse(a.loc)).collect();
         access_locs.sort_unstable();
         access_locs.dedup();
         annotated.push(AnnotatedCandidate {
@@ -455,24 +532,24 @@ pub fn annotate_with_race<'a, P: Priorities + ?Sized>(
     // positions by descending step. A repeated position keeps the set of
     // its last occurrence, the first one this backward sweep meets.
     let mut fut = FutureCsvMap::default();
+    let mut suffix: Vec<CoarseLoc> = Vec::new();
     for log in &logs {
         let len = log.positions.iter().map(|&(pos, _)| pos as usize + 1).max();
         let mut by_pos = vec![NO_SET; len.unwrap_or_default()];
-        let mut suffix = HashSet::new();
+        suffix.clear();
         // Index of `suffix`'s copy in `fut.sets`, while it is current.
         let mut stored: Option<u32> = None;
         let mut rest = log.csv.len();
         for &(pos, from_step) in log.positions.iter().rev() {
-            while rest > 0 && log.csv[rest - 1].step >= from_step {
+            while rest > 0 && log.csv[rest - 1].0.step >= from_step {
                 rest -= 1;
-                if suffix.insert(coarse(log.csv[rest].loc)) {
+                let loc = coarse(log.csv[rest].0.loc);
+                if let Err(at) = suffix.binary_search(&loc) {
+                    suffix.insert(at, loc);
                     stored = None;
                 }
             }
-            let set = *stored.get_or_insert_with(|| {
-                fut.sets.push(suffix.clone());
-                (fut.sets.len() - 1) as u32
-            });
+            let set = *stored.get_or_insert_with(|| fut.push_set(&suffix));
             let entry = &mut by_pos[pos as usize];
             if *entry == NO_SET {
                 *entry = set;
@@ -490,11 +567,15 @@ pub fn annotate_with_race<'a, P: Priorities + ?Sized>(
 
 /// One thread's share of a [`PassingRunInfo`], each list in step order.
 struct ThreadLog<'a> {
-    /// The thread's CSV accesses.
-    csv: Vec<&'a SharedAccess>,
+    /// The thread's CSV accesses, each with its priority.
+    csv: Vec<(&'a SharedAccess, u32)>,
     /// All of the thread's shared accesses (filled under `static_race`
     /// only).
     shared: Vec<&'a SharedAccess>,
+    /// The first entries of `csv` and `shared` that no earlier block
+    /// has passed.
+    csv_next: usize,
+    shared_next: usize,
     /// `(sync position, step the thread reaches it)`.
     positions: Vec<(u32, u64)>,
     /// Index of the candidate whose block waits for the thread's next
@@ -509,6 +590,8 @@ impl Default for ThreadLog<'_> {
         ThreadLog {
             csv: Vec::new(),
             shared: Vec::new(),
+            csv_next: 0,
+            shared_next: 0,
             positions: vec![(0, 0)],
             open: None,
             last_step: None,
@@ -516,10 +599,20 @@ impl Default for ThreadLog<'_> {
     }
 }
 
-/// The accesses of a step-sorted list with `start <= step < end`.
-fn in_span<'l, 'a>(list: &'l [&'a SharedAccess], start: u64, end: u64) -> &'l [&'a SharedAccess] {
-    let lo = list.partition_point(|a| a.step < start);
-    let hi = lo + list[lo..].partition_point(|a| a.step < end);
+/// The entries of a step-sorted list with `start <= step < end`,
+/// walked from `*from`, which then moves past them. A thread's blocks
+/// come in step order and do not overlap, so each of its lists is
+/// walked once over all its blocks.
+fn next_span<'l, T>(
+    list: &'l [T],
+    from: &mut usize,
+    start: u64,
+    end: u64,
+    step: impl Fn(&T) -> u64,
+) -> &'l [T] {
+    let lo = *from + list[*from..].iter().take_while(|a| step(a) < start).count();
+    let hi = lo + list[lo..].iter().take_while(|a| step(a) < end).count();
+    *from = hi;
     &list[lo..hi]
 }
 
@@ -544,6 +637,7 @@ mod tests {
     use mcr_lang::{FuncId, StmtId};
     use mcr_vm::{run, DeterministicScheduler, MemModel, Vm};
     use proptest::prelude::*;
+    use std::collections::HashSet;
     use std::sync::OnceLock;
 
     const PROG: &str = r#"
@@ -787,14 +881,14 @@ mod tests {
                         (0u32..)
                             .zip(by_pos)
                             .filter(|&(_, &i)| i != NO_SET)
-                            .map(move |(pos, &i)| ((tid, pos), f.sets[i as usize].clone()))
+                            .map(move |(pos, &i)| ((tid, pos), f.set(i).iter().copied().collect()))
                     })
                     .collect(),
                 all: f
                     .tids
                     .iter()
                     .zip(&f.all)
-                    .map(|(&tid, &i)| (tid, f.sets[i as usize].clone()))
+                    .map(|(&tid, &i)| (tid, f.set(i).iter().copied().collect()))
                     .collect(),
             }
         }
@@ -808,6 +902,30 @@ mod tests {
     ) -> Result<(), TestCaseError> {
         let (ann, fut) = annotate_with_race(info, csvs, prio, race);
         let (ref_ann, ref_fut) = reference_annotate(info, csvs, prio, race);
+        // The same priorities as a step-ordered ranking, the form the
+        // search phase passes.
+        let mut ranked: Vec<RankedAccess> = prio
+            .iter()
+            .map(|(&(step, loc, is_write), &priority)| RankedAccess {
+                serial: step,
+                step,
+                tid: ThreadId(0),
+                pc: Pc {
+                    func: FuncId(0),
+                    stmt: StmtId(0),
+                },
+                loc,
+                is_write,
+                priority,
+            })
+            .collect();
+        ranked.sort_by_key(|r| (r.step, r.loc, r.is_write));
+        let (ranked_ann, ranked_fut) = annotate_with_race(info, csvs, ranked.as_slice(), race);
+        prop_assert_eq!(&ranked_ann, &ann);
+        prop_assert_eq!(
+            ReferenceFuture::from(&ranked_fut),
+            ReferenceFuture::from(&fut)
+        );
         prop_assert_eq!(ann, ref_ann);
         prop_assert_eq!(ReferenceFuture::from(&fut), ref_fut);
         Ok(())
@@ -1005,7 +1123,7 @@ mod tests {
             let (_, fut) = annotate(&info, &csvs, &prio);
             no_csv += fut
                 .any(ThreadId(TIDS[TIDS.len() - 1]))
-                .is_some_and(HashSet::is_empty) as usize;
+                .is_some_and(<[CoarseLoc]>::is_empty) as usize;
             let (kept, _) = annotate_with_race(&info, &csvs, &prio, Some(rv));
             pruned += info.candidates.len() - kept.len();
             may_race += kept

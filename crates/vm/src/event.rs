@@ -214,22 +214,6 @@ impl Observer for NullObserver {
     fn on_event(&mut self, _step: u64, _event: &Event) {}
 }
 
-/// Fans one event stream out to two observers.
-#[derive(Debug)]
-pub struct Tee<'a, A: ?Sized, B: ?Sized> {
-    /// First observer.
-    pub a: &'a mut A,
-    /// Second observer.
-    pub b: &'a mut B,
-}
-
-impl<A: Observer + ?Sized, B: Observer + ?Sized> Observer for Tee<'_, A, B> {
-    fn on_event(&mut self, step: u64, event: &Event) {
-        self.a.on_event(step, event);
-        self.b.on_event(step, event);
-    }
-}
-
 /// An observer that records every event (test helper / small traces).
 #[derive(Debug, Default)]
 pub struct Recorder {
@@ -247,22 +231,6 @@ impl Observer for Recorder {
 mod tests {
     use super::*;
     use mcr_lang::{FuncId, StmtId};
-
-    #[test]
-    fn tee_forwards_to_both() {
-        let mut r1 = Recorder::default();
-        let mut r2 = Recorder::default();
-        let ev = Event::ThreadEnd { tid: ThreadId(0) };
-        {
-            let mut tee = Tee {
-                a: &mut r1,
-                b: &mut r2,
-            };
-            tee.on_event(3, &ev);
-        }
-        assert_eq!(r1.events.len(), 1);
-        assert_eq!(r2.events.len(), 1);
-    }
 
     #[test]
     fn event_tid_extraction() {

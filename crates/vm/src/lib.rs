@@ -43,7 +43,7 @@ pub mod value;
 #[allow(clippy::module_inception)]
 pub mod vm;
 
-pub use event::{Event, NullObserver, Observer, Recorder, SyncKind, Tee};
+pub use event::{Event, NullObserver, Observer, Recorder, SyncKind};
 pub use failure::{Failure, FailureKind};
 pub use memloc::MemLoc;
 pub use memmodel::{

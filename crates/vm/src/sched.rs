@@ -21,9 +21,15 @@ use crate::value::ThreadId;
 use crate::vm::Vm;
 
 /// Picks the next thread to step.
+///
+/// A scheduler asks the VM about the threads it considers
+/// ([`Vm::runnable`]) instead of receiving the runnable list, so a
+/// driver step that keeps the current thread checks one thread, not
+/// every thread.
 pub trait Scheduler {
-    /// Chooses one of `runnable` (guaranteed non-empty, ascending order).
-    fn pick(&mut self, vm: &Vm<'_>, runnable: &[ThreadId]) -> ThreadId;
+    /// Chooses a thread for which [`Vm::runnable`] holds, or `None` when
+    /// no thread is runnable.
+    fn pick(&mut self, vm: &Vm<'_>) -> Option<ThreadId>;
 }
 
 /// Non-preemptive single-core scheduler: keep running the current thread
@@ -42,13 +48,13 @@ impl DeterministicScheduler {
 }
 
 impl Scheduler for DeterministicScheduler {
-    fn pick(&mut self, _vm: &Vm<'_>, runnable: &[ThreadId]) -> ThreadId {
+    fn pick(&mut self, vm: &Vm<'_>) -> Option<ThreadId> {
         let pick = match self.current {
-            Some(c) if runnable.contains(&c) => c,
-            _ => runnable[0],
+            Some(c) if vm.runnable(c) => c,
+            _ => vm.runnable_iter().next()?,
         };
         self.current = Some(pick);
-        pick
+        Some(pick)
     }
 }
 
@@ -83,9 +89,9 @@ impl StressScheduler {
 }
 
 impl Scheduler for StressScheduler {
-    fn pick(&mut self, vm: &Vm<'_>, runnable: &[ThreadId]) -> ThreadId {
+    fn pick(&mut self, vm: &Vm<'_>) -> Option<ThreadId> {
         if let Some(c) = self.current {
-            if runnable.contains(&c) {
+            if vm.runnable(c) {
                 // Flush points (pending store-buffer drains, fences) are
                 // where weak-memory reorderings become observable, so a
                 // stress run leans into them: double the switch odds right
@@ -98,13 +104,21 @@ impl Scheduler for StressScheduler {
                     SWITCH_PERCENT
                 };
                 if self.rng.next_below(100) >= switch {
-                    return c;
+                    return Some(c);
                 }
             }
         }
-        let pick = runnable[self.rng.next_below(runnable.len() as u64) as usize];
+        // A uniform draw over the runnable threads in id order, counted
+        // and then walked again: no list is built, and the draws are the
+        // ones a pick from the collected list makes.
+        let runnable = vm.runnable_iter().count();
+        if runnable == 0 {
+            return None;
+        }
+        let nth = self.rng.next_below(runnable as u64) as usize;
+        let pick = vm.runnable_iter().nth(nth)?;
         self.current = Some(pick);
-        pick
+        Some(pick)
     }
 }
 
@@ -159,8 +173,6 @@ pub fn run_until<'p>(
     max_steps: u64,
     mut stop: impl FnMut(&Vm<'p>) -> bool,
 ) -> Outcome {
-    // One scratch buffer for the whole run; the step loop never allocates.
-    let mut runnable: Vec<ThreadId> = Vec::new();
     loop {
         if let Some(f) = vm.failure() {
             return Outcome::Crashed(f);
@@ -171,16 +183,14 @@ pub fn run_until<'p>(
         if vm.steps() >= max_steps {
             return Outcome::StepLimit;
         }
-        vm.runnable_into(&mut runnable);
-        if runnable.is_empty() {
+        let Some(t) = sched.pick(vm) else {
             return if vm.all_done() {
                 Outcome::Completed
             } else {
                 Outcome::Deadlock
             };
-        }
-        let t = sched.pick(vm, &runnable);
-        debug_assert!(runnable.contains(&t), "scheduler picked unrunnable thread");
+        };
+        debug_assert!(vm.runnable(t), "scheduler picked unrunnable thread");
         vm.step(t, obs);
     }
 }

@@ -466,6 +466,72 @@ impl ReferenceRun<'_, '_, '_> {
     }
 }
 
+/// The scheduling policy of a [`reference_run`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReferencePolicy {
+    /// [`DeterministicScheduler`]'s policy: the current thread while it
+    /// is runnable, else the lowest-id runnable thread.
+    Deterministic,
+    /// [`mcr_vm::StressScheduler`]'s policy from this seed.
+    Stress(u64),
+}
+
+/// The reference run driver: [`mcr_vm::run`] as it was before schedulers
+/// asked the VM which threads can step. It collects the runnable
+/// threads before every step and picks from that list, with the two
+/// schedulers' policies restated over the list. Kept as the oracle the
+/// tests check the driver against.
+pub fn reference_run(
+    vm: &mut Vm<'_>,
+    policy: ReferencePolicy,
+    obs: &mut dyn mcr_vm::Observer,
+    max_steps: u64,
+) -> mcr_vm::Outcome {
+    use mcr_vm::Outcome;
+    let mut rng = match policy {
+        ReferencePolicy::Stress(seed) => Some(SplitMix64::new(seed)),
+        ReferencePolicy::Deterministic => None,
+    };
+    let mut current: Option<ThreadId> = None;
+    let mut runnable: Vec<ThreadId> = Vec::new();
+    loop {
+        if let Some(f) = vm.failure() {
+            return Outcome::Crashed(f);
+        }
+        if vm.steps() >= max_steps {
+            return Outcome::StepLimit;
+        }
+        vm.runnable_into(&mut runnable);
+        if runnable.is_empty() {
+            return if vm.all_done() {
+                Outcome::Completed
+            } else {
+                Outcome::Deadlock
+            };
+        }
+        let t = match (&mut rng, current) {
+            (None, Some(c)) if runnable.contains(&c) => c,
+            (None, _) => runnable[0],
+            (Some(rng), current) => {
+                // 20% switch odds per statement, doubled before a flush
+                // point; one draw to stay, one more to switch.
+                let stay = current.filter(|&c| {
+                    runnable.contains(&c) && {
+                        let switch = if vm.flush_point(c) { 40 } else { 20 };
+                        rng.next_below(100) >= switch
+                    }
+                });
+                match stay {
+                    Some(c) => c,
+                    None => runnable[rng.next_below(runnable.len() as u64) as usize],
+                }
+            }
+        };
+        current = Some(t);
+        vm.step(t, obs);
+    }
+}
+
 /// Deterministic seed sequence for tests that iterate over schedules:
 /// same `label` → same seeds, across runs and platforms.
 pub fn seeds(label: &str, n: usize) -> Vec<u64> {

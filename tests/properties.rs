@@ -244,21 +244,50 @@ proptest! {
     /// same runnable set (regression guard for the canonical-order
     /// property the search relies on).
     #[test]
-    fn deterministic_scheduler_policy(ids in proptest::collection::vec(0u32..8, 1..6)) {
-        let src = "global x: int; fn main() { x = 1; }";
-        let program = mcr_lang::compile(src).unwrap();
-        let vm = Vm::new(&program, &[]);
-        let mut sched = DeterministicScheduler::new();
+    fn deterministic_scheduler_policy(ids in proptest::collection::vec(1u32..8, 1..6)) {
         let mut sorted: Vec<ThreadId> = ids.iter().map(|&i| ThreadId(i)).collect();
         sorted.sort();
         sorted.dedup();
-        let first = sched.pick(&vm, &sorted);
+        let src = blocked_workers_source(&sorted);
+        let program = mcr_lang::compile(&src).unwrap();
+        let mut vm = Vm::new(&program, &[]);
+        while vm.runnable(ThreadId(0)) {
+            vm.step(ThreadId(0), &mut NullObserver);
+        }
+        prop_assert_eq!(vm.runnable_threads(), sorted.clone());
+        let mut sched = DeterministicScheduler::new();
+        let first = sched.pick(&vm);
         // Fresh scheduler picks the lowest id.
-        prop_assert_eq!(first, sorted[0]);
+        prop_assert_eq!(first, Some(sorted[0]));
         // And sticks with it while it remains runnable.
-        let again = sched.pick(&vm, &sorted);
+        vm.step(sorted[0], &mut NullObserver);
+        let again = sched.pick(&vm);
         prop_assert_eq!(again, first);
     }
+}
+
+/// Seven workers, thread ids 1 to 7, each taking and releasing its own
+/// lock. `main` holds the locks of the workers not in `runnable`, spawns
+/// all seven and blocks on a lock it holds, so once `main` stops exactly
+/// the threads of `runnable` can step.
+fn blocked_workers_source(runnable: &[ThreadId]) -> String {
+    let mut s = String::from("lock m;\n");
+    for i in 1..=7 {
+        s.push_str(&format!(
+            "lock l{i};\nfn w{i}() {{ acquire l{i}; release l{i}; }}\n"
+        ));
+    }
+    s.push_str("fn main() { var t; acquire m; ");
+    for i in 1..=7 {
+        if !runnable.contains(&ThreadId(i)) {
+            s.push_str(&format!("acquire l{i}; "));
+        }
+    }
+    for i in 1..=7 {
+        s.push_str(&format!("t = spawn w{i}(); "));
+    }
+    s.push_str("acquire m; }\n");
+    s
 }
 
 /// A small multi-function program parameterized by one constant per
