@@ -104,8 +104,9 @@ pub struct FleetJob<'p> {
     pub dump: CoreDump,
     /// The failing input.
     pub input: Vec<i64>,
-    /// Per-job pipeline options (budgets included). The fleet overrides
-    /// the `store` and `search.pool` attachments with its shared ones.
+    /// Per-job pipeline options, the search's caps and the step cap
+    /// among them. The fleet overrides the `store` and `search.pool`
+    /// attachments with its shared ones.
     pub options: ReproOptions,
     /// Scheduling priority: lower runs earlier within each wave.
     pub priority: u32,
@@ -1153,7 +1154,10 @@ mod tests {
     fn priorities_order_leaders_and_outcomes_keep_submission_order() {
         let (program, dump) = fig1_failure();
         // A *distinct* unit (different options → different keys).
-        let opts = ReproOptions::builder().trace_window(1_000_000).build();
+        let opts = ReproOptions {
+            trace_window: 1_000_000,
+            ..Default::default()
+        };
         let jobs = vec![
             FleetJob::new("late", &program, dump.clone(), &INPUT).with_priority(9),
             FleetJob::new("early", &program, dump.clone(), &INPUT)

@@ -14,9 +14,8 @@
 //! * [`Reproducer::reproduce`] — one blocking call, dump in, report out;
 //! * [`ReproSession`] — the same pipeline as a staged, resumable state
 //!   machine whose phases produce serializable artifacts, with progress
-//!   observation ([`PhaseObserver`]), cancellation
-//!   ([`CancelToken`]), per-phase budgets ([`PhaseBudget`]), and
-//!   checkpoint/resume across processes.
+//!   observation ([`PhaseObserver`]), cancellation ([`CancelToken`]),
+//!   and checkpoint/resume across processes.
 //!
 //! The five phases are implementations of the generic [`PipelinePhase`]
 //! trait and the session is a thin driver over them; each phase unit is
@@ -82,8 +81,7 @@ pub use artifact::{
 pub use observe::{NullPhaseObserver, Phase, PhaseEvent, PhaseObserver, TimingLog, PHASES};
 pub use phase::{AlignPhase, DiffPhase, IndexPhase, PipelinePhase, RankPhase, SearchPhase};
 pub use pipeline::{
-    has_sync_points, AlignMode, PhaseBudget, PhaseBudgets, ReproError, ReproOptions,
-    ReproOptionsBuilder, ReproReport, ReproTimings, Reproducer,
+    has_sync_points, AlignMode, ReproError, ReproOptions, ReproReport, ReproTimings, Reproducer,
 };
 pub use session::ReproSession;
 pub use store::{

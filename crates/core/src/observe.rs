@@ -120,7 +120,7 @@ pub enum PhaseEvent {
         /// Wall-clock time the whole phase took.
         elapsed: Duration,
     },
-    /// The phase stopped — cancellation, a phase budget, or an error —
+    /// The phase stopped — cancellation or an error —
     /// before producing its artifact. Every `Started` is terminated by
     /// exactly one `Finished` or `Interrupted` (a cancelled search
     /// *finishes*, with a partial artifact).

@@ -4,10 +4,9 @@
 //! unit struct implementing [`PipelinePhase`]: a *typed* phase with an
 //! input artifact (`Input`, the upstream phase's output), an output
 //! artifact (`Artifact`), a wire codec ([`PipelinePhase::encode`] /
-//! [`PipelinePhase::decode`]), a per-phase budget hook
-//! ([`PipelinePhase::budget`]), and a compute body that observes the
-//! session's [`CancelToken`] and reports through
-//! its [`PhaseObserver`](crate::PhaseObserver).
+//! [`PipelinePhase::decode`]), and a compute body that observes the
+//! session's [`CancelToken`](mcr_search::CancelToken) and reports
+//! through its [`PhaseObserver`](crate::PhaseObserver).
 //!
 //! [`ReproSession`] is a thin driver over these implementations (see
 //! [`ReproSession::run`]): it resolves prerequisites, derives the
@@ -26,14 +25,12 @@ use crate::artifact::{
     SearchArtifact,
 };
 use crate::observe::{Phase, PhaseEvent};
-use crate::pipeline::{AlignMode, PhaseBudget, ReproError};
+use crate::pipeline::{AlignMode, ReproError};
 use crate::session::ReproSession;
 use mcr_dump::{resolve_loc, CoreDump, DecodeError, DumpDiff, DumpReason, ResolvedVar};
 use mcr_index::{AlignSignal, Aligner, Alignment};
 use mcr_lang::Pc;
-use mcr_search::{
-    annotate_with_race, find_schedule, CancelToken, SearchConfig, SharedAccess, SyncLogger,
-};
+use mcr_search::{annotate_with_race, find_schedule, SearchConfig, SharedAccess, SyncLogger};
 use mcr_slice::{backward_slice, csv_accesses, rank_accesses, CsvAccess, Strategy, TraceCollector};
 use mcr_vm::{run_until, DeterministicScheduler, Event, MemLoc, Observer, Outcome, ThreadId, Vm};
 use std::cell::Cell;
@@ -91,11 +88,6 @@ pub trait PipelinePhase: sealed::Sealed {
     /// Stores a produced (or rehydrated) artifact in the session.
     fn install(session: &mut ReproSession<'_>, artifact: Self::Artifact);
 
-    /// The wall-clock/step budget configured for this phase.
-    fn budget(session: &ReproSession<'_>) -> Option<PhaseBudget> {
-        session.options().budgets.get(Self::PHASE)
-    }
-
     /// Whether a freshly computed artifact may enter the store. Partial
     /// results — a cancelled or budget-cut search — must not poison the
     /// cache, since a later run with a larger budget would rehydrate
@@ -106,82 +98,12 @@ pub trait PipelinePhase: sealed::Sealed {
 
     /// Runs the phase. Implementations emit their own
     /// `Started`/`Stage`/`Finished`/`Interrupted` events and honor the
-    /// session's cancel token and this phase's budget.
+    /// session's cancel token.
     ///
     /// # Errors
     ///
     /// See [`ReproError`].
     fn compute(session: &mut ReproSession<'_>) -> Result<Self::Artifact, ReproError>;
-}
-
-/// How many interruption polls share one `Instant::now()` read inside
-/// the align/diff step loops (cancellation is checked on every poll —
-/// an atomic load — only the wall clock is cached).
-const WALL_POLL_PERIOD: u32 = 256;
-
-/// Polls cancellation and a phase's wall-clock budget from inside a
-/// `run_until` stop predicate.
-struct Interrupt {
-    cancel: CancelToken,
-    deadline: Option<Instant>,
-    polls: u32,
-    expired: bool,
-}
-
-impl Interrupt {
-    fn new(cancel: CancelToken, budget: Option<PhaseBudget>) -> Interrupt {
-        Interrupt {
-            cancel,
-            deadline: budget
-                .and_then(|b| b.wall)
-                .map(|wall| Instant::now() + wall),
-            polls: 0,
-            expired: false,
-        }
-    }
-
-    /// Whether the phase should stop now. Called once per VM step.
-    fn fired(&mut self) -> bool {
-        if self.cancel.is_cancelled() {
-            return true;
-        }
-        if self.expired {
-            return true;
-        }
-        let Some(deadline) = self.deadline else {
-            return false;
-        };
-        let n = self.polls;
-        self.polls = n.wrapping_add(1);
-        if !n.is_multiple_of(WALL_POLL_PERIOD) {
-            return false;
-        }
-        self.expired = Instant::now() >= deadline;
-        self.expired
-    }
-
-    /// Converts an interruption into the phase's error (cancellation
-    /// wins over budget expiry when both hold).
-    fn error(&self, phase: Phase) -> ReproError {
-        if self.cancel.is_cancelled() {
-            ReproError::Cancelled(phase)
-        } else {
-            ReproError::BudgetExhausted(phase)
-        }
-    }
-
-    fn interrupted(&self) -> bool {
-        self.cancel.is_cancelled() || self.expired
-    }
-}
-
-/// Step cap for a phase: the options default, tightened by the phase
-/// budget when one is set.
-fn effective_steps(default: u64, budget: Option<PhaseBudget>) -> u64 {
-    match budget.and_then(|b| b.max_steps) {
-        Some(cap) => default.min(cap),
-        None => default,
-    }
 }
 
 /// Phase 1: reverse engineering the failure's execution index (§3.2,
@@ -366,9 +288,8 @@ impl PipelinePhase for AlignPhase {
         s.emit(PhaseEvent::Started {
             phase: Phase::Align,
         });
-        let budget = Self::budget(s);
-        let max_steps = effective_steps(s.options.max_steps, budget);
-        let mut guard = Interrupt::new(s.cancel.clone(), budget);
+        let max_steps = s.options.max_steps;
+        let cancel = s.cancel.clone();
 
         let t0 = Instant::now();
         let mut vm = s.new_vm();
@@ -394,7 +315,7 @@ impl PipelinePhase for AlignPhase {
         let outcome = if passing.aligner.is_some() {
             run_until(&mut vm, &mut sched, &mut passing, max_steps, |vm| {
                 snapshot.offer(vm, Some(point.get()));
-                guard.fired()
+                cancel.is_cancelled()
             })
         } else {
             let target_instrs = s.failure_dump.focus_thread().instrs;
@@ -402,7 +323,7 @@ impl PipelinePhase for AlignPhase {
             let mut scanning = true;
             run_until(&mut vm, &mut sched, &mut passing, max_steps, |vm| {
                 snapshot.offer(vm, aligned_at.or(reached));
-                if guard.fired() {
+                if cancel.is_cancelled() {
                     return true;
                 }
                 if scanning {
@@ -445,11 +366,11 @@ impl PipelinePhase for AlignPhase {
                 remaining: 0,
             },
         };
-        if guard.interrupted() {
+        if cancel.is_cancelled() {
             s.emit(PhaseEvent::Interrupted {
                 phase: Phase::Align,
             });
-            return Err(guard.error(Phase::Align));
+            return Err(ReproError::Cancelled(Phase::Align));
         }
         let deterministic_repro = matches!(outcome, Outcome::Crashed(f) if f.same_bug(&s.failure));
         let aligned_vm = snapshot.take(alignment.step).unwrap_or(vm);
@@ -516,9 +437,7 @@ impl PipelinePhase for DiffPhase {
 
     fn compute(s: &mut ReproSession<'_>) -> Result<Self::Artifact, ReproError> {
         s.emit(PhaseEvent::Started { phase: Phase::Diff });
-        let budget = Self::budget(s);
-        let max_steps = effective_steps(s.options.max_steps, budget);
-        let mut guard = Interrupt::new(s.cancel.clone(), budget);
+        let max_steps = s.options.max_steps;
         let executed = Self::input(s).expect("align ran").aligned_steps;
 
         // Only the dependence strategy needs a trace: replay the
@@ -528,12 +447,13 @@ impl PipelinePhase for DiffPhase {
             let mut replay = s.new_vm();
             let mut collector = TraceCollector::new(s.analysis(), s.options.trace_window);
             let mut sched = DeterministicScheduler::new();
+            let cancel = &s.cancel;
             run_until(&mut replay, &mut sched, &mut collector, max_steps, |vm| {
-                guard.fired() || vm.steps() >= executed
+                cancel.is_cancelled() || vm.steps() >= executed
             });
-            if guard.interrupted() {
+            if cancel.is_cancelled() {
                 s.emit(PhaseEvent::Interrupted { phase: Phase::Diff });
-                return Err(guard.error(Phase::Diff));
+                return Err(ReproError::Cancelled(Phase::Diff));
             }
             debug_assert!(
                 replay.steps() == executed || max_steps < executed,
@@ -801,21 +721,11 @@ impl PipelinePhase for SearchPhase {
                 elapsed: t0.elapsed(),
             });
             let fresh = s.new_vm();
-            let budget = Self::budget(s);
-            let mut search_config = SearchConfig {
+            let search_config = SearchConfig {
                 parallelism: s.options.parallelism.max(1),
                 cancel: s.cancel.clone(),
                 ..s.options.search.clone()
             };
-            if let Some(b) = budget {
-                if let Some(wall) = b.wall {
-                    search_config.time_budget =
-                        Some(search_config.time_budget.map_or(wall, |t| t.min(wall)));
-                }
-                if let Some(steps) = b.max_steps {
-                    search_config.max_steps = search_config.max_steps.min(steps);
-                }
-            }
             let t1 = Instant::now();
             let result = find_schedule(
                 &fresh,

@@ -8,10 +8,8 @@
 //! only under the dependence strategy, to collect the trace it slices.
 //! This module holds everything around it:
 //!
-//! * [`ReproOptions`] (with [`ReproOptions::builder`]) — strategy,
-//!   alignment mode, search algorithm and budgets,
-//! * [`PhaseBudget`]/[`PhaseBudgets`] — per-phase wall-clock and step
-//!   caps,
+//! * [`ReproOptions`] — strategy, alignment mode, search algorithm and
+//!   the caps that bound a reproduction,
 //! * [`ReproError`] — everything that can interrupt a reproduction,
 //! * [`ReproReport`] — the final report (feeds the paper's Tables 3–5),
 //! * [`ReproTimings`] — the phase costs of Table 6, folded from a
@@ -56,85 +54,11 @@ pub enum AlignMode {
     InstructionCount,
 }
 
-/// A wall-clock and/or step cap for one phase of a session.
-///
-/// Budgets are enforced where the pipeline actually loops: the passing
-/// run ([`Phase::Align`]), the dependence-strategy replay
-/// ([`Phase::Diff`]), and the schedule search ([`Phase::Search`]). The
-/// `Index` and `Rank` phases are one-shot computations — for them only
-/// the cancellation check at phase entry applies. Under
-/// [`Strategy::Temporal`] the diff phase steps no VM, so a diff-phase
-/// step cap bounds nothing there.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseBudget {
-    /// Cap on VM steps (the passing run, or the diff phase's dependence
-    /// replay) or per-try steps (search); `None` leaves the
-    /// [`ReproOptions`] default in force.
-    pub max_steps: Option<u64>,
-    /// Wall-clock cap; exceeding it interrupts align/diff with
-    /// [`ReproError::BudgetExhausted`] and cuts the search off with a
-    /// partial result.
-    pub wall: Option<Duration>,
-}
-
-impl PhaseBudget {
-    /// A budget with only a wall-clock cap.
-    pub fn wall(d: Duration) -> PhaseBudget {
-        PhaseBudget {
-            wall: Some(d),
-            ..Default::default()
-        }
-    }
-
-    /// A budget with only a step cap.
-    pub fn steps(n: u64) -> PhaseBudget {
-        PhaseBudget {
-            max_steps: Some(n),
-            ..Default::default()
-        }
-    }
-}
-
-/// Optional per-phase budgets (see [`PhaseBudget`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseBudgets {
-    /// Budget for [`Phase::Index`].
-    pub index: Option<PhaseBudget>,
-    /// Budget for [`Phase::Align`].
-    pub align: Option<PhaseBudget>,
-    /// Budget for [`Phase::Diff`].
-    pub diff: Option<PhaseBudget>,
-    /// Budget for [`Phase::Rank`].
-    pub rank: Option<PhaseBudget>,
-    /// Budget for [`Phase::Search`].
-    pub search: Option<PhaseBudget>,
-}
-
-impl PhaseBudgets {
-    /// The budget configured for `phase`, if any.
-    pub fn get(&self, phase: Phase) -> Option<PhaseBudget> {
-        match phase {
-            Phase::Index => self.index,
-            Phase::Align => self.align,
-            Phase::Diff => self.diff,
-            Phase::Rank => self.rank,
-            Phase::Search => self.search,
-        }
-    }
-
-    /// Sets the budget for `phase`.
-    pub fn set(&mut self, phase: Phase, budget: PhaseBudget) {
-        match phase {
-            Phase::Index => self.index = Some(budget),
-            Phase::Align => self.align = Some(budget),
-            Phase::Diff => self.diff = Some(budget),
-            Phase::Rank => self.rank = Some(budget),
-            Phase::Search => self.search = Some(budget),
-        }
-    }
-}
-
 /// Reproduction options.
+///
+/// The fields are public: set the ones that matter and take the rest
+/// from `..Default::default()`. The [session docs](crate::session) list
+/// what bounds each phase.
 #[derive(Debug, Clone)]
 pub struct ReproOptions {
     /// CSV access prioritization strategy.
@@ -143,13 +67,18 @@ pub struct ReproOptions {
     pub align_mode: AlignMode,
     /// Search algorithm.
     pub algorithm: Algorithm,
-    /// Schedule search configuration.
+    /// Schedule search configuration: its try cap, deadline and per-try
+    /// step cap bound the search phase. The session replaces two of its
+    /// fields: `parallelism` with [`ReproOptions::parallelism`], and
+    /// `cancel` with the session's own token
+    /// ([`ReproSession::cancel_token`]).
     pub search: SearchConfig,
     /// Dependence-trace window (events). Under either strategy only the
     /// CSV accesses of the last this many steps up to the aligned point
     /// are ranked.
     pub trace_window: usize,
-    /// Step cap for the passing run and replay.
+    /// Step cap for the align phase's passing run and the diff phase's
+    /// dependence replay.
     pub max_steps: u64,
     /// Traversal limits for dump reachability.
     pub limits: TraverseLimits,
@@ -159,8 +88,6 @@ pub struct ReproOptions {
     /// either way — the parallel search selects the lowest-worklist-index
     /// winner (see [`SearchConfig::parallelism`]).
     pub parallelism: usize,
-    /// Per-phase wall-clock/step budgets.
-    pub budgets: PhaseBudgets,
     /// Content-addressed artifact store consulted before every phase
     /// (see [`ArtifactStore`](crate::ArtifactStore)): a phase whose
     /// [`PhaseKey`](crate::PhaseKey) hits the store is skipped and its
@@ -205,126 +132,11 @@ impl Default for ReproOptions {
             max_steps: 50_000_000,
             limits: TraverseLimits::default(),
             parallelism: minipool::available_parallelism(),
-            budgets: PhaseBudgets::default(),
             store: None,
             mem_model: mcr_vm::MemModel::Sc,
             faults: Vec::new(),
             static_race: false,
         }
-    }
-}
-
-impl ReproOptions {
-    /// A builder over the defaults:
-    ///
-    /// ```
-    /// use mcr_core::{PhaseBudget, Phase, ReproOptions};
-    /// use mcr_slice::Strategy;
-    /// use std::time::Duration;
-    ///
-    /// let options = ReproOptions::builder()
-    ///     .strategy(Strategy::Dependence)
-    ///     .parallelism(1)
-    ///     .budget(Phase::Search, PhaseBudget::wall(Duration::from_secs(60)))
-    ///     .build();
-    /// assert_eq!(options.strategy, Strategy::Dependence);
-    /// ```
-    pub fn builder() -> ReproOptionsBuilder {
-        ReproOptionsBuilder {
-            options: ReproOptions::default(),
-        }
-    }
-}
-
-/// Builder for [`ReproOptions`] (see [`ReproOptions::builder`]).
-#[derive(Debug, Clone)]
-pub struct ReproOptionsBuilder {
-    options: ReproOptions,
-}
-
-impl ReproOptionsBuilder {
-    /// Sets the CSV prioritization strategy.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.options.strategy = strategy;
-        self
-    }
-
-    /// Sets the aligned-point location method.
-    pub fn align_mode(mut self, mode: AlignMode) -> Self {
-        self.options.align_mode = mode;
-        self
-    }
-
-    /// Sets the search algorithm.
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.options.algorithm = algorithm;
-        self
-    }
-
-    /// Sets the schedule-search configuration.
-    pub fn search(mut self, search: SearchConfig) -> Self {
-        self.options.search = search;
-        self
-    }
-
-    /// Sets the dependence-trace window (events).
-    pub fn trace_window(mut self, events: usize) -> Self {
-        self.options.trace_window = events;
-        self
-    }
-
-    /// Sets the step cap for the passing run and replay.
-    pub fn max_steps(mut self, steps: u64) -> Self {
-        self.options.max_steps = steps;
-        self
-    }
-
-    /// Sets the dump-traversal limits.
-    pub fn limits(mut self, limits: TraverseLimits) -> Self {
-        self.options.limits = limits;
-        self
-    }
-
-    /// Sets the search worker-thread count.
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        self.options.parallelism = workers;
-        self
-    }
-
-    /// Sets the budget for one phase.
-    pub fn budget(mut self, phase: Phase, budget: PhaseBudget) -> Self {
-        self.options.budgets.set(phase, budget);
-        self
-    }
-
-    /// Attaches a content-addressed artifact store.
-    pub fn store(mut self, store: std::sync::Arc<dyn crate::ArtifactStore>) -> Self {
-        self.options.store = Some(store);
-        self
-    }
-
-    /// Sets the memory consistency model for every VM in the session.
-    pub fn mem_model(mut self, model: mcr_vm::MemModel) -> Self {
-        self.options.mem_model = model;
-        self
-    }
-
-    /// Sets the fault-injection plan for every VM in the session.
-    pub fn faults(mut self, faults: Vec<mcr_vm::FaultSpec>) -> Self {
-        self.options.faults = faults;
-        self
-    }
-
-    /// Enables (or disables) static-race candidate pruning and ranking
-    /// in the search phase (see [`ReproOptions::static_race`]).
-    pub fn static_race(mut self, enabled: bool) -> Self {
-        self.options.static_race = enabled;
-        self
-    }
-
-    /// Finalizes the options.
-    pub fn build(self) -> ReproOptions {
-        self.options
     }
 }
 
@@ -438,9 +250,6 @@ pub enum ReproError {
     /// The session's [`CancelToken`](mcr_search::CancelToken) fired
     /// during the named phase, before its artifact was produced.
     Cancelled(Phase),
-    /// The named phase's [`PhaseBudget`] wall clock expired before the
-    /// phase finished.
-    BudgetExhausted(Phase),
 }
 
 impl fmt::Display for ReproError {
@@ -453,9 +262,6 @@ impl fmt::Display for ReproError {
             }
             ReproError::Codec(e) => write!(f, "artifact decoding failed: {e}"),
             ReproError::Cancelled(p) => write!(f, "cancelled during the {p} phase"),
-            ReproError::BudgetExhausted(p) => {
-                write!(f, "phase budget exhausted during the {p} phase")
-            }
         }
     }
 }
@@ -487,7 +293,7 @@ impl From<DecodeError> for ReproError {
 /// This is the original blocking entry point, kept as a thin wrapper
 /// that drives a [`ReproSession`] end to end. Use [`Reproducer::session`]
 /// (or [`ReproSession::new`]) for staged execution, progress
-/// observation, per-phase budgets, and checkpoint/resume.
+/// observation, cancellation, and checkpoint/resume.
 #[derive(Debug)]
 pub struct Reproducer<'p> {
     program: &'p Program,
@@ -667,49 +473,5 @@ mod tests {
         assert!(has_sync_points(&p));
         let p2 = mcr_lang::compile("fn main() { }").unwrap();
         assert!(!has_sync_points(&p2));
-    }
-
-    #[test]
-    fn builder_sets_every_knob() {
-        let limits = TraverseLimits {
-            max_depth: 3,
-            max_paths: 99,
-        };
-        let options = ReproOptions::builder()
-            .strategy(Strategy::Dependence)
-            .align_mode(AlignMode::InstructionCount)
-            .algorithm(Algorithm::Chess)
-            .search(SearchConfig {
-                max_tries: 7,
-                ..Default::default()
-            })
-            .trace_window(1234)
-            .max_steps(5678)
-            .limits(limits)
-            .parallelism(2)
-            .budget(Phase::Search, PhaseBudget::steps(10))
-            .budget(Phase::Align, PhaseBudget::wall(Duration::from_secs(9)))
-            .store(std::sync::Arc::new(crate::store::MemoryStore::unbounded()))
-            .static_race(true)
-            .build();
-        assert_eq!(options.strategy, Strategy::Dependence);
-        assert_eq!(options.align_mode, AlignMode::InstructionCount);
-        assert_eq!(options.algorithm, Algorithm::Chess);
-        assert_eq!(options.search.max_tries, 7);
-        assert_eq!(options.trace_window, 1234);
-        assert_eq!(options.max_steps, 5678);
-        assert_eq!(options.limits.max_depth, 3);
-        assert_eq!(options.parallelism, 2);
-        assert_eq!(
-            options.budgets.get(Phase::Search),
-            Some(PhaseBudget::steps(10))
-        );
-        assert_eq!(
-            options.budgets.get(Phase::Align),
-            Some(PhaseBudget::wall(Duration::from_secs(9)))
-        );
-        assert_eq!(options.budgets.get(Phase::Rank), None);
-        assert!(options.store.is_some());
-        assert!(options.static_race);
     }
 }

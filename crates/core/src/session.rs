@@ -45,12 +45,18 @@
 //! session finishes to the same [`ReproReport`] the uninterrupted run
 //! produces.
 //!
-//! Long-running phases poll the session's [`CancelToken`] and the
-//! per-phase [`PhaseBudget`]s: align/diff interrupt with
-//! [`ReproError::Cancelled`]/[`ReproError::BudgetExhausted`], while the
-//! search unwinds into a *partial* [`SearchArtifact`] (its
+//! Three things bound a reproduction. The search stops at its try cap
+//! ([`SearchConfig::max_tries`]) or deadline
+//! ([`SearchConfig::time_budget`]) and cuts each try at
+//! [`SearchConfig::max_steps`]; the align run and the dependence replay
+//! stop at [`ReproOptions::max_steps`]; and the session's
+//! [`CancelToken`] stops any phase. Align and diff poll it once per step
+//! and interrupt with [`ReproError::Cancelled`], while the search unwinds
+//! into a *partial* [`SearchArtifact`] (its
 //! [`SearchResult::cancelled`](mcr_search::SearchResult::cancelled) flag
-//! set) so a service can still report how far it got.
+//! set) so a service can still report how far it got. A caller that
+//! wants a wall-clock cap on the other phases fires the token from a
+//! timer.
 
 use crate::artifact::{
     AlignmentArtifact, DumpDeltaArtifact, FailureIndexArtifact, RankedAccessesArtifact,
@@ -58,9 +64,7 @@ use crate::artifact::{
 };
 use crate::observe::{NullPhaseObserver, Phase, PhaseEvent, PhaseObserver};
 use crate::phase::{AlignPhase, DiffPhase, IndexPhase, PipelinePhase, RankPhase, SearchPhase};
-use crate::pipeline::{
-    AlignMode, PhaseBudget, PhaseBudgets, ReproError, ReproOptions, ReproReport, ReproTimings,
-};
+use crate::pipeline::{AlignMode, ReproError, ReproOptions, ReproReport, ReproTimings};
 use crate::store::{program_fingerprint, ArtifactStore, NullStore, PhaseKey};
 use mcr_analysis::{ProgramAnalysis, RaceAnalysis};
 use mcr_dump::wire::{ContentHash, ContentHasher, Reader, Writer};
@@ -77,7 +81,8 @@ const MAGIC: &[u8; 4] = b"MCRS";
 // v3: options carry the static-race knob.
 // v4: the worker counts follow the key options instead of sitting
 // among them.
-const VERSION: u8 = 4;
+// v5: no per-phase budgets, and one worker count.
+const VERSION: u8 = 5;
 
 /// The artifacts a session has produced so far.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -521,8 +526,7 @@ impl<'p> ReproSession<'p> {
     /// # Errors
     ///
     /// Those of [`ReproSession::run_index`], plus
-    /// [`ReproError::NoSuchThread`], [`ReproError::Cancelled`] and
-    /// [`ReproError::BudgetExhausted`].
+    /// [`ReproError::NoSuchThread`] and [`ReproError::Cancelled`].
     pub fn run_align(&mut self) -> Result<&AlignmentArtifact, ReproError> {
         self.run::<AlignPhase>()
     }
@@ -751,12 +755,11 @@ fn read_env(r: &mut Reader<'_>) -> Result<(MemModel, Vec<FaultSpec>), DecodeErro
 }
 
 /// The options bytes that enter a session's key basis: every semantic
-/// knob *except* the worker counts (`ReproOptions::parallelism`,
-/// `SearchConfig::parallelism`). The parallel-equivalence suite pins
-/// that results are independent of worker count, so folding it into
-/// keys would only stop sessions with different core counts from
-/// sharing one store. Checkpoints append the worker counts via
-/// [`write_options`].
+/// knob *except* the worker count ([`ReproOptions::parallelism`]). The
+/// parallel-equivalence suite pins that results are independent of
+/// worker count, so folding it into keys would only stop sessions with
+/// different core counts from sharing one store. Checkpoints append the
+/// worker count via [`write_options`].
 fn write_key_options(w: &mut Writer, o: &ReproOptions) {
     write_env(w, o);
     w.bool(o.static_race);
@@ -781,16 +784,6 @@ fn write_key_options(w: &mut Writer, o: &ReproOptions) {
     w.uvarint(o.max_steps);
     w.uvarint(o.limits.max_depth as u64);
     w.uvarint(o.limits.max_paths as u64);
-    for phase in crate::observe::PHASES {
-        match o.budgets.get(phase) {
-            None => w.bool(false),
-            Some(b) => {
-                w.bool(true);
-                w.opt_uvarint(b.max_steps);
-                w.opt_duration(b.wall);
-            }
-        }
-    }
 }
 
 fn write_artifact<T>(w: &mut Writer, artifact: &Option<T>, to_bytes: impl Fn(&T) -> Vec<u8>) {
@@ -819,13 +812,14 @@ fn read_artifact<T>(
 }
 
 /// Serializes the options' *semantic* knobs: the key bytes of
-/// [`write_key_options`] followed by the two worker counts. Runtime
-/// attachments (the cancel token, artifact store, and executor handle)
-/// are process-local and excluded; they also do not contribute to
-/// session bases, so attaching a store never changes a phase key.
+/// [`write_key_options`] followed by the worker count. The search
+/// config's own worker count is not written: the session replaces it
+/// with [`ReproOptions::parallelism`]. Runtime attachments (the cancel
+/// token, artifact store, and executor handle) are process-local and
+/// excluded; they also do not contribute to session bases, so attaching
+/// a store never changes a phase key.
 fn write_options(w: &mut Writer, o: &ReproOptions) {
     write_key_options(w, o);
-    w.uvarint(o.search.parallelism as u64);
     w.uvarint(o.parallelism as u64);
 }
 
@@ -853,7 +847,7 @@ fn read_options(r: &mut Reader<'_>) -> Result<ReproOptions, DecodeError> {
         time_budget: r.opt_duration()?,
         max_steps: r.uvarint()?,
         pair_pool: r.uvarint()? as usize,
-        // Read with the other worker count, after the key options.
+        // Set from the worker count, after the key options.
         parallelism: 0,
         // The token is process-local state; a resumed session gets a
         // fresh one. Likewise the executor handle.
@@ -866,20 +860,9 @@ fn read_options(r: &mut Reader<'_>) -> Result<ReproOptions, DecodeError> {
         max_depth: r.uvarint()? as usize,
         max_paths: r.uvarint()? as usize,
     };
-    let mut budgets = PhaseBudgets::default();
-    for phase in crate::observe::PHASES {
-        if r.bool()? {
-            budgets.set(
-                phase,
-                PhaseBudget {
-                    max_steps: r.opt_uvarint()?,
-                    wall: r.opt_duration()?,
-                },
-            );
-        }
-    }
-    search.parallelism = r.uvarint()? as usize;
     let parallelism = r.uvarint()? as usize;
+    // The count the search runs with (see `write_options`).
+    search.parallelism = parallelism;
     Ok(ReproOptions {
         strategy,
         align_mode,
@@ -889,7 +872,6 @@ fn read_options(r: &mut Reader<'_>) -> Result<ReproOptions, DecodeError> {
         max_steps,
         limits,
         parallelism,
-        budgets,
         store: None,
         mem_model,
         faults,
@@ -1038,21 +1020,6 @@ mod tests {
     }
 
     #[test]
-    fn align_wall_budget_interrupts() {
-        let p = mcr_lang::compile(FIG1).unwrap();
-        let options = ReproOptions::builder()
-            .budget(Phase::Align, PhaseBudget::wall(Duration::ZERO))
-            .build();
-        let mut s = fig1_session(&p, options);
-        assert!(matches!(
-            s.run_align(),
-            Err(ReproError::BudgetExhausted(Phase::Align))
-        ));
-        // The index artifact survived; lifting the budget resumes.
-        assert!(s.index_artifact().is_some());
-    }
-
-    #[test]
     fn warm_session_rehydrates_every_phase_from_the_store() {
         let p = mcr_lang::compile(FIG1).unwrap();
         let input = [0i64, 1];
@@ -1099,7 +1066,10 @@ mod tests {
             &p,
             sf.dump.clone(),
             &input,
-            ReproOptions::builder().trace_window(7).build(),
+            ReproOptions {
+                trace_window: 7,
+                ..Default::default()
+            },
         )
         .unwrap();
         assert_ne!(a.basis(), b.basis(), "input is part of the key basis");
@@ -1110,7 +1080,10 @@ mod tests {
             &p,
             sf.dump.clone(),
             &input,
-            ReproOptions::builder().parallelism(64).build(),
+            ReproOptions {
+                parallelism: 64,
+                ..Default::default()
+            },
         )
         .unwrap();
         assert_eq!(a.basis(), d.basis(), "parallelism must not affect keys");
@@ -1125,10 +1098,12 @@ mod tests {
     }
 
     /// Every option a checkpoint serializes survives `resume`, the key
-    /// options and the worker counts after them alike: each is set to a
+    /// options and the worker count after them alike: each is set to a
     /// non-default value here, so a field the reader skipped, swapped or
-    /// defaulted would show. The key basis is unchanged by the round
-    /// trip, and a checkpoint of the previous version is refused.
+    /// defaulted would show. The search config's own worker count is not
+    /// serialized; it comes back as the one the session runs the search
+    /// with. The key basis is unchanged by the round trip, and a
+    /// checkpoint of the previous version is refused.
     #[test]
     fn checkpoint_round_trips_every_serialized_option() {
         let p = mcr_lang::compile(FIG1).unwrap();
@@ -1153,29 +1128,23 @@ mod tests {
                 nth: 0,
             },
         ];
-        let both = PhaseBudget {
-            max_steps: Some(99),
-            wall: Some(Duration::from_micros(4321)),
-        };
-        let options = ReproOptions::builder()
-            .strategy(Strategy::Dependence)
-            .align_mode(AlignMode::InstructionCount)
-            .algorithm(Algorithm::Chess)
-            .search(search)
-            .trace_window(4321)
-            .max_steps(8765)
-            .limits(TraverseLimits {
+        let options = ReproOptions {
+            strategy: Strategy::Dependence,
+            align_mode: AlignMode::InstructionCount,
+            algorithm: Algorithm::Chess,
+            search,
+            trace_window: 4321,
+            max_steps: 8765,
+            limits: TraverseLimits {
                 max_depth: 6,
                 max_paths: 321,
-            })
-            .parallelism(7)
-            .budget(Phase::Index, PhaseBudget::steps(11))
-            .budget(Phase::Align, PhaseBudget::wall(Duration::from_secs(3)))
-            .budget(Phase::Search, both)
-            .mem_model(MemModel::Tso { buffer_cap: 5 })
-            .faults(faults.clone())
-            .static_race(true)
-            .build();
+            },
+            parallelism: 7,
+            mem_model: MemModel::Tso { buffer_cap: 5 },
+            faults: faults.clone(),
+            static_race: true,
+            ..Default::default()
+        };
         let s = fig1_session(&p, options);
         let ckpt = s.checkpoint();
         let resumed = ReproSession::resume(&p, &ckpt).unwrap();
@@ -1188,31 +1157,23 @@ mod tests {
         assert_eq!(o.search.time_budget, Some(Duration::from_millis(1500)));
         assert_eq!(o.search.max_steps, 123_456);
         assert_eq!(o.search.pair_pool, 9);
-        assert_eq!(o.search.parallelism, 5);
+        assert_eq!(o.search.parallelism, 7);
         assert_eq!(o.trace_window, 4321);
         assert_eq!(o.max_steps, 8765);
         assert_eq!((o.limits.max_depth, o.limits.max_paths), (6, 321));
         assert_eq!(o.parallelism, 7);
-        assert_eq!(o.budgets.get(Phase::Index), Some(PhaseBudget::steps(11)));
-        assert_eq!(
-            o.budgets.get(Phase::Align),
-            Some(PhaseBudget::wall(Duration::from_secs(3)))
-        );
-        assert_eq!(o.budgets.get(Phase::Diff), None);
-        assert_eq!(o.budgets.get(Phase::Rank), None);
-        assert_eq!(o.budgets.get(Phase::Search), Some(both));
         assert_eq!(o.mem_model, MemModel::Tso { buffer_cap: 5 });
         assert_eq!(o.faults, faults);
         assert!(o.static_race);
         assert_eq!(resumed.basis(), s.basis());
         assert_eq!(resumed.checkpoint(), ckpt);
-        // A version-3 checkpoint put the worker counts among the key
-        // options; it is refused rather than misread.
-        let mut v3 = ckpt;
-        v3[MAGIC.len()] = 3;
-        match ReproSession::resume(&p, &v3) {
+        // A version-4 checkpoint carried per-phase budgets and a second
+        // worker count; it is refused rather than misread.
+        let mut v4 = ckpt;
+        v4[MAGIC.len()] = 4;
+        match ReproSession::resume(&p, &v4) {
             Err(ReproError::Codec(e)) => {
-                assert!(e.msg.contains("unsupported session version 3"), "{e}");
+                assert!(e.msg.contains("unsupported session version 4"), "{e}");
             }
             other => panic!("expected a codec error, got ok={}", other.is_ok()),
         };
@@ -1339,8 +1300,13 @@ mod tests {
     fn undecodable_aligned_dump_is_a_codec_error() {
         let p = mcr_lang::compile(FIG1).unwrap();
         for strategy in [Strategy::Temporal, Strategy::Dependence] {
-            let options = ReproOptions::builder().strategy(strategy).build();
-            let mut s = fig1_session(&p, options);
+            let mut s = fig1_session(
+                &p,
+                ReproOptions {
+                    strategy,
+                    ..Default::default()
+                },
+            );
             s.run_align().unwrap();
             let align = s.artifacts.align.as_mut().unwrap();
             let len = align.aligned_dump.len();

@@ -135,7 +135,11 @@ pub fn find_schedule(
     algorithm: Algorithm,
     config: &SearchConfig,
 ) -> SearchResult {
-    let deadline = config.time_budget.map(|d| Instant::now() + d);
+    // A budget too large to add to the clock sets no deadline: one that
+    // far off can never pass.
+    let deadline = config
+        .time_budget
+        .and_then(|d| Instant::now().checked_add(d));
 
     let worklist = Worklist::new(candidates, algorithm, config);
     let guidance = match algorithm {

@@ -3,7 +3,10 @@
 //! `preempt()` overlap test depends on.
 
 use mcr_lang::{GlobalId, LocalId};
-use mcr_search::{annotate, coarse, Budget, CoarseLoc, Guidance, SyncLogger, TestRun};
+use mcr_search::{
+    annotate, coarse, find_schedule, Algorithm, Budget, CoarseLoc, Guidance, SearchConfig,
+    SyncLogger, TestRun,
+};
 use mcr_vm::{run, DeterministicScheduler, MemLoc, ObjId, StressScheduler, ThreadId, Vm};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -132,6 +135,35 @@ fn deadline_stops_a_search_midway() {
     // The deadline is polled before each execution, so at most the
     // in-flight one completes.
     assert!(budget.tries <= 1, "tries = {}", budget.tries);
+}
+
+/// A time budget too large to add to the clock is no deadline: the
+/// search runs as if it had none, rather than panicking on the overflow.
+#[test]
+fn unbounded_time_budget_searches_as_if_none() {
+    let (program, failure) = setup(RACE);
+    let (candidates, future) = all_candidates(&program);
+    let fresh = Vm::new(&program, &[]);
+    for parallelism in [1, 2] {
+        let search = |time_budget| {
+            let config = SearchConfig {
+                time_budget,
+                parallelism,
+                ..SearchConfig::default()
+            };
+            find_schedule(
+                &fresh,
+                &candidates,
+                &future,
+                failure,
+                Algorithm::Chess,
+                &config,
+            )
+        };
+        let unbounded = search(None);
+        assert!(unbounded.reproduced);
+        assert_eq!(search(Some(Duration::MAX)), unbounded);
+    }
 }
 
 #[test]

@@ -29,14 +29,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ] {
             let reproducer = Reproducer::new(
                 &program,
-                ReproOptions::builder()
-                    .algorithm(algorithm)
-                    .strategy(strategy)
-                    .search(SearchConfig {
+                ReproOptions {
+                    algorithm,
+                    strategy,
+                    search: SearchConfig {
                         max_tries: 20_000,
                         ..Default::default()
-                    })
-                    .build(),
+                    },
+                    ..Default::default()
+                },
             );
             let report = reproducer.reproduce(&stress.dump, &input)?;
             cells.push(if report.search.reproduced {

@@ -45,7 +45,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("failure dump obtained (stress seed {})", stress.seed);
 
     // ---- Process-style step 1: index + align + diff, then checkpoint.
-    let options = ReproOptions::builder().parallelism(1).build();
+    let options = ReproOptions {
+        parallelism: 1,
+        ..Default::default()
+    };
     let checkpoint = {
         let mut session =
             ReproSession::new(&program, stress.dump.clone(), &FIG1_INPUT, options.clone())?;

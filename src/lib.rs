@@ -33,9 +33,8 @@ use mcr_core::{ReproOptions, StressFailure};
 // Facade re-exports: the staged session API, so tests and examples can
 // take everything from one crate.
 pub use mcr_core::{
-    AlignmentArtifact, CancelToken, DumpDeltaArtifact, FailureIndexArtifact, Phase, PhaseBudget,
-    PhaseBudgets, PhaseEvent, PhaseObserver, RankedAccessesArtifact, ReproSession, SearchArtifact,
-    TimingLog,
+    AlignmentArtifact, CancelToken, DumpDeltaArtifact, FailureIndexArtifact, Phase, PhaseEvent,
+    PhaseObserver, RankedAccessesArtifact, ReproSession, SearchArtifact, TimingLog,
 };
 use mcr_dump::{CoreDump, DumpDiff, DumpReason, ValueDiff, VarMap};
 use mcr_lang::Inst;

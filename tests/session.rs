@@ -1,17 +1,20 @@
 //! The staged `ReproSession` API: checkpoint/resume equivalence across
 //! the whole bug suite, artifact codec round-trips, corruption handling,
-//! cancellation, and the instruction-count single-run alignment.
+//! cancellation, an unbounded search deadline, and the
+//! instruction-count single-run alignment.
 
 use mcr_core::{
     AlignMode, CancelToken, Phase, PhaseEvent, PhaseObserver, ReproError, ReproOptions,
     ReproSession, Reproducer,
 };
-use mcr_search::{Algorithm, SyncLogger};
+use mcr_search::{Algorithm, SearchConfig, SyncLogger};
 use mcr_slice::Strategy;
 use mcr_testsupport::{repro_options as options, stress_bug, FIG1, FIG1_INPUT};
 use mcr_vm::{run, DeterministicScheduler, Vm};
 use mcr_workloads::all_bugs;
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// The acceptance bar: for every bug in the suite, a session that is
 /// checkpointed to bytes and resumed in fresh state after *every* phase
@@ -144,14 +147,16 @@ fn corrupted_artifacts_surface_codec_errors() {
 }
 
 /// Observer that fires the session's cancel token when a chosen phase
-/// starts.
+/// starts, and keeps every event it sees.
 struct CancelAt {
     phase: Phase,
     token: CancelToken,
+    seen: Arc<Mutex<Vec<PhaseEvent>>>,
 }
 
 impl PhaseObserver for CancelAt {
     fn on_event(&mut self, event: &PhaseEvent) {
+        self.seen.lock().unwrap().push(*event);
         if let PhaseEvent::Started { phase } = event {
             if *phase == self.phase {
                 self.token.cancel();
@@ -177,6 +182,7 @@ fn cancellation_mid_search_returns_partial_report() {
     session.set_observer(Box::new(CancelAt {
         phase: Phase::Search,
         token,
+        seen: Arc::default(),
     }));
     let report = session.run_to_end().expect("partial report, not an error");
     assert!(!report.search.reproduced);
@@ -206,6 +212,7 @@ fn cancellation_mid_align_interrupts_and_preserves_progress() {
     session.set_observer(Box::new(CancelAt {
         phase: Phase::Align,
         token,
+        seen: Arc::default(),
     }));
     match session.run_to_end() {
         Err(ReproError::Cancelled(Phase::Align)) => {}
@@ -216,6 +223,65 @@ fn cancellation_mid_align_interrupts_and_preserves_progress() {
     let bytes = session.checkpoint();
     let resumed = ReproSession::resume(&program, &bytes).unwrap();
     assert_eq!(resumed.completed(), Some(Phase::Index));
+}
+
+/// Cancellation inside the diff phase's dependence replay errors with
+/// `Cancelled(Diff)` after an `Interrupted` event and keeps the index and
+/// align artifacts; the checkpoint taken then resumes to the
+/// uninterrupted report.
+#[test]
+fn cancellation_mid_diff_replay_interrupts_and_resumes() {
+    let program = mcr_lang::compile(FIG1).unwrap();
+    let sf = mcr_core::find_failure(&program, &FIG1_INPUT, 0..200_000, 1_000_000).unwrap();
+    let opts = options(Algorithm::ChessX, Strategy::Dependence);
+    let uninterrupted = Reproducer::new(&program, opts.clone())
+        .reproduce(&sf.dump, &FIG1_INPUT)
+        .unwrap();
+    let mut session = ReproSession::new(&program, sf.dump, &FIG1_INPUT, opts).unwrap();
+    let seen = Arc::default();
+    session.set_observer(Box::new(CancelAt {
+        phase: Phase::Diff,
+        token: session.cancel_token(),
+        seen: Arc::clone(&seen),
+    }));
+    match session.run_to_end() {
+        Err(ReproError::Cancelled(Phase::Diff)) => {}
+        other => panic!("expected Cancelled(Diff): {:?}", other.is_ok()),
+    }
+    assert!(seen
+        .lock()
+        .unwrap()
+        .contains(&PhaseEvent::Interrupted { phase: Phase::Diff }));
+    assert_eq!(session.completed(), Some(Phase::Align));
+    let mut resumed = ReproSession::resume(&program, &session.checkpoint()).unwrap();
+    assert_eq!(resumed.completed(), Some(Phase::Align));
+    assert_eq!(resumed.run_to_end().unwrap(), uninterrupted);
+}
+
+/// A search time budget too large to add to the clock sets no deadline:
+/// a session carrying `Some(Duration::MAX)` runs, and its checkpoint
+/// resumes, to the report of a session with no time budget.
+#[test]
+fn unbounded_search_time_budget_runs_and_resumes() {
+    let program = mcr_lang::compile(FIG1).unwrap();
+    let sf = mcr_core::find_failure(&program, &FIG1_INPUT, 0..200_000, 1_000_000).unwrap();
+    let opts = options(Algorithm::ChessX, Strategy::Temporal);
+    let unbounded = Reproducer::new(&program, opts.clone())
+        .reproduce(&sf.dump, &FIG1_INPUT)
+        .unwrap();
+    let opts = ReproOptions {
+        search: SearchConfig {
+            time_budget: Some(Duration::MAX),
+            ..opts.search
+        },
+        ..opts
+    };
+    let mut session = ReproSession::new(&program, sf.dump, &FIG1_INPUT, opts).unwrap();
+    session.run_rank().unwrap();
+    let mut resumed = ReproSession::resume(&program, &session.checkpoint()).unwrap();
+    assert!(resumed.options().search.time_budget.is_some());
+    assert_eq!(resumed.run_to_end().unwrap(), unbounded);
+    assert_eq!(session.run_to_end().unwrap(), unbounded);
 }
 
 /// The instruction-count baseline logs its single full run: the
