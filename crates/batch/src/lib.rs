@@ -27,7 +27,9 @@
 //! * **one artifact store** — all sessions share a content-addressed
 //!   [`ArtifactStore`], so any phase already computed for the same
 //!   *(program, input, dump, options)* anywhere in the fleet is
-//!   rehydrated instead of re-run;
+//!   rehydrated instead of re-run. A job whose search key already hits
+//!   finishes when it is opened, in one lookup and without a wave: the
+//!   search artifact carries the whole report;
 //! * **single-flight dedup** — identical phase units scheduled in the
 //!   same wave run once: one leader computes, the duplicates wait and
 //!   rehydrate from the store;
@@ -42,7 +44,8 @@
 //! work on a `'static` thread). Instead, whichever thread blocks on the
 //! service — a [`JobTicket::wait`], a [`TriageService::drain`], or an
 //! explicit [`TriageService::poll`] — *becomes* the scheduler while it
-//! waits: it opens newly admitted jobs, forms a *wave* (each live job's
+//! waits: it opens newly admitted jobs (probing each one's search key
+//! and finishing the hits at once), forms a *wave* (each live job's
 //! next phase in `(priority, submission)` order), single-flights
 //! duplicate [`PhaseKey`]s, fans the leaders out over the shared worker
 //! pool, and finalizes completed jobs. Threads that lose the race for
@@ -853,14 +856,26 @@ impl<'p> TriageService<'p> {
                                 log: Arc::clone(&log),
                                 user: observer,
                             }));
-                            *state = SlotState::Live(Box::new(LiveSlot {
+                            // A warm job is one lookup: its search entry
+                            // holds the whole report, so it finishes here
+                            // and joins no wave.
+                            let t0 = Instant::now();
+                            let warm = session.probe(Phase::Search);
+                            let live = LiveSlot {
                                 session,
                                 log,
                                 error: None,
                                 deduped: 0,
-                                busy: Duration::ZERO,
+                                busy: t0.elapsed(),
                                 cancel_sent: false,
-                            }));
+                            };
+                            *state = if warm {
+                                let (outcome, delta) = finalize(&slot.name, slot.priority, live);
+                                finalized.push(delta);
+                                SlotState::Done(Box::new(outcome))
+                            } else {
+                                SlotState::Live(Box::new(live))
+                            };
                         }
                         Err(e) => {
                             // The dump could not even open a session
@@ -1228,7 +1243,9 @@ mod tests {
         let warm_job = vec![FleetJob::new("warm", &program, dump, &INPUT)];
         let (second, summary) = run_all(config, warm_job);
         assert_eq!(summary.computed, 0);
-        assert_eq!(summary.cache_hits, 5);
+        // One lookup, the search, finishes the job when it opens.
+        assert_eq!(summary.cache_hits, 1);
+        assert_eq!(summary.waves, 0);
         let cold = first[0].result.as_ref().unwrap();
         let warm = second[0].result.as_ref().unwrap();
         // Rehydrated reports are bit-identical.

@@ -15,7 +15,11 @@
 //!   counterpart (the determinism contract of the phase layer),
 //! * **cache accounting** — phase units computed vs rehydrated vs
 //!   single-flighted, plus the store's own counters *sliced by phase
-//!   kind* ([`StoreStats::per_phase`]).
+//!   kind* ([`StoreStats::per_phase`]),
+//! * **warm jobs** — each distinct job submitted again, [`WARM_REPS`]
+//!   times, to a service over the fleet's now-warm store: the store
+//!   lookups one warm job makes, and the median wall time of one warm
+//!   submission (submit and wait) per distinct job.
 //!
 //! `tables -- batch-json` serializes a [`BatchReport`] to
 //! `BENCH_batch.json` so successive PRs leave a measurable trajectory
@@ -24,12 +28,17 @@
 use crate::stamp::Stamp;
 use mcr_batch::{FleetConfig, FleetJob, JobTicket, TriageService};
 use mcr_core::{
-    find_failure_par, PhaseStats, ReproOptions, ReproReport, Reproducer, StoreStats, PHASES,
+    find_failure_par, ArtifactStore, MemoryStore, PhaseStats, ReproOptions, ReproReport,
+    Reproducer, StoreStats, PHASES,
 };
 use mcr_workloads::{all_bugs, fleet_mix, FleetSpec};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Warm submissions timed per distinct job.
+pub const WARM_REPS: usize = 200;
 
 /// Stress-seed cap, mirroring the `MCR_TEST_TIER` tiers of
 /// `mcr-testsupport` (smoke by default so the CI bench step stays fast;
@@ -97,6 +106,19 @@ pub struct BatchReport {
     /// Store counters at the end of the fleet run (the per-phase
     /// histograms live in [`StoreStats::per_phase`]).
     pub store: StoreStats,
+    /// Distinct jobs submitted again over the warm store.
+    pub warm: WarmJobs,
+}
+
+/// What a warm job costs: every distinct job submitted [`WARM_REPS`]
+/// times to a service whose store already holds its artifacts.
+#[derive(Debug, Clone)]
+pub struct WarmJobs {
+    /// Store lookups (hits and misses) per warm submission.
+    pub lookups_per_job: f64,
+    /// Per distinct job, in corpus order: its name and the median wall
+    /// time of one warm submission, from submit to outcome.
+    pub median: Vec<(String, Duration)>,
 }
 
 /// Runs the batch measurement: stress each distinct job once, reproduce
@@ -160,10 +182,13 @@ pub fn batch_report() -> BatchReport {
     // Fleet run: every job submitted to one service with a shared
     // executor and store, then drained by `shutdown`.
     let t0 = Instant::now();
-    let service = TriageService::new(FleetConfig {
+    let store: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::unbounded());
+    let config = FleetConfig {
         workers,
+        store: Arc::clone(&store),
         ..Default::default()
-    });
+    };
+    let service = TriageService::new(config.clone());
     let tickets: Vec<_> = prepared
         .iter()
         .map(|job| {
@@ -197,6 +222,41 @@ pub fn batch_report() -> BatchReport {
         }
     }
 
+    // Warm jobs: each distinct job again, over the warm store.
+    let warm_service = TriageService::new(config);
+    let before = store.stats();
+    let mut seen = HashSet::new();
+    let mut median = Vec::new();
+    for (job, serial) in prepared.iter().zip(&serial_reports) {
+        if !seen.insert(job.spec.dedup_key()) {
+            continue;
+        }
+        let mut times: Vec<Duration> = (0..WARM_REPS)
+            .map(|_| {
+                let fleet_job = FleetJob::new(
+                    job.spec.name.clone(),
+                    &programs[job.program_idx],
+                    job.dump.clone(),
+                    &job.input,
+                );
+                let t = Instant::now();
+                let ticket = warm_service.submit(fleet_job).expect("unbounded admission");
+                let outcome = ticket.wait();
+                let elapsed = t.elapsed();
+                identical &= outcome.result.as_ref().ok() == Some(serial);
+                elapsed
+            })
+            .collect();
+        times.sort_unstable();
+        median.push((job.spec.name.clone(), times[times.len() / 2]));
+    }
+    let after = store.stats();
+    let lookups = (after.hits + after.misses) - (before.hits + before.misses);
+    let warm = WarmJobs {
+        lookups_per_job: lookups as f64 / (median.len() * WARM_REPS) as f64,
+        median,
+    };
+
     BatchReport {
         // One fleet run and one serial baseline per report.
         stamp: Stamp::of_this_host(1),
@@ -222,6 +282,7 @@ pub fn batch_report() -> BatchReport {
         identical_results: identical,
         reproduced,
         store: s.store,
+        warm,
     }
 }
 
@@ -260,6 +321,24 @@ impl BatchReport {
         let _ = writeln!(s, "  \"deduped_in_flight\": {},", self.deduped_in_flight);
         let _ = writeln!(s, "  \"cache_hit_rate\": {:.3},", self.cache_hit_rate);
         let _ = writeln!(s, "  \"identical_results\": {},", self.identical_results);
+        let _ = writeln!(s, "  \"warm_job\": {{");
+        let _ = writeln!(s, "    \"reps\": {WARM_REPS},");
+        let _ = writeln!(
+            s,
+            "    \"lookups_per_job\": {:.3},",
+            self.warm.lookups_per_job
+        );
+        let rows: Vec<String> = self
+            .warm
+            .median
+            .iter()
+            .map(|(job, t)| {
+                let us = t.as_secs_f64() * 1e6;
+                format!("      {{\"job\": \"{job}\", \"us\": {us:.1}}}")
+            })
+            .collect();
+        let _ = writeln!(s, "    \"median_us\": [\n{}\n    ]", rows.join(",\n"));
+        let _ = writeln!(s, "  }},");
         let _ = writeln!(s, "  \"store\": {{");
         let _ = writeln!(s, "    \"entries\": {},", self.store.entries);
         let _ = writeln!(s, "    \"bytes\": {},", self.store.bytes);
@@ -296,6 +375,9 @@ pub const BATCH_JSON_REQUIRED: &[&str] = &[
     "\"cache_hit_rate\"",
     "\"speedup_vs_serial\"",
     "\"identical_results\"",
+    "\"warm_job\"",
+    "\"lookups_per_job\"",
+    "\"median_us\"",
     "\"stamp\"",
     "\"rev\"",
     "\"nproc\"",
@@ -365,6 +447,13 @@ mod tests {
                 bytes: 123_456,
                 ..StoreStats::default()
             },
+            warm: WarmJobs {
+                lookups_per_job: 1.0,
+                median: vec![
+                    ("mysql-3#dup0".to_string(), Duration::from_micros(14)),
+                    ("apache-2#dup0".to_string(), Duration::from_micros(12)),
+                ],
+            },
         }
     }
 
@@ -380,6 +469,9 @@ mod tests {
             "\"deduped_in_flight\": 15",
             "\"cache_hit_rate\": 0.333",
             "\"identical_results\": true",
+            "\"lookups_per_job\": 1.000",
+            "{\"job\": \"mysql-3#dup0\", \"us\": 14.0},",
+            "{\"job\": \"apache-2#dup0\", \"us\": 12.0}\n",
             "\"speedup_vs_serial\"",
             "\"store\"",
             "\"per_phase\"",

@@ -23,7 +23,8 @@
 //!
 //! `batch-json` measures the `mcr-batch` fleet engine on a
 //! duplicate-heavy job mix (throughput, cache-hit rate, single-flight
-//! dedup, serial-equivalence) and writes `PATH` (default
+//! dedup, serial-equivalence, and what one warm job costs: its store
+//! lookups and median latency) and writes `PATH` (default
 //! `BENCH_batch.json`).
 //!
 //! Both JSON writers stamp the report with the git revision, host core
@@ -141,6 +142,11 @@ fn main() {
             assert!(
                 report.cache_hits > 0,
                 "duplicate-heavy mix produced no cache hits"
+            );
+            assert!(
+                (report.warm.lookups_per_job - 1.0).abs() < 1e-9,
+                "a warm job made {} store lookups, not one",
+                report.warm.lookups_per_job
             );
             let json = report.to_json();
             mcr_bench::batch::check_batch_json_schema(&json)

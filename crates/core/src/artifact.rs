@@ -3,17 +3,18 @@
 //! Each phase of a [`ReproSession`](crate::ReproSession) produces an
 //! owned, inspectable artifact struct — the reverse-engineered execution
 //! index, the alignment plus passing-run log and aligned dump, the dump
-//! delta, the ranked CSV accesses, and the search result. Every artifact
-//! is encodable/decodable on the [`mcr_dump::wire`] format, so the
-//! expensive intermediates are first-class values that can be stored,
-//! shipped between processes, and resumed — not locals inside one
-//! opaque pipeline call.
+//! delta, the ranked CSV accesses, and the search result with the whole
+//! report. Every artifact is encodable/decodable on the
+//! [`mcr_dump::wire`] format, so the expensive intermediates are
+//! first-class values that can be stored, shipped between processes, and
+//! resumed — not locals inside one opaque pipeline call.
 //!
 //! Framing: every artifact byte string starts with the 4-byte magic
 //! `MCRA`, a format version, and a kind tag, so artifacts of different
 //! phases cannot be confused for one another. Decoding rejects trailing
 //! bytes, unknown tags, and truncation with [`DecodeError`].
 
+use crate::pipeline::ReproReport;
 use mcr_analysis::PredKey;
 use mcr_dump::wire::{Reader, Writer};
 use mcr_dump::{DecodeError, PathRoot, RefPath};
@@ -31,7 +32,8 @@ const MAGIC: &[u8; 4] = b"MCRA";
 // dependence trace instead of the whole trace.
 // v3: the alignment artifact carries the aligned dump.
 // v4: no artifact carries a wall-clock duration.
-const VERSION: u8 = 4;
+// v5: the search artifact carries the whole report.
+const VERSION: u8 = 5;
 
 /// The artifact kind tags of the `MCRA` framing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,11 +140,15 @@ pub struct RankedAccessesArtifact {
     pub ranked: Vec<RankedAccess>,
 }
 
-/// Phase 5 output: the schedule search result.
+/// Phase 5 output: the final report, the schedule search result
+/// together with what the earlier phases contribute to it. The report
+/// reads this artifact alone, so a session that rehydrates the search
+/// from a store needs no other artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchArtifact {
-    /// The search result (possibly partial, when cancelled or cut off).
-    pub result: SearchResult,
+    /// The report. Its `search` field is the search result (possibly
+    /// partial, when cancelled or cut off).
+    pub report: ReproReport,
 }
 
 // ---------------------------------------------------------------------
@@ -257,6 +263,91 @@ fn read_index_entry(r: &mut Reader<'_>) -> Result<IndexEntry, DecodeError> {
         2 => IndexEntry::Stmt(r.pc()?),
         t => return r.err(format!("bad index entry tag {t}")),
     })
+}
+
+fn write_index(w: &mut Writer, index: &Option<ExecutionIndex>) {
+    match index {
+        None => w.bool(false),
+        Some(idx) => {
+            w.bool(true);
+            w.uvarint(idx.entries.len() as u64);
+            for e in &idx.entries {
+                write_index_entry(w, e);
+            }
+        }
+    }
+}
+
+fn read_index(r: &mut Reader<'_>) -> Result<Option<ExecutionIndex>, DecodeError> {
+    if !r.bool()? {
+        return Ok(None);
+    }
+    let n = r.len("index entries")?;
+    let mut entries = Vec::with_capacity(n.min(65536));
+    for _ in 0..n {
+        entries.push(read_index_entry(r)?);
+    }
+    Ok(Some(ExecutionIndex::new(entries)))
+}
+
+fn write_alignment(w: &mut Writer, a: &Alignment) {
+    w.u8(match a.signal {
+        AlignSignal::Exact => 0,
+        AlignSignal::Closest => 1,
+    });
+    w.uvarint(a.step);
+    w.uvarint(a.remaining as u64);
+}
+
+fn read_alignment(r: &mut Reader<'_>) -> Result<Alignment, DecodeError> {
+    let signal = match r.u8()? {
+        0 => AlignSignal::Exact,
+        1 => AlignSignal::Closest,
+        t => return r.err(format!("bad align signal tag {t}")),
+    };
+    Ok(Alignment {
+        signal,
+        step: r.uvarint()?,
+        remaining: r.uvarint()? as usize,
+    })
+}
+
+/// The dump comparison's report fields, in the delta and search
+/// artifacts alike: the five counts (failure and aligned dump bytes,
+/// variables, differences, shared variables compared), then the CSV
+/// paths and their passing-run locations.
+fn write_comparison(w: &mut Writer, counts: [usize; 5], paths: &[RefPath], locs: &[MemLoc]) {
+    for n in counts {
+        w.uvarint(n as u64);
+    }
+    w.uvarint(paths.len() as u64);
+    for p in paths {
+        write_refpath(w, p);
+    }
+    w.uvarint(locs.len() as u64);
+    for &l in locs {
+        w.memloc(l);
+    }
+}
+
+type Comparison = ([usize; 5], Vec<RefPath>, Vec<MemLoc>);
+
+fn read_comparison(r: &mut Reader<'_>) -> Result<Comparison, DecodeError> {
+    let mut counts = [0; 5];
+    for n in &mut counts {
+        *n = r.uvarint()? as usize;
+    }
+    let n = r.len("csv paths")?;
+    let mut paths = Vec::with_capacity(n.min(65536));
+    for _ in 0..n {
+        paths.push(read_refpath(r)?);
+    }
+    let n = r.len("csv locs")?;
+    let mut locs = Vec::with_capacity(n.min(65536));
+    for _ in 0..n {
+        locs.push(r.memloc()?);
+    }
+    Ok((counts, paths, locs))
 }
 
 fn candidate_kind_tag(kind: CandidateKind) -> u8 {
@@ -437,16 +528,7 @@ fn read_csv_access(r: &mut Reader<'_>) -> Result<CsvAccess, DecodeError> {
 impl FailureIndexArtifact {
     /// Serializes the artifact to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        frame(Kind::Index, |w| match &self.index {
-            None => w.bool(false),
-            Some(idx) => {
-                w.bool(true);
-                w.uvarint(idx.entries.len() as u64);
-                for e in &idx.entries {
-                    write_index_entry(w, e);
-                }
-            }
-        })
+        frame(Kind::Index, |w| write_index(w, &self.index))
     }
 
     /// Parses an artifact from bytes.
@@ -456,16 +538,7 @@ impl FailureIndexArtifact {
     /// Returns [`DecodeError`] on truncated or malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut r = unframe(bytes, Kind::Index)?;
-        let index = if r.bool()? {
-            let n = r.len("index entries")?;
-            let mut entries = Vec::with_capacity(n.min(65536));
-            for _ in 0..n {
-                entries.push(read_index_entry(&mut r)?);
-            }
-            Some(ExecutionIndex::new(entries))
-        } else {
-            None
-        };
+        let index = read_index(&mut r)?;
         r.finish()?;
         Ok(FailureIndexArtifact { index })
     }
@@ -475,12 +548,7 @@ impl AlignmentArtifact {
     /// Serializes the artifact to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         frame(Kind::Alignment, |w| {
-            w.u8(match self.alignment.signal {
-                AlignSignal::Exact => 0,
-                AlignSignal::Closest => 1,
-            });
-            w.uvarint(self.alignment.step);
-            w.uvarint(self.alignment.remaining as u64);
+            write_alignment(w, &self.alignment);
             w.bool(self.deterministic_repro);
             let info = &self.passing_run;
             w.uvarint(info.candidates.len() as u64);
@@ -513,16 +581,7 @@ impl AlignmentArtifact {
     /// Returns [`DecodeError`] on truncated or malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut r = unframe(bytes, Kind::Alignment)?;
-        let signal = match r.u8()? {
-            0 => AlignSignal::Exact,
-            1 => AlignSignal::Closest,
-            t => return r.err(format!("bad align signal tag {t}")),
-        };
-        let alignment = Alignment {
-            signal,
-            step: r.uvarint()?,
-            remaining: r.uvarint()? as usize,
-        };
+        let alignment = read_alignment(&mut r)?;
         let deterministic_repro = r.bool()?;
         let n = r.len("candidates")?;
         let mut candidates = Vec::with_capacity(n.min(65536));
@@ -590,19 +649,14 @@ impl DumpDeltaArtifact {
     /// Serializes the artifact to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         frame(Kind::Delta, |w| {
-            w.uvarint(self.failure_dump_bytes as u64);
-            w.uvarint(self.aligned_dump_bytes as u64);
-            w.uvarint(self.vars as u64);
-            w.uvarint(self.diffs as u64);
-            w.uvarint(self.shared as u64);
-            w.uvarint(self.csv_paths.len() as u64);
-            for p in &self.csv_paths {
-                write_refpath(w, p);
-            }
-            w.uvarint(self.csv_locs.len() as u64);
-            for &l in &self.csv_locs {
-                w.memloc(l);
-            }
+            let counts = [
+                self.failure_dump_bytes,
+                self.aligned_dump_bytes,
+                self.vars,
+                self.diffs,
+                self.shared,
+            ];
+            write_comparison(w, counts, &self.csv_paths, &self.csv_locs);
             w.uvarint(self.aligned_serial);
             w.uvarint(self.csv_accesses.len() as u64);
             for a in &self.csv_accesses {
@@ -618,21 +672,8 @@ impl DumpDeltaArtifact {
     /// Returns [`DecodeError`] on truncated or malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut r = unframe(bytes, Kind::Delta)?;
-        let failure_dump_bytes = r.uvarint()? as usize;
-        let aligned_dump_bytes = r.uvarint()? as usize;
-        let vars = r.uvarint()? as usize;
-        let diffs = r.uvarint()? as usize;
-        let shared = r.uvarint()? as usize;
-        let n = r.len("csv paths")?;
-        let mut csv_paths = Vec::with_capacity(n.min(65536));
-        for _ in 0..n {
-            csv_paths.push(read_refpath(&mut r)?);
-        }
-        let n = r.len("csv locs")?;
-        let mut csv_locs = Vec::with_capacity(n.min(65536));
-        for _ in 0..n {
-            csv_locs.push(r.memloc()?);
-        }
+        let ([failure_dump_bytes, aligned_dump_bytes, vars, diffs, shared], csv_paths, csv_locs) =
+            read_comparison(&mut r)?;
         let aligned_serial = r.uvarint()?;
         let n = r.len("csv accesses")?;
         let mut csv_accesses = Vec::with_capacity(n.min(65536));
@@ -699,8 +740,20 @@ impl RankedAccessesArtifact {
 impl SearchArtifact {
     /// Serializes the artifact to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let r = &self.report;
         frame(Kind::Search, |w| {
-            write_search_result(w, &self.result);
+            write_index(w, &r.index);
+            write_alignment(w, &r.alignment);
+            w.bool(r.deterministic_repro);
+            let counts = [
+                r.failure_dump_bytes,
+                r.aligned_dump_bytes,
+                r.vars,
+                r.diffs,
+                r.shared,
+            ];
+            write_comparison(w, counts, &r.csv_paths, &r.csv_locs);
+            write_search_result(w, &r.search);
         })
     }
 
@@ -711,9 +764,28 @@ impl SearchArtifact {
     /// Returns [`DecodeError`] on truncated or malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut r = unframe(bytes, Kind::Search)?;
-        let result = read_search_result(&mut r)?;
+        let index = read_index(&mut r)?;
+        let alignment = read_alignment(&mut r)?;
+        let deterministic_repro = r.bool()?;
+        let ([failure_dump_bytes, aligned_dump_bytes, vars, diffs, shared], csv_paths, csv_locs) =
+            read_comparison(&mut r)?;
+        let search = read_search_result(&mut r)?;
         r.finish()?;
-        Ok(SearchArtifact { result })
+        Ok(SearchArtifact {
+            report: ReproReport {
+                index,
+                alignment,
+                failure_dump_bytes,
+                aligned_dump_bytes,
+                vars,
+                diffs,
+                shared,
+                csv_paths,
+                csv_locs,
+                search,
+                deterministic_repro,
+            },
+        })
     }
 }
 
@@ -984,18 +1056,40 @@ mod tests {
                 .into_iter()
                 .collect(),
         };
+        let (align, delta) = (sample_alignment(), sample_delta());
         let art = SearchArtifact {
-            result: SearchResult {
-                reproduced: true,
-                tries: 7,
-                combinations_tested: 3,
-                winning: Some(vec![cand]),
-                cut_off: false,
-                cancelled: false,
+            report: ReproReport {
+                index: Some(ExecutionIndex::new(vec![
+                    IndexEntry::Func(FuncId(3)),
+                    IndexEntry::Stmt(Pc::new(FuncId(3), StmtId(9))),
+                ])),
+                alignment: align.alignment,
+                failure_dump_bytes: delta.failure_dump_bytes,
+                aligned_dump_bytes: delta.aligned_dump_bytes,
+                vars: delta.vars,
+                diffs: delta.diffs,
+                shared: delta.shared,
+                csv_paths: delta.csv_paths,
+                csv_locs: delta.csv_locs,
+                search: SearchResult {
+                    reproduced: true,
+                    tries: 7,
+                    combinations_tested: 3,
+                    winning: Some(vec![cand]),
+                    cut_off: false,
+                    cancelled: false,
+                },
+                deterministic_repro: true,
             },
         };
-        let back = SearchArtifact::from_bytes(&art.to_bytes()).unwrap();
+        let bytes = art.to_bytes();
+        let back = SearchArtifact::from_bytes(&bytes).unwrap();
         assert_eq!(art, back);
+        assert_eq!(bytes, back.to_bytes());
+        // Every cut short of the whole artifact is a decode error.
+        for cut in 0..bytes.len() {
+            assert!(SearchArtifact::from_bytes(&bytes[..cut]).is_err(), "{cut}");
+        }
     }
 
     /// A delta artifact exercising every field: all CSV path roots, all

@@ -19,11 +19,13 @@
 //!
 //! The five phases are implementations of the generic [`PipelinePhase`]
 //! trait and the session is a thin driver over them; each phase unit is
-//! identified by a content-addressed [`PhaseKey`], so attaching an
-//! [`ArtifactStore`] (e.g. an unbounded or LRU-bounded in-memory
-//! [`MemoryStore`]) makes sessions skip any phase whose key was already
-//! computed — by themselves, by an earlier run, or by another session of
-//! a batch fleet (see the `mcr-batch` crate).
+//! identified by a content-addressed [`PhaseKey`] derived from the
+//! session basis, so attaching an [`ArtifactStore`] (e.g. an unbounded
+//! or LRU-bounded in-memory [`MemoryStore`]) makes sessions skip any
+//! phase whose key was already computed — by themselves, by an earlier
+//! run, or by another session of a batch fleet (see the `mcr-batch`
+//! crate). A session whose report is already stored gets it with one
+//! lookup.
 //!
 //! ```no_run
 //! use mcr_core::{find_failure, ReproOptions, Reproducer};

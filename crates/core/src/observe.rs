@@ -51,18 +51,6 @@ impl Phase {
         }
     }
 
-    /// The phase executed immediately before this one, if any (the one
-    /// whose artifact this phase consumes).
-    pub fn prev(self) -> Option<Phase> {
-        match self {
-            Phase::Index => None,
-            Phase::Align => Some(Phase::Index),
-            Phase::Diff => Some(Phase::Align),
-            Phase::Rank => Some(Phase::Diff),
-            Phase::Search => Some(Phase::Rank),
-        }
-    }
-
     /// Position of the phase in the pipeline (0-based, execution order).
     /// Stable — it doubles as the phase tag of the wire formats.
     pub fn index(self) -> usize {
@@ -221,14 +209,12 @@ mod tests {
     fn phase_order_and_names() {
         assert_eq!(Phase::Index.next(), Some(Phase::Align));
         assert_eq!(Phase::Search.next(), None);
-        assert_eq!(Phase::Index.prev(), None);
-        assert_eq!(Phase::Search.prev(), Some(Phase::Rank));
         let names: Vec<&str> = PHASES.iter().map(|p| p.name()).collect();
         assert_eq!(names, ["index", "align", "diff", "rank", "search"]);
         assert_eq!(Phase::Diff.to_string(), "diff");
         for (i, p) in PHASES.iter().enumerate() {
             assert_eq!(p.index(), i);
-            assert_eq!(p.prev(), i.checked_sub(1).map(|j| PHASES[j]));
+            assert_eq!(p.next(), PHASES.get(i + 1).copied());
         }
     }
 

@@ -9,12 +9,14 @@
 //! through its [`PhaseObserver`](crate::PhaseObserver).
 //!
 //! [`ReproSession`] is a thin driver over these implementations (see
-//! [`ReproSession::run`]): it resolves prerequisites, derives the
-//! phase's content-addressed [`PhaseKey`](crate::PhaseKey), consults the
-//! session's [`ArtifactStore`](crate::ArtifactStore) — rehydrating a hit
-//! instead of computing — and persists fresh artifacts back. Everything
-//! phase-*specific* lives here; everything phase-*generic* (keying,
-//! caching, memoization, event plumbing) lives once, in the driver.
+//! [`ReproSession::run`]): it derives the phase's content-addressed
+//! [`PhaseKey`](crate::PhaseKey) from the session basis, probes the
+//! session's [`ArtifactStore`](crate::ArtifactStore) for it — a hit is
+//! installed instead of computing — and on a miss resolves
+//! prerequisites, computes the phase and persists the artifact back.
+//! Everything phase-*specific* lives here; everything phase-*generic*
+//! (keying, caching, memoization, event plumbing) lives once, in the
+//! driver.
 //!
 //! The trait is sealed: the pipeline's phase set is the paper's, and the
 //! driver relies on the five implementations agreeing with the
@@ -25,7 +27,7 @@ use crate::artifact::{
     SearchArtifact,
 };
 use crate::observe::{Phase, PhaseEvent};
-use crate::pipeline::{AlignMode, ReproError};
+use crate::pipeline::{AlignMode, ReproError, ReproReport};
 use crate::session::ReproSession;
 use mcr_dump::{resolve_loc, CoreDump, DecodeError, DumpDiff, DumpReason, ResolvedVar};
 use mcr_index::{AlignSignal, Aligner, Alignment};
@@ -652,7 +654,9 @@ impl PipelinePhase for RankPhase {
     }
 }
 
-/// Phase 5: the directed schedule search (§5, Algorithm 2).
+/// Phase 5: the directed schedule search (§5, Algorithm 2). Its artifact
+/// is the whole report: the search result and what the earlier phases
+/// contribute to it.
 ///
 /// Cancellation mid-search does *not* error: the phase completes with a
 /// partial artifact whose result carries `cancelled = true` — which is
@@ -690,7 +694,7 @@ impl PipelinePhase for SearchPhase {
     fn cacheable(artifact: &Self::Artifact) -> bool {
         // Partial results must not be mistaken for the search's answer
         // by a warm run with a larger budget.
-        !artifact.result.cancelled && !artifact.result.cut_off
+        !artifact.report.search.cancelled && !artifact.report.search.cut_off
     }
 
     fn compute(s: &mut ReproSession<'_>) -> Result<Self::Artifact, ReproError> {
@@ -743,12 +747,29 @@ impl PipelinePhase for SearchPhase {
             result
         };
         // A cancelled search still Finishes (with a partial artifact,
-        // `result.cancelled` set); Interrupted is reserved for phases
+        // `search.cancelled` set); Interrupted is reserved for phases
         // that produced nothing.
         s.emit(PhaseEvent::Finished {
             phase: Phase::Search,
             elapsed: t0.elapsed(),
         });
-        Ok(SearchArtifact { result })
+        let index = s.artifacts.index.as_ref().expect("index ran");
+        let align = s.artifacts.align.as_ref().expect("align ran");
+        let delta = s.artifacts.delta.as_ref().expect("diff ran");
+        Ok(SearchArtifact {
+            report: ReproReport {
+                index: index.index.clone(),
+                alignment: align.alignment,
+                failure_dump_bytes: delta.failure_dump_bytes,
+                aligned_dump_bytes: delta.aligned_dump_bytes,
+                vars: delta.vars,
+                diffs: delta.diffs,
+                shared: delta.shared,
+                csv_paths: delta.csv_paths.clone(),
+                csv_locs: delta.csv_locs.clone(),
+                search: result,
+                deterministic_repro: align.deterministic_repro,
+            },
+        })
     }
 }

@@ -88,7 +88,7 @@ pub struct ReproOptions {
     /// either way — the parallel search selects the lowest-worklist-index
     /// winner (see [`SearchConfig::parallelism`]).
     pub parallelism: usize,
-    /// Content-addressed artifact store consulted before every phase
+    /// Content-addressed artifact store probed for each requested phase
     /// (see [`ArtifactStore`](crate::ArtifactStore)): a phase whose
     /// [`PhaseKey`](crate::PhaseKey) hits the store is skipped and its
     /// cached artifact rehydrated. `None` caches nothing. A runtime

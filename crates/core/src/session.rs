@@ -13,28 +13,35 @@
 //! | [`Phase::Rank`] | [`RankPhase`] | [`RankedAccessesArtifact`] |
 //! | [`Phase::Search`] | [`SearchPhase`] | [`SearchArtifact`] |
 //!
-//! The session itself is a *thin driver* ([`ReproSession::run`]): it
-//! resolves prerequisites, derives each phase's content-addressed
-//! [`PhaseKey`] — a stable hash of *(program fingerprint, input, failure
-//! dump, options, upstream artifact)* on the [`mcr_dump::wire`] encoding
-//! — and consults the session's [`ArtifactStore`]. A key hit skips the
-//! phase and rehydrates the cached artifact
-//! ([`PhaseEvent::CacheHit`]); a computed artifact is written back, so a
-//! fleet of sessions over near-duplicate dumps pays for each distinct
-//! phase unit once. Because phases are deterministic and artifacts hold
-//! results only, cached and computed artifacts are bit-identical — the
-//! final [`ReproReport`] is pinned to be the same cold, warm, or batched.
+//! The session itself is a *thin driver* ([`ReproSession::run`]). Each
+//! phase's content-addressed [`PhaseKey`] hashes the phase and the
+//! session [`basis`](ReproSession::basis) — *(program fingerprint,
+//! input, failure dump, options)* on the [`mcr_dump::wire`] encoding —
+//! so every key is known before any phase runs. Asked for a phase, the
+//! driver probes the session's [`ArtifactStore`] for that phase's key
+//! first: a hit installs the cached artifact alone
+//! ([`PhaseEvent::CacheHit`]) and runs no prerequisite. On a miss it
+//! brings every earlier phase in order — present, rehydrated or
+//! computed, each probed once — then computes the phase and writes its
+//! artifact back. So a warm `run_to_end` is one lookup, since the search
+//! artifact carries the whole report, a cold one probes each phase
+//! once, and staged calls (`run_align`, then `run_diff`, …) still
+//! rehydrate phase by phase. A fleet of sessions over near-duplicate
+//! dumps pays for each distinct phase unit once. Because phases are
+//! deterministic and artifacts hold results only, cached and computed
+//! artifacts are bit-identical — the final [`ReproReport`] is pinned to
+//! be the same cold, warm, or batched.
 //!
 //! Time is telemetry and travels on one channel, the [`PhaseEvent`]
 //! stream: every event goes to the attached [`PhaseObserver`], and the
 //! session folds the `Stage`/`Finished` durations into
 //! [`ReproSession::timings`]. No artifact or report carries a clock, so
 //! a rehydrated phase reports no time of its own and a recomputed phase
-//! leaves every downstream [`PhaseKey`] unchanged.
+//! rewrites its store entry byte for byte.
 //!
-//! Running a phase implicitly runs any prerequisite phase that has not
-//! produced its artifact yet, and re-running a completed phase is a
-//! no-op returning the stored artifact.
+//! Running a phase that misses the store implicitly runs any
+//! prerequisite phase that has not produced its artifact yet, and
+//! re-running a present phase is a no-op returning the stored artifact.
 //!
 //! After any phase the whole session — options, input, failure dump,
 //! artifacts — serializes to bytes with [`ReproSession::checkpoint`] and
@@ -62,7 +69,7 @@ use crate::artifact::{
     AlignmentArtifact, DumpDeltaArtifact, FailureIndexArtifact, RankedAccessesArtifact,
     SearchArtifact,
 };
-use crate::observe::{NullPhaseObserver, Phase, PhaseEvent, PhaseObserver};
+use crate::observe::{NullPhaseObserver, Phase, PhaseEvent, PhaseObserver, PHASES};
 use crate::phase::{AlignPhase, DiffPhase, IndexPhase, PipelinePhase, RankPhase, SearchPhase};
 use crate::pipeline::{AlignMode, ReproError, ReproOptions, ReproReport, ReproTimings};
 use crate::store::{program_fingerprint, ArtifactStore, NullStore, PhaseKey};
@@ -122,10 +129,6 @@ pub struct ReproSession<'p> {
     /// repeatedly and must not rehash the whole program each time.
     program_fp: OnceCell<ContentHash>,
     pub(crate) artifacts: Artifacts,
-    /// Content hash of each produced artifact's encoded bytes, indexed
-    /// by [`Phase::index`]; filled lazily (encoding an artifact just to
-    /// hash it is wasted work unless keys are actually consulted).
-    hashes: [Cell<Option<ContentHash>>; 5],
     /// The static race analysis, resolved lazily on first use by the
     /// search phase (and only under [`ReproOptions::static_race`] with
     /// no fault plan — `None` once resolved means disabled). A runtime
@@ -207,7 +210,6 @@ impl<'p> ReproSession<'p> {
             basis: Cell::new(None),
             program_fp: OnceCell::new(),
             artifacts: Artifacts::default(),
-            hashes: std::array::from_fn(|_| Cell::new(None)),
             race: OnceCell::new(),
             timings: ReproTimings::default(),
         })
@@ -246,8 +248,8 @@ impl<'p> ReproSession<'p> {
 
     /// Attaches a content-addressed artifact store (replacing the one
     /// from [`ReproOptions::store`], or the default [`NullStore`]).
-    /// Every phase whose [`PhaseKey`] hits the store is skipped and its
-    /// artifact rehydrated.
+    /// A requested phase whose [`PhaseKey`] hits the store is skipped
+    /// and its artifact rehydrated.
     pub fn set_store(&mut self, store: Arc<dyn ArtifactStore>) {
         self.store = store;
     }
@@ -307,7 +309,9 @@ impl<'p> ReproSession<'p> {
             .map(RaceAnalysis::verdicts)
     }
 
-    /// The latest completed phase, if any.
+    /// The latest phase whose artifact is present, if any. A store hit
+    /// installs the requested phase alone, so earlier artifacts may be
+    /// absent.
     pub fn completed(&self) -> Option<Phase> {
         if self.artifacts.search.is_some() {
             Some(Phase::Search)
@@ -324,8 +328,8 @@ impl<'p> ReproSession<'p> {
         }
     }
 
-    /// The next phase [`ReproSession::run_to_end`] would execute, or
-    /// `None` when the session is complete.
+    /// The phase after the latest present one — the next one a staged
+    /// driver runs — or `None` when the session is complete.
     pub fn next_phase(&self) -> Option<Phase> {
         match self.completed() {
             None => Some(Phase::Index),
@@ -333,7 +337,7 @@ impl<'p> ReproSession<'p> {
         }
     }
 
-    /// Whether every phase has produced its artifact.
+    /// Whether the search artifact, and with it the report, is present.
     pub fn is_complete(&self) -> bool {
         self.next_phase().is_none()
     }
@@ -394,101 +398,85 @@ impl<'p> ReproSession<'p> {
             .with_faults(&self.options.faults)
     }
 
-    /// The content hash of `phase`'s encoded artifact, once produced
-    /// (`None` while the artifact is missing). Computed lazily — a
-    /// session that never consults keys never encodes artifacts just to
-    /// hash them.
-    pub fn artifact_hash(&self, phase: Phase) -> Option<ContentHash> {
-        let cell = &self.hashes[phase.index()];
-        if let Some(h) = cell.get() {
-            return Some(h);
-        }
-        let bytes = self.encode_artifact(phase)?;
-        let h = ContentHash::of(&bytes);
-        cell.set(Some(h));
-        Some(h)
+    /// The content-addressed key identifying `phase`'s work unit,
+    /// derived from the session [`basis`](ReproSession::basis) alone:
+    /// known before any phase runs, and equal across sessions that share
+    /// a basis.
+    pub fn phase_key(&self, phase: Phase) -> PhaseKey {
+        PhaseKey::derive(self.basis(), phase)
     }
 
-    /// The wire encoding of `phase`'s artifact, when present.
-    fn encode_artifact(&self, phase: Phase) -> Option<Vec<u8>> {
-        Some(match phase {
-            Phase::Index => self.artifacts.index.as_ref()?.to_bytes(),
-            Phase::Align => self.artifacts.align.as_ref()?.to_bytes(),
-            Phase::Diff => self.artifacts.delta.as_ref()?.to_bytes(),
-            Phase::Rank => self.artifacts.ranked.as_ref()?.to_bytes(),
-            Phase::Search => self.artifacts.search.as_ref()?.to_bytes(),
-        })
-    }
-
-    /// The content-addressed key identifying `phase`'s work unit:
-    /// derived from the session [`basis`](ReproSession::basis) and the
-    /// upstream artifact's hash. `None` until the upstream artifact
-    /// exists (the key cannot be known before then).
-    pub fn phase_key(&self, phase: Phase) -> Option<PhaseKey> {
-        let upstream = match phase.prev() {
-            None => None,
-            Some(p) => Some(self.artifact_hash(p)?),
-        };
-        Some(PhaseKey::derive(self.basis(), phase, upstream))
-    }
-
-    /// The key of the next phase to execute — what a fleet scheduler
-    /// single-flights on. `None` when the session is complete.
+    /// The key of the next phase a staged driver runs — what a fleet
+    /// scheduler single-flights on. `None` when the session is complete.
     pub fn next_phase_key(&self) -> Option<PhaseKey> {
-        self.phase_key(self.next_phase()?)
+        Some(self.phase_key(self.next_phase()?))
     }
 
-    /// The generic phase driver: runs prerequisites, consults the
-    /// artifact store under the phase's content-addressed key
-    /// (rehydrating a hit, observed as [`PhaseEvent::CacheHit`]), and
-    /// otherwise computes the phase and writes its artifact back.
-    /// Re-running a completed phase returns the stored artifact.
+    /// Looks `phase`'s key up in the store and, on a hit, installs the
+    /// cached artifact alone — no prerequisite runs — and emits
+    /// [`PhaseEvent::CacheHit`]. Returns whether the artifact is present
+    /// afterwards. With a non-caching store (the default [`NullStore`])
+    /// it derives no key and looks nothing up. A triage service probes
+    /// the search phase this way to finish a warm job in one lookup.
+    pub fn probe(&mut self, phase: Phase) -> bool {
+        match phase {
+            Phase::Index => self.probe_as::<IndexPhase>(),
+            Phase::Align => self.probe_as::<AlignPhase>(),
+            Phase::Diff => self.probe_as::<DiffPhase>(),
+            Phase::Rank => self.probe_as::<RankPhase>(),
+            Phase::Search => self.probe_as::<SearchPhase>(),
+        }
+    }
+
+    fn probe_as<P: PipelinePhase>(&mut self) -> bool {
+        if P::artifact(self).is_some() {
+            return true;
+        }
+        if !self.store.is_caching() {
+            return false;
+        }
+        // A corrupted or stale store entry is a miss, never an error:
+        // the store is a cache, recomputing is always sound.
+        let Some(artifact) = self
+            .store
+            .get(&self.phase_key(P::PHASE))
+            .and_then(|bytes| P::decode(&bytes).ok())
+        else {
+            return false;
+        };
+        P::install(self, artifact);
+        self.emit(PhaseEvent::CacheHit { phase: P::PHASE });
+        true
+    }
+
+    /// The generic phase driver. It probes the store for the phase's own
+    /// key first ([`ReproSession::probe`]); a hit installs that artifact
+    /// alone, even after the cancel token fired, since it starts nothing.
+    /// On a miss it brings every earlier phase in order — present,
+    /// rehydrated or computed — because a phase may read any of them
+    /// (the search reads the align and delta artifacts too), then
+    /// computes the phase and writes its artifact back. Re-running a
+    /// present phase returns the stored artifact.
     ///
     /// # Errors
     ///
     /// See [`ReproError`].
     pub fn run<P: PipelinePhase>(&mut self) -> Result<&P::Artifact, ReproError> {
-        if let Some(prev) = P::PHASE.prev() {
-            self.run_phase(prev)?;
-        }
-        if P::artifact(self).is_none() {
+        if !self.probe_as::<P>() {
+            for &phase in &PHASES[..P::PHASE.index()] {
+                self.run_phase(phase)?;
+            }
             if P::GUARDED_ENTRY {
                 self.check_entry(P::PHASE)?;
             }
-            // Keys and artifact hashes exist only to address the store:
-            // with a non-caching store (the default NullStore) the whole
-            // machinery is skipped and the phase runs exactly as the
-            // pre-caching pipeline did.
-            let key = self
-                .store
-                .is_caching()
-                .then(|| self.phase_key(P::PHASE).expect("prerequisites just ran"));
-            // A corrupted store entry is treated as a miss, never an
-            // error: the store is a cache, recomputing is always sound.
-            let cached = key
-                .as_ref()
-                .and_then(|k| self.store.get(k))
-                .and_then(|bytes| P::decode(&bytes).ok().map(|a| (a, ContentHash::of(&bytes))));
-            match cached {
-                Some((artifact, hash)) => {
-                    self.hashes[P::PHASE.index()].set(Some(hash));
-                    P::install(self, artifact);
-                    self.emit(PhaseEvent::CacheHit { phase: P::PHASE });
-                }
-                None => {
-                    let artifact = P::compute(self)?;
-                    if let Some(key) = key {
-                        let bytes = P::encode(&artifact);
-                        if P::cacheable(&artifact) {
-                            self.store.put(&key, &bytes);
-                        }
-                        self.hashes[P::PHASE.index()].set(Some(ContentHash::of(&bytes)));
-                    }
-                    P::install(self, artifact);
-                }
+            let artifact = P::compute(self)?;
+            if self.store.is_caching() && P::cacheable(&artifact) {
+                self.store
+                    .put(&self.phase_key(P::PHASE), &P::encode(&artifact));
             }
+            P::install(self, artifact);
         }
-        Ok(P::artifact(self).expect("just installed"))
+        Ok(P::artifact(self).expect("present, rehydrated or just installed"))
     }
 
     /// Dynamic-dispatch form of [`ReproSession::run`], for drivers that
@@ -569,40 +557,24 @@ impl<'p> ReproSession<'p> {
         self.run::<SearchPhase>()
     }
 
-    /// Runs every remaining phase and returns the final report.
+    /// Runs the search, and whatever it needs, and returns the final
+    /// report. With a warm store this is one lookup.
     ///
     /// # Errors
     ///
     /// See [`ReproError`].
     pub fn run_to_end(&mut self) -> Result<ReproReport, ReproError> {
-        self.run_search()?;
-        Ok(self.report().expect("all phases complete"))
+        Ok(self.run_search()?.report.clone())
     }
 
-    /// Builds the [`ReproReport`] once every phase has run (`None`
-    /// before that).
+    /// The [`ReproReport`], read from the search artifact (`None` before
+    /// the search has run or been rehydrated).
     pub fn report(&self) -> Option<ReproReport> {
-        let index = self.artifacts.index.as_ref()?;
-        let align = self.artifacts.align.as_ref()?;
-        let delta = self.artifacts.delta.as_ref()?;
-        let search = self.artifacts.search.as_ref()?;
-        Some(ReproReport {
-            index: index.index.clone(),
-            alignment: align.alignment,
-            failure_dump_bytes: delta.failure_dump_bytes,
-            aligned_dump_bytes: delta.aligned_dump_bytes,
-            vars: delta.vars,
-            diffs: delta.diffs,
-            shared: delta.shared,
-            csv_paths: delta.csv_paths.clone(),
-            csv_locs: delta.csv_locs.clone(),
-            search: search.result.clone(),
-            deterministic_repro: align.deterministic_repro,
-        })
+        Some(self.artifacts.search.as_ref()?.report.clone())
     }
 
     /// Serializes the whole session — options, input, failure dump, and
-    /// every artifact produced so far — to bytes. The compiled program
+    /// every artifact present so far — to bytes. The compiled program
     /// is *not* included; supply it again to [`ReproSession::resume`].
     /// (The artifact store and executor handle are process-local
     /// runtime attachments and are likewise not serialized.)
@@ -668,19 +640,12 @@ impl<'p> ReproSession<'p> {
         r.finish()?;
         let mut session = Self::open(program, failure_dump, input, options)?;
         session.artifacts = Artifacts {
-            index: index.as_ref().map(|(a, _)| a.clone()),
-            align: align.as_ref().map(|(a, _)| a.clone()),
-            delta: delta.as_ref().map(|(a, _)| a.clone()),
-            ranked: ranked.as_ref().map(|(a, _)| a.clone()),
-            search: search.as_ref().map(|(a, _)| a.clone()),
+            index,
+            align,
+            delta,
+            ranked,
+            search,
         };
-        session.hashes = [
-            Cell::new(index.map(|(_, h)| h)),
-            Cell::new(align.map(|(_, h)| h)),
-            Cell::new(delta.map(|(_, h)| h)),
-            Cell::new(ranked.map(|(_, h)| h)),
-            Cell::new(search.map(|(_, h)| h)),
-        ];
         Ok(session)
     }
 }
@@ -796,16 +761,12 @@ fn write_artifact<T>(w: &mut Writer, artifact: &Option<T>, to_bytes: impl Fn(&T)
     }
 }
 
-/// Reads an optional artifact, returning it together with the content
-/// hash of its encoded bytes (so a resumed session can derive phase
-/// keys without re-encoding).
 fn read_artifact<T>(
     r: &mut Reader<'_>,
     from_bytes: impl Fn(&[u8]) -> Result<T, DecodeError>,
-) -> Result<Option<(T, ContentHash)>, DecodeError> {
+) -> Result<Option<T>, DecodeError> {
     Ok(if r.bool()? {
-        let bytes = r.bytes()?;
-        Some((from_bytes(bytes)?, ContentHash::of(bytes)))
+        Some(from_bytes(r.bytes()?)?)
     } else {
         None
     })
@@ -1019,8 +980,10 @@ mod tests {
         ));
     }
 
+    /// A warm `run_to_end` probes the search key first and rehydrates
+    /// that artifact alone; a staged call still rehydrates its own phase.
     #[test]
-    fn warm_session_rehydrates_every_phase_from_the_store() {
+    fn warm_session_rehydrates_the_search_alone() {
         let p = mcr_lang::compile(FIG1).unwrap();
         let input = [0i64, 1];
         let sf = find_failure(&p, &input, 0..200_000, 1_000_000).expect("stress exposes");
@@ -1031,6 +994,7 @@ mod tests {
         cold.set_store(Arc::clone(&store));
         let cold_report = cold.run_to_end().unwrap();
         assert_eq!(store.stats().inserts, 5, "every phase cached");
+        assert_eq!(store.stats().misses, 5, "each phase probed once");
 
         let mut warm =
             ReproSession::new(&p, sf.dump.clone(), &input, ReproOptions::default()).unwrap();
@@ -1039,9 +1003,11 @@ mod tests {
         warm.set_observer(Box::new(Arc::clone(&log)));
         let warm_report = warm.run_to_end().unwrap();
 
-        // All five phases were cache hits; nothing Started.
-        assert_eq!(log.lock().unwrap().cache_hits(), crate::observe::PHASES);
+        // One lookup, one hit: the search; nothing Started.
+        assert_eq!(log.lock().unwrap().cache_hits(), [Phase::Search]);
         assert!(log.lock().unwrap().finished().is_empty());
+        assert_eq!((store.stats().hits, store.stats().misses), (1, 5));
+        assert!(warm.index_artifact().is_none() && warm.ranked_artifact().is_none());
         // No phase ran, so nothing was analyzed.
         assert!(cold.analysis.get().is_some(), "the cold session analyzed");
         assert!(warm.analysis.get().is_none(), "warm session analyzed");
@@ -1052,6 +1018,15 @@ mod tests {
         for phase in crate::observe::PHASES {
             assert_eq!(cold.phase_key(phase), warm.phase_key(phase));
         }
+
+        // A staged call asks for its own phase, and that is what hits.
+        let mut staged = fig1_session(&p, ReproOptions::default());
+        staged.set_store(Arc::clone(&store));
+        staged.run_align().unwrap();
+        assert_eq!(staged.completed(), Some(Phase::Align));
+        assert!(staged.index_artifact().is_none());
+        staged.run_diff().unwrap();
+        assert_eq!((store.stats().hits, store.stats().misses), (3, 5));
     }
 
     #[test]
@@ -1092,8 +1067,10 @@ mod tests {
             b.phase_key(Phase::Index),
             "index keys diverge with the basis"
         );
-        // Keys of later phases are unknown before their upstream exists.
-        assert_eq!(a.phase_key(Phase::Align), None);
+        // Every key is known before any phase runs.
+        assert_eq!(a.completed(), None);
+        assert_ne!(a.phase_key(Phase::Align), b.phase_key(Phase::Align));
+        assert_ne!(a.phase_key(Phase::Align), a.phase_key(Phase::Index));
         assert_eq!(a.next_phase_key().unwrap().phase, Phase::Index);
     }
 
@@ -1189,7 +1166,7 @@ mod tests {
         // Cancel before the search: it completes with a partial result.
         s.cancel_token().cancel();
         let artifact = s.run_search().unwrap();
-        assert!(artifact.result.cancelled);
+        assert!(artifact.report.search.cancelled);
         // Rank and everything before it were cached; the search was not.
         assert_eq!(store.stats().inserts, 4);
     }
@@ -1262,7 +1239,8 @@ mod tests {
     }
 
     /// A version-2 alignment left in the store under the current key is
-    /// a miss: the align phase recomputes, overwrites the entry, and the
+    /// a miss for a staged `run_align`: the index rehydrates, the align
+    /// phase recomputes and rewrites the entry byte for byte, and the
     /// session reports what the cold run reported.
     #[test]
     fn stale_alignment_store_entry_is_recomputed() {
@@ -1271,7 +1249,7 @@ mod tests {
         let mut cold = fig1_session(&p, ReproOptions::default());
         cold.set_store(Arc::clone(&store));
         let cold_report = cold.run_to_end().unwrap();
-        let key = cold.phase_key(Phase::Align).unwrap();
+        let key = cold.phase_key(Phase::Align);
         let cold_entry = store.get(&key).unwrap();
         store.put(&key, &crate::artifact::v2_alignment_bytes());
 
@@ -1279,15 +1257,11 @@ mod tests {
         warm.set_store(Arc::clone(&store));
         let log = Arc::new(Mutex::new(TimingLog::new()));
         warm.set_observer(Box::new(Arc::clone(&log)));
+        warm.run_align().unwrap();
         let warm_report = warm.run_to_end().unwrap();
 
-        // The recomputed alignment is the cold one byte for byte, so
-        // every later phase keeps its key and hits.
         let log = log.lock().unwrap();
-        assert_eq!(
-            log.cache_hits(),
-            [Phase::Index, Phase::Diff, Phase::Rank, Phase::Search]
-        );
+        assert_eq!(log.cache_hits(), [Phase::Index, Phase::Search]);
         assert_eq!(log.finished().len(), 1);
         assert_eq!(log.finished()[0].0, Phase::Align);
         assert_eq!(store.get(&key).expect("entry rewritten"), cold_entry);
@@ -1324,8 +1298,9 @@ mod tests {
     }
 
     /// A version-1 delta left in the store under the current key is a
-    /// miss: the diff phase recomputes, overwrites the entry, and the
-    /// session reports what the cold run reported.
+    /// miss for a staged `run_diff`: the index and alignment rehydrate,
+    /// the diff phase recomputes and rewrites the entry byte for byte,
+    /// and the session reports what the cold run reported.
     #[test]
     fn stale_delta_store_entry_is_recomputed() {
         let p = mcr_lang::compile(FIG1).unwrap();
@@ -1333,7 +1308,7 @@ mod tests {
         let mut cold = fig1_session(&p, ReproOptions::default());
         cold.set_store(Arc::clone(&store));
         let cold_report = cold.run_to_end().unwrap();
-        let key = cold.phase_key(Phase::Diff).unwrap();
+        let key = cold.phase_key(Phase::Diff);
         let cold_entry = store.get(&key).unwrap();
         store.put(&key, &crate::artifact::v1_delta_bytes());
 
@@ -1341,19 +1316,118 @@ mod tests {
         warm.set_store(Arc::clone(&store));
         let log = Arc::new(Mutex::new(TimingLog::new()));
         warm.set_observer(Box::new(Arc::clone(&log)));
+        warm.run_diff().unwrap();
         let warm_report = warm.run_to_end().unwrap();
 
-        // The recomputed delta is the cold one byte for byte, so the
-        // rank and search phases keep their keys and hit.
         let log = log.lock().unwrap();
         assert_eq!(
             log.cache_hits(),
-            [Phase::Index, Phase::Align, Phase::Rank, Phase::Search]
+            [Phase::Index, Phase::Align, Phase::Search]
         );
         assert_eq!(log.finished().len(), 1);
         assert_eq!(log.finished()[0].0, Phase::Diff);
         assert_eq!(store.get(&key).expect("entry rewritten"), cold_entry);
         assert_eq!(cold_report, warm_report);
+    }
+
+    /// The warm-lookup contract, for every Table 2 bug under SC and TSO
+    /// with both strategies. A cold session writes five entries. Phase
+    /// keys exist before any phase runs and match across sessions that
+    /// share a basis. A fresh session's `run_to_end` makes exactly one
+    /// lookup, a search hit, and starts and analyzes nothing. A stale or
+    /// corrupt search entry recomputes the search alone: the four
+    /// upstream phases rehydrate and the entry is rewritten byte for
+    /// byte. Every report equals the cold one.
+    #[test]
+    fn a_warm_job_is_one_lookup_for_every_bug() {
+        for bug in mcr_workloads::all_bugs() {
+            let program = bug.compile();
+            let input = bug.default_input();
+            for mem_model in [MemModel::Sc, MemModel::tso()] {
+                let env = crate::RunConfig {
+                    mem_model,
+                    faults: Vec::new(),
+                };
+                let sf = crate::stress::find_failure_cfg(
+                    &program,
+                    &input,
+                    0..200_000,
+                    bug.max_steps,
+                    &env,
+                )
+                .unwrap_or_else(|| panic!("{}: stress found no failure", bug.name));
+                for strategy in [Strategy::Temporal, Strategy::Dependence] {
+                    let case = format!("{} {mem_model:?} {strategy:?}", bug.name);
+                    let options = ReproOptions {
+                        strategy,
+                        mem_model,
+                        parallelism: 1,
+                        search: SearchConfig {
+                            max_tries: 10_000,
+                            ..SearchConfig::default()
+                        },
+                        ..ReproOptions::default()
+                    };
+                    let store = Arc::new(MemoryStore::unbounded());
+                    let open = || {
+                        let mut s =
+                            ReproSession::new(&program, sf.dump.clone(), &input, options.clone())
+                                .unwrap();
+                        s.set_store(Arc::clone(&store) as Arc<dyn ArtifactStore>);
+                        let log = Arc::new(Mutex::new(TimingLog::new()));
+                        s.set_observer(Box::new(Arc::clone(&log)));
+                        (s, log)
+                    };
+
+                    let (mut cold, _) = open();
+                    let (mut warm, log) = open();
+                    for phase in crate::observe::PHASES {
+                        assert_eq!(warm.phase_key(phase), cold.phase_key(phase), "{case}");
+                    }
+                    let cold_report = cold.run_to_end().unwrap();
+                    assert_eq!(store.stats().inserts, 5, "{case}");
+                    let key = cold.phase_key(Phase::Search);
+                    let search_entry = store.get(&key).unwrap();
+
+                    let before = store.stats();
+                    assert_eq!(warm.run_to_end().unwrap(), cold_report, "{case}");
+                    let after = store.stats();
+                    assert_eq!(
+                        (after.hits - before.hits, after.misses - before.misses),
+                        (1, 0),
+                        "{case}: one lookup"
+                    );
+                    assert_eq!(after.inserts, 5, "{case}");
+                    assert_eq!(
+                        log.lock().unwrap().events,
+                        [PhaseEvent::CacheHit {
+                            phase: Phase::Search
+                        }],
+                        "{case}"
+                    );
+                    assert!(warm.analysis.get().is_none(), "{case}: warm analyzed");
+
+                    // The artifact version follows the 4-byte magic.
+                    let mut stale = search_entry.clone();
+                    stale[4] -= 1;
+                    let corrupt = &search_entry[..search_entry.len() - 1];
+                    for bad in [&stale[..], corrupt] {
+                        store.put(&key, bad);
+                        let (mut again, log) = open();
+                        assert_eq!(again.run_to_end().unwrap(), cold_report, "{case}");
+                        let log = log.lock().unwrap();
+                        assert_eq!(
+                            log.cache_hits(),
+                            [Phase::Index, Phase::Align, Phase::Diff, Phase::Rank],
+                            "{case}"
+                        );
+                        let finished: Vec<Phase> = log.finished().iter().map(|f| f.0).collect();
+                        assert_eq!(finished, [Phase::Search], "{case}");
+                        assert_eq!(store.get(&key).unwrap(), search_entry, "{case}");
+                    }
+                }
+            }
+        }
     }
 
     /// Two cold runs of one job, each on its own store, write the same
@@ -1368,7 +1442,7 @@ mod tests {
             s.run_to_end().unwrap();
             let entries: Vec<Vec<u8>> = crate::observe::PHASES
                 .iter()
-                .map(|&phase| store.get(&s.phase_key(phase).unwrap()).unwrap())
+                .map(|&phase| store.get(&s.phase_key(phase)).unwrap())
                 .collect();
             (entries, store.stats().bytes)
         };

@@ -1,14 +1,18 @@
 //! Content-addressed artifact stores.
 //!
 //! Every phase of a [`ReproSession`](crate::ReproSession) is keyed by a
-//! [`PhaseKey`]: a stable [`ContentHash`] over *(program fingerprint,
-//! failing input, failure dump, options, upstream artifact)* computed on
-//! the [`mcr_dump::wire`] encoding. Because each phase is a
-//! deterministic function of exactly that material, two phase units with
-//! the same key produce byte-identical artifacts — so a session whose
-//! key hits an [`ArtifactStore`] skips the phase entirely and rehydrates
-//! the cached bytes (observed as
-//! [`PhaseEvent::CacheHit`](crate::PhaseEvent::CacheHit)).
+//! [`PhaseKey`]: a stable [`ContentHash`] of the phase and the session
+//! basis, which hashes *(program fingerprint, failing input, failure
+//! dump, options)* on the [`mcr_dump::wire`] encoding. Every artifact is
+//! a deterministic function of the basis alone (each upstream artifact
+//! is one too), so two phase units with the same key produce
+//! byte-identical artifacts, and every key is known before any phase
+//! runs. A session whose key hits an [`ArtifactStore`] skips the phase
+//! entirely and rehydrates the cached bytes (observed as
+//! [`PhaseEvent::CacheHit`](crate::PhaseEvent::CacheHit)). It probes the
+//! phase it was asked for first, so a warm session that wants the
+//! report makes one lookup: the search artifact carries the whole
+//! report.
 //!
 //! This is the dedup-by-content idea of ShareJIT-style code caches
 //! applied to MCR's per-phase artifacts: a triage service ingesting
@@ -35,33 +39,25 @@ use std::fmt;
 use std::sync::Mutex;
 
 /// Identity of one unit of phase work: the phase plus the content hash
-/// of everything that determines its artifact.
+/// of everything that determines its artifact, the session basis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PhaseKey {
     /// The pipeline phase this key belongs to.
     pub phase: Phase,
-    /// Content hash of the phase's full input closure: session basis
-    /// (program fingerprint, input, failure dump, options) chained with
-    /// the upstream artifact's content hash.
+    /// Content hash of the session basis (program fingerprint, input,
+    /// failure dump, options) and the phase.
     pub hash: ContentHash,
 }
 
 impl PhaseKey {
-    /// Derives the key for `phase` from the session `basis` and the
-    /// hash of the immediate upstream artifact (`None` for the first
-    /// phase).
-    pub fn derive(basis: ContentHash, phase: Phase, upstream: Option<ContentHash>) -> PhaseKey {
+    /// Derives the key for `phase` from the session `basis`. No upstream
+    /// artifact enters it: each is a deterministic function of the
+    /// basis, so it would never tell two entries apart.
+    pub fn derive(basis: ContentHash, phase: Phase) -> PhaseKey {
         let mut h = ContentHasher::new();
-        h.update(b"MCRPK1");
+        h.update(b"MCRPK2");
         h.update(&basis.to_le_bytes());
         h.update(&[phase.index() as u8]);
-        match upstream {
-            None => h.update(&[0]),
-            Some(u) => {
-                h.update(&[1]);
-                h.update(&u.to_le_bytes());
-            }
-        }
         PhaseKey {
             phase,
             hash: h.finish128(),
@@ -152,8 +148,8 @@ pub trait ArtifactStore: Send + Sync + fmt::Debug {
 
     /// Whether this store can ever return a hit. [`NullStore`] says
     /// `false`, which lets the session driver skip key derivation and
-    /// artifact hashing entirely — a plain uncached pipeline run pays
-    /// nothing for the caching machinery.
+    /// every lookup — a plain uncached pipeline run pays nothing for the
+    /// caching machinery.
     fn is_caching(&self) -> bool {
         true
     }
@@ -297,24 +293,24 @@ mod tests {
     use super::*;
 
     fn key(phase: Phase, seed: u8) -> PhaseKey {
-        PhaseKey::derive(ContentHash::of(&[seed]), phase, None)
+        PhaseKey::derive(ContentHash::of(&[seed]), phase)
     }
 
+    /// A key is a function of the basis and the phase: stable, and
+    /// distinct across phases of one basis and across bases.
     #[test]
     fn phase_key_derivation_is_stable_and_distinct() {
         let basis = ContentHash::of(b"basis");
-        let a = PhaseKey::derive(basis, Phase::Index, None);
-        let b = PhaseKey::derive(basis, Phase::Index, None);
-        assert_eq!(a, b);
-        let up = ContentHash::of(b"artifact");
-        assert_ne!(a, PhaseKey::derive(basis, Phase::Align, Some(up)));
-        assert_ne!(
-            PhaseKey::derive(basis, Phase::Align, Some(up)),
-            PhaseKey::derive(basis, Phase::Align, Some(ContentHash::of(b"other"))),
-        );
+        let a = PhaseKey::derive(basis, Phase::Index);
+        assert_eq!(a, PhaseKey::derive(basis, Phase::Index));
+        let hashes: std::collections::HashSet<ContentHash> = crate::observe::PHASES
+            .iter()
+            .map(|&phase| PhaseKey::derive(basis, phase).hash)
+            .collect();
+        assert_eq!(hashes.len(), 5, "each phase has its own key");
         assert_ne!(
             a.hash,
-            PhaseKey::derive(ContentHash::of(b"other basis"), Phase::Index, None).hash
+            PhaseKey::derive(ContentHash::of(b"other basis"), Phase::Index).hash
         );
     }
 

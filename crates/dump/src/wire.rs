@@ -13,7 +13,9 @@
 //! * signed integers are ZigZag-mapped varints ([`Writer::ivarint`]),
 //! * sequences are a length varint followed by the elements,
 //! * options are a `0`/`1` presence byte followed by the payload,
-//! * durations are whole nanoseconds (saturating at `u64::MAX`),
+//! * durations are whole nanoseconds; `u64::MAX` nanoseconds stands for
+//!   every duration at least that long and reads back as
+//!   [`Duration::MAX`],
 //! * values, memory locations, program counters and failure records use
 //!   [`Writer::value`] / [`Writer::memloc`] / [`Writer::pc`] /
 //!   [`Writer::failure`] (shared by the dump codec and the phase
@@ -183,7 +185,8 @@ impl Writer {
         self.raw(bytes);
     }
 
-    /// Appends a duration as whole nanoseconds (saturating).
+    /// Appends a duration as whole nanoseconds, saturating at
+    /// `u64::MAX` (which [`Reader::duration`] reads as [`Duration::MAX`]).
     pub fn duration(&mut self, d: Duration) {
         self.uvarint(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
@@ -424,13 +427,18 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    /// Reads a duration (whole nanoseconds).
+    /// Reads a duration (whole nanoseconds). The saturated value
+    /// `u64::MAX` reads as [`Duration::MAX`], so every duration too long
+    /// for the encoding round-trips as the longest one.
     ///
     /// # Errors
     ///
     /// See [`Reader::uvarint`].
     pub fn duration(&mut self) -> Result<Duration, DecodeError> {
-        Ok(Duration::from_nanos(self.uvarint()?))
+        Ok(match self.uvarint()? {
+            u64::MAX => Duration::MAX,
+            ns => Duration::from_nanos(ns),
+        })
     }
 
     /// Reads an optional duration.
@@ -622,6 +630,23 @@ mod tests {
         assert_eq!(r.duration().unwrap(), Duration::from_micros(1234));
         assert_eq!(r.opt_duration().unwrap(), None);
         assert_eq!(r.opt_uvarint().unwrap(), Some(7));
+        r.finish().unwrap();
+    }
+
+    /// Durations past `u64::MAX` ns saturate on write and read back as
+    /// `Duration::MAX`; the longest exact one stays exact.
+    #[test]
+    fn saturated_durations_read_back_as_the_maximum() {
+        let exact = Duration::from_nanos(u64::MAX - 1);
+        let mut w = Writer::new();
+        w.opt_duration(Some(Duration::MAX));
+        w.duration(Duration::from_secs(u64::MAX / 1_000_000_000 + 1));
+        w.duration(exact);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.opt_duration().unwrap(), Some(Duration::MAX));
+        assert_eq!(r.duration().unwrap(), Duration::MAX);
+        assert_eq!(r.duration().unwrap(), exact);
         r.finish().unwrap();
     }
 

@@ -279,7 +279,7 @@ fn unbounded_search_time_budget_runs_and_resumes() {
     let mut session = ReproSession::new(&program, sf.dump, &FIG1_INPUT, opts).unwrap();
     session.run_rank().unwrap();
     let mut resumed = ReproSession::resume(&program, &session.checkpoint()).unwrap();
-    assert!(resumed.options().search.time_budget.is_some());
+    assert_eq!(resumed.options().search.time_budget, Some(Duration::MAX));
     assert_eq!(resumed.run_to_end().unwrap(), unbounded);
     assert_eq!(session.run_to_end().unwrap(), unbounded);
 }
