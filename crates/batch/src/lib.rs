@@ -86,11 +86,11 @@
 
 use mcr_core::{
     ArtifactStore, CancelToken, MemoryStore, Phase, PhaseEvent, PhaseKey, PhaseObserver,
-    ReproError, ReproOptions, ReproReport, ReproSession, StoreStats, TimingLog,
+    ProgramRef, ReproError, ReproOptions, ReproReport, ReproSession, StoreStats, TimingLog,
 };
 use mcr_dump::CoreDump;
 use mcr_lang::Program;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -446,6 +446,11 @@ pub struct TriageService<'p> {
     limit: minipool::Limit,
     pool: minipool::Pool,
     shared: Mutex<Shared<'p>>,
+    /// One fingerprint memo per distinct program a job was opened on,
+    /// keyed by the program's address (stable, and never reused: the
+    /// service borrows every program for `'p`), so a warm job rehashes
+    /// no program.
+    programs: Mutex<HashMap<usize, ProgramRef<'p>>>,
     /// Signalled on every wave boundary and admission-capacity change.
     cv: Condvar,
     /// Exclusive scheduler role; `try_lock` elects the driving thread.
@@ -588,10 +593,21 @@ impl<'p> TriageService<'p> {
                 cache_hits: 0,
                 deduped: 0,
             }),
+            programs: Mutex::default(),
             cv: Condvar::new(),
             sched: Mutex::new(()),
             started: Instant::now(),
         }
+    }
+
+    /// The fingerprint memo of `program`, made on the first job opened
+    /// on it.
+    fn program_ref(&self, program: &'p Program) -> ProgramRef<'p> {
+        let mut programs = self.programs.lock().expect("triage service poisoned");
+        programs
+            .entry(std::ptr::from_ref(program) as usize)
+            .or_insert_with(|| ProgramRef::new(program))
+            .clone()
     }
 
     fn lock_shared(&self) -> MutexGuard<'_, Shared<'p>> {
@@ -849,7 +865,8 @@ impl<'p> TriageService<'p> {
                     } = *queued;
                     options.store = Some(Arc::clone(&self.store));
                     options.search.pool = Some(self.pool.clone());
-                    match ReproSession::new(program, dump, &input, options) {
+                    let program = self.program_ref(program);
+                    match ReproSession::for_program(&program, dump, &input, options) {
                         Ok(mut session) => {
                             let log = Arc::new(Mutex::new(TimingLog::new()));
                             session.set_observer(Box::new(TeeObserver {

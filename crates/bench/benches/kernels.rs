@@ -5,6 +5,8 @@
 //!   paper's 1.6% vs 42% motivation).
 //! * `dump/*` — encode/decode/traverse (Tables 3 and 6), and the diff of
 //!   a Table 2 bug's failure dump against its aligned dump.
+//! * `content_hash/*` — the one content hash every store key and
+//!   program fingerprint uses, one-shot over 64 B and 4 KiB.
 //! * `index/*` — failure-index reverse engineering and alignment.
 //! * `slice/*` — dependence trace, backward slice, and the projection
 //!   onto CSV accesses plus their ranking (Table 6).
@@ -26,7 +28,7 @@ use std::hint::black_box;
 
 use mcr_analysis::ProgramAnalysis;
 use mcr_core::{find_failure, ReproOptions, ReproSession, Reproducer};
-use mcr_dump::{reachable_vars, CoreDump, DumpDiff, DumpReason, TraverseLimits};
+use mcr_dump::{reachable_vars, ContentHash, CoreDump, DumpDiff, DumpReason, TraverseLimits};
 use mcr_index::{reverse_index, Aligner, OnlineIndexer};
 use mcr_lang::GlobalId;
 use mcr_search::{annotate_with_race, Algorithm, PassingRunInfo, Worklist};
@@ -187,6 +189,17 @@ fn bench_dump(c: &mut Criterion) {
             ))
         });
     });
+    g.finish();
+}
+
+fn bench_content_hash(c: &mut Criterion) {
+    let mut g = c.benchmark_group("content_hash");
+    for (name, len) in [("64B", 64), ("4KiB", 4096)] {
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(ContentHash::of(black_box(&bytes))));
+        });
+    }
     g.finish();
 }
 
@@ -388,6 +401,7 @@ criterion_group!(
     benches,
     bench_instrumentation,
     bench_dump,
+    bench_content_hash,
     bench_index,
     bench_slice,
     bench_search,

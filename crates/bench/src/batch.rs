@@ -18,8 +18,9 @@
 //!   kind* ([`StoreStats::per_phase`]),
 //! * **warm jobs** — each distinct job submitted again, [`WARM_REPS`]
 //!   times, to a service over the fleet's now-warm store: the store
-//!   lookups one warm job makes, and the median wall time of one warm
-//!   submission (submit and wait) per distinct job.
+//!   lookups one warm job makes, and per distinct job the median wall
+//!   time of one warm submission (submit and wait) and the median cost
+//!   of its key, a fresh session's [`ReproSession::basis`].
 //!
 //! `tables -- batch-json` serializes a [`BatchReport`] to
 //! `BENCH_batch.json` so successive PRs leave a measurable trajectory
@@ -28,16 +29,17 @@
 use crate::stamp::Stamp;
 use mcr_batch::{FleetConfig, FleetJob, JobTicket, TriageService};
 use mcr_core::{
-    find_failure_par, ArtifactStore, MemoryStore, PhaseStats, ReproOptions, ReproReport,
-    Reproducer, StoreStats, PHASES,
+    find_failure_par, ArtifactStore, MemoryStore, PhaseStats, ProgramRef, ReproOptions,
+    ReproReport, ReproSession, Reproducer, StoreStats, PHASES,
 };
 use mcr_workloads::{all_bugs, fleet_mix, FleetSpec};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Warm submissions timed per distinct job.
+/// Warm submissions, and session bases, timed per distinct job.
 pub const WARM_REPS: usize = 200;
 
 /// Stress-seed cap, mirroring the `MCR_TEST_TIER` tiers of
@@ -116,9 +118,21 @@ pub struct BatchReport {
 pub struct WarmJobs {
     /// Store lookups (hits and misses) per warm submission.
     pub lookups_per_job: f64,
-    /// Per distinct job, in corpus order: its name and the median wall
-    /// time of one warm submission, from submit to outcome.
-    pub median: Vec<(String, Duration)>,
+    /// One row per distinct job, in corpus order.
+    pub median: Vec<WarmJob>,
+}
+
+/// What one distinct job costs warm, as medians of [`WARM_REPS`] runs.
+#[derive(Debug, Clone)]
+pub struct WarmJob {
+    /// The job's name.
+    pub job: String,
+    /// One warm submission, from submit to outcome.
+    pub submit: Duration,
+    /// [`ReproSession::basis`] of a fresh session opened as the service
+    /// opens one, on a program whose fingerprint is already memoized:
+    /// what a warm job's key costs.
+    pub basis: Duration,
 }
 
 /// Runs the batch measurement: stress each distinct job once, reproduce
@@ -247,8 +261,28 @@ pub fn batch_report() -> BatchReport {
                 elapsed
             })
             .collect();
+        let program = ProgramRef::new(&programs[job.program_idx]);
+        let mut bases: Vec<Duration> = (0..WARM_REPS)
+            .map(|_| {
+                let session = ReproSession::for_program(
+                    &program,
+                    job.dump.clone(),
+                    &job.input,
+                    ReproOptions::default(),
+                )
+                .expect("a failure dump");
+                let t = Instant::now();
+                black_box(session.basis());
+                t.elapsed()
+            })
+            .collect();
         times.sort_unstable();
-        median.push((job.spec.name.clone(), times[times.len() / 2]));
+        bases.sort_unstable();
+        median.push(WarmJob {
+            job: job.spec.name.clone(),
+            submit: times[times.len() / 2],
+            basis: bases[bases.len() / 2],
+        });
     }
     let after = store.stats();
     let lookups = (after.hits + after.misses) - (before.hits + before.misses);
@@ -332,9 +366,13 @@ impl BatchReport {
             .warm
             .median
             .iter()
-            .map(|(job, t)| {
-                let us = t.as_secs_f64() * 1e6;
-                format!("      {{\"job\": \"{job}\", \"us\": {us:.1}}}")
+            .map(|row| {
+                let us = row.submit.as_secs_f64() * 1e6;
+                let basis_us = row.basis.as_secs_f64() * 1e6;
+                format!(
+                    "      {{\"job\": \"{}\", \"us\": {us:.1}, \"basis_us\": {basis_us:.2}}}",
+                    row.job
+                )
             })
             .collect();
         let _ = writeln!(s, "    \"median_us\": [\n{}\n    ]", rows.join(",\n"));
@@ -378,6 +416,7 @@ pub const BATCH_JSON_REQUIRED: &[&str] = &[
     "\"warm_job\"",
     "\"lookups_per_job\"",
     "\"median_us\"",
+    "\"basis_us\"",
     "\"stamp\"",
     "\"rev\"",
     "\"nproc\"",
@@ -450,8 +489,16 @@ mod tests {
             warm: WarmJobs {
                 lookups_per_job: 1.0,
                 median: vec![
-                    ("mysql-3#dup0".to_string(), Duration::from_micros(14)),
-                    ("apache-2#dup0".to_string(), Duration::from_micros(12)),
+                    WarmJob {
+                        job: "mysql-3#dup0".to_string(),
+                        submit: Duration::from_micros(14),
+                        basis: Duration::from_nanos(1250),
+                    },
+                    WarmJob {
+                        job: "apache-2#dup0".to_string(),
+                        submit: Duration::from_micros(12),
+                        basis: Duration::from_nanos(1500),
+                    },
                 ],
             },
         }
@@ -470,8 +517,8 @@ mod tests {
             "\"cache_hit_rate\": 0.333",
             "\"identical_results\": true",
             "\"lookups_per_job\": 1.000",
-            "{\"job\": \"mysql-3#dup0\", \"us\": 14.0},",
-            "{\"job\": \"apache-2#dup0\", \"us\": 12.0}\n",
+            "{\"job\": \"mysql-3#dup0\", \"us\": 14.0, \"basis_us\": 1.25},",
+            "{\"job\": \"apache-2#dup0\", \"us\": 12.0, \"basis_us\": 1.50}\n",
             "\"speedup_vs_serial\"",
             "\"store\"",
             "\"per_phase\"",

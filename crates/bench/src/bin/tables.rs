@@ -24,7 +24,8 @@
 //! `batch-json` measures the `mcr-batch` fleet engine on a
 //! duplicate-heavy job mix (throughput, cache-hit rate, single-flight
 //! dedup, serial-equivalence, and what one warm job costs: its store
-//! lookups and median latency) and writes `PATH` (default
+//! lookups, its median latency and the median cost of its key) and
+//! writes `PATH` (default
 //! `BENCH_batch.json`).
 //!
 //! Both JSON writers stamp the report with the git revision, host core

@@ -87,7 +87,8 @@ pub use pipeline::{
 };
 pub use session::ReproSession;
 pub use store::{
-    program_fingerprint, ArtifactStore, MemoryStore, NullStore, PhaseKey, PhaseStats, StoreStats,
+    program_fingerprint, ArtifactStore, MemoryStore, NullStore, PhaseKey, PhaseStats, ProgramRef,
+    StoreStats,
 };
 pub use stress::{
     find_failure, find_failure_cfg, find_failure_par, passes_deterministically,

@@ -146,7 +146,7 @@ impl PipelinePhase for IndexPhase {
         let t0 = Instant::now();
         let index = match s.options.align_mode {
             AlignMode::ExecutionIndex => {
-                match mcr_index::reverse_index(s.program, s.analysis(), &s.failure_dump) {
+                match mcr_index::reverse_index(s.program(), s.analysis(), &s.failure_dump) {
                     Ok(idx) => Some(idx),
                     Err(e) => {
                         s.emit(PhaseEvent::Interrupted {
@@ -284,7 +284,7 @@ impl PipelinePhase for AlignPhase {
         // Validation precedes the Started event so observers never see a
         // phase start that can have no terminal event.
         let focus = s.failure_dump.focus;
-        if focus.0 as usize >= 1 && s.program.funcs.is_empty() {
+        if focus.0 as usize >= 1 && s.program().funcs.is_empty() {
             return Err(ReproError::NoSuchThread(focus));
         }
         s.emit(PhaseEvent::Started {
@@ -301,7 +301,7 @@ impl PipelinePhase for AlignPhase {
         let index = Self::input(s).expect("index phase ran").index.as_ref();
         let point = Cell::new(0);
         let mut passing = PassingRun {
-            aligner: index.map(|idx| Aligner::new(s.program, s.analysis(), focus, idx)),
+            aligner: index.map(|idx| Aligner::new(s.program(), s.analysis(), focus, idx)),
             point: &point,
             sync: SyncLogger::new(),
             stmt: None,

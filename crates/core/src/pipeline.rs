@@ -24,6 +24,7 @@
 
 use crate::observe::{Phase, PhaseEvent};
 use crate::session::ReproSession;
+use crate::store::ProgramRef;
 use mcr_analysis::ProgramAnalysis;
 use mcr_dump::{CoreDump, DecodeError, RefPath, TraverseLimits};
 use mcr_index::{Alignment, ExecutionIndex};
@@ -68,10 +69,12 @@ pub struct ReproOptions {
     /// Search algorithm.
     pub algorithm: Algorithm,
     /// Schedule search configuration: its try cap, deadline and per-try
-    /// step cap bound the search phase. The session replaces two of its
-    /// fields: `parallelism` with [`ReproOptions::parallelism`], and
-    /// `cancel` with the session's own token
-    /// ([`ReproSession::cancel_token`]).
+    /// step cap bound the search phase. The session overwrites two of
+    /// its fields, so setting them here does nothing:
+    /// `search.parallelism` becomes [`ReproOptions::parallelism`], and
+    /// `search.cancel` the session's own token
+    /// ([`ReproSession::cancel_token`]). They stay settable because the
+    /// search also runs on its own, outside a session.
     pub search: SearchConfig,
     /// Dependence-trace window (events). Under either strategy only the
     /// CSV accesses of the last this many steps up to the aligned point
@@ -296,7 +299,9 @@ impl From<DecodeError> for ReproError {
 /// observation, cancellation, and checkpoint/resume.
 #[derive(Debug)]
 pub struct Reproducer<'p> {
-    program: &'p Program,
+    /// The program and its fingerprint memo: hashed once, on the first
+    /// key any session opened here derives, and shared by all of them.
+    program: ProgramRef<'p>,
     /// Shared with every session opened here, never copied.
     analysis: Arc<ProgramAnalysis>,
     options: ReproOptions,
@@ -306,7 +311,7 @@ impl<'p> Reproducer<'p> {
     /// Creates a reproducer (running the static analysis once).
     pub fn new(program: &'p Program, options: ReproOptions) -> Self {
         Reproducer {
-            program,
+            program: ProgramRef::new(program),
             analysis: Arc::new(ProgramAnalysis::analyze(program)),
             options,
         }
@@ -319,7 +324,7 @@ impl<'p> Reproducer<'p> {
 
     /// Opens a staged session on a failure dump, sharing this
     /// reproducer's precomputed static analysis (the session holds a
-    /// reference to it, not a copy).
+    /// reference to it, not a copy) and its program fingerprint memo.
     ///
     /// The dump and input are cloned into the session — a session owns
     /// its inputs so [`ReproSession::checkpoint`] can serialize them.
@@ -335,7 +340,7 @@ impl<'p> Reproducer<'p> {
         input: &[i64],
     ) -> Result<ReproSession<'p>, ReproError> {
         ReproSession::from_parts(
-            self.program,
+            &self.program,
             Arc::clone(&self.analysis),
             failure_dump.clone(),
             input.to_vec(),

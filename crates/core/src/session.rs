@@ -16,10 +16,11 @@
 //! The session itself is a *thin driver* ([`ReproSession::run`]). Each
 //! phase's content-addressed [`PhaseKey`] hashes the phase and the
 //! session [`basis`](ReproSession::basis) — *(program fingerprint,
-//! input, failure dump, options)* on the [`mcr_dump::wire`] encoding —
-//! so every key is known before any phase runs. Asked for a phase, the
-//! driver probes the session's [`ArtifactStore`] for that phase's key
-//! first: a hit installs the cached artifact alone
+//! failure dump, input, options)*, streamed into the one content hash
+//! without encoding the dump or the input — so every key is known
+//! before any phase runs. Asked for a phase, the driver probes the
+//! session's [`ArtifactStore`] for that phase's key first: a hit
+//! installs the cached artifact alone
 //! ([`PhaseEvent::CacheHit`]) and runs no prerequisite. On a miss it
 //! brings every earlier phase in order — present, rehydrated or
 //! computed, each probed once — then computes the phase and writes its
@@ -72,7 +73,7 @@ use crate::artifact::{
 use crate::observe::{NullPhaseObserver, Phase, PhaseEvent, PhaseObserver, PHASES};
 use crate::phase::{AlignPhase, DiffPhase, IndexPhase, PipelinePhase, RankPhase, SearchPhase};
 use crate::pipeline::{AlignMode, ReproError, ReproOptions, ReproReport, ReproTimings};
-use crate::store::{program_fingerprint, ArtifactStore, NullStore, PhaseKey};
+use crate::store::{ArtifactStore, NullStore, PhaseKey, ProgramRef};
 use mcr_analysis::{ProgramAnalysis, RaceAnalysis};
 use mcr_dump::wire::{ContentHash, ContentHasher, Reader, Writer};
 use mcr_dump::{CoreDump, DecodeError, TraverseLimits};
@@ -81,6 +82,7 @@ use mcr_search::{Algorithm, CancelToken, SearchConfig};
 use mcr_slice::Strategy;
 use mcr_vm::{Failure, FaultKind, FaultSpec, MemModel, ThreadId, Vm};
 use std::cell::{Cell, OnceCell};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"MCRS";
@@ -107,7 +109,9 @@ pub(crate) struct Artifacts {
 /// content-addressed caching, and checkpoint/resume semantics; see
 /// [`Reproducer`](crate::Reproducer) for the one-call wrapper.
 pub struct ReproSession<'p> {
-    pub(crate) program: &'p Program,
+    /// The program and its fingerprint memo, shared with whatever opened
+    /// the session (a [`Reproducer`](crate::Reproducer) or a service).
+    program: ProgramRef<'p>,
     /// The static analysis, resolved lazily on first use: seeded
     /// eagerly by [`Reproducer`](crate::Reproducer) (which analyzes its
     /// program once for all sessions), otherwise computed on the first
@@ -125,9 +129,6 @@ pub struct ReproSession<'p> {
     /// Every phase key chains off this. Computed lazily — a session
     /// whose store never caches ([`NullStore`]) pays nothing for it.
     basis: Cell<Option<ContentHash>>,
-    /// The program fingerprint, memoized: sessions derive keys
-    /// repeatedly and must not rehash the whole program each time.
-    program_fp: OnceCell<ContentHash>,
     pub(crate) artifacts: Artifacts,
     /// The static race analysis, resolved lazily on first use by the
     /// search phase (and only under [`ReproOptions::static_race`] with
@@ -166,26 +167,47 @@ impl<'p> ReproSession<'p> {
         input: &[i64],
         options: ReproOptions,
     ) -> Result<Self, ReproError> {
-        Self::open(program, failure_dump, input.to_vec(), options)
+        Self::open(
+            ProgramRef::new(program),
+            failure_dump,
+            input.to_vec(),
+            options,
+        )
+    }
+
+    /// Opens a session on a program whose fingerprint memo is shared:
+    /// the program is hashed at most once across every session opened
+    /// through `program`, so a warm job's key costs no program walk.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`ReproSession::new`].
+    pub fn for_program(
+        program: &ProgramRef<'p>,
+        failure_dump: CoreDump,
+        input: &[i64],
+        options: ReproOptions,
+    ) -> Result<Self, ReproError> {
+        Self::open(program.clone(), failure_dump, input.to_vec(), options)
     }
 
     /// Opens a session with a pre-computed analysis (the
-    /// [`Reproducer`](crate::Reproducer) path: one analysis, many
-    /// sessions).
+    /// [`Reproducer`](crate::Reproducer) path: one analysis and one
+    /// fingerprint memo, many sessions).
     pub(crate) fn from_parts(
-        program: &'p Program,
+        program: &ProgramRef<'p>,
         analysis: Arc<ProgramAnalysis>,
         failure_dump: CoreDump,
         input: Vec<i64>,
         options: ReproOptions,
     ) -> Result<Self, ReproError> {
-        let session = Self::open(program, failure_dump, input, options)?;
+        let session = Self::open(program.clone(), failure_dump, input, options)?;
         let _ = session.analysis.set(analysis);
         Ok(session)
     }
 
     fn open(
-        program: &'p Program,
+        program: ProgramRef<'p>,
         failure_dump: CoreDump,
         input: Vec<i64>,
         options: ReproOptions,
@@ -208,7 +230,6 @@ impl<'p> ReproSession<'p> {
             observer: Box::new(NullPhaseObserver),
             store,
             basis: Cell::new(None),
-            program_fp: OnceCell::new(),
             artifacts: Artifacts::default(),
             race: OnceCell::new(),
             timings: ReproTimings::default(),
@@ -259,8 +280,11 @@ impl<'p> ReproSession<'p> {
         &self.store
     }
 
-    /// The session's identity hash: program fingerprint, input, failure
-    /// dump, and result-relevant options, hashed on the wire encoding.
+    /// The session's identity hash: program fingerprint, failure dump,
+    /// input, and result-relevant options. The dump is hashed by its
+    /// `Hash` walk and the input one word per element, so nothing is
+    /// encoded; the fingerprint comes from the memo the session shares
+    /// ([`ReproSession::program_fingerprint`]).
     /// Two sessions with equal bases produce bit-identical artifacts for
     /// every phase. Parallelism knobs and runtime attachments are
     /// deliberately excluded — results are independent of them (pinned
@@ -280,19 +304,23 @@ impl<'p> ReproSession<'p> {
         b
     }
 
-    /// The program fingerprint, memoized per session — key derivations
-    /// reuse it instead of rehashing the program.
+    /// The program fingerprint, from the memo the session shares with
+    /// whatever opened it ([`ProgramRef`]): hashed at most once per
+    /// memo, so key derivations never rehash the program.
     pub fn program_fingerprint(&self) -> ContentHash {
-        *self
-            .program_fp
-            .get_or_init(|| program_fingerprint(self.program))
+        self.program.fingerprint()
+    }
+
+    /// The program the session reproduces on.
+    pub(crate) fn program(&self) -> &'p Program {
+        self.program.program()
     }
 
     /// The session's static analysis, computed on first use (unless the
     /// `Reproducer` path seeded it).
     pub(crate) fn analysis(&self) -> &ProgramAnalysis {
         self.analysis
-            .get_or_init(|| Arc::new(ProgramAnalysis::analyze(self.program)))
+            .get_or_init(|| Arc::new(ProgramAnalysis::analyze(self.program())))
     }
 
     /// The session's static race verdicts, resolved on first use —
@@ -303,7 +331,7 @@ impl<'p> ReproSession<'p> {
         self.race
             .get_or_init(|| {
                 (self.options.static_race && self.options.faults.is_empty())
-                    .then(|| RaceAnalysis::analyze(self.program))
+                    .then(|| RaceAnalysis::analyze(self.program()))
             })
             .as_ref()
             .map(RaceAnalysis::verdicts)
@@ -393,7 +421,7 @@ impl<'p> ReproSession<'p> {
     /// session's memory model and fault plan. Every phase that executes
     /// the program builds its VMs here.
     pub(crate) fn new_vm(&self) -> Vm<'p> {
-        Vm::new(self.program, &self.input)
+        Vm::new(self.program(), &self.input)
             .with_mem_model(self.options.mem_model)
             .with_faults(&self.options.faults)
     }
@@ -638,7 +666,7 @@ impl<'p> ReproSession<'p> {
         let ranked = read_artifact(&mut r, RankedAccessesArtifact::from_bytes)?;
         let search = read_artifact(&mut r, SearchArtifact::from_bytes)?;
         r.finish()?;
-        let mut session = Self::open(program, failure_dump, input, options)?;
+        let mut session = Self::open(ProgramRef::new(program), failure_dump, input, options)?;
         session.artifacts = Artifacts {
             index,
             align,
@@ -651,24 +679,26 @@ impl<'p> ReproSession<'p> {
 }
 
 /// Hashes the session identity — program fingerprint (memoized by the
-/// caller), failing input, failure dump, and result-relevant options —
-/// on the wire encoding.
+/// caller), failure dump, failing input, and result-relevant options.
+/// The dump goes through its `Hash` walk and the input as one word per
+/// element, so no encoding is built; only the options, a few bytes, use
+/// the checkpoint's encoder.
 fn session_basis(
     program_fp: ContentHash,
     input: &[i64],
     failure_dump: &CoreDump,
     options: &ReproOptions,
 ) -> ContentHash {
-    let mut w = Writer::new();
-    w.uvarint(input.len() as u64);
-    for v in input {
-        w.ivarint(*v);
-    }
-    write_key_options(&mut w, options);
     let mut h = ContentHasher::new();
-    h.update(b"MCRB1");
-    h.update(&program_fp.to_le_bytes());
-    h.update(&mcr_dump::encode(failure_dump));
+    h.update(b"MCRB2");
+    h.write_u128(program_fp.0);
+    failure_dump.hash(&mut h);
+    h.write_usize(input.len());
+    for &v in input {
+        h.write_i64(v);
+    }
+    let mut w = Writer::new();
+    write_key_options(&mut w, options);
     h.update(&w.into_bytes());
     h.finish128()
 }
@@ -1072,6 +1102,174 @@ mod tests {
         assert_ne!(a.phase_key(Phase::Align), b.phase_key(Phase::Align));
         assert_ne!(a.phase_key(Phase::Align), a.phase_key(Phase::Index));
         assert_eq!(a.next_phase_key().unwrap().phase, Phase::Index);
+    }
+
+    /// The basis moves with every part of the session identity — each
+    /// input element, each part of the dump, each key option and the
+    /// program — and with nothing else: not the worker count, the store
+    /// or the executor. A dump that went through the codec keys as the
+    /// in-memory one.
+    #[test]
+    fn basis_moves_with_every_part_of_the_identity_and_nothing_else() {
+        use mcr_dump::{DumpReason, FrameImage};
+        use mcr_vm::{BufferedStore, GSlot, MemLoc, Value};
+
+        let p = mcr_lang::compile(FIG1).unwrap();
+        let input = [0i64, 1];
+        let dump = find_failure(&p, &input, 0..200_000, 1_000_000)
+            .expect("stress exposes")
+            .dump;
+        let basis = |p: &Program, dump: &CoreDump, input: &[i64], options: ReproOptions| {
+            ReproSession::new(p, dump.clone(), input, options)
+                .unwrap()
+                .basis()
+        };
+        let base = basis(&p, &dump, &input, ReproOptions::default());
+
+        assert_ne!(base, basis(&p, &dump, &[1, 1], ReproOptions::default()));
+        assert_ne!(base, basis(&p, &dump, &[0, 2], ReproOptions::default()));
+
+        fn top(d: &mut CoreDump) -> &mut FrameImage {
+            let focus = d.focus.0 as usize;
+            d.threads[focus].frames.last_mut().expect("a live frame")
+        }
+        fn bump(v: &mut Value) {
+            *v = match *v {
+                Value::Int(i) => Value::Int(i + 1),
+                Value::Ptr(_) => Value::Int(7),
+            }
+        }
+        type Edit = fn(&mut CoreDump);
+        let edits: Vec<(&str, Edit)> = vec![
+            ("global scalar", |d| {
+                let Some(GSlot::Scalar(v)) =
+                    d.globals.iter_mut().find(|g| matches!(g, GSlot::Scalar(_)))
+                else {
+                    panic!("FIG1 has a scalar global");
+                };
+                bump(v);
+            }),
+            ("global array element", |d| {
+                let Some(GSlot::Array(vs)) =
+                    d.globals.iter_mut().find(|g| matches!(g, GSlot::Array(_)))
+                else {
+                    panic!("FIG1 has an array global");
+                };
+                bump(&mut vs[1]);
+            }),
+            ("heap slot", |d| {
+                let obj = d.heap.iter_mut().flatten().next().expect("FIG1 allocates");
+                bump(&mut obj[0]);
+            }),
+            ("frame pc", |d| top(d).pc.0 += 1),
+            ("local", |d| bump(&mut top(d).locals[0])),
+            ("loop counter", |d| {
+                let frame = d
+                    .threads
+                    .iter_mut()
+                    .flat_map(|t| &mut t.frames)
+                    .find(|f| !f.loop_counters.is_empty())
+                    .expect("T1 loops");
+                frame.loop_counters[0] += 1;
+            }),
+            ("focus", |d| {
+                d.focus = ThreadId((d.focus.0 + 1) % d.threads.len() as u32);
+            }),
+            ("steps", |d| d.steps += 1),
+            ("reason", |d| {
+                let DumpReason::Failure(f) = &mut d.reason else {
+                    panic!("a failure dump");
+                };
+                f.pc.stmt.0 += 1;
+            }),
+            ("lock owner", |d| {
+                d.locks[0] = match d.locks[0] {
+                    None => Some(ThreadId(0)),
+                    Some(_) => None,
+                }
+            }),
+            ("store-buffer entry", |d| {
+                d.threads[0].store_buffer.push(BufferedStore {
+                    loc: MemLoc::Global(mcr_lang::GlobalId(0)),
+                    value: Value::Int(1),
+                    pc: mcr_lang::Pc::new(mcr_lang::FuncId(0), mcr_lang::StmtId(0)),
+                });
+            }),
+        ];
+        for (what, edit) in &edits {
+            let mut edited = dump.clone();
+            edit(&mut edited);
+            assert_ne!(edited, dump, "{what}: the edit changes the dump");
+            assert_ne!(
+                base,
+                basis(&p, &edited, &input, ReproOptions::default()),
+                "{what}"
+            );
+        }
+        // What a store-buffer entry holds keys too, not only that it is
+        // there.
+        let mut one = dump.clone();
+        (edits.last().expect("the store-buffer edit").1)(&mut one);
+        let mut other = one.clone();
+        other.threads[0].store_buffer[0].value = Value::Int(2);
+        assert_ne!(
+            basis(&p, &one, &input, ReproOptions::default()),
+            basis(&p, &other, &input, ReproOptions::default())
+        );
+
+        for options in [
+            ReproOptions {
+                trace_window: 7,
+                ..Default::default()
+            },
+            ReproOptions {
+                strategy: Strategy::Dependence,
+                ..Default::default()
+            },
+            ReproOptions {
+                mem_model: MemModel::tso(),
+                ..Default::default()
+            },
+            ReproOptions {
+                search: SearchConfig {
+                    max_tries: 9,
+                    ..SearchConfig::default()
+                },
+                ..Default::default()
+            },
+        ] {
+            assert_ne!(base, basis(&p, &dump, &input, options));
+        }
+        let edited =
+            mcr_lang::compile(&FIG1.replace("fn T2() { x = 0; }", "fn T2() { x = 2; }")).unwrap();
+        assert_ne!(base, basis(&edited, &dump, &input, ReproOptions::default()));
+
+        // Worker count, store and executor are runtime attachments.
+        for options in [
+            ReproOptions {
+                parallelism: 7,
+                ..Default::default()
+            },
+            ReproOptions {
+                store: Some(Arc::new(MemoryStore::unbounded())),
+                ..Default::default()
+            },
+            ReproOptions {
+                search: SearchConfig {
+                    pool: Some(minipool::Pool::new(2)),
+                    parallelism: 3,
+                    ..SearchConfig::default()
+                },
+                ..Default::default()
+            },
+        ] {
+            assert_eq!(base, basis(&p, &dump, &input, options));
+        }
+        let round_tripped = mcr_dump::decode(&mcr_dump::encode(&dump)).unwrap();
+        assert_eq!(
+            base,
+            basis(&p, &round_tripped, &input, ReproOptions::default())
+        );
     }
 
     /// Every option a checkpoint serializes survives `resume`, the key

@@ -2,8 +2,13 @@
 //!
 //! Every phase of a [`ReproSession`](crate::ReproSession) is keyed by a
 //! [`PhaseKey`]: a stable [`ContentHash`] of the phase and the session
-//! basis, which hashes *(program fingerprint, failing input, failure
-//! dump, options)* on the [`mcr_dump::wire`] encoding. Every artifact is
+//! basis, which hashes *(program fingerprint, failure dump, failing
+//! input, options)*. All three hashes are the one word-at-a-time content
+//! hash of [`mcr_lang::hash`]. The program fingerprint is memoized per
+//! borrowed program ([`ProgramRef`]), the dump is hashed by its `Hash`
+//! walk and the input word by word, so deriving a key builds no
+//! encoding and rehashes no program (`BENCH_batch.json`
+//! `warm_job.basis_us` records what one key costs). Every artifact is
 //! a deterministic function of the basis alone (each upstream artifact
 //! is one too), so two phase units with the same key produce
 //! byte-identical artifacts, and every key is known before any phase
@@ -34,9 +39,11 @@
 
 use crate::observe::Phase;
 use mcr_dump::wire::{ContentHash, ContentHasher};
+use mcr_lang::Program;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Mutex;
+use std::hash::Hasher;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Identity of one unit of phase work: the phase plus the content hash
 /// of everything that determines its artifact, the session basis.
@@ -55,9 +62,9 @@ impl PhaseKey {
     /// basis, so it would never tell two entries apart.
     pub fn derive(basis: ContentHash, phase: Phase) -> PhaseKey {
         let mut h = ContentHasher::new();
-        h.update(b"MCRPK2");
-        h.update(&basis.to_le_bytes());
-        h.update(&[phase.index() as u8]);
+        h.update(b"MCRPK3");
+        h.write_u128(basis.0);
+        h.write_u8(phase.index() as u8);
         PhaseKey {
             phase,
             hash: h.finish128(),
@@ -284,8 +291,48 @@ impl ArtifactStore for MemoryStore {
 /// ([`mcr_lang::program_fingerprint`]). Part of every session's key
 /// basis, so artifacts of different programs can never be confused even
 /// when dumps and inputs coincide.
-pub fn program_fingerprint(program: &mcr_lang::Program) -> ContentHash {
+pub fn program_fingerprint(program: &Program) -> ContentHash {
     ContentHash(mcr_lang::program_fingerprint(program))
+}
+
+/// A borrowed program with its fingerprint memo: the fingerprint is
+/// hashed on first use, at most once, and shared by every clone and by
+/// every session opened through it
+/// ([`ReproSession::for_program`](crate::ReproSession::for_program)).
+///
+/// Hashing a program walks all of it, so whatever opens many sessions
+/// on one program keeps one of these: a
+/// [`Reproducer`](crate::Reproducer) holds one, as a triage service
+/// holds one per distinct program. The memo lives with the borrow, not
+/// in [`Program`], whose fields are public and may change between two
+/// borrows.
+#[derive(Debug, Clone)]
+pub struct ProgramRef<'p> {
+    program: &'p Program,
+    fingerprint: Arc<OnceLock<ContentHash>>,
+}
+
+impl<'p> ProgramRef<'p> {
+    /// Borrows `program`; nothing is hashed yet.
+    pub fn new(program: &'p Program) -> Self {
+        ProgramRef {
+            program,
+            fingerprint: Arc::default(),
+        }
+    }
+
+    /// The borrowed program.
+    pub(crate) fn program(&self) -> &'p Program {
+        self.program
+    }
+
+    /// The program's fingerprint ([`program_fingerprint`]), hashed on
+    /// the first call through this memo.
+    pub(crate) fn fingerprint(&self) -> ContentHash {
+        *self
+            .fingerprint
+            .get_or_init(|| program_fingerprint(self.program))
+    }
 }
 
 #[cfg(test)]
@@ -312,6 +359,26 @@ mod tests {
             a.hash,
             PhaseKey::derive(ContentHash::of(b"other basis"), Phase::Index).hash
         );
+    }
+
+    /// Every single-bit flip of an encoded Table 2 dump hashes to its
+    /// own digest.
+    #[test]
+    fn every_bit_flip_of_a_dump_moves_its_hash() {
+        let bug = &mcr_workloads::all_bugs()[0];
+        let program = bug.compile();
+        let input = bug.default_input();
+        let dump = crate::find_failure(&program, &input, 0..200_000, bug.max_steps)
+            .expect("stress exposes")
+            .dump;
+        let mut bytes = mcr_dump::encode(&dump);
+        let mut seen = std::collections::HashSet::new();
+        assert!(seen.insert(ContentHash::of(&bytes)));
+        for i in 0..bytes.len() * 8 {
+            bytes[i / 8] ^= 1 << (i % 8);
+            assert!(seen.insert(ContentHash::of(&bytes)), "bit {i}");
+            bytes[i / 8] ^= 1 << (i % 8);
+        }
     }
 
     #[test]

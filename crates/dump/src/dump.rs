@@ -10,9 +10,10 @@
 
 use mcr_lang::{FuncId, StmtId};
 use mcr_vm::{BufferedStore, Failure, GSlot, ThreadId, ThreadState, Value, Vm};
+use std::hash::{Hash, Hasher};
 
 /// Why a dump was taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DumpReason {
     /// The run crashed; this is a failure dump.
     Failure(Failure),
@@ -38,7 +39,7 @@ pub struct FrameImage {
 }
 
 /// Snapshot of one thread.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct ThreadImage {
     /// Thread id.
     pub id: ThreadId,
@@ -60,6 +61,20 @@ pub struct ThreadImage {
     pub store_buffer: Vec<BufferedStore>,
 }
 
+impl Hash for FrameImage {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.func.hash(state);
+        self.pc.hash(state);
+        self.locals.hash(state);
+        // Counter by counter: the standard `[i64]` hash writes the
+        // slice's native-endian bytes.
+        state.write_usize(self.loop_counters.len());
+        for &c in &self.loop_counters {
+            state.write_i64(c);
+        }
+    }
+}
+
 impl ThreadImage {
     /// The innermost frame, if the thread was live.
     pub fn top(&self) -> Option<&FrameImage> {
@@ -68,7 +83,12 @@ impl ThreadImage {
 }
 
 /// A complete program-state snapshot.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Its `Hash` walk is what a session's key basis folds in: it visits
+/// every field, so any difference between two dumps moves the key, and
+/// a dump that went through [`crate::encode`] and [`crate::decode`]
+/// hashes as it did before.
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct CoreDump {
     /// Why the dump exists.
     pub reason: DumpReason,

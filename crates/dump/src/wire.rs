@@ -20,104 +20,18 @@
 //!   [`Writer::value`] / [`Writer::memloc`] / [`Writer::pc`] /
 //!   [`Writer::failure`] (shared by the dump codec and the phase
 //!   artifacts, so one layout serves both),
-//! * [`ContentHash`] identifies wire-encoded content for the
-//!   content-addressed artifact stores built on top.
+//! * [`ContentHash`] identifies content for the content-addressed
+//!   artifact stores built on top. It and its streaming
+//!   [`ContentHasher`] are re-exported from [`mcr_lang::hash`]: one
+//!   implementation serves the program fingerprint, the session basis
+//!   and the phase keys.
 
 use crate::codec::DecodeError;
 use mcr_lang::{FuncId, GlobalId, LocalId, Pc, StmtId};
 use mcr_vm::{Failure, FailureKind, FaultKind, InjectedFault, MemLoc, ObjId, ThreadId, Value};
 use std::time::Duration;
 
-/// FNV-1a 128-bit offset basis.
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-/// FNV-1a 128-bit prime.
-const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
-
-/// A 128-bit content hash over wire-format bytes (FNV-1a).
-///
-/// This is the identity the content-addressed artifact stores of
-/// `mcr-core` key on: two byte strings with the same hash are treated as
-/// the same content. FNV-1a is not cryptographic — the stores are a
-/// cache, not a trust boundary — but at 128 bits accidental collisions
-/// are out of reach for any realistic corpus.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ContentHash(pub u128);
-
-impl ContentHash {
-    /// Hashes a byte string in one call.
-    pub fn of(bytes: &[u8]) -> ContentHash {
-        let mut h = ContentHasher::new();
-        h.update(bytes);
-        h.finish128()
-    }
-
-    /// The hash as 16 little-endian bytes (what phase-key derivation
-    /// folds in).
-    pub fn to_le_bytes(self) -> [u8; 16] {
-        self.0.to_le_bytes()
-    }
-}
-
-impl std::fmt::Debug for ContentHash {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ContentHash({self})")
-    }
-}
-
-impl std::fmt::Display for ContentHash {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:032x}", self.0)
-    }
-}
-
-/// Streaming [`ContentHash`] builder.
-///
-/// Also implements [`std::hash::Hasher`], so `#[derive(Hash)]` types —
-/// a compiled [`mcr_lang::Program`], say — can be folded into a content
-/// hash without a bespoke byte encoding: the derive feeds its canonical
-/// field-order byte stream straight into the FNV state.
-#[derive(Debug, Clone)]
-pub struct ContentHasher {
-    state: u128,
-}
-
-impl Default for ContentHasher {
-    fn default() -> Self {
-        ContentHasher::new()
-    }
-}
-
-impl ContentHasher {
-    /// A hasher at the FNV offset basis.
-    pub fn new() -> ContentHasher {
-        ContentHasher {
-            state: FNV128_OFFSET,
-        }
-    }
-
-    /// Folds `bytes` into the hash state.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u128;
-            self.state = self.state.wrapping_mul(FNV128_PRIME);
-        }
-    }
-
-    /// The 128-bit digest of everything folded in so far.
-    pub fn finish128(&self) -> ContentHash {
-        ContentHash(self.state)
-    }
-}
-
-impl std::hash::Hasher for ContentHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        self.update(bytes);
-    }
-
-    fn finish(&self) -> u64 {
-        (self.state as u64) ^ ((self.state >> 64) as u64)
-    }
-}
+pub use mcr_lang::hash::{ContentHash, ContentHasher};
 
 /// Appends wire-format primitives to a byte buffer.
 #[derive(Debug, Default)]

@@ -7,45 +7,19 @@
 //! groups and line table, and the entry point), so any observable edit
 //! moves the fingerprint and identical programs agree.
 //!
-//! The digest is 128-bit FNV-1a — the same non-cryptographic family
-//! the `mcr-dump` wire layer uses for [`ContentHash`]-keyed stores; this
-//! crate sits below `mcr-dump` in the dependency order, so it carries
-//! its own copy of the (standard) constants. The raw `u128` returned
-//! here is what `mcr-core` wraps into its `ContentHash` keys.
-//!
-//! [`ContentHash`]: https://en.wikipedia.org/wiki/Fowler–Noll–Vo_hash_function
+//! The digest is the workspace's one content hash, [`ContentHasher`]
+//! ([`crate::hash`]), the same one `mcr-dump` and `mcr-core` key their
+//! stores with. The raw `u128` returned here is what `mcr-core` wraps
+//! into its `ContentHash` keys. Hashing a program walks all of it, so
+//! the sessions and services of `mcr-core` and `mcr-batch` compute it at
+//! most once per program they borrow.
 
+use crate::hash::ContentHasher;
 use crate::ir::Program;
-use std::hash::{Hash, Hasher};
-
-/// FNV-1a 128-bit offset basis.
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-/// FNV-1a 128-bit prime.
-const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
+use std::hash::Hash;
 
 /// Domain tag of the program fingerprint.
-const PROGRAM_DOMAIN: &[u8] = b"MCRPG1";
-
-/// Streaming FNV-1a 128 state that doubles as a [`std::hash::Hasher`],
-/// so `#[derive(Hash)]` IR types feed their canonical field-order byte
-/// stream straight into the digest.
-#[derive(Debug, Clone)]
-struct Fnv128 {
-    state: u128,
-}
-
-impl Hasher for Fnv128 {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u128;
-            self.state = self.state.wrapping_mul(FNV128_PRIME);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        (self.state as u64) ^ ((self.state >> 64) as u64)
-    }
-}
+const PROGRAM_DOMAIN: &[u8] = b"MCRPG2";
 
 /// The stable content fingerprint of a whole program.
 ///
@@ -59,12 +33,10 @@ impl Hasher for Fnv128 {
 /// assert_ne!(mcr_lang::program_fingerprint(&a), mcr_lang::program_fingerprint(&c));
 /// ```
 pub fn program_fingerprint(program: &Program) -> u128 {
-    let mut h = Fnv128 {
-        state: FNV128_OFFSET,
-    };
-    h.write(PROGRAM_DOMAIN);
+    let mut h = ContentHasher::new();
+    h.update(PROGRAM_DOMAIN);
     program.hash(&mut h);
-    h.state
+    h.finish128().0
 }
 
 #[cfg(test)]

@@ -55,6 +55,7 @@
 pub mod ast;
 pub mod error;
 pub mod fingerprint;
+pub mod hash;
 pub mod ir;
 pub mod lexer;
 pub mod lower;

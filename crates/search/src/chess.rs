@@ -62,11 +62,19 @@ pub struct SearchConfig {
     /// different (or no) combination than a cut-off serial run — size
     /// `max_tries` for the serial search and treat it as a work bound,
     /// not an exact schedule.
+    ///
+    /// A reproduction session (`mcr_core::ReproSession`) overwrites this
+    /// field with its own worker count, `ReproOptions::parallelism`: set
+    /// that one on the session path.
     pub parallelism: usize,
     /// Cooperative cancellation: when the token fires mid-search, every
     /// worker unwinds at its next budget poll and the search returns a
     /// partial [`SearchResult`] with `cancelled` (and `cut_off`) set.
     /// The default token never fires.
+    ///
+    /// A reproduction session (`mcr_core::ReproSession`) overwrites this
+    /// field with the session's token: cancel through
+    /// `ReproSession::cancel_token` on the session path.
     pub cancel: CancelToken,
     /// An injected executor handle. `None` (the default) builds a
     /// private pool of [`SearchConfig::parallelism`] workers per search,

@@ -79,7 +79,7 @@ impl MemModel {
 }
 
 /// One pending store in a thread's TSO store buffer.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub struct BufferedStore {
     /// The (shared) location the store targets.
     pub loc: MemLoc,

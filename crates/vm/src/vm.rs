@@ -47,7 +47,7 @@ pub const MAX_FRAMES: usize = 512;
 pub const MAX_ALLOC: i64 = 1 << 20;
 
 /// A global variable's runtime storage.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum GSlot {
     /// A single slot.
     Scalar(Value),
@@ -75,7 +75,7 @@ pub struct Frame {
 }
 
 /// Lifecycle state of a thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ThreadState {
     /// Has work to do (may still be blocked on a lock or join).
     Ready,
